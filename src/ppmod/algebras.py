@@ -14,8 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import BadUnit, DimensionMismatch, NonAssociative
 from .fields import ELEM, Field
+
+
+def structure_product(
+    field: Field, constants: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Product of u and v under structure constants of shape (k, k, k).
+
+    sum_ij u_i v_j constants[i, j], computed as one ``matvec`` of the
+    flattened outer product u v against constants as a (k*k, k) matrix.
+    """
+    k = constants.shape[0]
+    uv = field.mul(np.asarray(u, ELEM)[:, None], np.asarray(v, ELEM)[None, :])
+    return linalg.matvec(field, uv.reshape(k * k), constants.reshape(k * k, k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,13 +45,7 @@ class Algebra:
 
     def mul_elems(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Product of two elements in basis coordinates."""
-        f = self.field
-        out = np.zeros(self.dim, dtype=ELEM)
-        for i in np.nonzero(u)[0]:
-            for j in np.nonzero(v)[0]:
-                coef = f.mul(f.mul(u[i], v[j]), self.constants[i, j])
-                out = f.add(out, coef)
-        return out
+        return structure_product(self.field, self.constants, u, v)
 
     def elem_zero(self) -> np.ndarray:
         return np.zeros(self.dim, dtype=ELEM)
@@ -56,14 +64,11 @@ class Algebra:
         return int(sum(int(c) * self.field.q**i for i, c in enumerate(v)))
 
     def elem_from_code(self, code: int) -> np.ndarray:
-        q = self.field.q
-        return np.array([(code // q**i) % q for i in range(self.dim)], dtype=ELEM)
+        return self.enumerate_elements()[code]
 
     def enumerate_elements(self) -> np.ndarray:
         """All q^dim elements in code order, shape (q^dim, dim)."""
-        return np.stack(
-            [self.elem_from_code(c) for c in range(self.field.q**self.dim)]
-        )
+        return linalg.all_vectors(self.field, self.dim)
 
     def right_regular_actions(self) -> np.ndarray:
         """Matrices of right multiplication, row convention (v @ m)."""
@@ -151,7 +156,3 @@ def make_algebra(
         ):
             raise BadUnit(f"unit laws fail on basis element {labels[j]!r}")
     return alg
-
-
-def opposite_constants(constants: np.ndarray) -> np.ndarray:
-    return np.swapaxes(constants, 0, 1)

@@ -41,7 +41,7 @@ from .formulas import (
     pp_type_generator,
 )
 from .lattice import filter_analysis, hasse_edges, pp_lattice
-from .modules import make_map, module_span, tuple_rows
+from .modules import make_map, module_span
 from .scalars import scalar_ring
 from .tensor import herzog_zero_test, tensor_product
 from .workspace import load_workspace, parse_element, render_workspace

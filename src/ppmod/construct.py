@@ -106,7 +106,6 @@ def consequence_enum(
     if not ctx.generators:
         raise EmptyContext("consequence enumeration needs context generators")
     alg = theta.algebra
-    field = alg.field
     probes = [free_realisation(theta).module] + list(ctx.generators)
 
     def signature(psi: PpFormula) -> tuple:
@@ -115,15 +114,13 @@ def consequence_enum(
     results = [theta]
     seen = {signature(theta)}
     n = theta.nfree
-    q_elem = field.q**alg.dim
+    elems = alg.enumerate_elements()
     truncated = False
     for t in range(budget.bound_vars + 1):
         for neq in range(1, budget.equations + 1):
             slots = (n + t) * neq
-            for codes in product(range(q_elem), repeat=slots):
-                coeffs = np.array(
-                    [alg.elem_from_code(c) for c in codes], dtype=ELEM
-                ).reshape(n + t, neq, alg.dim)
+            for codes in product(range(len(elems)), repeat=slots):
+                coeffs = elems[list(codes)].reshape(n + t, neq, alg.dim)
                 chi = pp_formula(alg, theta.side, n, coeffs[:n], coeffs[n:])
                 psi = conj(theta, chi)
                 if any(
@@ -186,7 +183,6 @@ def run_construction(
         raise AlgebraMismatch("module and context over different algebras")
     if a_mod.side != ctx.side:
         raise SideMismatch("module and context on different sides")
-    field = a_mod.algebra.field
     a_vecs = tuple_rows(a_tuple, a_mod.dim)
     if module_span(a_mod, a_vecs).shape[0] != a_mod.dim:
         raise NotGenerating("initial tuple must generate the module")

@@ -35,7 +35,6 @@ from .formulas import PpFormula, evaluate, leq_absolute, pp_type_generator
 from .modules import (
     ModuleMap,
     ModuleRep,
-    PointedModule,
     constrained_hom,
     direct_sum,
     quotient,
@@ -257,7 +256,6 @@ def strict_atomic_witness(
         NotInSolutionSet: the target tuple fails the generator formula
             (an input mismatch, not a strictness failure).
     """
-    f = m.algebra.field
     vecs = tuple_rows(vectors, m.dim)
     tgt = tuple_rows(target_vectors, n.dim)
     if vecs.shape[0] != tgt.shape[0]:

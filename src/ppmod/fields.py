@@ -6,9 +6,13 @@ canonical modulus (digit i is the coefficient of X^i).  The modulus is
 the lexicographically least monic irreducible of degree d over F_p, so
 the encoding is canonical and equality of elements is equality of ints.
 
-Arrays of elements are numpy integer arrays and all operations broadcast
-elementwise.  Arithmetic is table-driven, which keeps q small (q <= 256
-enforced; q <= 9 is the intended working range).
+Arrays of elements are ``ELEM`` numpy arrays and the operations here
+broadcast elementwise through the add/mul tables, which keeps q small
+(q <= 256 enforced; q <= 9 is the intended working range).  Linear
+combinations and matrix products are not written here but in
+:mod:`ppmod.linalg`.  :meth:`Field.asarray` is the one validated entry
+point for outside data: it accepts integer arrays with entries in
+0..q-1 and raises ``DimensionMismatch`` on anything else.
 """
 
 from __future__ import annotations
@@ -176,12 +180,23 @@ class Field:
     # -- elementwise operations (broadcasting) --------------------------
 
     def asarray(self, x) -> np.ndarray:
-        a = np.asarray(x, dtype=ELEM)
-        if a.size and (a.min() < 0 or a.max() >= self.q):
-            raise DimensionMismatch(
-                f"entries must lie in 0..{self.q - 1} for F_{self.p}^{self.d}"
-            )
-        return a
+        """Validated array of field elements: the entry point for user data.
+
+        Raises:
+            DimensionMismatch: ragged input, non-integer entries, or
+                entries outside 0..q-1.  Empty input is always legal.
+        """
+        try:
+            a = np.asarray(x)
+        except ValueError:
+            raise DimensionMismatch("ragged input is not an array") from None
+        if a.size:
+            if a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= self.q:
+                raise DimensionMismatch(
+                    f"entries must be integers in 0..{self.q - 1} "
+                    f"for F_{self.p}^{self.d}"
+                )
+        return a.astype(ELEM, copy=False)
 
     def add(self, a, b) -> np.ndarray:
         return self.add_table[np.asarray(a, ELEM), np.asarray(b, ELEM)]

@@ -39,6 +39,7 @@ from .errors import (
     SideMismatch,
 )
 from .fields import ELEM
+from .memo import memo
 from .modules import (
     ModuleRep,
     PointedModule,
@@ -49,10 +50,6 @@ from .modules import (
     quotient,
     tuple_rows,
 )
-
-_EVAL_CACHE: dict = {}
-_FREE_CACHE: dict = {}
-_TYPEGEN_CACHE: dict = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,17 +216,7 @@ class SubgroupRep:
     def elements(self) -> np.ndarray:
         """All members, shape (q^dim, arity*dim); small subgroups only."""
         f = self.module.algebra.field
-        k = self.dim
-        width = self.arity * self.module.dim
-        out = np.zeros((f.q**k, width), dtype=ELEM)
-        for code in range(f.q**k):
-            coeffs = [(code // f.q**i) % f.q for i in range(k)]
-            v = np.zeros(width, dtype=ELEM)
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    v = f.add(v, f.mul(c, row))
-            out[code] = v
-        return out
+        return linalg.matmul(f, linalg.all_vectors(f, self.dim), self.basis)
 
     def __repr__(self) -> str:
         return f"SubgroupRep(arity={self.arity}, dim={self.dim})"
@@ -242,6 +229,7 @@ def _check_formula_module(phi: PpFormula, m: ModuleRep) -> None:
         raise SideMismatch(f"{phi.side} formula on a {m.side} module")
 
 
+@memo(lambda phi, m: (phi.fingerprint(), m.fingerprint()))
 def evaluate(phi: PpFormula, m: ModuleRep) -> SubgroupRep:
     """Solution set phi(m) as a canonical subgroup of m^nfree.
 
@@ -249,16 +237,10 @@ def evaluate(phi: PpFormula, m: ModuleRep) -> SubgroupRep:
     all (free + bound) coordinates, then project onto the free block.
     """
     _check_formula_module(phi, m)
-    key = (phi.fingerprint(), m.fingerprint())
-    hit = _EVAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     f = m.algebra.field
     n, t, neq, d = phi.nfree, phi.nbound, phi.neq, m.dim
     if d == 0 or n == 0:
-        res = SubgroupRep(m, n, linalg.zeros(0, n * d))
-        _EVAL_CACHE[key] = res
-        return res
+        return SubgroupRep(m, n, linalg.zeros(0, n * d))
     # system rows: one block row per variable; columns: one block per equation
     sys = np.zeros(((n + t) * d, neq * d), dtype=ELEM)
     coeff = np.concatenate([phi.a, phi.b], axis=0) if t else phi.a
@@ -268,9 +250,7 @@ def evaluate(phi: PpFormula, m: ModuleRep) -> SubgroupRep:
                 sys[v * d : (v + 1) * d, j * d : (j + 1) * d] = m.rho(coeff[v, j])
     sols = linalg.null_space(f, sys.T)  # rows u with u @ sys = 0
     proj = sols[:, : n * d]
-    res = SubgroupRep(m, n, linalg.row_space(f, proj))
-    _EVAL_CACHE[key] = res
-    return res
+    return SubgroupRep(m, n, linalg.row_space(f, proj))
 
 
 # -- lattice operations ---------------------------------------------------
@@ -402,6 +382,7 @@ def prefix_restriction(phi: PpFormula, new_arity: int) -> PpFormula:
 # -- free realisations and pp-type generators ------------------------------
 
 
+@memo(lambda phi: phi.fingerprint())
 def free_realisation(phi: PpFormula) -> PointedModule:
     """Finitely presented module with a tuple whose pp-type phi generates.
 
@@ -409,12 +390,7 @@ def free_realisation(phi: PpFormula) -> PointedModule:
     equation rows; the tuple is the image of the first nfree slot units.
     Any solution of phi in any module is a morphic image of this tuple.
     """
-    key = phi.fingerprint()
-    hit = _FREE_CACHE.get(key)
-    if hit is not None:
-        return hit
     alg = phi.algebra
-    f = alg.field
     n, t, m = phi.nfree, phi.nbound, phi.neq
     slots = n + t
     free = free_module(alg, phi.side, slots)
@@ -430,11 +406,15 @@ def free_realisation(phi: PpFormula) -> PointedModule:
         unit_row = np.zeros(slots * alg.dim, dtype=ELEM)
         unit_row[i * alg.dim : (i + 1) * alg.dim] = alg.unit
         tup[i] = q.projection.apply(unit_row)
-    res = PointedModule(q.module, tup)
-    _FREE_CACHE[key] = res
-    return res
+    return PointedModule(q.module, tup)
 
 
+def _typegen_key(m: ModuleRep, vectors) -> tuple:
+    vecs = tuple_rows(vectors, m.dim)
+    return (m.fingerprint(), vecs.tobytes(), vecs.shape[0])
+
+
+@memo(_typegen_key)
 def pp_type_generator(m: ModuleRep, vectors) -> PpFormula:
     """Generator of the pp-type of a tuple (holds in every module).
 
@@ -442,12 +422,7 @@ def pp_type_generator(m: ModuleRep, vectors) -> PpFormula:
     and existentially quantifies the added generators.  When the tuple
     already generates, the result is quantifier-free.
     """
-    f = m.algebra.field
     vecs = tuple_rows(vectors, m.dim)
-    key = (m.fingerprint(), vecs.tobytes(), vecs.shape[0])
-    hit = _TYPEGEN_CACHE.get(key)
-    if hit is not None:
-        return hit
     n = vecs.shape[0]
     gens = extend_to_generators(m, vecs)
     rels = presentation(m, gens)
@@ -458,9 +433,7 @@ def pp_type_generator(m: ModuleRep, vectors) -> PpFormula:
     b = np.transpose(rels[:, n:, :], (1, 0, 2)) if neq else np.zeros(
         (0, 0, m.algebra.dim), dtype=ELEM
     )
-    res = pp_formula(m.algebra, m.side, n, a, b)
-    _TYPEGEN_CACHE[key] = res
-    return res
+    return pp_formula(m.algebra, m.side, n, a, b)
 
 
 # -- ordering ---------------------------------------------------------------
@@ -494,17 +467,3 @@ def leq_relative(phi: PpFormula, psi: PpFormula, ctx) -> bool:
 
 def equivalent(phi: PpFormula, psi: PpFormula) -> bool:
     return leq_absolute(phi, psi) and leq_absolute(psi, phi)
-
-
-def subgroup_sum(s1: SubgroupRep, s2: SubgroupRep) -> SubgroupRep:
-    f = s1.module.algebra.field
-    return SubgroupRep(
-        s1.module, s1.arity, linalg.subspace_sum(f, s1.basis, s2.basis)
-    )
-
-
-def subgroup_intersect(s1: SubgroupRep, s2: SubgroupRep) -> SubgroupRep:
-    f = s1.module.algebra.field
-    return SubgroupRep(
-        s1.module, s1.arity, linalg.subspace_intersect(f, s1.basis, s2.basis)
-    )

@@ -44,6 +44,28 @@ def matvec(field: Field, v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return matmul(field, np.asarray(v, ELEM).reshape(1, -1), a)[0]
 
 
+def kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product with field multiplication."""
+    ma, na = a.shape
+    mb, nb = b.shape
+    if min(ma, na, mb, nb) == 0:
+        return zeros(ma * mb, na * nb)
+    out = field.mul(a[:, None, :, None], b[None, :, None, :])
+    return out.reshape(ma * mb, na * nb)
+
+
+def all_vectors(field: Field, n: int) -> np.ndarray:
+    """All of F_q^n in code order, shape (q^n, n).
+
+    Row ``code`` holds the base-q digits of ``code``, digit i in
+    coordinate i, so coordinate 0 varies fastest.  This is the one
+    definition of the code order of elements and coefficient tuples.
+    """
+    q = field.q
+    digits = np.indices((q,) * n, dtype=ELEM).reshape(n, q**n)
+    return np.ascontiguousarray(digits[::-1].T)
+
+
 def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and the pivot column list."""
     m = np.array(a, dtype=ELEM, copy=True)

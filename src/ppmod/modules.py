@@ -14,8 +14,9 @@ sets and duals side-uniform: a map is a matrix applied on the right of
 a row vector for both sides, and the dual of a module transposes each
 action matrix and flips the side.
 
-All objects are immutable after construction; helper caches are
-write-once and idempotent, so concurrent readers are safe.
+All objects are immutable after construction.  Linear combinations of
+action matrices and the code-order listing of elements go through
+:mod:`ppmod.linalg` (``matvec`` and ``all_vectors``).
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ class ModuleRep:
 
     def rho(self, r: np.ndarray) -> np.ndarray:
         """Matrix of the action of an algebra element (row-applied)."""
-        f = self.algebra.field
-        out = np.zeros((self.dim, self.dim), dtype=ELEM)
-        for i in np.nonzero(np.asarray(r, ELEM))[0]:
-            out = f.add(out, f.mul(r[i], self.actions[i]))
-        return out
+        k, d = self.algebra.dim, self.dim
+        flat = self.actions.reshape(k, d * d)
+        return linalg.matvec(self.algebra.field, r, flat).reshape(d, d)
 
     def act(self, v: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Action of algebra element r on a single vector."""
@@ -71,11 +70,7 @@ class ModuleRep:
 
     def enumerate_elements(self) -> np.ndarray:
         """All q^dim elements in code order, shape (q^dim, dim)."""
-        q = self.algebra.field.q
-        out = np.zeros((q**self.dim, self.dim), dtype=ELEM)
-        for code in range(q**self.dim):
-            out[code] = [(code // q**i) % q for i in range(self.dim)]
-        return out
+        return linalg.all_vectors(self.algebra.field, self.dim)
 
     def fingerprint(self) -> tuple:
         return (
@@ -251,16 +246,6 @@ def identity_map(m: ModuleRep) -> ModuleMap:
     return ModuleMap(m, m, np.eye(m.dim, dtype=ELEM))
 
 
-def _field_kron(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with field multiplication."""
-    ma, na = a.shape
-    mb, nb = b.shape
-    if min(ma, na, mb, nb) == 0:
-        return np.zeros((ma * mb, na * nb), dtype=ELEM)
-    out = field.mul(a[:, None, :, None], b[None, :, None, :])
-    return out.reshape(ma * mb, na * nb)
-
-
 def _hom_constraint_matrix(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     """Rows: flattened (row-major) F with act_m[i] F = F act_n[i] for all i.
 
@@ -271,8 +256,8 @@ def _hom_constraint_matrix(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     ident_m = np.eye(m.dim, dtype=ELEM)
     ident_n = np.eye(n.dim, dtype=ELEM)
     for i in range(m.algebra.dim):
-        t1 = _field_kron(f, m.actions[i], ident_n)
-        t2 = _field_kron(f, ident_m, n.actions[i].T)
+        t1 = linalg.kron(f, m.actions[i], ident_n)
+        t2 = linalg.kron(f, ident_m, n.actions[i].T)
         blocks.append(f.sub(t1, t2))
     if not blocks:
         return np.zeros((0, m.dim * n.dim), dtype=ELEM)
@@ -313,7 +298,7 @@ def constrained_hom(
     hom_rows = _hom_constraint_matrix(m, n)
     ident_n = np.eye(n.dim, dtype=ELEM)
     cons = [
-        _field_kron(f, v.reshape(1, m.dim), ident_n) for v in src
+        linalg.kron(f, v.reshape(1, m.dim), ident_n) for v in src
     ]  # (v @ F) flattened
     lhs = np.concatenate([hom_rows] + cons, axis=0)
     rhs = np.concatenate(
@@ -382,10 +367,8 @@ def presentation(m: ModuleRep, generators: np.ndarray) -> np.ndarray:
             if not linalg.in_span(f, span, m.basis_vector(j)):
                 raise NotGenerating(m.basis_vector(j))
     # row (i, l) of the cover matrix is g_i acted on by e_l
-    cover = np.zeros((s * alg.dim, m.dim), dtype=ELEM)
-    for i in range(s):
-        for l in range(alg.dim):
-            cover[i * alg.dim + l] = linalg.matvec(f, gens[i], m.actions[l])
+    side_by_side = m.actions.transpose(1, 0, 2).reshape(m.dim, alg.dim * m.dim)
+    cover = linalg.matmul(f, gens, side_by_side).reshape(s * alg.dim, m.dim)
     kernel = linalg.null_space(f, cover.T)
     free = free_module(alg, m.side, s) if s else zero_module(alg, m.side)
     chosen: list[np.ndarray] = []
@@ -484,9 +467,7 @@ def quotient(m: ModuleRep, rows: np.ndarray) -> Quotient:
     actions = np.zeros((m.algebra.dim, qdim, qdim), dtype=ELEM)
     for i in range(m.algebra.dim):
         for r, c in enumerate(keep):
-            actions[i, r] = project(
-                linalg.matvec(f, m.basis_vector(c), m.actions[i])
-            )
+            actions[i, r] = project(m.actions[i, c])
     q = make_module(m.algebra, m.side, qdim, actions, validate=False)
     return Quotient(q, ModuleMap(m, q, proj))
 
@@ -515,14 +496,10 @@ def are_isomorphic(m: ModuleRep, n: ModuleRep) -> bool:
     if not basis:
         return False
     f = m.algebra.field
-    # iterate all field combinations of the hom basis
-    k = len(basis)
-    for code in range(1, f.q**k):
-        coeffs = [(code // f.q**i) % f.q for i in range(k)]
-        mat = np.zeros((m.dim, n.dim), dtype=ELEM)
-        for c, h in zip(coeffs, basis):
-            if c:
-                mat = f.add(mat, f.mul(c, h.matrix))
+    # iterate all nonzero field combinations of the hom basis, in code order
+    stacked = np.stack([h.matrix.reshape(-1) for h in basis])
+    for coeffs in linalg.all_vectors(f, len(basis))[1:]:
+        mat = linalg.matvec(f, coeffs, stacked).reshape(m.dim, n.dim)
         if linalg.rank(f, mat) == m.dim:
             return True
     return False
@@ -551,15 +528,3 @@ def tuple_rows(vectors, dim: int) -> np.ndarray:
             f"flat tuple of size {arr.shape[0]} over module dim {dim}"
         )
     return arr.reshape(-1, dim)
-
-
-def flatten_tuple(vectors: np.ndarray, dim: int) -> np.ndarray:
-    """Concatenate a (k, dim) tuple into a flat k*dim vector."""
-    return tuple_rows(vectors, dim).reshape(-1)
-
-
-def unflatten_tuple(flat: np.ndarray, dim: int) -> np.ndarray:
-    flat = np.asarray(flat, ELEM)
-    if dim == 0:
-        return np.zeros((0, 0), dtype=ELEM)
-    return flat.reshape(-1, dim)

@@ -19,22 +19,26 @@ from itertools import product
 import numpy as np
 
 from . import linalg
+from .algebras import structure_product
 from .errors import CapExceeded, ValidationFailure
 from .fields import ELEM, Field
 from .formulas import PpFormula, evaluate, pp_formula, pp_type_generator
-from .modules import ModuleRep, RIGHT, _field_kron, hom_space
+from .memo import memo
+from .modules import ModuleRep, RIGHT, hom_space
 
 
 @dataclass(frozen=True, eq=False)
 class RingTable:
     """A finite-dimensional algebra of matrices, with structure table.
 
-    ``basis[i]`` acts on row vectors by right multiplication; ``table``
-    holds structure constants (basis[i] basis[j] expanded over the
-    basis); ``from_r`` maps algebra basis elements to coordinate rows
-    when the base algebra acts through this ring.
+    ``field`` is the field of the matrix entries; ``basis[i]`` acts on
+    row vectors by right multiplication; ``table`` holds structure
+    constants (basis[i] basis[j] expanded over the basis); ``from_r``
+    maps algebra basis elements to coordinate rows when the base
+    algebra acts through this ring.
     """
 
+    field: Field
     labels: tuple[str, ...]
     basis: np.ndarray  # (k, d, d)
     table: np.ndarray  # (k, k, k)
@@ -47,23 +51,7 @@ class RingTable:
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Product of two coordinate rows via the structure table."""
-        field = _table_field(self)
-        acc = np.zeros(self.dim, dtype=ELEM)
-        for i in range(self.dim):
-            if not x[i]:
-                continue
-            for j in range(self.dim):
-                if not y[j]:
-                    continue
-                coeff = field.mul(int(x[i]), int(y[j]))
-                acc = field.add(
-                    acc, field.mul(np.full(self.dim, coeff, ELEM), self.table[i, j])
-                )
-        return acc
-
-
-def _table_field(rt: RingTable) -> Field:
-    return rt._field  # attached at construction
+        return structure_product(self.field, self.table, x, y)
 
 
 def _make_ring_table(
@@ -94,11 +82,9 @@ def _make_ring_table(
             raise ValidationFailure("matrix ring does not contain the identity")
     else:
         unit = np.zeros(0, dtype=ELEM)
-    rt = RingTable(
-        tuple(f"{prefix}{i}" for i in range(k)), mats, table, unit, from_r
+    return RingTable(
+        field, tuple(f"{prefix}{i}" for i in range(k)), mats, table, unit, from_r
     )
-    object.__setattr__(rt, "_field", field)
-    return rt
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +101,8 @@ def _commutant(field: Field, mats, d: int) -> np.ndarray:
     ident = linalg.eye(field, d)
     blocks = []
     for m in mats:
-        lhs = _field_kron(field, m, ident)
-        rhs = _field_kron(field, ident, m.T)
+        lhs = linalg.kron(field, m, ident)
+        rhs = linalg.kron(field, ident, m.T)
         blocks.append(field.sub(lhs, rhs))
     if not blocks:
         blocks = [np.zeros((0, d * d), dtype=ELEM)]
@@ -124,6 +110,7 @@ def _commutant(field: Field, mats, d: int) -> np.ndarray:
     return rows.reshape(-1, d, d)
 
 
+@memo(lambda m: m.fingerprint())
 def end_and_biend(m: ModuleRep) -> EndBiend:
     """End(M), its commutant, and greedy module generators over End."""
     field = m.algebra.field
@@ -161,16 +148,17 @@ def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
     span = np.zeros((0, d), dtype=ELEM)
     chosen: list[np.ndarray] = []
     elements = m.enumerate_elements()
+    k = end_mats.shape[0]
+    # row v of images lists v @ h for every h in end_mats, side by side
+    side_by_side = end_mats.transpose(1, 0, 2).reshape(d, k * d)
+    images = linalg.matmul(field, elements, side_by_side)
     while span.shape[0] < d:
         best = None
         best_gain = 0
         best_span = span
-        for v in elements:
-            rows = np.stack([
-                linalg.matvec(field, v, h) for h in end_mats
-            ]) if end_mats.shape[0] else np.zeros((0, d), dtype=ELEM)
+        for v, image in zip(elements, images):
             cand = linalg.row_space(
-                field, np.concatenate([span, rows], axis=0)
+                field, np.concatenate([span, image.reshape(k, d)], axis=0)
             )
             gain = cand.shape[0] - span.shape[0]
             if gain > best_gain:
@@ -184,18 +172,6 @@ def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
         if chosen
         else np.zeros((0, d), dtype=ELEM)
     )
-
-
-_ENDBIEND_CACHE: dict = {}
-
-
-def cached_end_and_biend(m: ModuleRep) -> EndBiend:
-    key = m.fingerprint()
-    hit = _ENDBIEND_CACHE.get(key)
-    if hit is None:
-        hit = end_and_biend(m)
-        _ENDBIEND_CACHE[key] = hit
-    return hit
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +190,7 @@ def synthesize_scalar(m: ModuleRep, g, eb: EndBiend | None = None) -> ScalarSynt
     alg = m.algebra
     d = m.dim
     g = field.asarray(g).reshape(d, d)
-    eb = eb or cached_end_and_biend(m)
+    eb = eb or end_and_biend(m)
     for h in eb.end.basis:
         if not np.array_equal(
             linalg.matmul(field, g, h), linalg.matmul(field, h, g)
@@ -270,19 +246,6 @@ def synthesize_scalar(m: ModuleRep, g, eb: EndBiend | None = None) -> ScalarSynt
     return ScalarSynthesis(rho, phi, gens, g, total, functional)
 
 
-def zero_section(m: ModuleRep, rho: PpFormula) -> np.ndarray:
-    """Canonical basis of {v : rho(0, v)}; zero iff rho is functional."""
-    field = m.algebra.field
-    alg = m.algebra
-    pin = np.zeros((2, 1, alg.dim), dtype=ELEM)
-    pin[0, 0] = alg.unit
-    u_zero = pp_formula(alg, m.side, 2, pin, np.zeros((0, 1, alg.dim), ELEM))
-    from .formulas import conj
-
-    sol = evaluate(conj(rho, u_zero), m).basis
-    return linalg.row_space(field, sol[:, m.dim :])
-
-
 @dataclass(frozen=True, eq=False)
 class ScalarRing:
     ring: RingTable
@@ -297,7 +260,7 @@ def scalar_ring(m: ModuleRep) -> ScalarRing:
     """Definable scalars of M, assembled one biendomorphism at a time."""
     field = m.algebra.field
     d = m.dim
-    eb = cached_end_and_biend(m)
+    eb = end_and_biend(m)
     synths = []
     induced = []
     for g in eb.biend.basis:
@@ -334,7 +297,7 @@ def annihilator_basis(m: ModuleRep) -> np.ndarray:
 
 def ring_kernel(rt: RingTable, algebra_dim: int) -> np.ndarray:
     """Kernel of the structural map from the base algebra, as rows."""
-    field = _table_field(rt)
+    field = rt.field
     if rt.from_r is None:
         raise ValidationFailure("ring table has no structural map")
     if rt.from_r.shape[1] == 0:
@@ -360,20 +323,6 @@ def ring_isomorphic(
         raise CapExceeded("isomorphism search space exceeds the cap")
     unit_a = np.asarray(unit_a, ELEM)
     unit_b = np.asarray(unit_b, ELEM)
-
-    def mult(table, x, y):
-        acc = np.zeros(k, dtype=ELEM)
-        for i in range(k):
-            if not x[i]:
-                continue
-            for j in range(k):
-                if not y[j]:
-                    continue
-                c = field.mul(int(x[i]), int(y[j]))
-                acc = field.add(acc, field.mul(np.full(k, c, ELEM), table[i, j]))
-        return acc
-
-    eye_k = [np.eye(k, dtype=ELEM)[i] for i in range(k)]
     for flat in product(range(field.q), repeat=k * k):
         t_mat = np.array(flat, dtype=ELEM).reshape(k, k)
         if linalg.rank(field, t_mat) != k:
@@ -384,11 +333,7 @@ def ring_isomorphic(
         for i in range(k):
             for j in range(k):
                 lhs = linalg.matvec(field, table_a[i, j], t_mat)
-                rhs = mult(
-                    table_b,
-                    linalg.matvec(field, eye_k[i], t_mat),
-                    linalg.matvec(field, eye_k[j], t_mat),
-                )
+                rhs = structure_product(field, table_b, t_mat[i], t_mat[j])
                 if not np.array_equal(lhs, rhs):
                     ok = False
                     break

@@ -28,7 +28,6 @@ from .modules import (
     LEFT,
     RIGHT,
     ModuleRep,
-    _field_kron,
     direct_sum,
     dual_module,
     tuple_rows,
@@ -59,7 +58,7 @@ class TensorResult:
         w = field.asarray(w).reshape(-1)
         if v.shape[0] != self.right.dim or w.shape[0] != self.left.dim:
             raise LengthMismatch("tensor factors of the wrong dimension")
-        amb = _field_kron(field, v.reshape(1, -1), w.reshape(1, -1))[0]
+        amb = linalg.kron(field, v.reshape(1, -1), w.reshape(1, -1))[0]
         return self._project(amb)
 
     def tuple_class(self, vs: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -135,7 +134,6 @@ def herzog_zero_test(
     """
     if m.side != RIGHT or l_mod.side != LEFT:
         raise SideMismatch("zero test needs a right module and a left module")
-    field = m.algebra.field
     vecs = tuple_rows(vectors, m.dim)
     lvecs = tuple_rows(l_vectors, l_mod.dim)
     if vecs.shape[0] != lvecs.shape[0]:

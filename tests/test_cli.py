@@ -257,3 +257,23 @@ def test_module_entry_point_matches_in_process():
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_EVAL
+
+
+@pytest.mark.parametrize("text", ["[70000, 0]", "[[1],0]", "[1.7, 0]", "['1', 0]"])
+def test_bad_tuple_entries_are_data_errors(text, capsys):
+    code, out, err = run(
+        ["eval", "--workspace", DEMO, "--formula", "xt0", "--module", "RR",
+         "--tuple", text], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[[0], [0], [1.0]]", "[[0], [0, 1], [1]]", "[[0], [0], [9]]"])
+def test_bad_matrix_entries_are_data_errors(text, capsys):
+    code, _, err = run(
+        ["purity", "--workspace", DEMO, "--source", "RS", "--target", "S",
+         "--matrix", text, "--require", "epi"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -9,9 +9,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ppmod import Field
 from ppmod.errors import DimensionMismatch
+from ppmod.fields import ELEM
 
 SMALL_FIELDS = [Field(2), Field(3), Field(5), Field(7), Field(2, 2), Field(3, 2), Field(2, 3)]
 
@@ -90,6 +93,39 @@ def test_asarray_validates_range():
         f.asarray([2])
     with pytest.raises(DimensionMismatch):
         f.asarray([[-1]])
+
+
+_SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-2, 10),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.booleans(),
+)
+_ENTRIES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=8
+)
+
+
+@given(field=st.sampled_from(SMALL_FIELDS), x=_ENTRIES)
+def test_asarray_returns_field_elements_or_raises(field, x):
+    """Any input gives in-range ELEM entries or DimensionMismatch."""
+    try:
+        a = field.asarray(x)
+    except DimensionMismatch:
+        return
+    assert a.dtype == ELEM
+    assert a.size == 0 or (a.min() >= 0 and a.max() < field.q)
+    assert np.array_equal(a, np.asarray(x))
+
+
+def test_asarray_rejects_non_integer_and_ragged_input():
+    f = Field(5)
+    for bad in ([1.0, 2], ["1", 0], [[1], 0], [True, False], [70000, 0], 2**80):
+        with pytest.raises(DimensionMismatch):
+            f.asarray(bad)
+    assert f.asarray([]).dtype == ELEM
+    assert np.array_equal(f.asarray(np.int64(4)), 4)
 
 
 def test_prime_subfield_embeds():

@@ -1,0 +1,39 @@
+"""Source hygiene: ppmod modules share only public names.
+
+A name with a leading underscore is private to the module that defines
+it; a module that needs it from another module should get a public
+name instead.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ppmod"
+
+
+def private_imports(path: Path) -> list[str]:
+    """``module:name`` for each private name imported from a ppmod module."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").split(".")[0] == "ppmod"
+        if not internal:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                out.append(f"{node.module or '.'}:{alias.name}")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_cross_modules(path):
+    assert private_imports(path) == []
+
+
+def test_the_check_sees_private_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from .modules import ModuleRep, _field_kron\nfrom os import _exit\n")
+    assert private_imports(sample) == ["modules:_field_kron"]

@@ -1,0 +1,274 @@
+"""Differential tests: the linalg-routed arithmetic against the loops it replaced.
+
+Structure-constant products, action matrices rho(r), element tables in
+code order, subgroup element lists, the hom combinations searched by
+``are_isomorphic``, the cover matrix of ``presentation`` and the End
+orbits of the greedy generators are computed through
+``linalg.matvec``/``linalg.matmul`` and ``linalg.all_vectors``.  The
+loops they replaced are kept below, verbatim in substance, as oracles.
+The arithmetic oracles run on objects built from random arrays without
+the construction-time axiom checks, since the arithmetic must agree on
+any array, not only on genuine algebras and modules; presentations and
+generators are compared on the fixture grids.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from ppmod import Field, fixtures, linalg
+from ppmod.algebras import Algebra, structure_product
+from ppmod.errors import ValidationFailure
+from ppmod.fields import ELEM
+from ppmod.formulas import SubgroupRep
+from ppmod.modules import (
+    ModuleRep,
+    are_isomorphic,
+    extend_to_generators,
+    free_module,
+    hom_space,
+    module_span,
+    presentation,
+    tuple_rows,
+    zero_module,
+)
+from ppmod.scalars import RingTable, end_and_biend
+
+FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(3, 2)]
+
+
+# -- the replaced loops ------------------------------------------------------
+
+
+def oracle_rho(m, r):
+    f = m.algebra.field
+    out = np.zeros((m.dim, m.dim), dtype=ELEM)
+    for i in np.nonzero(np.asarray(r, ELEM))[0]:
+        out = f.add(out, f.mul(r[i], m.actions[i]))
+    return out
+
+
+def oracle_mul_elems(alg, u, v):
+    f = alg.field
+    out = np.zeros(alg.dim, dtype=ELEM)
+    for i in np.nonzero(u)[0]:
+        for j in np.nonzero(v)[0]:
+            coef = f.mul(f.mul(u[i], v[j]), alg.constants[i, j])
+            out = f.add(out, coef)
+    return out
+
+
+def oracle_multiply(rt, x, y):
+    field = rt.field
+    acc = np.zeros(rt.dim, dtype=ELEM)
+    for i in range(rt.dim):
+        if not x[i]:
+            continue
+        for j in range(rt.dim):
+            if not y[j]:
+                continue
+            coeff = field.mul(int(x[i]), int(y[j]))
+            acc = field.add(
+                acc, field.mul(np.full(rt.dim, coeff, ELEM), rt.table[i, j])
+            )
+    return acc
+
+
+def oracle_enumerate_elements(m):
+    q = m.algebra.field.q
+    out = np.zeros((q**m.dim, m.dim), dtype=ELEM)
+    for code in range(q**m.dim):
+        out[code] = [(code // q**i) % q for i in range(m.dim)]
+    return out
+
+
+def oracle_elem_from_code(alg, code):
+    q = alg.field.q
+    return np.array([(code // q**i) % q for i in range(alg.dim)], dtype=ELEM)
+
+
+def oracle_subgroup_elements(s):
+    f = s.module.algebra.field
+    k = s.dim
+    width = s.arity * s.module.dim
+    out = np.zeros((f.q**k, width), dtype=ELEM)
+    for code in range(f.q**k):
+        coeffs = [(code // f.q**i) % f.q for i in range(k)]
+        v = np.zeros(width, dtype=ELEM)
+        for c, row in zip(coeffs, s.basis):
+            if c:
+                v = f.add(v, f.mul(c, row))
+        out[code] = v
+    return out
+
+
+def oracle_are_isomorphic(m, n):
+    if m.dim != n.dim:
+        return False
+    if m.dim == 0:
+        return True
+    basis = hom_space(m, n)
+    if not basis:
+        return False
+    f = m.algebra.field
+    k = len(basis)
+    for code in range(1, f.q**k):
+        coeffs = [(code // f.q**i) % f.q for i in range(k)]
+        mat = np.zeros((m.dim, n.dim), dtype=ELEM)
+        for c, h in zip(coeffs, basis):
+            if c:
+                mat = f.add(mat, f.mul(c, h.matrix))
+        if linalg.rank(f, mat) == m.dim:
+            return True
+    return False
+
+
+def oracle_presentation(m, generators):
+    f = m.algebra.field
+    alg = m.algebra
+    gens = tuple_rows(generators, m.dim)
+    s = gens.shape[0]
+    cover = np.zeros((s * alg.dim, m.dim), dtype=ELEM)
+    for i in range(s):
+        for l in range(alg.dim):
+            cover[i * alg.dim + l] = linalg.matvec(f, gens[i], m.actions[l])
+    kernel = linalg.null_space(f, cover.T)
+    free = free_module(alg, m.side, s) if s else zero_module(alg, m.side)
+    chosen = []
+    closure = linalg.zeros(0, s * alg.dim)
+    for row in kernel:
+        if not linalg.in_span(f, closure, row):
+            chosen.append(row)
+            closure = module_span(free, np.stack(chosen)) if s else closure
+    if not chosen:
+        return np.zeros((0, s, alg.dim), dtype=ELEM)
+    return np.stack(chosen).reshape(-1, s, alg.dim)
+
+
+def oracle_greedy_generators(m, end_mats):
+    field = m.algebra.field
+    d = m.dim
+    span = np.zeros((0, d), dtype=ELEM)
+    chosen = []
+    elements = m.enumerate_elements()
+    while span.shape[0] < d:
+        best = None
+        best_gain = 0
+        best_span = span
+        for v in elements:
+            rows = np.stack([
+                linalg.matvec(field, v, h) for h in end_mats
+            ]) if end_mats.shape[0] else np.zeros((0, d), dtype=ELEM)
+            cand = linalg.row_space(field, np.concatenate([span, rows], axis=0))
+            gain = cand.shape[0] - span.shape[0]
+            if gain > best_gain:
+                best, best_gain, best_span = v, gain, cand
+        if best is None:
+            raise ValidationFailure("no element extends the End-orbit span")
+        chosen.append(best)
+        span = best_span
+    return np.stack(chosen) if chosen else np.zeros((0, d), dtype=ELEM)
+
+
+# -- random objects ------------------------------------------------------------
+
+
+def elems(data, field, shape):
+    return data.draw(hnp.arrays(ELEM, shape, elements=st.integers(0, field.q - 1)))
+
+
+def random_algebra(data, field, k):
+    constants = elems(data, field, (k, k, k))
+    unit = elems(data, field, (k,))
+    return Algebra(field, tuple(f"e{i}" for i in range(k)), constants, unit)
+
+
+def random_module(data, alg, d):
+    return ModuleRep(alg, "right", d, elems(data, alg.field, (alg.dim, d, d)))
+
+
+fields = st.sampled_from(FIELDS)
+alg_dims = st.integers(1, 3)
+mod_dims = st.integers(0, 3)
+
+
+# -- differential tests --------------------------------------------------------
+
+
+@given(data=st.data(), field=fields, k=alg_dims)
+def test_mul_elems_matches_the_double_loop(data, field, k):
+    alg = random_algebra(data, field, k)
+    u, v = elems(data, field, (k,)), elems(data, field, (k,))
+    got = alg.mul_elems(u, v)
+    assert got.dtype == ELEM
+    assert np.array_equal(got, oracle_mul_elems(alg, u, v))
+
+
+@given(data=st.data(), field=fields, k=st.integers(0, 3))
+def test_ring_table_multiply_matches_the_double_loop(data, field, k):
+    table = elems(data, field, (k, k, k))
+    rt = RingTable(
+        field, tuple(f"f{i}" for i in range(k)), np.zeros((k, 0, 0), ELEM),
+        table, elems(data, field, (k,)),
+    )
+    x, y = elems(data, field, (k,)), elems(data, field, (k,))
+    assert np.array_equal(rt.multiply(x, y), oracle_multiply(rt, x, y))
+    assert np.array_equal(structure_product(field, table, x, y), rt.multiply(x, y))
+
+
+@given(data=st.data(), field=fields, k=alg_dims, d=mod_dims)
+def test_rho_matches_the_combination_loop(data, field, k, d):
+    m = random_module(data, random_algebra(data, field, k), d)
+    r = elems(data, field, (k,))
+    got = m.rho(r)
+    assert got.shape == (d, d) and got.dtype == ELEM
+    assert np.array_equal(got, oracle_rho(m, r))
+
+
+@given(field=fields, k=alg_dims, d=mod_dims, data=st.data())
+def test_element_tables_are_in_code_order(field, k, d, data):
+    alg = random_algebra(data, field, k)
+    m = random_module(data, alg, d)
+    assert np.array_equal(m.enumerate_elements(), oracle_enumerate_elements(m))
+    listed = alg.enumerate_elements()
+    assert listed.shape == (field.q**k, k)
+    for code in range(0, field.q**k, max(1, field.q**k // 7)):
+        assert np.array_equal(listed[code], oracle_elem_from_code(alg, code))
+        assert np.array_equal(alg.elem_from_code(code), listed[code])
+        assert alg.elem_code(listed[code]) == code
+
+
+@given(data=st.data(), field=fields, d=mod_dims, arity=st.integers(1, 2), s=st.integers(0, 3))
+def test_subgroup_elements_match_the_combination_loop(data, field, d, arity, s):
+    m = random_module(data, random_algebra(data, field, 1), d)
+    basis = elems(data, field, (s, arity * d))
+    sub = SubgroupRep(m, arity, basis)
+    got = sub.elements()
+    assert got.shape == (field.q**s, arity * d)
+    assert np.array_equal(got, oracle_subgroup_elements(sub))
+
+
+@given(data=st.data(), field=st.sampled_from(FIELDS[:4]), k=st.integers(1, 2), d=st.integers(0, 2))
+def test_are_isomorphic_matches_the_combination_loop(data, field, k, d):
+    alg = random_algebra(data, field, k)
+    m, n = random_module(data, alg, d), random_module(data, alg, d)
+    assert are_isomorphic(m, n) == oracle_are_isomorphic(m, n)
+    assert are_isomorphic(m, m)
+
+
+GRID_MODULES = [
+    m
+    for alg in (fixtures.r2(), fixtures.tri2(), fixtures.f3(), fixtures.k2())
+    for m in fixtures.right_grid(alg) + fixtures.left_grid(alg)
+]
+
+
+@pytest.mark.parametrize("m", GRID_MODULES, ids=repr)
+def test_presentation_and_generators_match_the_loops(m):
+    for start in m.enumerate_elements()[:3]:
+        gens = extend_to_generators(m, start.reshape(1, -1))
+        assert np.array_equal(presentation(m, gens), oracle_presentation(m, gens))
+    eb = end_and_biend(m)
+    assert np.array_equal(eb.generators, oracle_greedy_generators(m, eb.end.basis))

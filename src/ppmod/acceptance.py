@@ -206,11 +206,9 @@ def criterion_3_free_realisation() -> tuple[bool, str]:
 def _random_hom(rng, source, target) -> ModuleMap:
     basis = hom_space(source, target)
     field = source.algebra.field
-    mat = np.zeros((source.dim, target.dim), dtype=ELEM)
-    for h in basis:
-        c = rng.randrange(field.q)
-        if c:
-            mat = field.add(mat, field.mul(np.full(mat.shape, c, ELEM), h.matrix))
+    coeffs = [rng.randrange(field.q) for _ in basis]
+    flat = [linalg.zeros(0, source.dim * target.dim)] + [h.matrix.reshape(1, -1) for h in basis]
+    mat = linalg.matvec(field, coeffs, np.vstack(flat)).reshape(source.dim, target.dim)
     return make_map(source, target, mat)
 
 

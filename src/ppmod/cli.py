@@ -385,6 +385,12 @@ def _cmd_scalars(ws, args):
 # -- parser ------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppmod",
@@ -453,12 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lattice", _cmd_lattice, "pp-definable subgroup lattice")
     p.add_argument("--module", required=True)
-    p.add_argument("--arity", type=int, default=1)
+    p.add_argument("--arity", type=non_negative_int, default=1)
     p.add_argument("--cap", type=int, default=2**16)
 
     p = add("filters", _cmd_filters, "maximal avoiding filters and irreducibility")
     p.add_argument("--module", required=True)
-    p.add_argument("--arity", type=int, default=1)
+    p.add_argument("--arity", type=non_negative_int, default=1)
     p.add_argument("--cap", type=int, default=2**16)
     p.add_argument("--avoid", type=int, default=0, help="lattice index to avoid")
 
@@ -486,6 +492,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a fault in ppmod, not in the input
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:

@@ -10,9 +10,11 @@ Arrays of elements are ``ELEM`` numpy arrays and the operations here
 broadcast elementwise through the add/mul tables, which keeps q small
 (q <= 256 enforced; q <= 9 is the intended working range).  Linear
 combinations and matrix products are not written here but in
-:mod:`ppmod.linalg`.  :meth:`Field.asarray` is the one validated entry
-point for outside data: it accepts integer arrays with entries in
-0..q-1 and raises ``DimensionMismatch`` on anything else.
+:mod:`ppmod.linalg`, whose row elimination uses the list copies
+``add_list``/``mul_list``/``neg_list``/``inv_list`` of the tables.
+:meth:`Field.asarray` is the one validated entry point for outside data:
+it accepts integer arrays with entries in 0..q-1 and raises
+``DimensionMismatch`` on anything else.
 """
 
 from __future__ import annotations
@@ -152,6 +154,10 @@ class Field:
                 raise PpmodError(f"element {a} has no unique inverse")
             inv[a] = hits[0]
         self.inv_table = inv
+        # nested-list copies for the row elimination in linalg
+        self.add_list, self.mul_list, self.neg_list, self.inv_list = (
+            t.tolist() for t in (self.add_table, self.mul_table, self.neg_table, inv)
+        )
 
     def _check_axioms(self) -> None:
         q = self.q

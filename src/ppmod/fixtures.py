@@ -58,11 +58,6 @@ def f3_field() -> Field:
 
 
 @lru_cache(maxsize=None)
-def f4_field() -> Field:
-    return Field(2, 2)
-
-
-@lru_cache(maxsize=None)
 def k2() -> Algebra:
     f = f2()
     return make_algebra(f, ["1"], np.ones((1, 1, 1), dtype=ELEM), [1])

@@ -154,17 +154,15 @@ class PpLattice:
         raise ValidationFailure("subspace is not a lattice element")
 
 
-def _end_closed(field, end_basis, arity, basis) -> bool:
-    """Is the subspace closed under the diagonal endomorphism action?"""
-    if basis.shape[0] == 0:
+def _end_closed(field, end_stack, arity, basis) -> bool:
+    """Closed under the diagonal End action (``end_stack``: End basis side by side)?"""
+    k = basis.shape[0]
+    if k == 0:
         return True
-    for h in end_basis:
-        for row in basis:
-            blocks = row.reshape(arity, -1)
-            image = linalg.matmul(field, blocks, h.matrix).reshape(-1)
-            if not linalg.in_span(field, basis, image):
-                return False
-    return True
+    dim = end_stack.shape[0]
+    prod = linalg.matmul(field, basis.reshape(k * arity, dim), end_stack)
+    images = prod.reshape(k, arity, -1, dim).transpose(2, 0, 1, 3).reshape(-1, arity * dim)
+    return linalg.subspace_le(field, images, basis)
 
 
 def pp_lattice(
@@ -178,10 +176,10 @@ def pp_lattice(
         raise CapExceeded(
             f"{n_subspaces} subspace candidates exceed cap {cap}"
         )
-    end_basis = hom_space(m, m)
+    end_stack = np.hstack([linalg.zeros(m.dim, 0), *(h.matrix for h in hom_space(m, m))])
     found: list[tuple[np.ndarray, PpFormula]] = []
     for basis in enumerate_subspaces(field, total_dim):
-        if not _end_closed(field, end_basis, arity, basis):
+        if not _end_closed(field, end_stack, arity, basis):
             continue
         res = is_pp_definable(m, basis, arity, cap)
         if res.definable:
@@ -193,11 +191,6 @@ def pp_lattice(
     witnesses = tuple(w for _, w in found)
     k = len(elements)
     leq = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            leq[i, j] = linalg.subspace_le(
-                field, elements[i].basis, elements[j].basis
-            )
     meet = np.zeros((k, k), dtype=np.int32)
     join = np.zeros((k, k), dtype=np.int32)
     index = {el.basis.tobytes(): i for i, el in enumerate(elements)}
@@ -210,16 +203,11 @@ def pp_lattice(
             )
         return got
 
-    for i in range(k):
-        for j in range(k):
-            cap_basis = linalg.subspace_intersect(
-                field, elements[i].basis, elements[j].basis
-            )
-            sum_basis = linalg.subspace_sum(
-                field, elements[i].basis, elements[j].basis
-            )
-            meet[i, j] = _find(cap_basis, "intersection")
-            join[i, j] = _find(sum_basis, "sum")
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
+            meet[i, j] = _find(linalg.subspace_intersect(field, a.basis, b.basis), "intersection")
+            join[i, j] = _find(linalg.subspace_sum(field, a.basis, b.basis), "sum")
     return PpLattice(m, arity, elements, witnesses, leq, meet, join)
 
 

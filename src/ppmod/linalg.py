@@ -5,6 +5,12 @@ Conventions: matrices are 2-D numpy arrays of field-element codes.
 A @ x = b); subspaces are represented by their reduced-row-echelon
 basis, which is a canonical form, so two subspaces are equal iff their
 bases are byte-identical.
+
+Every elimination is the one Gauss-Jordan :func:`_eliminate` and every
+membership test the one sequential reduction :func:`_residue`, both on
+Python list rows through the field's list tables; numpy is only the
+boundary (one ``tolist`` in, one ``ELEM`` array out), since the matrices
+are small and per-call numpy overhead would dominate.
 """
 
 from __future__ import annotations
@@ -66,32 +72,43 @@ def all_vectors(field: Field, n: int) -> np.ndarray:
     return np.ascontiguousarray(digits[::-1].T)
 
 
+def _eliminate(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
+    """Gauss-Jordan on list rows, in place; returns the pivot columns."""
+    add, mul, neg, inv = field.add_list, field.mul_list, field.neg_list, field.inv_list
+    pivots: list[int] = []
+    nrows = len(rows)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        scale = mul[inv[rows[r][c]]]
+        pivot_row = rows[r] = [scale[x] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                s = mul[neg[row[c]]]
+                rows[i] = [add[x][s[y]] for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+    return pivots
+
+
+def _array(rows: list[list[int]], ncols: int) -> np.ndarray:
+    return np.array(rows, dtype=ELEM).reshape(len(rows), ncols)
+
+
 def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and the pivot column list."""
-    m = np.array(a, dtype=ELEM, copy=True)
+    m = np.asarray(a, ELEM)
     if m.ndim != 2:
         raise DimensionMismatch("rref expects a 2-D array")
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        pivot_row = r + int(nz[0])
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        inv = field.inv(int(m[r, c]))
-        m[r] = field.mul_table[np.full(cols, inv, ELEM), m[r]]
-        col = m[:, c].copy()
-        col[r] = 0
-        factors = field.neg_table[col]
-        m = field.add_table[m, field.mul_table[factors[:, None], m[r][None, :]]]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    rows = m.tolist()
+    pivots = _eliminate(field, rows, m.shape[1])
+    return _array(rows, m.shape[1]), pivots
 
 
 def row_space(field: Field, a: np.ndarray) -> np.ndarray:
@@ -107,15 +124,18 @@ def rank(field: Field, a: np.ndarray) -> int:
 def null_space(field: Field, a: np.ndarray) -> np.ndarray:
     """Canonical basis (as rows) of {x : a @ x = 0}."""
     a = np.asarray(a, ELEM)
-    m, n = a.shape
-    red, pivots = rref(field, a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = zeros(len(free), n)
-    for idx, fc in enumerate(free):
-        basis[idx, fc] = 1
+    n = a.shape[1]
+    red = a.tolist()
+    pivots = _eliminate(field, red, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        row = [0] * n
+        row[fc] = 1
         for r, pc in enumerate(pivots):
-            basis[idx, pc] = field.neg_table[red[r, fc]]
-    return row_space(field, basis)
+            row[pc] = field.neg_list[red[r][fc]]
+        basis.append(row)
+    dim = len(_eliminate(field, basis, n))
+    return _array(basis[:dim], n)
 
 
 def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -124,14 +144,15 @@ def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     b = np.asarray(b, ELEM).reshape(-1)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"matrix {a.shape} vs rhs {b.shape}")
-    aug = np.concatenate([a, b[:, None]], axis=1)
-    red, pivots = rref(field, aug)
-    if a.shape[1] in pivots:
+    n = a.shape[1]
+    aug = [row + [x] for row, x in zip(a.tolist(), b.tolist())]
+    pivots = _eliminate(field, aug, n + 1)
+    if n in pivots:
         return None
-    x = np.zeros(a.shape[1], dtype=ELEM)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, a.shape[1]]
-    return x
+    x = [0] * n
+    for row, pc in zip(aug, pivots):
+        x[pc] = row[n]
+    return np.array(x, dtype=ELEM)
 
 
 @dataclass(frozen=True)
@@ -140,10 +161,6 @@ class LinearSolution:
 
     particular: np.ndarray | None
     kernel: np.ndarray
-
-    @property
-    def consistent(self) -> bool:
-        return self.particular is not None
 
 
 def solve_linear(field: Field, a: np.ndarray, b: np.ndarray) -> LinearSolution:
@@ -154,21 +171,35 @@ def solve_linear(field: Field, a: np.ndarray, b: np.ndarray) -> LinearSolution:
 # -- subspaces (rows of an RREF basis span the space) -------------------
 
 
-def reduce_mod(field: Field, basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Residue of v after eliminating the pivots of an RREF basis."""
-    v = np.array(v, dtype=ELEM, copy=True)
-    for row in basis:
-        nz = np.nonzero(row)[0]
-        if len(nz) == 0:
-            continue
-        c = int(nz[0])
+def _leads(basis: np.ndarray) -> list[tuple[int, list[int]]]:
+    """(leading column, row) of each non-zero basis row, in order."""
+    out = []
+    for row in np.asarray(basis, ELEM).tolist():
+        for c, x in enumerate(row):
+            if x:
+                out.append((c, row))
+                break
+    return out
+
+
+def _residue(field: Field, leads, v: list[int]) -> list[int]:
+    """Eliminate each leading column from v, walking the rows in order."""
+    add, mul, neg, inv = field.add_list, field.mul_list, field.neg_list, field.inv_list
+    for c, row in leads:
         if v[c]:
-            factor = field.neg_table[field.mul_table[v[c], field.inv(int(row[c]))]]
-            v = field.add_table[v, field.mul_table[np.full_like(row, factor), row]]
+            s = mul[neg[mul[v[c]][inv[row[c]]]]]
+            v = [add[x][s[y]] for x, y in zip(v, row)]
     return v
 
+
+def reduce_mod(field: Field, basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Residue of v after eliminating the pivots of an RREF basis."""
+    v = np.asarray(v, ELEM)
+    return np.array(_residue(field, _leads(basis), v.tolist()), dtype=ELEM).reshape(v.shape)
+
+
 def in_span(field: Field, basis: np.ndarray, v: np.ndarray) -> bool:
-    return not np.any(reduce_mod(field, basis, v))
+    return subspace_le(field, np.asarray(v, ELEM).reshape(1, -1), basis)
 
 
 def coords_in_rref(field: Field, basis: np.ndarray, v: np.ndarray) -> np.ndarray | None:
@@ -184,17 +215,20 @@ def subspace_sum(field: Field, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
 
 
 def subspace_intersect(field: Field, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Canonical basis of rowspace(b1) & rowspace(b2)."""
-    if b1.shape[0] == 0 or b2.shape[0] == 0:
-        return zeros(0, b1.shape[1])
-    stacked = np.concatenate([b1, b2], axis=0)
-    coeffs = null_space(field, stacked.T)
-    part = matmul(field, coeffs[:, : b1.shape[0]], b1)
-    return row_space(field, part)
+    """Canonical basis of rowspace(b1) & rowspace(b2).
+
+    Zassenhaus: the rows of [[b1, b1], [b2, 0]] whose pivot lies in the
+    right half have right halves forming the RREF basis of the meet.
+    """
+    n = b1.shape[1]
+    rows = [r + r for r in b1.tolist()] + [r + [0] * n for r in b2.tolist()]
+    pivots = _eliminate(field, rows, 2 * n)
+    return _array([row[n:] for row, pc in zip(rows, pivots) if pc >= n], n)
 
 
 def subspace_le(field: Field, b1: np.ndarray, b2: np.ndarray) -> bool:
-    return all(in_span(field, b2, row) for row in b1)
+    leads = _leads(b2)
+    return not any(any(_residue(field, leads, v)) for v in np.asarray(b1, ELEM).tolist())
 
 
 def subspace_eq(b1: np.ndarray, b2: np.ndarray) -> bool:

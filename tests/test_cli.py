@@ -1,7 +1,8 @@
 """Command line interface: exit codes, report text, determinism.
 
 Exit convention throughout: 0 when the command's claim holds, 1 when
-the mathematical answer is negative, 2 on any usage or data error.
+the mathematical answer is negative, 2 on any usage or data error, 3 on
+an unexpected exception (an internal error).
 """
 
 import subprocess
@@ -277,3 +278,23 @@ def test_bad_matrix_entries_are_data_errors(text, capsys):
     )
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["lattice", "filters"])
+def test_negative_arity_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--workspace", DEMO, "--module", "RR", "--arity", "-1"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    import ppmod.cli
+
+    def broken(ws, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ppmod.cli, "_cmd_validate", broken)
+    code, out, err = run(["validate", "--workspace", DEMO], capsys)
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"

@@ -10,7 +10,15 @@ The arithmetic oracles run on objects built from random arrays without
 the construction-time axiom checks, since the arithmetic must agree on
 any array, not only on genuine algebras and modules; presentations and
 generators are compared on the fixture grids.
+
+The list-row elimination kernel of ``linalg`` (``rref``, ``null_space``,
+``solve``, ``reduce_mod`` and the subspace operations) is compared byte
+for byte with the numpy table-broadcast kernel it replaced, and the
+batched End-closure test of ``pp_lattice`` and the one-``matvec`` random
+hom of the acceptance battery with their per-element loops.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -19,10 +27,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ppmod import Field, fixtures, linalg
+from ppmod.acceptance import _random_hom
 from ppmod.algebras import Algebra, structure_product
 from ppmod.errors import ValidationFailure
 from ppmod.fields import ELEM
 from ppmod.formulas import SubgroupRep
+from ppmod.lattice import _end_closed, enumerate_subspaces
 from ppmod.modules import (
     ModuleRep,
     are_isomorphic,
@@ -147,6 +157,28 @@ def oracle_presentation(m, generators):
     return np.stack(chosen).reshape(-1, s, alg.dim)
 
 
+def oracle_end_closed(field, end_basis, arity, basis):
+    if basis.shape[0] == 0:
+        return True
+    for h in end_basis:
+        for row in basis:
+            blocks = row.reshape(arity, -1)
+            image = linalg.matmul(field, blocks, h.matrix).reshape(-1)
+            if not linalg.in_span(field, basis, image):
+                return False
+    return True
+
+
+def oracle_random_hom_matrix(rng, source, target):
+    field = source.algebra.field
+    mat = np.zeros((source.dim, target.dim), dtype=ELEM)
+    for h in hom_space(source, target):
+        c = rng.randrange(field.q)
+        if c:
+            mat = field.add(mat, field.mul(np.full(mat.shape, c, ELEM), h.matrix))
+    return mat
+
+
 def oracle_greedy_generators(m, end_mats):
     field = m.algebra.field
     d = m.dim
@@ -170,6 +202,88 @@ def oracle_greedy_generators(m, end_mats):
         chosen.append(best)
         span = best_span
     return np.stack(chosen) if chosen else np.zeros((0, d), dtype=ELEM)
+
+
+# -- the replaced numpy elimination kernel -------------------------------------
+
+
+def oracle_rref(field, a):
+    m = np.array(a, dtype=ELEM, copy=True)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        pivot_row = r + int(nz[0])
+        if pivot_row != r:
+            m[[r, pivot_row]] = m[[pivot_row, r]]
+        inv = field.inv(int(m[r, c]))
+        m[r] = field.mul_table[np.full(cols, inv, ELEM), m[r]]
+        col = m[:, c].copy()
+        col[r] = 0
+        factors = field.neg_table[col]
+        m = field.add_table[m, field.mul_table[factors[:, None], m[r][None, :]]]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def oracle_row_space(field, a):
+    m, pivots = oracle_rref(field, a)
+    return m[: len(pivots)]
+
+
+def oracle_null_space(field, a):
+    m, n = a.shape
+    red, pivots = oracle_rref(field, a)
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=ELEM)
+    for idx, fc in enumerate(free):
+        basis[idx, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[idx, pc] = field.neg_table[red[r, fc]]
+    return oracle_row_space(field, basis)
+
+
+def oracle_solve(field, a, b):
+    aug = np.concatenate([a, b[:, None]], axis=1)
+    red, pivots = oracle_rref(field, aug)
+    if a.shape[1] in pivots:
+        return None
+    x = np.zeros(a.shape[1], dtype=ELEM)
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r, a.shape[1]]
+    return x
+
+
+def oracle_reduce_mod(field, basis, v):
+    v = np.array(v, dtype=ELEM, copy=True)
+    for row in basis:
+        nz = np.nonzero(row)[0]
+        if len(nz) == 0:
+            continue
+        c = int(nz[0])
+        if v[c]:
+            factor = field.neg_table[field.mul_table[v[c], field.inv(int(row[c]))]]
+            v = field.add_table[v, field.mul_table[np.full_like(row, factor), row]]
+    return v
+
+
+def oracle_subspace_intersect(field, b1, b2):
+    if b1.shape[0] == 0 or b2.shape[0] == 0:
+        return np.zeros((0, b1.shape[1]), dtype=ELEM)
+    stacked = np.concatenate([b1, b2], axis=0)
+    coeffs = oracle_null_space(field, stacked.T)
+    part = linalg.matmul(field, coeffs[:, : b1.shape[0]], b1)
+    return oracle_row_space(field, part)
+
+
+def oracle_subspace_le(field, b1, b2):
+    return all(not np.any(oracle_reduce_mod(field, b2, row)) for row in b1)
 
 
 # -- random objects ------------------------------------------------------------
@@ -258,6 +372,80 @@ def test_are_isomorphic_matches_the_combination_loop(data, field, k, d):
     assert are_isomorphic(m, m)
 
 
+def same_array(got, want):
+    return (
+        got.dtype == want.dtype == ELEM
+        and got.shape == want.shape
+        and got.tobytes() == want.tobytes()
+    )
+
+
+def matrices(data, field, rows=st.integers(0, 10), cols=st.integers(0, 12), tops=None):
+    """Random, sparse or all-zero matrices, so pivots are often missing."""
+    shape = (data.draw(rows), data.draw(cols))
+    top = data.draw(st.sampled_from(tops or [0, 1, field.q - 1]))
+    entries = st.integers(0, top)
+    return data.draw(hnp.arrays(ELEM, shape, elements=entries, fill=st.nothing()))
+
+
+@given(data=st.data(), field=fields)
+def test_rref_matches_the_numpy_kernel(data, field):
+    a = matrices(data, field)
+    got, pivots = linalg.rref(field, a)
+    want, want_pivots = oracle_rref(field, a)
+    assert pivots == want_pivots
+    assert same_array(got, want)
+    assert same_array(linalg.row_space(field, a), oracle_row_space(field, a))
+
+
+@given(data=st.data(), field=fields)
+def test_null_space_matches_the_numpy_kernel(data, field):
+    a = matrices(data, field)
+    assert same_array(linalg.null_space(field, a), oracle_null_space(field, a))
+
+
+@given(data=st.data(), field=fields)
+def test_solve_matches_the_numpy_kernel(data, field):
+    a = matrices(data, field)
+    b = elems(data, field, (a.shape[0],))
+    if data.draw(st.booleans()):  # a consistent right-hand side
+        b = linalg.matvec(field, elems(data, field, (a.shape[1],)), a.T)
+    got, want = linalg.solve(field, a, b), oracle_solve(field, a, b)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert same_array(got, want)
+
+
+@given(data=st.data(), field=fields)
+def test_reduce_mod_matches_the_numpy_kernel(data, field):
+    basis = matrices(data, field)
+    if data.draw(st.booleans()):
+        basis = oracle_row_space(field, basis)
+    v = elems(data, field, (basis.shape[1],))
+    assert same_array(linalg.reduce_mod(field, basis, v), oracle_reduce_mod(field, basis, v))
+    assert linalg.in_span(field, basis, v) == (not oracle_reduce_mod(field, basis, v).any())
+
+
+@given(data=st.data(), field=fields)
+def test_subspace_operations_match_the_numpy_kernel(data, field):
+    n = data.draw(st.integers(0, 12))
+    # full-range entries: all-zero inputs are covered above, and large
+    # meets are what exercise the reduction above each pivot
+    b1, b2 = (
+        oracle_row_space(field, matrices(data, field, cols=st.just(n), tops=[field.q - 1]))
+        for _ in range(2)
+    )
+    mode = data.draw(st.sampled_from(["random", "inside", "one more row"]))
+    if mode == "inside":
+        b1 = oracle_subspace_intersect(field, b1, b2)
+    elif mode == "one more row":  # b2's rows, then rows that may leave it
+        b1 = np.concatenate([b2, b1], axis=0)
+    got = linalg.subspace_intersect(field, b1, b2)
+    assert same_array(got, oracle_subspace_intersect(field, b1, b2))
+    assert linalg.subspace_le(field, b1, b2) == oracle_subspace_le(field, b1, b2)
+    assert linalg.subspace_le(field, b2, b1) == oracle_subspace_le(field, b2, b1)
+
+
 GRID_MODULES = [
     m
     for alg in (fixtures.r2(), fixtures.tri2(), fixtures.f3(), fixtures.k2())
@@ -272,3 +460,27 @@ def test_presentation_and_generators_match_the_loops(m):
         assert np.array_equal(presentation(m, gens), oracle_presentation(m, gens))
     eb = end_and_biend(m)
     assert np.array_equal(eb.generators, oracle_greedy_generators(m, eb.end.basis))
+
+
+@pytest.mark.parametrize("m", [m for m in GRID_MODULES if m.dim <= 4], ids=repr)
+def test_batched_end_closure_matches_the_pair_loop(m):
+    field = m.algebra.field
+    end_basis = hom_space(m, m)
+    end_stack = np.hstack([np.zeros((m.dim, 0), ELEM), *(h.matrix for h in end_basis)])
+    for arity in (1, 2):
+        if m.dim * arity > 4:
+            continue
+        for basis in enumerate_subspaces(field, m.dim * arity):
+            assert _end_closed(field, end_stack, arity, basis) == oracle_end_closed(
+                field, end_basis, arity, basis
+            )
+
+
+@pytest.mark.parametrize("m", GRID_MODULES[:12], ids=repr)
+def test_random_hom_matches_the_combination_loop(m):
+    for target in (m, zero_module(m.algebra, m.side)):
+        for seed in range(3):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            got = _random_hom(rng, m, target)
+            assert np.array_equal(got.matrix, oracle_random_hom_matrix(oracle_rng, m, target))
+            assert rng.random() == oracle_rng.random()  # the same stream consumed

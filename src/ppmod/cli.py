@@ -391,6 +391,12 @@ def non_negative_int(text: str) -> int:
     return int(text)
 
 
+CAP_HELP = (
+    "bound on |M|^(dim*arity), the pointed power that defines the top "
+    "M^arity of the lattice; past it the command exits 2 (default 2^16)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppmod",
@@ -460,12 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lattice", _cmd_lattice, "pp-definable subgroup lattice")
     p.add_argument("--module", required=True)
     p.add_argument("--arity", type=non_negative_int, default=1)
-    p.add_argument("--cap", type=int, default=2**16)
+    p.add_argument("--cap", type=int, default=2**16, help=CAP_HELP)
 
     p = add("filters", _cmd_filters, "maximal avoiding filters and irreducibility")
     p.add_argument("--module", required=True)
     p.add_argument("--arity", type=non_negative_int, default=1)
-    p.add_argument("--cap", type=int, default=2**16)
+    p.add_argument("--cap", type=int, default=2**16, help=CAP_HELP)
     p.add_argument("--avoid", type=int, default=0, help="lattice index to avoid")
 
     p = add("preenvelope", _cmd_preenvelope, "staged preenvelope construction")

@@ -5,11 +5,16 @@ method: point the k-th power of M by the diagonal tuple collecting the
 coordinates of a spanning set of S, take the generator of that tuple's
 pp-type, and evaluate it back on M.  The result is the least
 pp-definable subgroup containing S, so S is definable iff the closure
-is S itself.  Whole lattices are then assembled by enumerating
-subspace candidates; the candidates are pre-filtered by closure under
-the diagonal endomorphism action, which every pp-definable subgroup
-satisfies (the module action itself is not a sound filter once the
-algebra is noncommutative).
+is S itself.
+
+A tuple a has the principal closure <a>, the least pp-definable
+subgroup containing it, and every pp-definable subgroup is the sum of
+the <a> over its elements; sums of pp-definable subgroups are
+pp-definable.  Whole lattices are therefore the join-closure of the
+principal closures, one a per projective point of F_q^n (scalar
+multiples have the same closure), with no subspace enumeration.  One
+cap bounds the pointed power of the top M^arity, which is the largest
+any element's witness needs.
 
 Filters of the finite lattice are exactly the principal up-sets, so
 filter analysis (neg-isolation with respect to an avoided element, and
@@ -19,13 +24,12 @@ the join/meet irreducibility test) runs over generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
 import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, ValidationFailure
-from .fields import ELEM, Field
+from .fields import ELEM
 from .formulas import (
     PpFormula,
     SubgroupRep,
@@ -33,47 +37,9 @@ from .formulas import (
     evaluate,
     pp_type_generator,
 )
-from .modules import ModuleRep, direct_sum, hom_space, tuple_rows
+from .modules import ModuleRep, direct_sum, tuple_rows
 
 DEFAULT_CAP = 2**16
-
-
-def enumerate_subspaces(field: Field, n: int):
-    """All subspaces of the row space F^n, as canonical RREF bases.
-
-    Yields one basis per subspace: for each pivot-column set, the free
-    entries (right of each pivot, off the other pivot columns) range
-    over the field.
-    """
-    yield np.zeros((0, n), dtype=ELEM)
-    for k in range(1, n + 1):
-        for pivots in combinations(range(n), k):
-            free = [
-                (r, c)
-                for r in range(k)
-                for c in range(n)
-                if c > pivots[r] and c not in pivots
-            ]
-            for values in product(range(field.q), repeat=len(free)):
-                basis = np.zeros((k, n), dtype=ELEM)
-                for r, p in enumerate(pivots):
-                    basis[r, p] = 1
-                for (r, c), v in zip(free, values):
-                    basis[r, c] = v
-                yield basis
-
-
-def count_subspaces(field: Field, n: int) -> int:
-    """Sum of Gaussian binomials: number of subspaces of F^n."""
-    q = field.q
-    total = 0
-    for k in range(n + 1):
-        num = den = 1
-        for i in range(k):
-            num *= q ** (n - i) - 1
-            den *= q ** (i + 1) - 1
-        total += num // den
-    return total
 
 
 @dataclass(frozen=True)
@@ -154,41 +120,48 @@ class PpLattice:
         raise ValidationFailure("subspace is not a lattice element")
 
 
-def _end_closed(field, end_stack, arity, basis) -> bool:
-    """Closed under the diagonal End action (``end_stack``: End basis side by side)?"""
-    k = basis.shape[0]
-    if k == 0:
-        return True
-    dim = end_stack.shape[0]
-    prod = linalg.matmul(field, basis.reshape(k * arity, dim), end_stack)
-    images = prod.reshape(k, arity, -1, dim).transpose(2, 0, 1, 3).reshape(-1, arity * dim)
-    return linalg.subspace_le(field, images, basis)
-
-
 def pp_lattice(
     m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP
 ) -> PpLattice:
-    """The full lattice of pp-definable subgroups of M^arity."""
+    """The full lattice of pp-definable subgroups of M^arity.
+
+    The lattice is the join-closure of the principal closures <a>, one
+    a per projective point of F_q^n.  The cap bounds the pointed power
+    of the top M^arity, the largest any element's witness needs.
+    """
     field = m.algebra.field
-    total_dim = m.dim * arity
-    n_subspaces = count_subspaces(field, total_dim)
-    if n_subspaces > cap:
+    n = m.dim * arity
+    top_power = field.q ** (m.dim * n)
+    if top_power > cap:
         raise CapExceeded(
-            f"{n_subspaces} subspace candidates exceed cap {cap}"
+            f"pointed power needs |M|^{n} = {top_power} > cap {cap}"
         )
-    end_stack = np.hstack([linalg.zeros(m.dim, 0), *(h.matrix for h in hom_space(m, m))])
-    found: list[tuple[np.ndarray, PpFormula]] = []
-    for basis in enumerate_subspaces(field, total_dim):
-        if not _end_closed(field, end_stack, arity, basis):
-            continue
+    principal: dict[bytes, np.ndarray] = {}
+    for a in linalg.all_vectors(field, n):
+        nonzero = a[a != 0]
+        if nonzero.size and nonzero[0] == 1:  # one a per projective point
+            closure = is_pp_definable(m, a[None, :], arity, cap).closure
+            principal.setdefault(closure.tobytes(), closure)
+    bottom = linalg.zeros(0, n)
+    found = {bottom.tobytes(): bottom, **principal}
+    frontier = list(principal.values())
+    while frontier:
+        grown = []
+        for s in frontier:
+            for p in principal.values():
+                t = linalg.subspace_sum(field, s, p)
+                if t.tobytes() not in found:
+                    found[t.tobytes()] = t
+                    grown.append(t)
+        frontier = grown
+    bases = sorted(found.values(), key=lambda b: (b.shape[0], b.tobytes()))
+    elements = tuple(SubgroupRep(m, arity, basis) for basis in bases)
+    witnesses = []
+    for basis in bases:
         res = is_pp_definable(m, basis, arity, cap)
-        if res.definable:
-            found.append((basis, res.witness))
-    found.sort(key=lambda bw: (bw[0].shape[0], bw[0].tobytes()))
-    elements = tuple(
-        SubgroupRep(m, arity, basis) for basis, _ in found
-    )
-    witnesses = tuple(w for _, w in found)
+        if not res.definable:
+            raise ValidationFailure("a sum of pp closures is not pp-definable")
+        witnesses.append(res.witness)
     k = len(elements)
     leq = np.zeros((k, k), dtype=bool)
     meet = np.zeros((k, k), dtype=np.int32)
@@ -199,7 +172,7 @@ def pp_lattice(
         got = index.get(basis.tobytes())
         if got is None:
             raise ValidationFailure(
-                f"lattice is not closed under {what}; definability filter broken"
+                f"lattice is not closed under {what}; join-closure broken"
             )
         return got
 
@@ -208,7 +181,7 @@ def pp_lattice(
             leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
             meet[i, j] = _find(linalg.subspace_intersect(field, a.basis, b.basis), "intersection")
             join[i, j] = _find(linalg.subspace_sum(field, a.basis, b.basis), "sum")
-    return PpLattice(m, arity, elements, witnesses, leq, meet, join)
+    return PpLattice(m, arity, elements, tuple(witnesses), leq, meet, join)
 
 
 def hasse_edges(lat: PpLattice) -> list[tuple[int, int]]:

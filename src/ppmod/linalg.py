@@ -19,8 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import CapExceeded, DimensionMismatch
 from .fields import ELEM, Field
+
+# The most rows any listing of F_q^n may have (elements, coefficient tuples).
+ENUMERATION_CAP = 2**20
 
 
 def zeros(m: int, n: int) -> np.ndarray:
@@ -66,8 +69,12 @@ def all_vectors(field: Field, n: int) -> np.ndarray:
     Row ``code`` holds the base-q digits of ``code``, digit i in
     coordinate i, so coordinate 0 varies fastest.  This is the one
     definition of the code order of elements and coefficient tuples.
+    Raises ``CapExceeded`` before allocating when q^n exceeds
+    ``ENUMERATION_CAP``.
     """
     q = field.q
+    if q**n > ENUMERATION_CAP:
+        raise CapExceeded(f"listing F_{q}^{n} needs {q**n} rows > cap {ENUMERATION_CAP}")
     digits = np.indices((q,) * n, dtype=ELEM).reshape(n, q**n)
     return np.ascontiguousarray(digits[::-1].T)
 

@@ -311,7 +311,7 @@ def ring_isomorphic(
     unit_a: np.ndarray,
     table_b: np.ndarray,
     unit_b: np.ndarray,
-    cap: int = 2**20,
+    cap: int = linalg.ENUMERATION_CAP,
 ) -> bool:
     """Brute-force F-algebra isomorphism test on structure tables."""
     k = table_a.shape[0]

@@ -298,3 +298,20 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     code, out, err = run(["validate", "--workspace", DEMO], capsys)
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_element_listing_past_the_cap_is_a_data_error(tmp_path, capsys):
+    # purity lists all 2^21 elements of a 21-dimensional module: capped
+    eye = [[int(i == j) for j in range(21)] for i in range(21)]
+    ws = tmp_path / "big.ws"
+    ws.write_text(
+        "version = 1\n\n[algebra K]\nfield = 2\nlabels = 1\nunit = [1]\n"
+        "constants = [[[1]]]\n\n[module M]\nalgebra = K\nside = right\n"
+        f"dim = 21\nactions = [{eye}]\n"
+    )
+    code, out, err = run(
+        ["purity", "--workspace", str(ws), "--source", "M", "--target", "M",
+         "--matrix", str(eye)], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err and err.count("\n") == 1

@@ -5,6 +5,7 @@ space, which pins down rank, null space, and solvability exactly.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from ppmod import Field
 from ppmod import linalg
+from ppmod.errors import CapExceeded
 
 F2 = Field(2)
 F3 = Field(3)
@@ -173,3 +175,16 @@ def test_eye_and_zeros():
     assert np.array_equal(linalg.eye(F3, 3), np.eye(3, dtype=linalg.eye(F3, 3).dtype))
     assert linalg.zeros(2, 3).shape == (2, 3)
     assert not linalg.zeros(2, 3).any()
+
+
+def test_all_vectors_is_capped_before_allocating():
+    assert 2**21 > linalg.ENUMERATION_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            linalg.all_vectors(F2, 21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # none of the 2^21 x 21 table (about 88 MB) was built
+    assert linalg.all_vectors(F3, 4).shape == (81, 4)

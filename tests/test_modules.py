@@ -22,8 +22,9 @@ from ppmod import (
     sum_quotient,
     zero_module,
 )
-from ppmod.errors import NotARepresentation, NotASubmodule, SideMismatch
+from ppmod.errors import CapExceeded, NotARepresentation, NotASubmodule, SideMismatch
 from ppmod.fixtures import (
+    k2,
     mod_lr,
     mod_rr,
     mod_rr_alt,
@@ -35,6 +36,7 @@ from ppmod.fixtures import (
     tri2_s1,
     tri2_s2,
 )
+from ppmod.modules import free_module
 
 F2 = Field(2)
 
@@ -168,6 +170,15 @@ def test_are_isomorphic_on_fixtures():
     assert not are_isomorphic(mod_rr(), direct_sum([mod_s(), mod_s()]).module)
     assert not are_isomorphic(mod_rr(), mod_s())
     assert are_isomorphic(zero_module(r2(), "right"), zero_module(r2(), "right"))
+
+
+def test_are_isomorphic_caps_the_hom_combination_search():
+    # F2^5 with the trivial action: Hom is every 5x5 matrix, 2^25 combinations
+    m = free_module(k2(), "right", 5)
+    n = direct_sum([free_module(k2(), "right", 2), free_module(k2(), "right", 3)]).module
+    assert len(hom_space(m, n)) == 25
+    with pytest.raises(CapExceeded):
+        are_isomorphic(m, n)
 
 
 def test_dual_module_is_an_involution():

@@ -14,11 +14,21 @@ generators are compared on the fixture grids.
 The list-row elimination kernel of ``linalg`` (``rref``, ``null_space``,
 ``solve``, ``reduce_mod`` and the subspace operations) is compared byte
 for byte with the numpy table-broadcast kernel it replaced, and the
-batched End-closure test of ``pp_lattice`` and the one-``matvec`` random
-hom of the acceptance battery with their per-element loops.
+one-``matvec`` random hom of the acceptance battery with its
+per-element loop.
+
+``pp_lattice`` builds the lattice as the join-closure of principal pp
+closures.  The routine it replaced (every subspace of F_q^(dim*arity),
+filtered by closure under the diagonal End action, then the
+pointed-power test on each survivor) is kept as ``oracle_pp_lattice``;
+elements, witnesses and the leq/meet/join tables must agree byte for
+byte, and where the new single cap refuses an input the oracle refuses
+it too.  The pointed-power closure of every such subspace must pass the
+old End-closure pair loop and be an element of the lattice.
 """
 
 import random
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -29,10 +39,10 @@ from hypothesis.extra import numpy as hnp
 from ppmod import Field, fixtures, linalg
 from ppmod.acceptance import _random_hom
 from ppmod.algebras import Algebra, structure_product
-from ppmod.errors import ValidationFailure
+from ppmod.errors import CapExceeded, ValidationFailure
 from ppmod.fields import ELEM
 from ppmod.formulas import SubgroupRep
-from ppmod.lattice import _end_closed, enumerate_subspaces
+from ppmod.lattice import DEFAULT_CAP, PpLattice, is_pp_definable, pp_lattice
 from ppmod.modules import (
     ModuleRep,
     are_isomorphic,
@@ -167,6 +177,66 @@ def oracle_end_closed(field, end_basis, arity, basis):
             if not linalg.in_span(field, basis, image):
                 return False
     return True
+
+
+def oracle_enumerate_subspaces(field, n):
+    yield np.zeros((0, n), dtype=ELEM)
+    for k in range(1, n + 1):
+        for pivots in combinations(range(n), k):
+            free = [
+                (r, c)
+                for r in range(k)
+                for c in range(n)
+                if c > pivots[r] and c not in pivots
+            ]
+            for values in product(range(field.q), repeat=len(free)):
+                basis = np.zeros((k, n), dtype=ELEM)
+                for r, p in enumerate(pivots):
+                    basis[r, p] = 1
+                for (r, c), v in zip(free, values):
+                    basis[r, c] = v
+                yield basis
+
+
+def oracle_count_subspaces(field, n):
+    q = field.q
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= q ** (n - i) - 1
+            den *= q ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+def oracle_pp_lattice(m, arity, cap=DEFAULT_CAP):
+    """Every subspace, filtered by End-closure, then the pointed-power test."""
+    field = m.algebra.field
+    n_subspaces = oracle_count_subspaces(field, m.dim * arity)
+    if n_subspaces > cap:
+        raise CapExceeded(f"{n_subspaces} subspace candidates exceed cap {cap}")
+    end_basis = hom_space(m, m)
+    found = []
+    for basis in oracle_enumerate_subspaces(field, m.dim * arity):
+        if not oracle_end_closed(field, end_basis, arity, basis):
+            continue
+        res = is_pp_definable(m, basis, arity, cap)
+        if res.definable:
+            found.append((basis, res.witness))
+    found.sort(key=lambda bw: (bw[0].shape[0], bw[0].tobytes()))
+    elements = tuple(SubgroupRep(m, arity, basis) for basis, _ in found)
+    index = {el.basis.tobytes(): i for i, el in enumerate(elements)}
+    k = len(elements)
+    leq = np.zeros((k, k), dtype=bool)
+    meet = np.zeros((k, k), dtype=np.int32)
+    join = np.zeros((k, k), dtype=np.int32)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
+            meet[i, j] = index[linalg.subspace_intersect(field, a.basis, b.basis).tobytes()]
+            join[i, j] = index[linalg.subspace_sum(field, a.basis, b.basis).tobytes()]
+    return PpLattice(m, arity, elements, tuple(w for _, w in found), leq, meet, join)
 
 
 def oracle_random_hom_matrix(rng, source, target):
@@ -462,18 +532,77 @@ def test_presentation_and_generators_match_the_loops(m):
     assert np.array_equal(eb.generators, oracle_greedy_generators(m, eb.end.basis))
 
 
+def same_lattice(got, want):
+    return (
+        len(got.elements) == len(want.elements)
+        and all(same_array(a.basis, b.basis) for a, b in zip(got.elements, want.elements))
+        and [w.render() for w in got.witnesses] == [w.render() for w in want.witnesses]
+        and all(
+            getattr(got, t).dtype == getattr(want, t).dtype
+            and np.array_equal(getattr(got, t), getattr(want, t))
+            for t in ("leq", "meet", "join")
+        )
+    )
+
+
 @pytest.mark.parametrize("m", [m for m in GRID_MODULES if m.dim <= 4], ids=repr)
 def test_batched_end_closure_matches_the_pair_loop(m):
+    """The closure of a whole subspace at once is End-closed and in the lattice.
+
+    ``is_pp_definable`` closes a spanning set in one pointed power; the
+    result must pass the per-(endomorphism, row) pair loop that the old
+    subspace filter ran, contain the subspace, and be an element of
+    ``pp_lattice``, and the subspace is an element iff it is its own
+    closure.
+    """
     field = m.algebra.field
     end_basis = hom_space(m, m)
-    end_stack = np.hstack([np.zeros((m.dim, 0), ELEM), *(h.matrix for h in end_basis)])
     for arity in (1, 2):
         if m.dim * arity > 4:
             continue
-        for basis in enumerate_subspaces(field, m.dim * arity):
-            assert _end_closed(field, end_stack, arity, basis) == oracle_end_closed(
-                field, end_basis, arity, basis
-            )
+        lat = pp_lattice(m, arity)
+        index = {el.basis.tobytes(): i for i, el in enumerate(lat.elements)}
+        for el in lat.elements:
+            assert oracle_end_closed(field, end_basis, arity, el.basis)
+        for basis in oracle_enumerate_subspaces(field, m.dim * arity):
+            closure = is_pp_definable(m, basis, arity).closure
+            assert closure.tobytes() in index
+            assert oracle_end_closed(field, end_basis, arity, closure)
+            assert linalg.subspace_le(field, basis, closure)
+            assert (basis.tobytes() in index) == same_array(basis, closure)
+
+
+@pytest.mark.parametrize("m", [m for m in GRID_MODULES if m.dim <= 4], ids=repr)
+def test_pp_lattice_matches_the_subspace_enumeration(m):
+    for arity in (0, 1, 2):
+        if m.dim * arity > 4:
+            continue
+        want = oracle_pp_lattice(m, arity)
+        assert same_lattice(pp_lattice(m, arity), want)
+        for cap in (1, 4, 16, 50, 300):
+            try:
+                got = pp_lattice(m, arity, cap)
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    oracle_pp_lattice(m, arity, cap)
+            else:
+                assert same_lattice(got, want)
+
+
+@pytest.mark.parametrize(
+    "m, arity, cap",
+    [
+        (fixtures.mod_s(), 4, 50),  # F2^4 has 67 subspaces, but |M|^4 is 16
+        (zero_module(fixtures.r2(), "right"), 2, 1),
+        (fixtures.mod_rr(), 0, 1),
+    ],
+    ids=["S^4", "dim 0", "arity 0"],
+)
+def test_pp_lattice_cap_bounds_the_top_not_the_subspace_count(m, arity, cap):
+    got = pp_lattice(m, arity, cap)
+    assert same_lattice(got, oracle_pp_lattice(m, arity))
+    if m.dim * arity == 0:
+        assert got.size == 1
 
 
 @pytest.mark.parametrize("m", GRID_MODULES[:12], ids=repr)

@@ -54,14 +54,14 @@ def _vector_row(ws, module, token: str, dim: int) -> np.ndarray:
         try:
             coords = ast.literal_eval(token)
         except (ValueError, SyntaxError):
-            raise ParseError(0, f"cannot parse coordinates {token!r}") from None
+            raise ParseError(None, f"cannot parse coordinates {token!r}") from None
         vec = field.asarray(coords)
         if vec.shape != (dim,):
-            raise ParseError(0, f"coordinate row {token!r} needs length {dim}")
+            raise ParseError(None, f"coordinate row {token!r} needs length {dim}")
         return vec
     if module.algebra.dim != dim:
         raise ParseError(
-            0,
+            None,
             f"element syntax {token!r} needs a module of dimension "
             f"{module.algebra.dim}; pass bracketed coordinates",
         )
@@ -80,10 +80,10 @@ def _parse_matrix_arg(field, text: str, rows: int, cols: int) -> np.ndarray:
     try:
         data = ast.literal_eval(text)
     except (ValueError, SyntaxError):
-        raise ParseError(0, f"cannot parse matrix {text!r}") from None
+        raise ParseError(None, f"cannot parse matrix {text!r}") from None
     mat = field.asarray(data)
     if mat.size != rows * cols:
-        raise ParseError(0, f"matrix needs shape ({rows}, {cols})")
+        raise ParseError(None, f"matrix needs shape ({rows}, {cols})")
     return mat.reshape(rows, cols)
 
 

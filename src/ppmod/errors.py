@@ -86,11 +86,14 @@ class NotInSolutionSet(PpmodError):
 
 
 class ParseError(PpmodError):
-    """Workspace text could not be parsed; carries a line number."""
+    """Text could not be parsed; carries its workspace line number, if any.
 
-    def __init__(self, line: int, message: str):
+    Command-line arguments have no line, and their message no prefix.
+    """
+
+    def __init__(self, line: int | None, message: str):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class UnknownReference(PpmodError):

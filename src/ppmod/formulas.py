@@ -13,7 +13,11 @@ of :mod:`ppmod.modules`, evaluation code is identical for both sides.
 
 Solution sets are computed by building the F_q-linear system of the
 quantifier-free part over the module, taking its kernel, and projecting
-to the free coordinates; elements are never enumerated here.
+to the free coordinates; elements are never enumerated here.  Every
+system and formula is assembled from whole coefficient blocks: the
+block rho(c) of every (variable, equation) slot comes from one product
+of the stacked coefficients with the stacked action matrices, and the
+constructors place coefficient blocks and unit diagonals by slicing.
 
 Formulas are normalised on construction: zero equations are dropped,
 bound variables that appear in no equation are dropped, and equation
@@ -131,13 +135,9 @@ def pp_formula(
         raise SideMismatch(f"bad side {side!r}")
     if normalise:
         # drop bound variables that never occur
-        used = [k for k in range(b.shape[0]) if np.any(b[k])]
-        b = b[used] if used else np.zeros((0, neq, algebra.dim), dtype=ELEM)
+        b = b[b.reshape(b.shape[0], neq * algebra.dim).any(axis=1)]
         # drop all-zero equations, sort the rest lexicographically
-        cols = []
-        for j in range(neq):
-            if np.any(a[:, j]) or np.any(b[:, j]):
-                cols.append(j)
+        cols = np.flatnonzero(a.any(axis=(0, 2)) | b.any(axis=(0, 2)))
         keys = sorted(
             cols, key=lambda j: (a[:, j].tobytes(), b[:, j].tobytes())
         )
@@ -145,6 +145,13 @@ def pp_formula(
         b = b[:, keys]
         neq = len(keys)
     return PpFormula(algebra, side, nfree, b.shape[0], neq, a, b)
+
+
+def _diagonal(algebra: Algebra, n: int, r) -> np.ndarray:
+    """An (n, n, dim) coefficient block with r on the diagonal."""
+    out = np.zeros((n, n, algebra.dim), dtype=ELEM)
+    out[np.arange(n), np.arange(n)] = r
+    return out
 
 
 def top(algebra: Algebra, side: str, nfree: int = 1) -> PpFormula:
@@ -160,9 +167,7 @@ def top(algebra: Algebra, side: str, nfree: int = 1) -> PpFormula:
 
 def bot(algebra: Algebra, side: str, nfree: int = 1) -> PpFormula:
     """x = 0 in every free variable."""
-    a = np.zeros((nfree, nfree, algebra.dim), dtype=ELEM)
-    for i in range(nfree):
-        a[i, i] = algebra.unit
+    a = _diagonal(algebra, nfree, algebra.unit)
     return pp_formula(algebra, side, nfree, a, np.zeros((0, nfree, algebra.dim), ELEM))
 
 
@@ -241,13 +246,13 @@ def evaluate(phi: PpFormula, m: ModuleRep) -> SubgroupRep:
     n, t, neq, d = phi.nfree, phi.nbound, phi.neq, m.dim
     if d == 0 or n == 0:
         return SubgroupRep(m, n, linalg.zeros(0, n * d))
-    # system rows: one block row per variable; columns: one block per equation
-    sys = np.zeros(((n + t) * d, neq * d), dtype=ELEM)
-    coeff = np.concatenate([phi.a, phi.b], axis=0) if t else phi.a
-    for v in range(n + t):
-        for j in range(neq):
-            if np.any(coeff[v, j]):
-                sys[v * d : (v + 1) * d, j * d : (j + 1) * d] = m.rho(coeff[v, j])
+    # system rows: one block row per variable; columns: one block per
+    # equation; block (v, j) is rho(coeff[v, j]), all blocks in one product
+    k = m.algebra.dim
+    coeff = np.concatenate([phi.a, phi.b], axis=0).reshape((n + t) * neq, k)
+    blocks = linalg.matmul(f, coeff, m.actions.reshape(k, d * d))
+    blocks = blocks.reshape(n + t, neq, d, d).transpose(0, 2, 1, 3)
+    sys = blocks.reshape((n + t) * d, neq * d)
     sols = linalg.null_space(f, sys.T)  # rows u with u @ sys = 0
     proj = sols[:, : n * d]
     return SubgroupRep(m, n, linalg.row_space(f, proj))
@@ -290,21 +295,18 @@ def formula_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
     nbound = 2 * n + phi.nbound + psi.nbound
     a = np.zeros((n, neq, alg.dim), dtype=ELEM)
     b = np.zeros((nbound, neq, alg.dim), dtype=ELEM)
-    neg_unit = f.neg(alg.unit)
-    for i in range(n):
-        a[i, i] = alg.unit  # x_i - x1_i - x2_i = 0
-        b[i, i] = neg_unit
-        b[n + i, i] = neg_unit
-    # x1 block satisfies phi
-    for i in range(n):
-        b[i, n : n + phi.neq] = phi.a[i]
-    for k in range(phi.nbound):
-        b[2 * n + k, n : n + phi.neq] = phi.b[k]
-    # x2 block satisfies psi
-    for i in range(n):
-        b[n + i, n + phi.neq :] = psi.a[i]
-    for k in range(psi.nbound):
-        b[2 * n + phi.nbound + k, n + phi.neq :] = psi.b[k]
+    # x_i - x1_i - x2_i = 0
+    a[:, :n] = _diagonal(alg, n, alg.unit)
+    neg_diagonal = _diagonal(alg, n, f.neg(alg.unit))
+    b[:n, :n] = neg_diagonal
+    b[n : 2 * n, :n] = neg_diagonal
+    # x1 block satisfies phi, x2 block satisfies psi; psi's equations
+    # start at column e, its bound variables at row y
+    e, y = n + phi.neq, 2 * n + phi.nbound
+    b[:n, n:e] = phi.a
+    b[2 * n : y, n:e] = phi.b
+    b[n : 2 * n, e:] = psi.a
+    b[y:, e:] = psi.b
     return pp_formula(alg, phi.side, n, a, b)
 
 
@@ -319,18 +321,10 @@ def dual(phi: PpFormula) -> PpFormula:
     """
     alg = phi.algebra
     f = alg.field
-    n, t, m = phi.nfree, phi.nbound, phi.neq
+    n, t = phi.nfree, phi.nbound
     other = "left" if phi.side == "right" else "right"
-    neq = n + t
-    a = np.zeros((n, neq, alg.dim), dtype=ELEM)
-    for i in range(n):
-        a[i, i] = alg.unit
-    b = np.zeros((m, neq, alg.dim), dtype=ELEM)
-    for j in range(m):
-        for i in range(n):
-            b[j, i] = f.neg(phi.a[i, j])
-        for k in range(t):
-            b[j, n + k] = phi.b[k, j]
+    a = _diagonal(alg, n + t, alg.unit)[:n]
+    b = np.concatenate([f.neg(phi.a), phi.b]).transpose(1, 0, 2)
     return pp_formula(alg, other, n, a, b)
 
 
@@ -355,16 +349,12 @@ def substitute(phi: PpFormula, t_matrix) -> PpFormula:
     neq = n + m
     a = np.zeros((nnew, neq, alg.dim), dtype=ELEM)
     b = np.zeros((n + t, neq, alg.dim), dtype=ELEM)
-    neg_unit = f.neg(alg.unit)
-    for j in range(n):  # equations x_new . T[:, j] - x_old_j = 0
-        for i in range(nnew):
-            a[i, j] = t_matrix[i, j]
-        b[j, j] = neg_unit
-    for j in range(m):  # original system on (x_old, y)
-        for i in range(n):
-            b[i, n + j] = phi.a[i, j]
-        for k in range(t):
-            b[n + k, n + j] = phi.b[k, j]
+    # equations x_new . T[:, j] - x_old_j = 0
+    a[:, :n] = t_matrix
+    b[:n, :n] = _diagonal(alg, n, f.neg(alg.unit))
+    # original system on (x_old, y)
+    b[:n, n:] = phi.a
+    b[n:, n:] = phi.b
     return pp_formula(alg, phi.side, nnew, a, b)
 
 
@@ -373,10 +363,7 @@ def prefix_restriction(phi: PpFormula, new_arity: int) -> PpFormula:
     if new_arity < phi.nfree:
         raise ArityMismatch("prefix narrower than the formula arity")
     alg = phi.algebra
-    t_mat = np.zeros((new_arity, phi.nfree, alg.dim), dtype=ELEM)
-    for i in range(phi.nfree):
-        t_mat[i, i] = alg.unit
-    return substitute(phi, t_mat)
+    return substitute(phi, _diagonal(alg, new_arity, alg.unit)[:, : phi.nfree])
 
 
 # -- free realisations and pp-type generators ------------------------------
@@ -394,18 +381,13 @@ def free_realisation(phi: PpFormula) -> PointedModule:
     n, t, m = phi.nfree, phi.nbound, phi.neq
     slots = n + t
     free = free_module(alg, phi.side, slots)
-    coeff = np.concatenate([phi.a, phi.b], axis=0) if t else phi.a
-    rel_rows = np.zeros((m, slots * alg.dim), dtype=ELEM)
-    for j in range(m):
-        for v in range(slots):
-            rel_rows[j, v * alg.dim : (v + 1) * alg.dim] = coeff[v, j]
-    rel_span = module_span(free, rel_rows) if m else linalg.zeros(0, slots * alg.dim)
+    width = slots * alg.dim
+    coeff = np.concatenate([phi.a, phi.b], axis=0)
+    rel_rows = coeff.transpose(1, 0, 2).reshape(m, width)
+    rel_span = module_span(free, rel_rows) if m else linalg.zeros(0, width)
     q = quotient(free, rel_span)
-    tup = np.zeros((n, q.module.dim), dtype=ELEM)
-    for i in range(n):
-        unit_row = np.zeros(slots * alg.dim, dtype=ELEM)
-        unit_row[i * alg.dim : (i + 1) * alg.dim] = alg.unit
-        tup[i] = q.projection.apply(unit_row)
+    unit_rows = _diagonal(alg, slots, alg.unit)[:n].reshape(n, width)
+    tup = linalg.matmul(alg.field, unit_rows, q.projection.matrix)
     return PointedModule(q.module, tup)
 
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, ValidationFailure
-from .fields import ELEM
 from .formulas import (
     PpFormula,
     SubgroupRep,
@@ -73,12 +72,7 @@ def is_pp_definable(
     power = direct_sum([m] * k).module
     # diagonal tuple: the j-th entry collects the j-th coordinate block
     # of every spanning row
-    diag = np.zeros((arity, power.dim), dtype=ELEM)
-    for j in range(arity):
-        for s in range(k):
-            diag[j, s * m.dim : (s + 1) * m.dim] = rows[
-                s, j * m.dim : (j + 1) * m.dim
-            ]
+    diag = rows.reshape(k, arity, m.dim).transpose(1, 0, 2).reshape(arity, power.dim)
     phi = pp_type_generator(power, diag)
     closure = evaluate(phi, m).basis
     definable = linalg.subspace_eq(closure, rows)

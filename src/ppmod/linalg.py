@@ -15,8 +15,6 @@ are small and per-call numpy overhead would dominate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch
@@ -61,6 +59,19 @@ def kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return zeros(ma * mb, na * nb)
     out = field.mul(a[:, None, :, None], b[None, :, None, :])
     return out.reshape(ma * mb, na * nb)
+
+
+def sylvester_rows(field: Field, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Rows of kron(left[i], I) - kron(I, right[i]) for each i, stacked.
+
+    ``left`` is (s, a, a) and ``right`` is (s, b, b); the result is
+    (s*a*b, a*b).  A row-major vec(X) of an a x b matrix X is annihilated
+    by every row iff left[i] X = X right[i]^T for all i.
+    """
+    s, a, b = left.shape[0], left.shape[1], right.shape[1]
+    lk = field.mul(left[:, :, None, :, None], eye(field, b)[None, None, :, None, :])
+    rk = field.mul(eye(field, a)[None, :, None, :, None], right[:, None, :, None, :])
+    return field.sub(lk, rk).reshape(s * a * b, a * b)
 
 
 def all_vectors(field: Field, n: int) -> np.ndarray:
@@ -160,19 +171,6 @@ def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     for row, pc in zip(aug, pivots):
         x[pc] = row[n]
     return np.array(x, dtype=ELEM)
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Particular solution plus a canonical kernel basis (rows)."""
-
-    particular: np.ndarray | None
-    kernel: np.ndarray
-
-
-def solve_linear(field: Field, a: np.ndarray, b: np.ndarray) -> LinearSolution:
-    """Full solution set of a @ x = b in column convention."""
-    return LinearSolution(solve(field, a, b), null_space(field, np.asarray(a, ELEM)))
 
 
 # -- subspaces (rows of an RREF basis span the space) -------------------

@@ -246,31 +246,15 @@ def identity_map(m: ModuleRep) -> ModuleMap:
     return ModuleMap(m, m, np.eye(m.dim, dtype=ELEM))
 
 
-def _hom_constraint_matrix(m: ModuleRep, n: ModuleRep) -> np.ndarray:
-    """Rows: flattened (row-major) F with act_m[i] F = F act_n[i] for all i.
-
-    Returns the matrix C with C @ vec(F) = 0 characterising homomorphisms.
-    """
-    f = m.algebra.field
-    blocks = []
-    ident_m = np.eye(m.dim, dtype=ELEM)
-    ident_n = np.eye(n.dim, dtype=ELEM)
-    for i in range(m.algebra.dim):
-        t1 = linalg.kron(f, m.actions[i], ident_n)
-        t2 = linalg.kron(f, ident_m, n.actions[i].T)
-        blocks.append(f.sub(t1, t2))
-    if not blocks:
-        return np.zeros((0, m.dim * n.dim), dtype=ELEM)
-    return np.concatenate(blocks, axis=0)
-
-
 def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
     """Canonical F_q-basis of Hom(m, n)."""
     _require_compatible(m, n)
     if m.dim == 0 or n.dim == 0:
         return []
-    c = _hom_constraint_matrix(m, n)
-    basis = linalg.null_space(m.algebra.field, c)
+    f = m.algebra.field
+    # vec(F) with act_m[i] F = F act_n[i] for every i
+    hom_rows = linalg.sylvester_rows(f, m.actions, n.actions.transpose(0, 2, 1))
+    basis = linalg.null_space(f, hom_rows)
     return [ModuleMap(m, n, row.reshape(m.dim, n.dim)) for row in basis]
 
 
@@ -295,12 +279,10 @@ def constrained_hom(
         if np.any(tgt):
             return None
         return ModuleMap(m, n, np.zeros((0, n.dim), dtype=ELEM))
-    hom_rows = _hom_constraint_matrix(m, n)
-    ident_n = np.eye(n.dim, dtype=ELEM)
-    cons = [
-        linalg.kron(f, v.reshape(1, m.dim), ident_n) for v in src
-    ]  # (v @ F) flattened
-    lhs = np.concatenate([hom_rows] + cons, axis=0)
+    hom_rows = linalg.sylvester_rows(f, m.actions, n.actions.transpose(0, 2, 1))
+    # row (v, j) reads (src[v] @ F)[j] off vec(F)
+    cons = linalg.kron(f, src, linalg.eye(f, n.dim))
+    lhs = np.concatenate([hom_rows, cons], axis=0)
     rhs = np.concatenate(
         [np.zeros(hom_rows.shape[0], dtype=ELEM), tgt.reshape(-1)]
     )

@@ -94,19 +94,13 @@ class EndBiend:
     generators: np.ndarray  # (g, dim): module generators over End
 
 
-def _commutant(field: Field, mats, d: int) -> np.ndarray:
-    """Canonical basis of {G : G m = m G for all given m}, as (k, d, d)."""
+def _commutant(field: Field, mats: np.ndarray, d: int) -> np.ndarray:
+    """Canonical basis, as (k, d, d), of {G : G m = m G for every m in mats}."""
     if d == 0:
         return np.zeros((0, 0, 0), dtype=ELEM)
-    ident = linalg.eye(field, d)
-    blocks = []
-    for m in mats:
-        lhs = linalg.kron(field, m, ident)
-        rhs = linalg.kron(field, ident, m.T)
-        blocks.append(field.sub(lhs, rhs))
-    if not blocks:
-        blocks = [np.zeros((0, d * d), dtype=ELEM)]
-    rows = linalg.null_space(field, np.concatenate(blocks, axis=0))
+    rows = linalg.null_space(
+        field, linalg.sylvester_rows(field, mats, mats.transpose(0, 2, 1))
+    )
     return rows.reshape(-1, d, d)
 
 

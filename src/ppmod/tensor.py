@@ -2,8 +2,12 @@
 
 The tensor of a right module M with a left module L is computed head
 on: take the field tensor space spanned by basis pairs, quotient by
-the balance relations (v.e_i) (x) w - v (x) (e_i.w), and canonicalize
-classes by echelon reduction.  The zero test for a simple tensor of
+the balance relations (v.e_i) (x) w - v (x) (e_i.w), whose rows are
+the Sylvester rows kron(act_M[i], I) - kron(I, act_L[i]), and
+canonicalize classes by echelon reduction.  The class of each basis
+pair is read off the echelon basis (a free column is its own class, a
+pivot column minus its relation row), and every class is a product
+with that table.  The zero test for a simple tensor of
 tuples goes the other way, through the dual of a pp-type generator;
 agreement of the two routes is a strong end-to-end check on the
 formula layer.
@@ -75,8 +79,8 @@ class TensorResult:
 
     def _project(self, amb: np.ndarray) -> np.ndarray:
         field = self.right.algebra.field
-        residue = linalg.reduce_mod(field, self.rel_basis, amb)
-        return residue[list(self.free_columns)]
+        ambient = self.right.dim * self.left.dim
+        return linalg.matvec(field, amb, self.pair_table.reshape(ambient, self.dim))
 
 
 def tensor_product(m: ModuleRep, l_mod: ModuleRep) -> TensorResult:
@@ -85,43 +89,23 @@ def tensor_product(m: ModuleRep, l_mod: ModuleRep) -> TensorResult:
         raise AlgebraMismatch("tensor factors over different algebras")
     if m.side != RIGHT or l_mod.side != LEFT:
         raise SideMismatch("tensor needs a right module and a left module")
-    alg = m.algebra
-    field = alg.field
+    field = m.algebra.field
     ambient = m.dim * l_mod.dim
-    rels = []
     # (v_i . e_r) (x) w_j - v_i (x) (e_r . w_j) over all basis triples
-    for r in range(alg.dim):
-        acted_m = m.actions[r]  # row i = basis_i . e_r
-        acted_l = l_mod.actions[r]  # row j = e_r . basis_j
-        for i in range(m.dim):
-            for j in range(l_mod.dim):
-                rel = np.zeros(ambient, dtype=ELEM)
-                row = acted_m[i]
-                rel[np.arange(m.dim) * l_mod.dim + j] = row
-                block = field.neg(acted_l[j])
-                seg = slice(i * l_mod.dim, (i + 1) * l_mod.dim)
-                rel[seg] = field.add(rel[seg], block)
-                rels.append(rel)
-    rel_rows = (
-        np.array(rels, dtype=ELEM)
-        if rels
-        else np.zeros((0, ambient), dtype=ELEM)
-    )
+    rel_rows = linalg.sylvester_rows(field, m.actions, l_mod.actions)
     red, pivots = linalg.rref(field, rel_rows)
     rel_basis = red[: len(pivots)]
     free_cols = tuple(c for c in range(ambient) if c not in pivots)
-    result = TensorResult(
+    # class of each basis tensor: a free column is its own class, a pivot
+    # column is minus its relation row read on the free columns
+    free_idx = np.array(free_cols, dtype=np.intp)
+    table = np.zeros((ambient, len(free_cols)), dtype=ELEM)
+    table[free_idx, np.arange(len(free_cols))] = 1
+    table[np.array(pivots, dtype=np.intp)] = field.neg(rel_basis[:, free_idx])
+    return TensorResult(
         m, l_mod, len(free_cols), rel_basis, free_cols,
-        np.zeros((m.dim, l_mod.dim, len(free_cols)), dtype=ELEM),
+        table.reshape(m.dim, l_mod.dim, len(free_cols)),
     )
-    table = np.zeros((m.dim, l_mod.dim, len(free_cols)), dtype=ELEM)
-    for i in range(m.dim):
-        for j in range(l_mod.dim):
-            amb = np.zeros(ambient, dtype=ELEM)
-            amb[i * l_mod.dim + j] = 1
-            table[i, j] = result._project(amb)
-    object.__setattr__(result, "pair_table", table)
-    return result
 
 
 def herzog_zero_test(

@@ -182,7 +182,7 @@ class Workspace:
 # -- formula text ---------------------------------------------------------
 
 
-def _split_top(text: str, sep: str, line: int) -> list[str]:
+def _split_top(text: str, sep: str, line: int | None) -> list[str]:
     """Split on a one-character separator at paren depth zero."""
     parts: list[str] = []
     cur: list[str] = []
@@ -205,7 +205,7 @@ def _split_top(text: str, sep: str, line: int) -> list[str]:
     return [p.strip() for p in parts]
 
 
-def parse_element(algebra: Algebra, text: str, line: int = 0) -> np.ndarray:
+def parse_element(algebra: Algebra, text: str, line: int | None = None) -> np.ndarray:
     """An algebra element from coefficient text such as ``(1 + 2*t)``."""
     field = algebra.field
     text = text.strip()
@@ -256,7 +256,7 @@ def parse_element(algebra: Algebra, text: str, line: int = 0) -> np.ndarray:
 
 
 def parse_formula_text(
-    algebra: Algebra, side: str, arity: int, body: str, line: int = 0
+    algebra: Algebra, side: str, arity: int, body: str, line: int | None = None
 ) -> PpFormula:
     """A pp formula from its workspace body text."""
     body = body.strip()
@@ -390,6 +390,13 @@ def _int_value(keys: dict, key: str) -> int:
     return int(value)
 
 
+def _count_value(keys: dict, key: str) -> int:
+    count = _int_value(keys, key)
+    if count < 0:
+        raise ParseError(keys[key][1], f"{key} must be >= 0, got {count}")
+    return count
+
+
 def _literal_value(keys: dict, key: str):
     value, num = keys[key]
     try:
@@ -423,8 +430,10 @@ def _resolve_section(ws: Workspace, kind: str, name: str, num: int, keys: dict) 
         alg_name = keys["algebra"][0]
         alg = ws.algebra(alg_name)
         side = _side_value(keys)
-        dim = _int_value(keys, "dim")
+        dim = _count_value(keys, "dim")
         actions = _literal_value(keys, "actions")
+        if dim == 0 and actions == [[]] * alg.dim:  # how a dim-0 module renders
+            actions = np.zeros((alg.dim, 0, 0), dtype=ELEM)
         mod = _wrap(make_module, kind, name)(alg, side, dim, actions)
         ws.add_module(name, alg_name, mod)
     elif kind == "formula":
@@ -432,7 +441,7 @@ def _resolve_section(ws: Workspace, kind: str, name: str, num: int, keys: dict) 
         alg_name = keys["algebra"][0]
         alg = ws.algebra(alg_name)
         side = _side_value(keys)
-        arity = _int_value(keys, "arity")
+        arity = _count_value(keys, "arity")
         body, body_num = keys["body"]
         ws.add_formula(
             name, alg_name, parse_formula_text(alg, side, arity, body, body_num)

@@ -5,11 +5,15 @@ the mathematical answer is negative, 2 on any usage or data error, 3 on
 an unexpected exception (an internal error).
 """
 
+import contextlib
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ppmod.cli import main
 
@@ -315,3 +319,84 @@ def test_element_listing_past_the_cap_is_a_data_error(tmp_path, capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        "[module NEG]\nalgebra = R2\nside = right\ndim = -1\nactions = [[], []]\n",
+        "[formula neg]\nalgebra = R2\nside = right\narity = -1\nbody = 0 = 0\n",
+    ],
+    ids=["dim", "arity"],
+)
+def test_negative_dim_or_arity_in_a_workspace_is_a_data_error(section, tmp_path, capsys):
+    ws = tmp_path / "neg.ws"
+    ws.write_text(Path(DEMO).read_text() + "\n" + section)
+    code, out, err = run(["validate", "--workspace", str(ws)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line ") and "must be >= 0" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["eval", "--formula", "xt0", "--module", "RR", "--tuple", "[1, 0"],
+         "cannot parse coordinates '[1, 0'"),
+        (["eval", "--formula", "xt0", "--module", "RR", "--tuple", "[1]"],
+         "coordinate row '[1]' needs length 2"),
+        (["eval", "--formula", "xt0", "--module", "RR", "--tuple", "u"],
+         "unknown basis label 'u'"),
+        (["purity", "--source", "RS", "--target", "S", "--matrix", "[[0], [0]"],
+         "cannot parse matrix '[[0], [0]'"),
+        (["purity", "--source", "RS", "--target", "S", "--matrix", "[0, 1]"],
+         "matrix needs shape (3, 1)"),
+    ],
+)
+def test_argument_errors_carry_no_line_number(args, message, capsys):
+    code, out, err = run(args[:1] + ["--workspace", DEMO] + args[1:], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def run_quiet(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+# entries of tuple and matrix arguments: ints of every size, floats,
+# strings, booleans and the algebra-element syntax of the demo algebra
+ENTRIES = st.one_of(
+    st.integers(-3, 4).map(str),
+    st.sampled_from(["70000", str(2**64), "9" * 40, "1.7", "1e999", "'1'", '"t"', "True"]),
+    st.sampled_from(["t", "1", "(1 + t)", "", "-1", "x"]),
+)
+VALUES = st.recursive(
+    ENTRIES, lambda inner: st.lists(inner, max_size=3).map(lambda xs: f"[{', '.join(xs)}]"),
+    max_leaves=8,
+)
+
+
+def assert_exit_contract(code, out, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert err == ""
+    assert "Traceback" not in err
+
+
+@given(st.lists(VALUES, max_size=3).map("; ".join))
+def test_fuzzed_tuples_keep_the_exit_code_contract(text):
+    assert_exit_contract(*run_quiet(
+        ["eval", "--workspace", DEMO, "--formula", "xt0", "--module", "RR", f"--tuple={text}"]
+    ))
+
+
+@given(st.one_of(VALUES, st.lists(VALUES, max_size=3).map("; ".join)))
+def test_fuzzed_matrices_keep_the_exit_code_contract(text):
+    assert_exit_contract(*run_quiet(
+        ["purity", "--workspace", DEMO, "--source", "RS", "--target", "S",
+         f"--matrix={text}", "--require", "epi"]
+    ))

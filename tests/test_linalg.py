@@ -137,16 +137,6 @@ def test_coords_in_rref_roundtrip():
     assert linalg.coords_in_rref(F3, basis, F3.asarray([0, 0, 1])) is None
 
 
-def test_solve_linear_describes_all_solutions():
-    a = F2.asarray([[1, 1, 0], [0, 0, 0]])
-    b = F2.asarray([1, 0])
-    sol = linalg.solve_linear(F2, a, b)
-    assert sol.particular is not None
-    got = linalg.matmul(F2, a, sol.particular.reshape(-1, 1)).ravel()
-    assert np.array_equal(got, b)
-    assert sol.kernel.shape[0] == 3 - linalg.rank(F2, a)
-
-
 @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3]))
 @settings(max_examples=30)
 def test_matmul_associates(seed, p):

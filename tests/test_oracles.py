@@ -25,6 +25,16 @@ elements, witnesses and the leq/meet/join tables must agree byte for
 byte, and where the new single cap refuses an input the oracle refuses
 it too.  The pointed-power closure of every such subspace must pass the
 old End-closure pair loop and be an element of the lattice.
+
+The linear systems are built from whole coefficient blocks: formula
+normalisation, the ``evaluate`` system, ``free_realisation``, the
+formula constructors, the pointed tuple of ``is_pp_definable``, and the
+one Sylvester builder behind the Hom constraints, ``constrained_hom``,
+the commutant and the tensor relations.  The (variable, equation) slot
+loops they replaced are kept as oracles and compared byte for byte
+(shape, dtype, bytes, ``nbound`` and ``neq``) over F2, F3, F5, F4 and
+F9, with no free or bound variables, no equations, and dim-0 modules
+among the inputs.
 """
 
 import random
@@ -38,23 +48,41 @@ from hypothesis.extra import numpy as hnp
 
 from ppmod import Field, fixtures, linalg
 from ppmod.acceptance import _random_hom
-from ppmod.algebras import Algebra, structure_product
+from ppmod.algebras import Algebra, make_algebra, structure_product
 from ppmod.errors import CapExceeded, ValidationFailure
 from ppmod.fields import ELEM
-from ppmod.formulas import SubgroupRep
+from ppmod.formulas import (
+    SubgroupRep,
+    bot,
+    dual,
+    evaluate,
+    formula_sum,
+    free_realisation,
+    pp_formula,
+    pp_type_generator,
+    prefix_restriction,
+    substitute,
+)
 from ppmod.lattice import DEFAULT_CAP, PpLattice, is_pp_definable, pp_lattice
 from ppmod.modules import (
     ModuleRep,
     are_isomorphic,
+    constrained_hom,
+    direct_sum,
+    dual_module,
     extend_to_generators,
     free_module,
     hom_space,
+    make_module,
     module_span,
     presentation,
+    quotient,
+    regular_module,
     tuple_rows,
     zero_module,
 )
-from ppmod.scalars import RingTable, end_and_biend
+from ppmod.scalars import RingTable, _commutant, end_and_biend
+from ppmod.tensor import tensor_product
 
 FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(3, 2)]
 
@@ -613,3 +641,426 @@ def test_random_hom_matches_the_combination_loop(m):
             got = _random_hom(rng, m, target)
             assert np.array_equal(got.matrix, oracle_random_hom_matrix(oracle_rng, m, target))
             assert rng.random() == oracle_rng.random()  # the same stream consumed
+
+
+# -- the slot loops that assembled the linear systems --------------------------
+
+
+def oracle_normalise(alg, a, b):
+    neq = a.shape[1]
+    used = [k for k in range(b.shape[0]) if np.any(b[k])]
+    b = b[used] if used else np.zeros((0, neq, alg.dim), dtype=ELEM)
+    cols = []
+    for j in range(neq):
+        if np.any(a[:, j]) or np.any(b[:, j]):
+            cols.append(j)
+    keys = sorted(cols, key=lambda j: (a[:, j].tobytes(), b[:, j].tobytes()))
+    return a[:, keys], b[:, keys]
+
+
+def oracle_evaluate(phi, m):
+    f = m.algebra.field
+    n, t, neq, d = phi.nfree, phi.nbound, phi.neq, m.dim
+    if d == 0 or n == 0:
+        return linalg.zeros(0, n * d)
+    sys = np.zeros(((n + t) * d, neq * d), dtype=ELEM)
+    coeff = np.concatenate([phi.a, phi.b], axis=0) if t else phi.a
+    for v in range(n + t):
+        for j in range(neq):
+            if np.any(coeff[v, j]):
+                sys[v * d : (v + 1) * d, j * d : (j + 1) * d] = m.rho(coeff[v, j])
+    sols = linalg.null_space(f, sys.T)
+    return linalg.row_space(f, sols[:, : n * d])
+
+
+def oracle_free_realisation(phi):
+    alg = phi.algebra
+    n, t, m = phi.nfree, phi.nbound, phi.neq
+    slots = n + t
+    free = free_module(alg, phi.side, slots)
+    coeff = np.concatenate([phi.a, phi.b], axis=0) if t else phi.a
+    rel_rows = np.zeros((m, slots * alg.dim), dtype=ELEM)
+    for j in range(m):
+        for v in range(slots):
+            rel_rows[j, v * alg.dim : (v + 1) * alg.dim] = coeff[v, j]
+    rel_span = module_span(free, rel_rows) if m else linalg.zeros(0, slots * alg.dim)
+    q = quotient(free, rel_span)
+    tup = np.zeros((n, q.module.dim), dtype=ELEM)
+    for i in range(n):
+        unit_row = np.zeros(slots * alg.dim, dtype=ELEM)
+        unit_row[i * alg.dim : (i + 1) * alg.dim] = alg.unit
+        tup[i] = q.projection.apply(unit_row)
+    return q.module, tup
+
+
+def oracle_bot(alg, side, nfree):
+    a = np.zeros((nfree, nfree, alg.dim), dtype=ELEM)
+    for i in range(nfree):
+        a[i, i] = alg.unit
+    return pp_formula(alg, side, nfree, a, np.zeros((0, nfree, alg.dim), ELEM))
+
+
+def oracle_formula_sum(phi, psi):
+    alg = phi.algebra
+    f = alg.field
+    n = phi.nfree
+    neq = n + phi.neq + psi.neq
+    nbound = 2 * n + phi.nbound + psi.nbound
+    a = np.zeros((n, neq, alg.dim), dtype=ELEM)
+    b = np.zeros((nbound, neq, alg.dim), dtype=ELEM)
+    neg_unit = f.neg(alg.unit)
+    for i in range(n):
+        a[i, i] = alg.unit
+        b[i, i] = neg_unit
+        b[n + i, i] = neg_unit
+    for i in range(n):
+        b[i, n : n + phi.neq] = phi.a[i]
+    for k in range(phi.nbound):
+        b[2 * n + k, n : n + phi.neq] = phi.b[k]
+    for i in range(n):
+        b[n + i, n + phi.neq :] = psi.a[i]
+    for k in range(psi.nbound):
+        b[2 * n + phi.nbound + k, n + phi.neq :] = psi.b[k]
+    return pp_formula(alg, phi.side, n, a, b)
+
+
+def oracle_dual(phi):
+    alg = phi.algebra
+    f = alg.field
+    n, t, m = phi.nfree, phi.nbound, phi.neq
+    other = "left" if phi.side == "right" else "right"
+    neq = n + t
+    a = np.zeros((n, neq, alg.dim), dtype=ELEM)
+    for i in range(n):
+        a[i, i] = alg.unit
+    b = np.zeros((m, neq, alg.dim), dtype=ELEM)
+    for j in range(m):
+        for i in range(n):
+            b[j, i] = f.neg(phi.a[i, j])
+        for k in range(t):
+            b[j, n + k] = phi.b[k, j]
+    return pp_formula(alg, other, n, a, b)
+
+
+def oracle_substitute(phi, t_matrix):
+    alg = phi.algebra
+    f = alg.field
+    nnew = t_matrix.shape[0]
+    n, t, m = phi.nfree, phi.nbound, phi.neq
+    neq = n + m
+    a = np.zeros((nnew, neq, alg.dim), dtype=ELEM)
+    b = np.zeros((n + t, neq, alg.dim), dtype=ELEM)
+    neg_unit = f.neg(alg.unit)
+    for j in range(n):
+        for i in range(nnew):
+            a[i, j] = t_matrix[i, j]
+        b[j, j] = neg_unit
+    for j in range(m):
+        for i in range(n):
+            b[i, n + j] = phi.a[i, j]
+        for k in range(t):
+            b[n + k, n + j] = phi.b[k, j]
+    return pp_formula(alg, phi.side, nnew, a, b)
+
+
+def oracle_prefix_restriction(phi, new_arity):
+    alg = phi.algebra
+    t_mat = np.zeros((new_arity, phi.nfree, alg.dim), dtype=ELEM)
+    for i in range(phi.nfree):
+        t_mat[i, i] = alg.unit
+    return oracle_substitute(phi, t_mat)
+
+
+def oracle_pointed_tuple(rows, arity, d):
+    k = rows.shape[0]
+    diag = np.zeros((arity, k * d), dtype=ELEM)
+    for j in range(arity):
+        for s in range(k):
+            diag[j, s * d : (s + 1) * d] = rows[s, j * d : (j + 1) * d]
+    return diag
+
+
+def oracle_hom_constraint_matrix(m, n):
+    f = m.algebra.field
+    blocks = []
+    ident_m = np.eye(m.dim, dtype=ELEM)
+    ident_n = np.eye(n.dim, dtype=ELEM)
+    for i in range(m.algebra.dim):
+        t1 = linalg.kron(f, m.actions[i], ident_n)
+        t2 = linalg.kron(f, ident_m, n.actions[i].T)
+        blocks.append(f.sub(t1, t2))
+    if not blocks:
+        return np.zeros((0, m.dim * n.dim), dtype=ELEM)
+    return np.concatenate(blocks, axis=0)
+
+
+def oracle_constrained_hom_rows(m, n, src):
+    hom_rows = oracle_hom_constraint_matrix(m, n)
+    ident_n = np.eye(n.dim, dtype=ELEM)
+    cons = [linalg.kron(m.algebra.field, v.reshape(1, m.dim), ident_n) for v in src]
+    return np.concatenate([hom_rows] + cons, axis=0)
+
+
+def oracle_commutant(field, mats, d):
+    if d == 0:
+        return np.zeros((0, 0, 0), dtype=ELEM)
+    ident = linalg.eye(field, d)
+    blocks = []
+    for m in mats:
+        lhs = linalg.kron(field, m, ident)
+        rhs = linalg.kron(field, ident, m.T)
+        blocks.append(field.sub(lhs, rhs))
+    if not blocks:
+        blocks = [np.zeros((0, d * d), dtype=ELEM)]
+    rows = linalg.null_space(field, np.concatenate(blocks, axis=0))
+    return rows.reshape(-1, d, d)
+
+
+def oracle_tensor(m, l_mod):
+    """Relation rows, RREF basis, free columns and pair table, slot by slot."""
+    alg = m.algebra
+    field = alg.field
+    ambient = m.dim * l_mod.dim
+    rels = []
+    for r in range(alg.dim):
+        acted_m = m.actions[r]
+        acted_l = l_mod.actions[r]
+        for i in range(m.dim):
+            for j in range(l_mod.dim):
+                rel = np.zeros(ambient, dtype=ELEM)
+                rel[np.arange(m.dim) * l_mod.dim + j] = acted_m[i]
+                seg = slice(i * l_mod.dim, (i + 1) * l_mod.dim)
+                rel[seg] = field.add(rel[seg], field.neg(acted_l[j]))
+                rels.append(rel)
+    rel_rows = np.array(rels, dtype=ELEM) if rels else np.zeros((0, ambient), dtype=ELEM)
+    red, pivots = linalg.rref(field, rel_rows)
+    rel_basis = red[: len(pivots)]
+    free_cols = tuple(c for c in range(ambient) if c not in pivots)
+
+    def project(amb):
+        return linalg.reduce_mod(field, rel_basis, amb)[list(free_cols)]
+
+    table = np.zeros((m.dim, l_mod.dim, len(free_cols)), dtype=ELEM)
+    for i in range(m.dim):
+        for j in range(l_mod.dim):
+            amb = np.zeros(ambient, dtype=ELEM)
+            amb[i * l_mod.dim + j] = 1
+            table[i, j] = project(amb)
+    return rel_rows, rel_basis, free_cols, table, project
+
+
+def truncated(field):
+    """field[t]/(t^2) with basis {1, t}."""
+    c = np.zeros((2, 2, 2), dtype=ELEM)
+    c[0, 0], c[0, 1], c[1, 0] = [1, 0], [0, 1], [0, 1]
+    return make_algebra(field, ["1", "t"], c, [1, 0])
+
+
+def genuine_modules(alg):
+    """The fixture grids; for field[t]/(t^2): 0, S, R, S+S, R+S, duals, left R."""
+    try:
+        return fixtures.right_grid(alg) + fixtures.left_grid(alg)
+    except KeyError:
+        pass
+    reg, s = regular_module(alg, "right"), make_module(alg, "right", 1, [[[1]], [[0]]])
+    right = [zero_module(alg, "right"), s, reg] + [
+        direct_sum(parts).module for parts in ([s, s], [reg, s])
+    ]
+    return right + [dual_module(m) for m in right] + [regular_module(alg, "left")]
+
+
+GENUINE = [fixtures.k2(), fixtures.f3(), fixtures.r2(), fixtures.tri2()] + [
+    truncated(f) for f in FIELDS[2:]
+]
+GENUINE_MODULES = [m for alg in GENUINE for m in genuine_modules(alg)]
+
+
+def algebra_id(alg):
+    return f"{alg.field!r}-dim{alg.dim}"
+
+
+def sparse(data, field, shape):
+    """Uniform entries on a dense or a sparse support, from a drawn seed.
+
+    Zero rows and columns are common, yet most draws carry entries of
+    every size, which element-wise array strategies rarely give.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    density = data.draw(st.sampled_from([0.8, 0.3]))
+    mask = rng.random(shape) < density
+    return (rng.integers(0, field.q, size=shape) * mask).astype(ELEM)
+
+
+def sparse_algebra(data, field, k):
+    labels = tuple(f"e{i}" for i in range(k))
+    return Algebra(field, labels, sparse(data, field, (k, k, k)), sparse(data, field, (k,)))
+
+
+def sparse_module(data, alg, d, side="right"):
+    return ModuleRep(alg, side, d, sparse(data, alg.field, (alg.dim, d, d)))
+
+
+def formula_of(data, alg, side="right", nfree=None):
+    n = data.draw(st.integers(0, 3)) if nfree is None else nfree
+    t, neq = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    a, b = sparse(data, alg.field, (n, neq, alg.dim)), sparse(data, alg.field, (t, neq, alg.dim))
+    return pp_formula(alg, side, n, a, b)
+
+
+def same_formula(got, want):
+    return (
+        (got.side, got.nfree, got.nbound, got.neq)
+        == (want.side, want.nfree, want.nbound, want.neq)
+        and got.a.shape == (got.nfree, got.neq, got.algebra.dim)
+        and got.b.shape == (got.nbound, got.neq, got.algebra.dim)
+        and same_array(got.a, want.a)
+        and same_array(got.b, want.b)
+    )
+
+
+@given(data=st.data(), field=fields, k=alg_dims)
+def test_normalisation_matches_the_slot_loops(data, field, k):
+    alg = sparse_algebra(data, field, k)
+    n, t, neq = (data.draw(st.integers(0, 3)) for _ in range(3))
+    a, b = sparse(data, field, (n, neq, k)), sparse(data, field, (t, neq, k))
+    phi = pp_formula(alg, "right", n, a, b)
+    want_a, want_b = oracle_normalise(alg, a, b)
+    assert same_array(phi.a, want_a) and same_array(phi.b, want_b)
+    assert (phi.nbound, phi.neq) == (want_b.shape[0], want_a.shape[1])
+    raw = pp_formula(alg, "right", n, a, b, normalise=False)
+    assert same_array(raw.a, a) and same_array(raw.b, b)
+
+
+@given(data=st.data(), field=fields, k=alg_dims, d=mod_dims, g=st.sampled_from(GENUINE_MODULES))
+def test_evaluate_system_matches_the_block_loop(data, field, k, d, g):
+    # random actions make most systems injective; genuine modules do not
+    for m in (sparse_module(data, sparse_algebra(data, field, k), d), g):
+        phi = formula_of(data, m.algebra, m.side)
+        got = evaluate(phi, m)
+        assert got.arity == phi.nfree
+        assert same_array(got.basis, oracle_evaluate(phi, m))
+
+
+@given(data=st.data(), alg=st.sampled_from(GENUINE), side=st.sampled_from(["right", "left"]))
+def test_free_realisation_matches_the_slot_loops(data, alg, side):
+    phi = formula_of(data, alg, side)
+    got = free_realisation(phi)
+    module, tup = oracle_free_realisation(phi)
+    assert got.module.dim == module.dim and got.module.side == side
+    assert same_array(got.module.actions, module.actions)
+    assert same_array(got.tuple, tup)
+
+
+@given(data=st.data(), field=fields, k=alg_dims)
+def test_formula_constructors_match_the_slot_loops(data, field, k):
+    alg = sparse_algebra(data, field, k)
+    n = data.draw(st.integers(0, 3))
+    phi, psi = formula_of(data, alg, nfree=n), formula_of(data, alg, nfree=n)
+    assert same_formula(bot(alg, "right", n), oracle_bot(alg, "right", n))
+    assert same_formula(formula_sum(phi, psi), oracle_formula_sum(phi, psi))
+    assert same_formula(dual(phi), oracle_dual(phi))
+    t_matrix = sparse(data, field, (data.draw(st.integers(0, 3)), n, k))
+    assert same_formula(substitute(phi, t_matrix), oracle_substitute(phi, t_matrix))
+    new_arity = n + data.draw(st.integers(0, 2))
+    assert same_formula(
+        prefix_restriction(phi, new_arity), oracle_prefix_restriction(phi, new_arity)
+    )
+
+
+def assert_pointed_tuple_matches(m, basis, arity):
+    got = is_pp_definable(m, basis, arity)
+    rows = linalg.row_space(m.algebra.field, basis)
+    if rows.shape[0] == 0:
+        assert same_formula(got.witness, bot(m.algebra, m.side, arity))
+        return
+    power = direct_sum([m] * rows.shape[0]).module
+    want = pp_type_generator(power, oracle_pointed_tuple(rows, arity, m.dim))
+    assert same_formula(got.witness, want)
+    assert same_array(got.closure, evaluate(want, m).basis)
+
+
+@pytest.mark.parametrize("alg", GENUINE, ids=algebra_id)
+def test_pointed_tuple_matches_the_double_loop_on_the_grids(alg):
+    rng = np.random.default_rng(3)
+    for m in genuine_modules(alg):
+        if m.dim <= 2:
+            for arity, k in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 2), (2, 2), (2, 2)):
+                basis = rng.integers(0, alg.field.q, size=(k, arity * m.dim)).astype(ELEM)
+                assert_pointed_tuple_matches(m, basis, arity)
+
+
+@given(data=st.data(), field=fields, k=alg_dims, d=mod_dims, e=mod_dims)
+def test_sylvester_rows_match_the_hom_and_tensor_loops(data, field, k, d, e):
+    alg = sparse_algebra(data, field, k)
+    m, n = sparse_module(data, alg, d), sparse_module(data, alg, e)
+    rows = linalg.sylvester_rows(field, m.actions, n.actions.transpose(0, 2, 1))
+    assert same_array(rows, oracle_hom_constraint_matrix(m, n))
+    left = ModuleRep(alg, "left", e, n.actions)
+    t = tensor_product(m, left)
+    rel_rows, rel_basis, free_cols, table, project = oracle_tensor(m, left)
+    assert same_array(linalg.sylvester_rows(field, m.actions, left.actions), rel_rows)
+    assert same_array(t.rel_basis, rel_basis) and t.free_columns == free_cols
+    assert t.dim == len(free_cols) and same_array(t.pair_table, table)
+    v, w = sparse(data, field, (d,)), sparse(data, field, (e,))
+    assert same_array(t.class_of(v, w), project(linalg.kron(field, v[None], w[None])[0]))
+
+
+@given(data=st.data(), field=fields, s=st.integers(0, 3), d=mod_dims)
+def test_commutant_matches_the_block_loop(data, field, s, d):
+    mats = sparse(data, field, (s, d, d))
+    assert same_array(_commutant(field, mats, d), oracle_commutant(field, mats, d))
+
+
+@given(data=st.data(), alg=st.sampled_from(GENUINE), side=st.sampled_from(["right", "left"]))
+def test_constrained_hom_matches_the_tuple_loop(data, alg, side):
+    field = alg.field
+    mods = [m for m in genuine_modules(alg) if m.side == side and m.dim]
+    m, n = data.draw(st.sampled_from(mods)), data.draw(st.sampled_from(mods))
+    src = sparse(data, field, (data.draw(st.integers(0, 3)), m.dim))
+    basis = hom_space(m, n)
+    if basis and data.draw(st.booleans()):  # the image of src under a homomorphism
+        stacked = np.stack([g.matrix.reshape(-1) for g in basis])
+        coeffs = sparse(data, field, (len(basis),))
+        h = linalg.matvec(field, coeffs, stacked).reshape(m.dim, n.dim)
+        tgt = linalg.matmul(field, src, h)
+    else:
+        tgt = sparse(data, field, (src.shape[0], n.dim))
+    lhs = oracle_constrained_hom_rows(m, n, src)
+    hom_zeros = np.zeros(lhs.shape[0] - tgt.size, dtype=ELEM)
+    want = linalg.solve(field, lhs, np.concatenate([hom_zeros, tgt.reshape(-1)]))
+    got = constrained_hom(m, n, src, tgt)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert same_array(got.matrix, want.reshape(m.dim, n.dim))
+
+
+@pytest.mark.parametrize("alg", GENUINE, ids=algebra_id)
+def test_evaluate_and_free_realisation_match_the_slot_loops_on_the_grids(alg):
+    rng = random.Random(7)
+    for side in ("right", "left"):
+        forms = fixtures.formula_corpus(alg, side) + [
+            fixtures.random_formula(alg, side, rng, 3, 3, 3) for _ in range(12)
+        ]
+        for phi in forms:
+            got = free_realisation(phi)
+            module, tup = oracle_free_realisation(phi)
+            assert same_array(got.module.actions, module.actions)
+            assert same_array(got.tuple, tup)
+            for m in genuine_modules(alg):
+                if m.side == side:
+                    assert same_array(evaluate(phi, m).basis, oracle_evaluate(phi, m))
+
+
+@pytest.mark.parametrize("alg", GENUINE, ids=algebra_id)
+def test_tensor_products_match_the_relation_loop_on_the_grids(alg):
+    mods = genuine_modules(alg)
+    for m in (m for m in mods if m.side == "right"):
+        for left in (m for m in mods if m.side == "left"):
+            t = tensor_product(m, left)
+            _, rel_basis, free_cols, table, project = oracle_tensor(m, left)
+            assert same_array(t.rel_basis, rel_basis) and t.free_columns == free_cols
+            assert same_array(t.pair_table, table)
+            for v in m.enumerate_elements()[-3:]:
+                for w in left.enumerate_elements()[-3:]:
+                    amb = linalg.kron(alg.field, v[None], w[None])[0]
+                    assert same_array(t.class_of(v, w), project(amb))

@@ -14,6 +14,7 @@ from ppmod import (
 )
 from ppmod.errors import ParseError, UnknownReference, ValidationFailure
 from ppmod.fixtures import demo_workspace, f3, formula_corpus, r2, tri2
+from ppmod.modules import zero_module
 
 DEMO_PATH = Path(__file__).resolve().parent.parent / "workspaces" / "demo.ws"
 
@@ -180,3 +181,40 @@ def test_workspace_add_rejects_duplicates_and_bad_names():
         ws.add_algebra("R2", r2())
     with pytest.raises(ValidationFailure):
         ws.add_algebra("bad name", tri2())
+
+
+def test_zero_dimensional_module_roundtrip_is_byte_stable():
+    ws = demo_workspace()
+    ws.add_module("Z", "R2", zero_module(r2(), "right"))
+    text = render_workspace(ws)
+    assert "actions = [[], []]" in text
+    parsed = parse_workspace(text)
+    assert parsed.module("Z").actions.shape == (2, 0, 0)
+    assert render_workspace(parsed) == text
+    assert render_workspace(parse_workspace(render_workspace(parsed))) == text
+
+
+R2_HEAD = """version = 1
+
+[algebra R2]
+field = 2
+labels = 1, t
+unit = [1, 0]
+constants = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+
+"""
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        "[module M]\nalgebra = R2\nside = right\ndim = -1\nactions = [[], []]\n",
+        "[formula phi]\nalgebra = R2\nside = right\narity = -1\nbody = 0 = 0\n",
+    ],
+    ids=["dim", "arity"],
+)
+def test_negative_counts_are_parse_errors_naming_the_line(section):
+    with pytest.raises(ParseError) as exc:
+        parse_workspace(R2_HEAD + section)
+    assert exc.value.line == 12  # the dim or arity line
+    assert str(exc.value).endswith("must be >= 0, got -1")

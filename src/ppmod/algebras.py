@@ -140,19 +140,18 @@ def make_algebra(
         )
     if unit.shape != (m,):
         raise DimensionMismatch(f"unit shape {unit.shape}, expected ({m},)")
-    alg = Algebra(field, labels, constants, unit)
-    for i in range(m):
-        for j in range(m):
-            eiej = constants[i, j]
-            for k in range(m):
-                left = alg.mul_elems(eiej, alg.basis_elem(k))
-                right = alg.mul_elems(alg.basis_elem(i), constants[j, k])
-                if not np.array_equal(left, right):
-                    raise NonAssociative((i, j, k), labels)
-    for j in range(m):
-        ej = alg.basis_elem(j)
-        if not np.array_equal(alg.mul_elems(unit, ej), ej) or not np.array_equal(
-            alg.mul_elems(ej, unit), ej
-        ):
-            raise BadUnit(f"unit laws fail on basis element {labels[j]!r}")
-    return alg
+    # (e_i e_j) e_k = sum_a c[i, j, a] c[a, k], e_i (e_j e_k) = sum_b c[j, k, b] c[i, b]
+    flat = constants.reshape(m * m, m)
+    left = linalg.matmul(field, flat, constants.reshape(m, m * m)).reshape(m, m, m, m)
+    right = linalg.images(field, flat, constants).reshape(m, m, m, m).transpose(2, 0, 1, 3)
+    bad = np.argwhere((left != right).any(axis=3))
+    if bad.size:
+        raise NonAssociative(tuple(bad[0].tolist()), labels)
+    # row j of unit_products[0] is unit e_j, of unit_products[1] is e_j unit
+    both_sides = np.stack([constants, constants.transpose(1, 0, 2)])
+    unit_products = linalg.images(field, unit[None], both_sides.reshape(2, m, m * m))
+    ident = np.eye(m, dtype=ELEM)
+    bad = np.flatnonzero((unit_products.reshape(2, m, m) != ident).any(axis=(0, 2)))
+    if bad.size:
+        raise BadUnit(f"unit laws fail on basis element {labels[bad[0]]!r}")
+    return Algebra(field, labels, constants, unit)

@@ -47,7 +47,7 @@ from .tensor import herzog_zero_test, tensor_product
 from .workspace import load_workspace, parse_element, render_workspace
 
 
-def _vector_row(ws, module, token: str, dim: int) -> np.ndarray:
+def _vector_row(module, token: str, dim: int) -> np.ndarray:
     token = token.strip()
     field = module.algebra.field
     if token.startswith("["):
@@ -69,11 +69,11 @@ def _vector_row(ws, module, token: str, dim: int) -> np.ndarray:
     return linalg.matvec(field, module.algebra.unit, module.rho(elem))
 
 
-def _parse_tuple_arg(ws, module, text: str) -> np.ndarray:
+def _parse_tuple_arg(module, text: str) -> np.ndarray:
     tokens = [t for t in (text or "").split(";") if t.strip()]
     if not tokens:
         return np.zeros((0, module.dim), dtype=ELEM)
-    return np.stack([_vector_row(ws, module, t, module.dim) for t in tokens])
+    return np.stack([_vector_row(module, t, module.dim) for t in tokens])
 
 
 def _parse_matrix_arg(field, text: str, rows: int, cols: int) -> np.ndarray:
@@ -129,7 +129,7 @@ def _cmd_eval(ws, args):
         lines.append("solution basis: (zero subgroup)")
     verdict = True
     if args.tuple is not None:
-        vecs = _parse_tuple_arg(ws, mod, args.tuple)
+        vecs = _parse_tuple_arg(mod, args.tuple)
         verdict = sol.contains(vecs.reshape(-1))
         lines.append(f"tuple satisfies formula: {_yes(verdict)}")
     return lines, verdict
@@ -180,7 +180,7 @@ def _cmd_freereal(ws, args):
 
 def _cmd_pptype(ws, args):
     mod = ws.module(args.module)
-    vecs = _parse_tuple_arg(ws, mod, args.tuple)
+    vecs = _parse_tuple_arg(mod, args.tuple)
     phi = pp_type_generator(mod, vecs)
     return [
         f"module {args.module}: dimension {mod.dim}, side {mod.side}",
@@ -258,8 +258,8 @@ def _cmd_pushout(ws, args):
 def _cmd_herzog(ws, args):
     m = ws.module(args.module)
     l_mod = ws.module(args.other)
-    vecs = _parse_tuple_arg(ws, m, args.tuple)
-    lvecs = _parse_tuple_arg(ws, l_mod, args.other_tuple)
+    vecs = _parse_tuple_arg(m, args.tuple)
+    lvecs = _parse_tuple_arg(l_mod, args.other_tuple)
     zero = herzog_zero_test(m, vecs, l_mod, lvecs)
     lines = [
         f"modules: {args.module} (tensor) {args.other}",
@@ -327,7 +327,7 @@ def _cmd_preenvelope(ws, args):
     mod = ws.module(args.module)
     ctx = ws.context(args.context)
     budget = ws.budget(args.budget)
-    vecs = _parse_tuple_arg(ws, mod, args.tuple)
+    vecs = _parse_tuple_arg(mod, args.tuple)
     state = run_construction(mod, vecs, ctx, budget)
     lines = [
         f"preenvelope construction from {args.module} "

@@ -10,8 +10,8 @@ Purity is decided one element at a time: a map preserves pp-types of
 single elements iff it is a pure embedding, and a surjection is a pure
 epimorphism iff every element of the target lifts inside the solution
 set of its pp-type generator.  Both reductions are to one free
-variable; the tuple versions are exercised by tests, not used at
-runtime.
+variable, so ``purity_check`` only ever evaluates pp-types of single
+elements.
 """
 
 from __future__ import annotations

@@ -87,6 +87,10 @@ def _canonical_modulus(p: int, d: int) -> list[int]:
     raise PpmodError(f"no irreducible of degree {d} over F_{p}")
 
 
+def _holds_bool(x) -> bool:
+    return any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)
+
+
 class Field:
     """F_{p^d} with precomputed add/mul/neg/inv tables.
 
@@ -189,15 +193,18 @@ class Field:
         """Validated array of field elements: the entry point for user data.
 
         Raises:
-            DimensionMismatch: ragged input, non-integer entries, or
-                entries outside 0..q-1.  Empty input is always legal.
+            DimensionMismatch: ragged input, non-integer entries (booleans
+                included), or entries outside 0..q-1.  Empty input is
+                always legal.
         """
         try:
             a = np.asarray(x)
         except ValueError:
             raise DimensionMismatch("ragged input is not an array") from None
         if a.size:
-            if a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= self.q:
+            # numpy reads a list mixing booleans and ints as ints
+            mixed = not isinstance(x, np.ndarray) and _holds_bool(x)
+            if mixed or a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= self.q:
                 raise DimensionMismatch(
                     f"entries must be integers in 0..{self.q - 1} "
                     f"for F_{self.p}^{self.d}"

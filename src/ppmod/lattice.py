@@ -180,20 +180,10 @@ def pp_lattice(
 
 def hasse_edges(lat: PpLattice) -> list[tuple[int, int]]:
     """Covering pairs (i, j) with element i covered by element j."""
-    edges = []
-    k = lat.size
-    for i in range(k):
-        for j in range(k):
-            if i == j or not lat.leq[i, j]:
-                continue
-            if any(
-                lat.leq[i, between] and lat.leq[between, j]
-                for between in range(k)
-                if between not in (i, j)
-            ):
-                continue
-            edges.append((i, j))
-    return edges
+    below = lat.leq & ~np.eye(lat.size, dtype=bool)
+    # i < j with nothing strictly between, in row-major order
+    covers = below & ~(below @ below)
+    return [(i, j) for i, j in np.argwhere(covers).tolist()]
 
 
 @dataclass(frozen=True, eq=False)

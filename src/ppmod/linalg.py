@@ -51,6 +51,22 @@ def matvec(field: Field, v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return matmul(field, np.asarray(v, ELEM).reshape(1, -1), a)[0]
 
 
+def images(field: Field, rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """rows[r] @ mats[i] for every r and i: one ``matmul`` of the (r, d)
+    rows against the (s, d, e) stack side by side, reshaped to (r, s, e)."""
+    s, d, e = mats.shape
+    side_by_side = mats.transpose(1, 0, 2).reshape(d, s * e)
+    return matmul(field, rows, side_by_side).reshape(rows.shape[0], s, e)
+
+
+def pair_products(field: Field, mats: np.ndarray) -> np.ndarray:
+    """mats[i] @ mats[j] for every i and j of a (k, d, d) stack, shape (k, k, d, d)."""
+    k, d = mats.shape[0], mats.shape[1]
+    # row a of mats[i] times every mats[j]
+    rows = images(field, mats.reshape(k * d, d), mats)
+    return rows.reshape(k, d, k, d).transpose(0, 2, 1, 3)
+
+
 def kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with field multiplication."""
     ma, na = a.shape
@@ -208,11 +224,30 @@ def in_span(field: Field, basis: np.ndarray, v: np.ndarray) -> bool:
 
 
 def coords_in_rref(field: Field, basis: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Coefficients expressing v in an RREF basis, or None if outside."""
-    if not in_span(field, basis, v):
+    """Coefficients (the pivot entries) of v in an RREF basis, or None if outside.
+
+    ``v`` is one vector or an (m, n) stack; None if any of the stack lies outside.
+    """
+    v = np.asarray(v, ELEM)
+    if not subspace_le(field, v if v.ndim == 2 else v[None], basis):
         return None
-    pivots = [int(np.nonzero(row)[0][0]) for row in basis]
-    return np.asarray(v, ELEM)[pivots]
+    return v[..., [c for c, _ in _leads(basis)]]
+
+
+def quotient_map(field: Field, basis: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
+    """Free columns and projection table of F^n -> F^n / rowspace(RREF basis).
+
+    Row j of the (n, #free) table is the class of e_j: a free column is its
+    own class, a pivot column minus its basis row read on the free columns.
+    """
+    pivots = [c for c, _ in _leads(basis)]
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free_cols = np.flatnonzero(free)
+    table = zeros(n, free_cols.size)
+    table[free_cols, np.arange(free_cols.size)] = 1
+    table[pivots] = field.neg(basis[:, free_cols])
+    return free_cols.tolist(), table
 
 
 def subspace_sum(field: Field, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:

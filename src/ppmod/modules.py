@@ -16,7 +16,12 @@ action matrix and flips the side.
 
 All objects are immutable after construction.  Linear combinations of
 action matrices and the code-order listing of elements go through
-:mod:`ppmod.linalg` (``matvec`` and ``all_vectors``).
+:mod:`ppmod.linalg` (``matvec`` and ``all_vectors``).  Each question is
+one product over whole stacks: orbits and covers are ``linalg.images``
+of the rows under every action, a submodule's actions are the batched
+``coords_in_rref`` of those images, a quotient is ``quotient_map`` plus
+one ``matmul`` of the kept action rows, and the validators compare
+whole product tables and report the first failure in label order.
 """
 
 from __future__ import annotations
@@ -108,18 +113,20 @@ def make_module(
     if validate:
         if not np.array_equal(mod.rho(algebra.unit), np.eye(dim, dtype=ELEM)):
             raise NotARepresentation("unit does not act as the identity")
-        for i in range(algebra.dim):
-            for j in range(algebra.dim):
-                target = mod.rho(algebra.constants[i, j])
-                if side == RIGHT:
-                    got = linalg.matmul(f, actions[i], actions[j])
-                else:
-                    got = linalg.matmul(f, actions[j], actions[i])
-                if not np.array_equal(got, target):
-                    raise NotARepresentation(
-                        f"law fails on basis pair "
-                        f"({algebra.labels[i]}, {algebra.labels[j]})"
-                    )
+        k = algebra.dim
+        # pair (i, j): the two actions composed in the side's order, and rho(e_i e_j)
+        got = linalg.pair_products(f, actions)
+        if side == LEFT:
+            got = got.transpose(1, 0, 2, 3)
+        target = linalg.matmul(
+            f, algebra.constants.reshape(k * k, k), actions.reshape(k, dim * dim)
+        ).reshape(k, k, dim, dim)
+        bad = np.argwhere((got != target).any(axis=(2, 3)))
+        if bad.size:
+            i, j = bad[0]
+            raise NotARepresentation(
+                f"law fails on basis pair ({algebra.labels[i]}, {algebra.labels[j]})"
+            )
     return mod
 
 
@@ -152,7 +159,7 @@ def dual_module(m: ModuleRep) -> ModuleRep:
     In row-applied storage each action matrix is transposed; applying
     the dual twice returns the original arrays.
     """
-    acts = np.stack([a.T.copy() for a in m.actions]) if m.dim else m.actions
+    acts = m.actions.transpose(0, 2, 1).copy()
     other = LEFT if m.side == RIGHT else RIGHT
     return make_module(m.algebra, other, m.dim, acts, validate=False)
 
@@ -232,13 +239,15 @@ def make_map(source: ModuleRep, target: ModuleRep, matrix) -> ModuleMap:
     _require_compatible(source, target)
     f = source.algebra.field
     matrix = f.asarray(matrix).reshape(source.dim, target.dim)
-    for i in range(source.algebra.dim):
-        lhs = linalg.matmul(f, source.actions[i], matrix)
-        rhs = linalg.matmul(f, matrix, target.actions[i])
-        if not np.array_equal(lhs, rhs):
-            raise NotARepresentation(
-                f"matrix does not commute with {source.algebra.labels[i]!r}"
-            )
+    k, s, t = source.algebra.dim, source.dim, target.dim
+    # label i of both tables: actions[i] @ matrix and matrix @ target.actions[i]
+    lhs = linalg.matmul(f, source.actions.reshape(k * s, s), matrix).reshape(k, s, t)
+    rhs = linalg.images(f, matrix, target.actions).transpose(1, 0, 2)
+    bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+    if bad.size:
+        raise NotARepresentation(
+            f"matrix does not commute with {source.algebra.labels[bad[0]]!r}"
+        )
     return ModuleMap(source, target, matrix)
 
 
@@ -301,9 +310,8 @@ def module_span(m: ModuleRep, rows: np.ndarray) -> np.ndarray:
     rows = tuple_rows(rows, m.dim)
     if rows.shape[0] == 0 or m.dim == 0:
         return linalg.zeros(0, m.dim)
-    orbit = [linalg.matmul(f, rows, m.actions[i]) for i in range(m.algebra.dim)]
-    orbit.append(rows)
-    return linalg.row_space(f, np.concatenate(orbit, axis=0))
+    orbit = linalg.images(f, rows, m.actions).reshape(rows.shape[0] * m.algebra.dim, m.dim)
+    return linalg.row_space(f, np.concatenate([orbit, rows], axis=0))
 
 
 def is_submodule(m: ModuleRep, basis: np.ndarray) -> bool:
@@ -349,8 +357,7 @@ def presentation(m: ModuleRep, generators: np.ndarray) -> np.ndarray:
             if not linalg.in_span(f, span, m.basis_vector(j)):
                 raise NotGenerating(m.basis_vector(j))
     # row (i, l) of the cover matrix is g_i acted on by e_l
-    side_by_side = m.actions.transpose(1, 0, 2).reshape(m.dim, alg.dim * m.dim)
-    cover = linalg.matmul(f, gens, side_by_side).reshape(s * alg.dim, m.dim)
+    cover = linalg.images(f, gens, m.actions).reshape(s * alg.dim, m.dim)
     kernel = linalg.null_space(f, cover.T)
     free = free_module(alg, m.side, s) if s else zero_module(alg, m.side)
     chosen: list[np.ndarray] = []
@@ -387,8 +394,7 @@ def direct_sum(parts: list[ModuleRep]) -> DirectSum:
     pos = 0
     for p in parts:
         offsets.append(pos)
-        for i in range(alg.dim):
-            actions[i, pos : pos + p.dim, pos : pos + p.dim] = p.actions[i]
+        actions[:, pos : pos + p.dim, pos : pos + p.dim] = p.actions
         pos += p.dim
     module = make_module(alg, first.side, total, actions, validate=False)
     injections = []
@@ -410,17 +416,15 @@ class Submodule:
 def submodule(m: ModuleRep, rows: np.ndarray) -> Submodule:
     """Action-closed subspace as a module with its inclusion."""
     f = m.algebra.field
+    s = m.algebra.dim
     basis = linalg.row_space(f, tuple_rows(rows, m.dim))
-    if not is_submodule(m, basis):
-        raise NotASubmodule("subspace is not closed under the action")
     k = basis.shape[0]
-    actions = np.zeros((m.algebra.dim, k, k), dtype=ELEM)
-    for i in range(m.algebra.dim):
-        moved = linalg.matmul(f, basis, m.actions[i])
-        for r in range(k):
-            coords = linalg.coords_in_rref(f, basis, moved[r])
-            actions[i, r] = coords
-    sub = make_module(m.algebra, m.side, k, actions, validate=False)
+    # row (i, r): basis[r] acted on by e_i, read in the basis
+    moved = linalg.images(f, basis, m.actions).transpose(1, 0, 2)
+    coords = linalg.coords_in_rref(f, basis, moved.reshape(s * k, m.dim))
+    if coords is None:
+        raise NotASubmodule("subspace is not closed under the action")
+    sub = make_module(m.algebra, m.side, k, coords.reshape(s, k, k), validate=False)
     return Submodule(sub, ModuleMap(sub, m, basis.copy()))
 
 
@@ -436,20 +440,11 @@ def quotient(m: ModuleRep, rows: np.ndarray) -> Quotient:
     sub_basis = linalg.row_space(f, tuple_rows(rows, m.dim))
     if not is_submodule(m, sub_basis):
         raise NotASubmodule("relations are not closed under the action")
-    pivots = [int(np.nonzero(r)[0][0]) for r in sub_basis]
-    keep = [c for c in range(m.dim) if c not in pivots]
-    qdim = len(keep)
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return linalg.reduce_mod(f, sub_basis, v)[keep]
-
-    proj = np.zeros((m.dim, qdim), dtype=ELEM)
-    for j in range(m.dim):
-        proj[j] = project(m.basis_vector(j))
-    actions = np.zeros((m.algebra.dim, qdim, qdim), dtype=ELEM)
-    for i in range(m.algebra.dim):
-        for r, c in enumerate(keep):
-            actions[i, r] = project(m.actions[i, c])
+    keep, proj = linalg.quotient_map(f, sub_basis, m.dim)
+    s, qdim = m.algebra.dim, len(keep)
+    # row (i, r) of the quotient action: the class of kept row keep[r] of actions[i]
+    kept_rows = m.actions[:, keep].reshape(s * qdim, m.dim)
+    actions = linalg.matmul(f, kept_rows, proj).reshape(s, qdim, qdim)
     q = make_module(m.algebra, m.side, qdim, actions, validate=False)
     return Quotient(q, ModuleMap(m, q, proj))
 

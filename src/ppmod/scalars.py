@@ -9,6 +9,10 @@ joined with its g-image, and say that u and v decompose as sums whose
 i-th summand pair satisfies phi's i-th coordinate projection.  The
 graph of that formula is the graph of g, which is checked rather than
 assumed.
+
+Structure tables are one ``linalg.pair_products`` of the basis read back
+with one batched ``coords_in_rref``, and an isomorphism candidate T is
+checked on every basis pair at once, as table_a T == kron(T, T) table_b.
 """
 
 from __future__ import annotations
@@ -66,25 +70,20 @@ def _make_ring_table(
     be re-expanded by pivot extraction; closure under products and
     presence of the identity are verified.
     """
-    k, d = mats.shape[0], (mats.shape[1] if mats.ndim == 3 else 0)
+    k, d = mats.shape[0], mats.shape[1]
     vec = mats.reshape(k, d * d)
-    table = np.zeros((k, k, k), dtype=ELEM)
-    for i in range(k):
-        for j in range(k):
-            prod = linalg.matmul(field, mats[i], mats[j]).reshape(-1)
-            coords = linalg.coords_in_rref(field, vec, prod)
-            if coords is None:
-                raise ValidationFailure("matrix set is not closed under products")
-            table[i, j] = coords
+    prods = linalg.pair_products(field, mats).reshape(k * k, d * d)
+    table = linalg.coords_in_rref(field, vec, prods)
+    if table is None:
+        raise ValidationFailure("matrix set is not closed under products")
     if d:
         unit = linalg.coords_in_rref(field, vec, linalg.eye(field, d).reshape(-1))
         if unit is None:
             raise ValidationFailure("matrix ring does not contain the identity")
     else:
         unit = np.zeros(0, dtype=ELEM)
-    return RingTable(
-        field, tuple(f"{prefix}{i}" for i in range(k)), mats, table, unit, from_r
-    )
+    labels = tuple(f"{prefix}{i}" for i in range(k))
+    return RingTable(field, labels, mats, table.reshape(k, k, k), unit, from_r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,16 +119,9 @@ def end_and_biend(m: ModuleRep) -> EndBiend:
     from_r = None
     if m.side == RIGHT and d:
         vec = biend_mats.reshape(biend_mats.shape[0], d * d)
-        from_r = np.zeros((m.algebra.dim, biend_mats.shape[0]), dtype=ELEM)
-        for l in range(m.algebra.dim):
-            coords = linalg.coords_in_rref(
-                field, vec, m.actions[l].reshape(-1)
-            )
-            if coords is None:
-                raise ValidationFailure(
-                    "module action does not land in the commutant"
-                )
-            from_r[l] = coords
+        from_r = linalg.coords_in_rref(field, vec, m.actions.reshape(m.algebra.dim, d * d))
+        if from_r is None:
+            raise ValidationFailure("module action does not land in the commutant")
     biend = _make_ring_table(field, biend_mats, "g", from_r)
     generators = _greedy_generators(m, end_mats)
     return EndBiend(end, biend, generators)
@@ -142,18 +134,14 @@ def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
     span = np.zeros((0, d), dtype=ELEM)
     chosen: list[np.ndarray] = []
     elements = m.enumerate_elements()
-    k = end_mats.shape[0]
-    # row v of images lists v @ h for every h in end_mats, side by side
-    side_by_side = end_mats.transpose(1, 0, 2).reshape(d, k * d)
-    images = linalg.matmul(field, elements, side_by_side)
+    # images[v] lists v @ h for every h in end_mats
+    images = linalg.images(field, elements, end_mats)
     while span.shape[0] < d:
         best = None
         best_gain = 0
         best_span = span
         for v, image in zip(elements, images):
-            cand = linalg.row_space(
-                field, np.concatenate([span, image.reshape(k, d)], axis=0)
-            )
+            cand = linalg.row_space(field, np.concatenate([span, image], axis=0))
             gain = cand.shape[0] - span.shape[0]
             if gain > best_gain:
                 best, best_gain, best_span = v, gain, cand
@@ -261,13 +249,10 @@ def scalar_ring(m: ModuleRep) -> ScalarRing:
         s = synthesize_scalar(m, g, eb)
         synths.append(s)
         sol = evaluate(s.formula, m).basis
-        mat = np.zeros((d, d), dtype=ELEM)
-        for j in range(d):
-            coeffs = linalg.solve(field, sol[:, :d].T, linalg.eye(field, d)[j])
-            if coeffs is None:
-                raise ValidationFailure("synthesized scalar is not total")
-            mat[j] = linalg.matvec(field, coeffs, sol[:, d:])
-        induced.append(mat)
+        # total iff the first d pivots are 0..d-1; then row j is (e_j, g(e_j))
+        if not np.array_equal(sol[:d, :d], linalg.eye(field, d)):
+            raise ValidationFailure("synthesized scalar is not total")
+        induced.append(sol[:d, d:])
     induced_mats = (
         np.stack(induced) if induced else np.zeros((0, d, d), dtype=ELEM)
     )
@@ -317,22 +302,17 @@ def ring_isomorphic(
         raise CapExceeded("isomorphism search space exceeds the cap")
     unit_a = np.asarray(unit_a, ELEM)
     unit_b = np.asarray(unit_b, ELEM)
+    flat_a = np.asarray(table_a, ELEM).reshape(k * k, k)
+    flat_b = np.asarray(table_b, ELEM).reshape(k * k, k)
     for flat in product(range(field.q), repeat=k * k):
         t_mat = np.array(flat, dtype=ELEM).reshape(k, k)
         if linalg.rank(field, t_mat) != k:
             continue
         if not np.array_equal(linalg.matvec(field, unit_a, t_mat), unit_b):
             continue
-        ok = True
-        for i in range(k):
-            for j in range(k):
-                lhs = linalg.matvec(field, table_a[i, j], t_mat)
-                rhs = structure_product(field, table_b, t_mat[i], t_mat[j])
-                if not np.array_equal(lhs, rhs):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        # T is multiplicative iff (e_i e_j) T == (e_i T)(e_j T) for every pair
+        lhs = linalg.matmul(field, flat_a, t_mat)
+        rhs = linalg.matmul(field, linalg.kron(field, t_mat, t_mat), flat_b)
+        if np.array_equal(lhs, rhs):
             return True
     return False

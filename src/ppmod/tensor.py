@@ -5,9 +5,11 @@ on: take the field tensor space spanned by basis pairs, quotient by
 the balance relations (v.e_i) (x) w - v (x) (e_i.w), whose rows are
 the Sylvester rows kron(act_M[i], I) - kron(I, act_L[i]), and
 canonicalize classes by echelon reduction.  The class of each basis
-pair is read off the echelon basis (a free column is its own class, a
-pivot column minus its relation row), and every class is a product
-with that table.  The zero test for a simple tensor of
+pair is read off the echelon basis by ``linalg.quotient_map`` (a free
+column is its own class, a pivot column minus its relation row), and
+every class is a product with that table: a tuple's class projects
+vs^T ws, and the Mittag-Leffler matrix is kron(I, proj) times each
+factor's table.  The zero test for a simple tensor of
 tuples goes the other way, through the dual of a pp-type generator;
 agreement of the two routes is a strong end-to-end check on the
 formula layer.
@@ -33,7 +35,6 @@ from .modules import (
     RIGHT,
     ModuleRep,
     direct_sum,
-    dual_module,
     tuple_rows,
 )
 
@@ -68,14 +69,12 @@ class TensorResult:
     def tuple_class(self, vs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """Class of sum_i vs[i] (x) ws[i]."""
         field = self.right.algebra.field
-        vs = tuple_rows(vs, self.right.dim)
-        ws = tuple_rows(ws, self.left.dim)
+        vs = tuple_rows(field.asarray(vs), self.right.dim)
+        ws = tuple_rows(field.asarray(ws), self.left.dim)
         if vs.shape[0] != ws.shape[0]:
             raise LengthMismatch("tuples of different lengths")
-        out = np.zeros(self.dim, dtype=ELEM)
-        for v, w in zip(vs, ws):
-            out = field.add(out, self.class_of(v, w))
-        return out
+        # entry (i, j) of vs^T ws is the coefficient of e_i (x) e_j
+        return self._project(linalg.matmul(field, vs.T, ws).reshape(-1))
 
     def _project(self, amb: np.ndarray) -> np.ndarray:
         field = self.right.algebra.field
@@ -90,20 +89,12 @@ def tensor_product(m: ModuleRep, l_mod: ModuleRep) -> TensorResult:
     if m.side != RIGHT or l_mod.side != LEFT:
         raise SideMismatch("tensor needs a right module and a left module")
     field = m.algebra.field
-    ambient = m.dim * l_mod.dim
     # (v_i . e_r) (x) w_j - v_i (x) (e_r . w_j) over all basis triples
     rel_rows = linalg.sylvester_rows(field, m.actions, l_mod.actions)
-    red, pivots = linalg.rref(field, rel_rows)
-    rel_basis = red[: len(pivots)]
-    free_cols = tuple(c for c in range(ambient) if c not in pivots)
-    # class of each basis tensor: a free column is its own class, a pivot
-    # column is minus its relation row read on the free columns
-    free_idx = np.array(free_cols, dtype=np.intp)
-    table = np.zeros((ambient, len(free_cols)), dtype=ELEM)
-    table[free_idx, np.arange(len(free_cols))] = 1
-    table[np.array(pivots, dtype=np.intp)] = field.neg(rel_basis[:, free_idx])
+    rel_basis = linalg.row_space(field, rel_rows)
+    free_cols, table = linalg.quotient_map(field, rel_basis, m.dim * l_mod.dim)
     return TensorResult(
-        m, l_mod, len(free_cols), rel_basis, free_cols,
+        m, l_mod, len(free_cols), rel_basis, tuple(free_cols),
         table.reshape(m.dim, l_mod.dim, len(free_cols)),
     )
 
@@ -150,17 +141,15 @@ def relative_ml_check(m: ModuleRep, family) -> MittagLefflerReport:
         )
     prod = direct_sum(family)
     t_all = tensor_product(m, prod.module)
-    factors = [tensor_product(m, l_mod) for l_mod in family]
-    total = sum(t.dim for t in factors)
-    matrix = np.zeros((t_all.dim, total), dtype=ELEM)
-    for row, col in enumerate(t_all.free_columns):
-        i, u = divmod(col, prod.module.dim)
-        v = m.basis_vector(i)
-        out = []
-        for t_fac, proj in zip(factors, prod.projections):
-            w = proj.matrix[u]  # image of product basis vector u
-            out.append(t_fac.class_of(v, w))
-        matrix[row] = np.concatenate(out) if out else np.zeros(0, dtype=ELEM)
+    ident = linalg.eye(field, m.dim)
+    # row (i, u): the class of e_i (x) proj(e_u) in each factor, i.e. the
+    # pair table of the factor applied to kron(I, proj)
+    blocks = []
+    for l_mod, proj in zip(family, prod.projections):
+        t_fac = tensor_product(m, l_mod)
+        table = t_fac.pair_table.reshape(m.dim * l_mod.dim, t_fac.dim)
+        blocks.append(linalg.matmul(field, linalg.kron(field, ident, proj.matrix), table))
+    matrix = np.concatenate(blocks, axis=1)[list(t_all.free_columns)]
     kernel = linalg.null_space(field, matrix.T)
     if kernel.shape[0] == 0:
         return MittagLefflerReport(True, matrix, None)
@@ -185,10 +174,3 @@ def dual_satisfies(m: ModuleRep, functional, phi) -> bool:
     sol = evaluate(dual(phi), m)
     ker = linalg.null_space(field, f_vec.reshape(1, -1))
     return linalg.subspace_le(field, sol.basis, ker)
-
-
-def dual_satisfies_direct(m: ModuleRep, functional, phi) -> bool:
-    """Reference route: evaluate phi on the dual module directly."""
-    field = m.algebra.field
-    f_vec = field.asarray(functional).reshape(-1)
-    return evaluate(phi, dual_module(m)).contains(f_vec)

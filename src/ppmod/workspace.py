@@ -45,6 +45,7 @@ from .defcat import DefinableContext, make_context
 from .errors import ParseError, PpmodError, UnknownReference, ValidationFailure
 from .fields import ELEM, Field
 from .formulas import PpFormula, pp_formula
+from .memo import memo
 from .modules import LEFT, RIGHT, ModuleRep, make_module
 
 _NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
@@ -61,26 +62,25 @@ _KIND_KEYS = {
 }
 _KIND_ORDER = ("algebra", "module", "formula", "context", "budget")
 
-_FIELDS: dict[int, Field] = {}
 
-
+@memo(lambda q: q)
 def field_from_order(q: int) -> Field:
-    """The finite field of order q (orders are cached)."""
-    if q not in _FIELDS:
-        p = 2
-        while p <= q:
-            if q % p == 0:
-                break
-            p += 1
-        d = 0
-        n = q
-        while n % p == 0 and n > 1:
-            n //= p
-            d += 1
-        if n != 1 or d == 0:
-            raise ValidationFailure(f"{q} is not a prime power")
-        _FIELDS[q] = Field(p, d)
-    return _FIELDS[q]
+    """The finite field of order q, for 2 <= q <= 256 (orders are cached)."""
+    if q > 256:
+        raise ValidationFailure(f"field order {q} exceeds the table limit 256")
+    p = 2
+    while p <= q:
+        if q % p == 0:
+            break
+        p += 1
+    d = 0
+    n = q
+    while n % p == 0 and n > 1:
+        n //= p
+        d += 1
+    if n != 1 or d == 0:
+        raise ValidationFailure(f"{q} is not a prime power")
+    return Field(p, d)
 
 
 @dataclass(eq=False)

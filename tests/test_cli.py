@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ppmod.cli import main
@@ -400,3 +400,21 @@ def test_fuzzed_matrices_keep_the_exit_code_contract(text):
         ["purity", "--workspace", DEMO, "--source", "RS", "--target", "S",
          f"--matrix={text}", "--require", "epi"]
     ))
+
+
+# a boolean among the entries, which numpy would read as 1 or 0 next to ints
+WITH_TRUE = st.lists(VALUES, max_size=3).map(lambda xs: f"[{', '.join(xs + ['True'])}]")
+
+
+@example("[0, True]")
+@example("[[True], [False], [0]]")
+@given(st.one_of(WITH_TRUE, st.tuples(WITH_TRUE, VALUES).map("; ".join)))
+def test_fuzzed_arguments_holding_a_boolean_exit_2(text):
+    for cmd in (
+        ["eval", "--workspace", DEMO, "--formula", "xt0", "--module", "RR", f"--tuple={text}"],
+        ["purity", "--workspace", DEMO, "--source", "RS", "--target", "S",
+         f"--matrix={text}", "--require", "epi"],
+    ):
+        code, out, err = run_quiet(cmd)
+        assert_exit_contract(code, out, err)
+        assert code == 2

@@ -128,6 +128,15 @@ def test_asarray_rejects_non_integer_and_ragged_input():
     assert np.array_equal(f.asarray(np.int64(4)), 4)
 
 
+def test_asarray_rejects_booleans_mixed_with_integers():
+    # numpy reads these lists as integer arrays
+    f = Field(5)
+    for bad in ([True, 0], [[True], [False], [0]], [0, np.True_], [[1, 2], [False, 3]]):
+        with pytest.raises(DimensionMismatch):
+            f.asarray(bad)
+    assert f.asarray([[1, 0], [np.int64(4), 2]]).tolist() == [[1, 0], [4, 2]]
+
+
 def test_prime_subfield_embeds():
     # In F_4 the prime subfield {0, 1} must behave like F_2.
     f4 = Field(2, 2)

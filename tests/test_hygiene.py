@@ -6,11 +6,13 @@ name instead.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ppmod"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ppmod"
 
 
 def private_imports(path: Path) -> list[str]:
@@ -37,3 +39,27 @@ def test_the_check_sees_private_imports(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text("from .modules import ModuleRep, _field_kron\nfrom os import _exit\n")
     assert private_imports(sample) == ["modules:_field_kron"]
+
+
+def tracer_entry_points() -> dict:
+    """The ``ENTRY_POINTS`` literal of the benchmark's tracer, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no ENTRY_POINTS")
+
+
+def test_traced_entry_points_resolve():
+    # the traced benchmark run wraps these names; a rename must show up here
+    entries = tracer_entry_points()
+    assert entries
+    for module, names in entries.items():
+        for name in names:
+            obj = importlib.import_module(f"ppmod.{module}")
+            for part in name.split("."):
+                assert hasattr(obj, part), f"ppmod.{module}.{name}"
+                obj = getattr(obj, part)
+            assert callable(obj), f"ppmod.{module}.{name}"

@@ -35,6 +35,16 @@ loops they replaced are kept as oracles and compared byte for byte
 (shape, dtype, bytes, ``nbound`` and ``neq``) over F2, F3, F5, F4 and
 F9, with no free or bound variables, no equations, and dim-0 modules
 among the inputs.
+
+The module layer asks each question with one product over whole stacks
+(``linalg.images``, ``pair_products``, ``quotient_map`` and the batched
+``coords_in_rref``).  The per-vector, per-pair and per-triple loops
+they replaced are kept as oracles: ``module_span``, ``submodule`` and
+``quotient`` (with their closure failures), ``TensorResult.tuple_class``,
+the ``relative_ml_check`` matrix, the End/Biend structure tables and
+``from_r``, ``ring_isomorphic``, the induced matrices of ``scalar_ring``,
+the error type and message of ``make_algebra``, ``make_module`` and
+``make_map``, and ``hasse_edges`` on any boolean relation.
 """
 
 import random
@@ -42,14 +52,20 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ppmod import Field, fixtures, linalg
 from ppmod.acceptance import _random_hom
 from ppmod.algebras import Algebra, make_algebra, structure_product
-from ppmod.errors import CapExceeded, ValidationFailure
+from ppmod.errors import (
+    CapExceeded,
+    NonAssociative,
+    NotASubmodule,
+    PpmodError,
+    ValidationFailure,
+)
 from ppmod.fields import ELEM
 from ppmod.formulas import (
     SubgroupRep,
@@ -63,7 +79,7 @@ from ppmod.formulas import (
     prefix_restriction,
     substitute,
 )
-from ppmod.lattice import DEFAULT_CAP, PpLattice, is_pp_definable, pp_lattice
+from ppmod.lattice import DEFAULT_CAP, PpLattice, hasse_edges, is_pp_definable, pp_lattice
 from ppmod.modules import (
     ModuleRep,
     are_isomorphic,
@@ -73,16 +89,25 @@ from ppmod.modules import (
     extend_to_generators,
     free_module,
     hom_space,
+    make_map,
     make_module,
     module_span,
     presentation,
     quotient,
     regular_module,
+    submodule,
     tuple_rows,
     zero_module,
 )
-from ppmod.scalars import RingTable, _commutant, end_and_biend
-from ppmod.tensor import tensor_product
+from ppmod.scalars import (
+    RingTable,
+    _commutant,
+    _make_ring_table,
+    end_and_biend,
+    ring_isomorphic,
+    scalar_ring,
+)
+from ppmod.tensor import relative_ml_check, tensor_product
 
 FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(3, 2)]
 
@@ -1064,3 +1089,515 @@ def test_tensor_products_match_the_relation_loop_on_the_grids(alg):
                 for w in left.enumerate_elements()[-3:]:
                     amb = linalg.kron(alg.field, v[None], w[None])[0]
                     assert same_array(t.class_of(v, w), project(amb))
+
+
+# -- the per-vector, per-pair and per-triple loops of the module layer ---------
+
+
+def oracle_images(field, rows, mats):
+    out = np.zeros((rows.shape[0], mats.shape[0], mats.shape[2]), dtype=ELEM)
+    for r in range(rows.shape[0]):
+        for i in range(mats.shape[0]):
+            out[r, i] = linalg.matvec(field, rows[r], mats[i])
+    return out
+
+
+def oracle_coords_in_rref(field, basis, v):
+    if not linalg.in_span(field, basis, v):
+        return None
+    pivots = [int(np.nonzero(row)[0][0]) for row in basis]
+    return np.asarray(v, ELEM)[pivots]
+
+
+def oracle_module_span(m, rows):
+    f = m.algebra.field
+    rows = tuple_rows(rows, m.dim)
+    if rows.shape[0] == 0 or m.dim == 0:
+        return linalg.zeros(0, m.dim)
+    orbit = [linalg.matmul(f, rows, m.actions[i]) for i in range(m.algebra.dim)]
+    orbit.append(rows)
+    return linalg.row_space(f, np.concatenate(orbit, axis=0))
+
+
+def oracle_is_submodule(m, basis):
+    f = m.algebra.field
+    return linalg.subspace_le(f, oracle_module_span(m, basis), linalg.row_space(f, basis))
+
+
+def oracle_submodule(m, rows):
+    """(basis, actions), or None where the subspace is not action-closed."""
+    f = m.algebra.field
+    basis = linalg.row_space(f, tuple_rows(rows, m.dim))
+    if not oracle_is_submodule(m, basis):
+        return None
+    k = basis.shape[0]
+    actions = np.zeros((m.algebra.dim, k, k), dtype=ELEM)
+    for i in range(m.algebra.dim):
+        moved = linalg.matmul(f, basis, m.actions[i])
+        for r in range(k):
+            actions[i, r] = oracle_coords_in_rref(f, basis, moved[r])
+    return basis, actions
+
+
+def oracle_quotient(m, rows):
+    """(projection, actions), or None where the relations are not action-closed."""
+    f = m.algebra.field
+    sub_basis = linalg.row_space(f, tuple_rows(rows, m.dim))
+    if not oracle_is_submodule(m, sub_basis):
+        return None
+    pivots = [int(np.nonzero(r)[0][0]) for r in sub_basis]
+    keep = [c for c in range(m.dim) if c not in pivots]
+
+    def project(v):
+        return linalg.reduce_mod(f, sub_basis, v)[keep]
+
+    proj = np.zeros((m.dim, len(keep)), dtype=ELEM)
+    for j in range(m.dim):
+        proj[j] = project(m.basis_vector(j))
+    actions = np.zeros((m.algebra.dim, len(keep), len(keep)), dtype=ELEM)
+    for i in range(m.algebra.dim):
+        for r, c in enumerate(keep):
+            actions[i, r] = project(m.actions[i, c])
+    return proj, actions
+
+
+def oracle_tuple_class(t, vs, ws):
+    field = t.right.algebra.field
+    out = np.zeros(t.dim, dtype=ELEM)
+    for v, w in zip(vs, ws):
+        out = field.add(out, t.class_of(v, w))
+    return out
+
+
+def oracle_relative_ml_matrix(m, family):
+    prod = direct_sum(family)
+    t_all = tensor_product(m, prod.module)
+    factors = [tensor_product(m, l_mod) for l_mod in family]
+    matrix = np.zeros((t_all.dim, sum(t.dim for t in factors)), dtype=ELEM)
+    for row, col in enumerate(t_all.free_columns):
+        i, u = divmod(col, prod.module.dim)
+        v = m.basis_vector(i)
+        out = [
+            t_fac.class_of(v, proj.matrix[u])
+            for t_fac, proj in zip(factors, prod.projections)
+        ]
+        matrix[row] = np.concatenate(out)
+    return matrix
+
+
+def oracle_ring_table(field, mats):
+    """Structure table of an RREF matrix basis, or None if not product-closed."""
+    k, d = mats.shape[0], mats.shape[1]
+    vec = mats.reshape(k, d * d)
+    table = np.zeros((k, k, k), dtype=ELEM)
+    for i in range(k):
+        for j in range(k):
+            prod = linalg.matmul(field, mats[i], mats[j]).reshape(-1)
+            coords = oracle_coords_in_rref(field, vec, prod)
+            if coords is None:
+                return None
+            table[i, j] = coords
+    return table
+
+
+def oracle_from_r(m, biend_mats):
+    field = m.algebra.field
+    d = m.dim
+    vec = biend_mats.reshape(biend_mats.shape[0], d * d)
+    from_r = np.zeros((m.algebra.dim, biend_mats.shape[0]), dtype=ELEM)
+    for l in range(m.algebra.dim):
+        from_r[l] = oracle_coords_in_rref(field, vec, m.actions[l].reshape(-1))
+    return from_r
+
+
+def oracle_ring_isomorphic(field, table_a, unit_a, table_b, unit_b):
+    k = table_a.shape[0]
+    if table_b.shape[0] != k:
+        return False
+    if k == 0:
+        return True
+    for flat in product(range(field.q), repeat=k * k):
+        t_mat = np.array(flat, dtype=ELEM).reshape(k, k)
+        if linalg.rank(field, t_mat) != k:
+            continue
+        if not np.array_equal(linalg.matvec(field, unit_a, t_mat), unit_b):
+            continue
+        if all(
+            np.array_equal(
+                linalg.matvec(field, table_a[i, j], t_mat),
+                structure_product(field, table_b, t_mat[i], t_mat[j]),
+            )
+            for i in range(k)
+            for j in range(k)
+        ):
+            return True
+    return False
+
+
+def oracle_induced_matrix(m, formula):
+    field = m.algebra.field
+    d = m.dim
+    sol = evaluate(formula, m).basis
+    mat = np.zeros((d, d), dtype=ELEM)
+    for j in range(d):
+        coeffs = linalg.solve(field, sol[:, :d].T, linalg.eye(field, d)[j])
+        if coeffs is None:
+            return None
+        mat[j] = linalg.matvec(field, coeffs, sol[:, d:])
+    return mat
+
+
+def oracle_algebra_error(field, labels, constants, unit):
+    """The first failing triple or unit law, as (type, message), or None."""
+    alg = Algebra(field, tuple(labels), constants, unit)
+    m = len(labels)
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                left = alg.mul_elems(constants[i, j], alg.basis_elem(k))
+                right = alg.mul_elems(alg.basis_elem(i), constants[j, k])
+                if not np.array_equal(left, right):
+                    return "NonAssociative", str(NonAssociative((i, j, k), tuple(labels)))
+    for j in range(m):
+        ej = alg.basis_elem(j)
+        if not np.array_equal(alg.mul_elems(unit, ej), ej) or not np.array_equal(
+            alg.mul_elems(ej, unit), ej
+        ):
+            return "BadUnit", f"unit laws fail on basis element {labels[j]!r}"
+    return None
+
+
+def oracle_module_error(alg, side, dim, actions):
+    f = alg.field
+    mod = ModuleRep(alg, side, dim, actions)
+    if not np.array_equal(mod.rho(alg.unit), np.eye(dim, dtype=ELEM)):
+        return "NotARepresentation", "unit does not act as the identity"
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            target = mod.rho(alg.constants[i, j])
+            if side == "right":
+                got = linalg.matmul(f, actions[i], actions[j])
+            else:
+                got = linalg.matmul(f, actions[j], actions[i])
+            if not np.array_equal(got, target):
+                return (
+                    "NotARepresentation",
+                    f"law fails on basis pair ({alg.labels[i]}, {alg.labels[j]})",
+                )
+    return None
+
+
+def oracle_map_error(source, target, matrix):
+    f = source.algebra.field
+    for i in range(source.algebra.dim):
+        lhs = linalg.matmul(f, source.actions[i], matrix)
+        rhs = linalg.matmul(f, matrix, target.actions[i])
+        if not np.array_equal(lhs, rhs):
+            return (
+                "NotARepresentation",
+                f"matrix does not commute with {source.algebra.labels[i]!r}",
+            )
+    return None
+
+
+def oracle_hasse_edges(lat):
+    edges = []
+    k = lat.size
+    for i in range(k):
+        for j in range(k):
+            if i == j or not lat.leq[i, j]:
+                continue
+            if any(
+                lat.leq[i, between] and lat.leq[between, j]
+                for between in range(k)
+                if between not in (i, j)
+            ):
+                continue
+            edges.append((i, j))
+    return edges
+
+
+def error_of(fn, *args):
+    try:
+        fn(*args)
+    except PpmodError as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+def perturbed(data, field, arr):
+    """arr with one drawn entry moved by a non-zero step, if arr has entries."""
+    arr = arr.copy()
+    if arr.size:
+        idx = tuple(data.draw(st.integers(0, s - 1)) for s in arr.shape)
+        arr[idx] = field.add(arr[idx], data.draw(st.integers(1, field.q - 1)))
+    return arr
+
+
+def rows_in(data, m):
+    """1-2 drawn rows of m, or the span of 0-3 rows, so both closure outcomes occur."""
+    if data.draw(st.booleans()):
+        return sparse(data, m.algebra.field, (data.draw(st.integers(1, 2)), m.dim))
+    return module_span(m, sparse(data, m.algebra.field, (data.draw(st.integers(0, 3)), m.dim)))
+
+
+# the validators and closure tests need many draws to meet every failure
+many = settings(max_examples=150)
+
+
+@given(data=st.data(), field=fields, s=st.integers(0, 3), d=mod_dims, e=mod_dims)
+def test_images_pair_products_and_coords_match_the_loops(data, field, s, d, e):
+    rows = sparse(data, field, (data.draw(st.integers(0, 4)), d))
+    mats = sparse(data, field, (s, d, e))
+    assert same_array(linalg.images(field, rows, mats), oracle_images(field, rows, mats))
+    square = sparse(data, field, (s, d, d))
+    got = linalg.pair_products(field, square)
+    assert got.shape == (s, s, d, d) and got.dtype == ELEM
+    for i in range(s):
+        for j in range(s):
+            assert same_array(got[i, j], linalg.matmul(field, square[i], square[j]))
+    w = data.draw(st.integers(0, 5))
+    basis = linalg.row_space(field, sparse(data, field, (data.draw(st.integers(0, 3)), w)))
+    vs = sparse(data, field, (data.draw(st.integers(0, 3)), w))
+    mode = data.draw(st.sampled_from(["inside, then drawn", "drawn", "inside"]))
+    if mode != "drawn":
+        vs = linalg.matmul(field, sparse(data, field, (vs.shape[0], basis.shape[0])), basis)
+    if mode == "inside, then drawn":  # only the last vector may lie outside
+        vs = np.concatenate([vs, sparse(data, field, (1, w))], axis=0)
+    want = [oracle_coords_in_rref(field, basis, v) for v in vs]
+    got = linalg.coords_in_rref(field, basis, vs)
+    if any(w is None for w in want):
+        assert got is None
+    else:
+        assert same_array(got, np.array(want, dtype=ELEM).reshape(vs.shape[0], basis.shape[0]))
+
+
+@given(data=st.data(), field=fields, k=alg_dims, d=mod_dims)
+def test_module_span_matches_the_orbit_loop(data, field, k, d):
+    # random actions: the drawn rows need not lie in their orbit
+    m = sparse_module(data, sparse_algebra(data, field, k), d)
+    rows = sparse(data, field, (data.draw(st.integers(0, 3)), d))
+    assert same_array(module_span(m, rows), oracle_module_span(m, rows))
+
+
+@given(data=st.data(), field=fields, n=st.integers(0, 6))
+def test_quotient_map_matches_the_residue_loop(data, field, n):
+    basis = linalg.row_space(field, sparse(data, field, (data.draw(st.integers(0, 4)), n)))
+    free, table = linalg.quotient_map(field, basis, n)
+    pivots = [int(np.nonzero(r)[0][0]) for r in basis]
+    assert free == [c for c in range(n) if c not in pivots]
+    want = np.zeros((n, len(free)), dtype=ELEM)
+    for j in range(n):
+        want[j] = linalg.reduce_mod(field, basis, np.eye(n, dtype=ELEM)[j])[free]
+    assert same_array(table, want)
+
+
+@many
+@given(data=st.data(), m=st.sampled_from([m for m in GENUINE_MODULES if m.dim]))
+def test_submodule_and_quotient_match_the_per_vector_loops(data, m):
+    rows = rows_in(data, m)
+    want = oracle_submodule(m, rows)
+    if want is None:
+        with pytest.raises(NotASubmodule, match="subspace is not closed"):
+            submodule(m, rows)
+    else:
+        got = submodule(m, rows)
+        assert same_array(got.inclusion.matrix, want[0])
+        assert same_array(got.module.actions, want[1])
+    want = oracle_quotient(m, rows)
+    if want is None:
+        with pytest.raises(NotASubmodule, match="relations are not closed"):
+            quotient(m, rows)
+    else:
+        got = quotient(m, rows)
+        assert same_array(got.projection.matrix, want[0])
+        assert same_array(got.module.actions, want[1])
+    assert same_array(module_span(m, rows), oracle_module_span(m, rows))
+
+
+@given(data=st.data(), alg=st.sampled_from(GENUINE))
+def test_tuple_class_matches_the_sum_of_simple_tensors(data, alg):
+    # genuine modules: random actions mostly give a zero tensor product
+    mods = genuine_modules(alg)
+    m = data.draw(st.sampled_from([m for m in mods if m.side == "right"]))
+    left = data.draw(st.sampled_from([m for m in mods if m.side == "left"]))
+    t = tensor_product(m, left)
+    n = data.draw(st.integers(0, 3))
+    vs, ws = sparse(data, alg.field, (n, m.dim)), sparse(data, alg.field, (n, left.dim))
+    assert same_array(t.tuple_class(vs, ws), oracle_tuple_class(t, vs, ws))
+
+
+@given(data=st.data(), field=fields, k=alg_dims, d=mod_dims)
+def test_relative_ml_matrix_matches_the_free_column_loop(data, field, k, d):
+    alg = sparse_algebra(data, field, k)
+    m = sparse_module(data, alg, d)
+    family = [
+        sparse_module(data, alg, data.draw(mod_dims), "left")
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    got = relative_ml_check(m, family)
+    want = oracle_relative_ml_matrix(m, family)
+    assert same_array(got.matrix, want)
+    kernel = linalg.null_space(field, want.T)
+    assert got.injective == (kernel.shape[0] == 0)
+    if not got.injective:
+        assert same_array(got.kernel_witness, kernel[0])
+
+
+@pytest.mark.parametrize("alg", GENUINE, ids=algebra_id)
+def test_ring_tables_and_from_r_match_the_pair_loops(alg):
+    for m in genuine_modules(alg):
+        eb = end_and_biend(m)
+        for ring in (eb.end, eb.biend):
+            assert same_array(ring.table, oracle_ring_table(alg.field, ring.basis))
+            if m.dim:
+                ident = linalg.eye(alg.field, m.dim).reshape(-1)
+                flat = ring.basis.reshape(ring.dim, m.dim**2)
+                assert same_array(ring.unit, oracle_coords_in_rref(alg.field, flat, ident))
+        if m.side == "right" and m.dim:
+            assert same_array(eb.biend.from_r, oracle_from_r(m, eb.biend.basis))
+        else:
+            assert eb.biend.from_r is None
+
+
+@many
+@given(data=st.data(), field=fields, k=st.integers(0, 3), d=mod_dims)
+def test_ring_table_closure_failures_match_the_pair_loop(data, field, k, d):
+    if data.draw(st.booleans()):  # a random span: rarely closed under products
+        basis = linalg.row_space(field, sparse(data, field, (k, d * d)))
+    else:  # the span of the powers of one matrix: always closed
+        g = sparse(data, field, (d, d))
+        powers = [linalg.eye(field, d)]
+        for _ in range(d):
+            powers.append(linalg.matmul(field, powers[-1], g))
+        basis = linalg.row_space(field, np.stack(powers).reshape(d + 1, d * d))
+    mats = basis.reshape(basis.shape[0], d, d)
+    want = oracle_ring_table(field, mats)
+    if want is None:
+        with pytest.raises(ValidationFailure, match="not closed under products"):
+            _make_ring_table(field, mats, "x")
+    elif d and not linalg.in_span(field, basis, np.eye(d, dtype=ELEM).reshape(-1)):
+        with pytest.raises(ValidationFailure, match="does not contain the identity"):
+            _make_ring_table(field, mats, "x")
+    else:
+        assert same_array(_make_ring_table(field, mats, "x").table, want)
+
+
+@many
+@given(data=st.data(), field=st.sampled_from(FIELDS[:4]), k=st.integers(0, 2))
+def test_ring_isomorphic_matches_the_pair_loop(data, field, k):
+    table_a, unit_a = sparse(data, field, (k, k, k)), sparse(data, field, (k,))
+    genuine = [alg for alg in GENUINE if alg.field == field and alg.dim == k]
+    if genuine and data.draw(st.booleans()):  # few automorphisms, unlike sparse tables
+        alg = data.draw(st.sampled_from(genuine))
+        table_a, unit_a = alg.constants, alg.unit
+    mode = data.draw(st.sampled_from(["random", "same", "swapped", "transported"]))
+    if mode == "random":
+        table_b, unit_b = sparse(data, field, (k, k, k)), sparse(data, field, (k,))
+    elif mode == "same":
+        table_b, unit_b = table_a.copy(), unit_a.copy()
+    elif mode == "swapped":  # the basis order reversed, an isomorphic table
+        rev = np.arange(k)[::-1]
+        table_b, unit_b = table_a[rev][:, rev][:, :, rev], unit_a[rev]
+    else:  # transported along an invertible T, so that T is an isomorphism
+        t_mat = sparse(data, field, (k, k))
+        red, pivots = linalg.rref(field, np.concatenate([t_mat, linalg.eye(field, k)], axis=1))
+        if pivots[:k] != list(range(k)):
+            return
+        s_mat = red[:, k:]  # T^-1
+        flat = linalg.matmul(field, table_a.reshape(k * k, k), t_mat)
+        table_b = linalg.matmul(field, linalg.kron(field, s_mat, s_mat), flat).reshape(k, k, k)
+        unit_b = linalg.matvec(field, unit_a, t_mat)
+    assert ring_isomorphic(field, table_a, unit_a, table_b, unit_b) == oracle_ring_isomorphic(
+        field, table_a, unit_a, table_b, unit_b
+    )
+
+
+@pytest.mark.parametrize("alg", GENUINE[:4], ids=algebra_id)
+def test_scalar_ring_matches_the_solve_loop(alg):
+    for m in (m for m in genuine_modules(alg) if m.side == "right" and m.dim <= 3):
+        sr = scalar_ring(m)
+        want = [oracle_induced_matrix(m, s.formula) for s in sr.syntheses]
+        stacked = np.stack(want) if want else np.zeros((0, m.dim, m.dim), dtype=ELEM)
+        assert same_array(sr.ring.basis, stacked)
+        assert sr.matches_biend == np.array_equal(stacked, sr.biend.basis)
+
+
+@many
+@given(data=st.data(), field=fields, k=alg_dims)
+def test_make_algebra_errors_match_the_triple_loop(data, field, k):
+    labels = [f"e{i}" for i in range(k)]
+    base = [alg for alg in GENUINE if alg.field == field and alg.dim == k]
+    if k == 2 and data.draw(st.booleans()):
+        # matrices [[a, b], [0, 0]] (basis E11, E12) or their opposite:
+        # associative, with E11 a unit on one side only
+        constants = np.zeros((2, 2, 2), dtype=ELEM)
+        constants[0, 0], constants[0, 1] = [1, 0], [0, 1]
+        if data.draw(st.booleans()):
+            constants = constants.transpose(1, 0, 2).copy()
+        unit = np.array([1, 0], dtype=ELEM)
+    elif base and data.draw(st.booleans()):  # a genuine algebra, perhaps perturbed
+        alg = data.draw(st.sampled_from(base))
+        constants, unit = alg.constants.copy(), alg.unit.copy()
+        which = data.draw(st.sampled_from(["none", "constants", "unit"]))
+        if which == "constants":
+            constants = perturbed(data, field, constants)
+        elif which == "unit":
+            unit = perturbed(data, field, unit)
+    else:
+        constants, unit = sparse(data, field, (k, k, k)), sparse(data, field, (k,))
+    want = oracle_algebra_error(field, labels, constants, unit)
+    assert error_of(make_algebra, field, labels, constants, unit) == want
+
+
+@many
+@given(data=st.data(), m=st.sampled_from(GENUINE_MODULES))
+def test_make_module_errors_match_the_pair_loop(data, m):
+    alg, field = m.algebra, m.algebra.field
+    mode = data.draw(st.sampled_from(["genuine", "perturbed", "random"]))
+    if mode == "genuine":
+        actions = m.actions
+    elif mode == "perturbed":
+        actions = perturbed(data, field, m.actions)
+    else:
+        actions = sparse(data, field, m.actions.shape)
+    want = oracle_module_error(alg, m.side, m.dim, actions)
+    assert error_of(make_module, alg, m.side, m.dim, actions) == want
+
+
+@many
+@given(data=st.data(), alg=st.sampled_from(GENUINE), side=st.sampled_from(["right", "left"]))
+def test_make_map_errors_match_the_label_loop(data, alg, side):
+    field = alg.field
+    mods = [m for m in genuine_modules(alg) if m.side == side]
+    m, n = data.draw(st.sampled_from(mods)), data.draw(st.sampled_from(mods))
+    basis = hom_space(m, n)
+    mode = data.draw(st.sampled_from(["random", "hom", "perturbed hom"]))
+    if basis and mode != "random":
+        stacked = np.stack([g.matrix.reshape(-1) for g in basis])
+        coeffs = sparse(data, field, (len(basis),))
+        matrix = linalg.matvec(field, coeffs, stacked).reshape(m.dim, n.dim)
+        if mode == "perturbed hom":
+            matrix = perturbed(data, field, matrix)
+    else:
+        matrix = sparse(data, field, (m.dim, n.dim))
+    assert error_of(make_map, m, n, matrix) == oracle_map_error(m, n, matrix)
+
+
+def fake_lattice(leq):
+    k = leq.shape[0]
+    zeros = np.zeros((k, k), dtype=np.int32)
+    return PpLattice(None, 1, (None,) * k, (None,) * k, leq, zeros, zeros)
+
+
+@given(data=st.data(), k=st.integers(0, 7))
+def test_hasse_edges_match_the_triple_loop_on_any_relation(data, k):
+    # any boolean relation: the two agree without order axioms
+    leq = data.draw(hnp.arrays(bool, (k, k)))
+    assert hasse_edges(fake_lattice(leq)) == oracle_hasse_edges(fake_lattice(leq))
+
+
+@pytest.mark.parametrize("m", [m for m in GRID_MODULES if m.dim <= 3], ids=repr)
+def test_hasse_edges_match_the_triple_loop_on_the_grids(m):
+    lat = pp_lattice(m, 1)
+    assert hasse_edges(lat) == oracle_hasse_edges(lat)

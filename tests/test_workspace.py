@@ -1,9 +1,13 @@
 """Workspace text format: canonical rendering, parsing, error reporting."""
 
+import random
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ppmod import (
     load_workspace,
@@ -12,9 +16,22 @@ from ppmod import (
     render_workspace,
     save_workspace,
 )
+from ppmod.construct import Budget
 from ppmod.errors import ParseError, UnknownReference, ValidationFailure
-from ppmod.fixtures import demo_workspace, f3, formula_corpus, r2, tri2
-from ppmod.modules import zero_module
+from ppmod.fixtures import (
+    demo_workspace,
+    f3,
+    formula_corpus,
+    k2,
+    left_grid,
+    r2,
+    random_formula,
+    right_grid,
+    tri2,
+)
+from ppmod.formulas import bot
+from ppmod.modules import direct_sum, zero_module
+from ppmod.workspace import Workspace, field_from_order
 
 DEMO_PATH = Path(__file__).resolve().parent.parent / "workspaces" / "demo.ws"
 
@@ -218,3 +235,89 @@ def test_negative_counts_are_parse_errors_naming_the_line(section):
         parse_workspace(R2_HEAD + section)
     assert exc.value.line == 12  # the dim or arity line
     assert str(exc.value).endswith("must be >= 0, got -1")
+
+
+def one_algebra(q: int) -> str:
+    return f"version = 1\n\n[algebra A]\nfield = {q}\nlabels = 1\nunit = [1]\nconstants = [[[1]]]\n"
+
+
+def test_huge_field_orders_are_refused_before_any_search():
+    def interrupted(signum, frame):
+        raise TimeoutError("the search for a prime factor ran")
+
+    previous = signal.signal(signal.SIGALRM, interrupted)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        for q in (257, 1000, 10000019, 2147483647, 2**61 - 1):
+            with pytest.raises(ValidationFailure, match=f"field order {q} exceeds the table limit 256"):
+                parse_workspace(one_algebra(q))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    for q in (-3, 0, 1, 6, 100):
+        with pytest.raises(ValidationFailure, match=f"{q} is not a prime power"):
+            parse_workspace(one_algebra(q))
+    assert field_from_order(9) is field_from_order(9)
+    assert (field_from_order(9).p, field_from_order(9).d) == (3, 2)
+
+
+ALGEBRAS = {"K2": k2, "F3": f3, "R2": r2, "T2": tri2}
+
+
+@st.composite
+def workspaces(draw):
+    """Fixture algebras; direct sums of grid modules, dim 0 included; random
+    formulas; contexts of generators and/or closed pairs; budgets."""
+    ws = Workspace()
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    counter = iter(range(10**6))
+    for alg_name in draw(st.lists(st.sampled_from(sorted(ALGEBRAS)), min_size=1, max_size=2, unique=True)):
+        alg = ALGEBRAS[alg_name]()
+        ws.add_algebra(alg_name, alg)
+        for side, grid in (("right", right_grid(alg)), ("left", left_grid(alg))):
+            modules = []
+            for _ in range(draw(st.integers(0, 2))):
+                parts = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3))
+                modules.append(f"M{next(counter)}")
+                ws.add_module(modules[-1], alg_name, direct_sum(parts).module)
+            formulas = []
+            for _ in range(draw(st.integers(0, 2))):
+                formulas.append(f"phi{next(counter)}")
+                ws.add_formula(formulas[-1], alg_name, random_formula(alg, side, rng))
+            for _ in range(draw(st.integers(0, 2))):
+                gens = draw(st.lists(st.sampled_from(modules), max_size=2)) if modules else []
+                pairs = []
+                if formulas and (not gens or draw(st.booleans())):
+                    phi = draw(st.sampled_from(formulas))
+                    psi = phi
+                    if not gens and draw(st.booleans()):  # bot <= phi, with no generator to open it
+                        psi = f"bot{next(counter)}"
+                        ws.add_formula(psi, alg_name, bot(alg, side, ws.formulas[phi].nfree))
+                    pairs.append((phi, psi))
+                if gens or pairs:
+                    ws.add_context(f"ctx{next(counter)}", gens, pairs)
+    for _ in range(draw(st.integers(0, 2))):
+        counts = draw(st.lists(st.integers(1, 99), min_size=4, max_size=4))
+        ws.add_budget(f"b{next(counter)}", Budget(*counts))
+    return ws
+
+
+@given(workspaces())
+def test_generated_workspaces_roundtrip(ws):
+    text = render_workspace(ws)
+    parsed = parse_workspace(text)
+    assert render_workspace(parsed) == text
+    assert {n: a.fingerprint() for n, a in parsed.algebras.items()} == {
+        n: a.fingerprint() for n, a in ws.algebras.items()
+    }
+    assert {n: m.fingerprint() for n, m in parsed.modules.items()} == {
+        n: m.fingerprint() for n, m in ws.modules.items()
+    }
+    assert {n: f.fingerprint() for n, f in parsed.formulas.items()} == {
+        n: f.fingerprint() for n, f in ws.formulas.items()
+    }
+    assert parsed.context_refs == ws.context_refs
+    assert {n: vars(b) for n, b in parsed.budgets.items()} == {
+        n: vars(b) for n, b in ws.budgets.items()
+    }
+    assert (parsed.module_algebra, parsed.formula_algebra) == (ws.module_algebra, ws.formula_algebra)

@@ -10,13 +10,14 @@ eventually realised, which is what makes the limit a preenvelope; at
 finite stage the same bookkeeping yields machine-checkable factor and
 generator properties.
 
-Enumerations here are finite and budgeted.  A consequence list always
-starts with theta itself, and the schedule reads row i at position
-j mod len(row i): a finite set enumerated as an infinite sequence
-repeats, so the schedule never starves.  What a budget can do is
+Enumerations here are finite, budgeted and capped.  A consequence
+list always starts with theta itself, and the schedule reads row i at
+position j mod len(row i), so the schedule never starves.  Candidates
+are decided on solution sets, (theta and chi)(X) = theta(X) & chi(X),
+and a formula is built only for an accepted one.  A budget can
 truncate a row (more closed strengthenings existed than the candidate
-allowance); that is reported as ``budget_exhausted`` on the state, a
-first-class outcome rather than an error.
+allowance), reported as ``budget_exhausted`` on the state; a block of
+candidates longer than ``linalg.ENUMERATION_CAP`` raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     AlgebraMismatch,
+    CapExceeded,
     EmptyContext,
     NotGenerating,
     SideMismatch,
@@ -47,6 +49,7 @@ from .formulas import (
     pp_formula,
     pp_type_generator,
     prefix_restriction,
+    solution_basis,
 )
 from .modules import (
     ModuleMap,
@@ -97,45 +100,52 @@ def consequence_enum(
     """Strengthenings of theta that stay closed on the context generators.
 
     Candidates are conjunctions theta and chi with chi ranging over all
-    canonical formulas in theta's free variables within the budget's
-    bound-variable and equation allowances, in code order.  Results are
-    deduplicated by their solution sets on (C_theta, generators) where
-    C_theta is the free realisation of theta, and capped at
-    budget.candidates; theta itself is element 0.
+    coefficient blocks in theta's free variables within the budget's
+    bound-variable and equation allowances, in code order.  Bound
+    variables are disjoint, so (theta and chi)(X) = theta(X) & chi(X):
+    a candidate closes on a generator G iff theta(G) <= chi(G), and the
+    accepted ones, all equal to theta on the generators, are deduplicated
+    by their solution sets on C_theta, the free realisation of theta.
+    Only an accepted candidate becomes a formula.  The list is capped at
+    budget.candidates; theta itself is element 0.  A block that would
+    list more than ``linalg.ENUMERATION_CAP`` raises CapExceeded.
     """
     if not ctx.generators:
         raise EmptyContext("consequence enumeration needs context generators")
     alg = theta.algebra
-    probes = [free_realisation(theta).module] + list(ctx.generators)
-
-    def signature(psi: PpFormula) -> tuple:
-        return tuple(evaluate(psi, x).basis.tobytes() for x in probes)
-
+    field = alg.field
+    c_theta = free_realisation(theta).module
+    on_gens = [(g, evaluate(theta, g).basis) for g in ctx.generators]
+    on_c = evaluate(theta, c_theta).basis
     results = [theta]
-    seen = {signature(theta)}
+    seen = {on_c.tobytes()}
     n = theta.nfree
     elems = alg.enumerate_elements()
-    truncated = False
     for t in range(budget.bound_vars + 1):
         for neq in range(1, budget.equations + 1):
             slots = (n + t) * neq
+            if len(elems) ** slots > linalg.ENUMERATION_CAP:
+                raise CapExceeded(
+                    f"listing {len(elems)}^{slots} candidate formulas "
+                    f"exceeds the cap {linalg.ENUMERATION_CAP}"
+                )
             for codes in product(range(len(elems)), repeat=slots):
                 coeffs = elems[list(codes)].reshape(n + t, neq, alg.dim)
-                chi = pp_formula(alg, theta.side, n, coeffs[:n], coeffs[n:])
-                psi = conj(theta, chi)
-                if any(
-                    not pair_closed(theta, psi, g) for g in ctx.generators
+                a, b = coeffs[:n], coeffs[n:]
+                if not all(
+                    linalg.subspace_le(field, th, solution_basis(a, b, g))
+                    for g, th in on_gens
                 ):
                     continue
-                sig = signature(psi)
+                chi_c = solution_basis(a, b, c_theta)
+                sig = linalg.subspace_intersect(field, on_c, chi_c).tobytes()
                 if sig in seen:
                     continue
                 if len(results) >= budget.candidates:
-                    truncated = True
-                    return ConsequenceList(theta, tuple(results), truncated)
+                    return ConsequenceList(theta, tuple(results), True)
                 seen.add(sig)
-                results.append(psi)
-    return ConsequenceList(theta, tuple(results), truncated)
+                results.append(conj(theta, pp_formula(alg, theta.side, n, a, b)))
+    return ConsequenceList(theta, tuple(results), False)
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,9 +53,7 @@ class DefinableContext:
     pairs: tuple[tuple[PpFormula, PpFormula], ...] = ()
 
 
-def make_context(
-    generators=(), pairs=(), validate_pairs: bool = True
-) -> DefinableContext:
+def make_context(generators=(), pairs=()) -> DefinableContext:
     """Validated context; needs at least one generator or pair.
 
     Every pair (phi, psi) must be ordered (psi <= phi absolutely) and
@@ -81,17 +79,15 @@ def make_context(
             raise AlgebraMismatch("context pair over a different algebra")
         if phi.side != side or psi.side != side:
             raise SideMismatch("context pair on the wrong side")
-        if validate_pairs:
-            if not leq_absolute(psi, phi):
+        if not leq_absolute(psi, phi):
+            raise ValidationFailure(
+                f"pair not ordered: {psi.render()} is not below {phi.render()}"
+            )
+        for g in generators:
+            if not pair_closed(phi, psi, g):
                 raise ValidationFailure(
-                    f"pair not ordered: {psi.render()} is not below {phi.render()}"
+                    f"pair ({phi.render()}, {psi.render()}) is open on a generator"
                 )
-            for g in generators:
-                if not pair_closed(phi, psi, g):
-                    raise ValidationFailure(
-                        f"pair ({phi.render()}, {psi.render()}) "
-                        "is open on a generator"
-                    )
     return DefinableContext(alg, side, generators, pairs)
 
 

@@ -13,7 +13,8 @@ of :mod:`ppmod.modules`, evaluation code is identical for both sides.
 
 Solution sets are computed by building the F_q-linear system of the
 quantifier-free part over the module, taking its kernel, and projecting
-to the free coordinates; elements are never enumerated here.  Every
+to the free coordinates (``solution_basis``, which ``evaluate`` wraps
+with its checks and cache); elements are never enumerated here.  Every
 system and formula is assembled from whole coefficient blocks: the
 block rho(c) of every (variable, equation) slot comes from one product
 of the stacked coefficients with the stacked action matrices, and the
@@ -107,10 +108,8 @@ def _render_term(alg: Algebra, side: str, var: str, coeff: np.ndarray) -> str:
     return f"{var}*{txt}" if side == "right" else f"{txt}*{var}"
 
 
-def pp_formula(
-    algebra: Algebra, side: str, nfree: int, a, b, normalise: bool = True
-) -> PpFormula:
-    """Build (and by default normalise) a pp formula."""
+def pp_formula(algebra: Algebra, side: str, nfree: int, a, b) -> PpFormula:
+    """Build and normalise a pp formula."""
     f = algebra.field
     a = f.asarray(a)
     b = f.asarray(b)
@@ -133,18 +132,14 @@ def pp_formula(
         )
     if side not in ("right", "left"):
         raise SideMismatch(f"bad side {side!r}")
-    if normalise:
-        # drop bound variables that never occur
-        b = b[b.reshape(b.shape[0], neq * algebra.dim).any(axis=1)]
-        # drop all-zero equations, sort the rest lexicographically
-        cols = np.flatnonzero(a.any(axis=(0, 2)) | b.any(axis=(0, 2)))
-        keys = sorted(
-            cols, key=lambda j: (a[:, j].tobytes(), b[:, j].tobytes())
-        )
-        a = a[:, keys]
-        b = b[:, keys]
-        neq = len(keys)
-    return PpFormula(algebra, side, nfree, b.shape[0], neq, a, b)
+    # drop bound variables that never occur
+    b = b[b.reshape(b.shape[0], neq * algebra.dim).any(axis=1)]
+    # drop all-zero equations, sort the rest lexicographically
+    cols = np.flatnonzero(a.any(axis=(0, 2)) | b.any(axis=(0, 2)))
+    keys = sorted(cols, key=lambda j: (a[:, j].tobytes(), b[:, j].tobytes()))
+    a = a[:, keys]
+    b = b[:, keys]
+    return PpFormula(algebra, side, nfree, b.shape[0], len(keys), a, b)
 
 
 def _diagonal(algebra: Algebra, n: int, r) -> np.ndarray:
@@ -234,28 +229,33 @@ def _check_formula_module(phi: PpFormula, m: ModuleRep) -> None:
         raise SideMismatch(f"{phi.side} formula on a {m.side} module")
 
 
-@memo(lambda phi, m: (phi.fingerprint(), m.fingerprint()))
-def evaluate(phi: PpFormula, m: ModuleRep) -> SubgroupRep:
-    """Solution set phi(m) as a canonical subgroup of m^nfree.
+def solution_basis(a: np.ndarray, b: np.ndarray, m: ModuleRep) -> np.ndarray:
+    """Canonical basis of the solutions in m^n of the blocks a (n free) and b.
 
     Kernel-then-project: solve the quantifier-free system over F_q in
     all (free + bound) coordinates, then project onto the free block.
+    The blocks need not be normalised; their solution set is the same.
     """
-    _check_formula_module(phi, m)
     f = m.algebra.field
-    n, t, neq, d = phi.nfree, phi.nbound, phi.neq, m.dim
+    n, neq, k = a.shape
+    t, d = b.shape[0], m.dim
     if d == 0 or n == 0:
-        return SubgroupRep(m, n, linalg.zeros(0, n * d))
+        return linalg.zeros(0, n * d)
     # system rows: one block row per variable; columns: one block per
     # equation; block (v, j) is rho(coeff[v, j]), all blocks in one product
-    k = m.algebra.dim
-    coeff = np.concatenate([phi.a, phi.b], axis=0).reshape((n + t) * neq, k)
+    coeff = np.concatenate([a, b], axis=0).reshape((n + t) * neq, k)
     blocks = linalg.matmul(f, coeff, m.actions.reshape(k, d * d))
     blocks = blocks.reshape(n + t, neq, d, d).transpose(0, 2, 1, 3)
     sys = blocks.reshape((n + t) * d, neq * d)
     sols = linalg.null_space(f, sys.T)  # rows u with u @ sys = 0
-    proj = sols[:, : n * d]
-    return SubgroupRep(m, n, linalg.row_space(f, proj))
+    return linalg.row_space(f, sols[:, : n * d])
+
+
+@memo(lambda phi, m: (phi.fingerprint(), m.fingerprint()))
+def evaluate(phi: PpFormula, m: ModuleRep) -> SubgroupRep:
+    """Solution set phi(m) as a canonical subgroup of m^nfree."""
+    _check_formula_module(phi, m)
+    return SubgroupRep(m, phi.nfree, solution_basis(phi.a, phi.b, m))
 
 
 # -- lattice operations ---------------------------------------------------

@@ -419,7 +419,7 @@ def _side_value(keys: dict) -> str:
 def _resolve_section(ws: Workspace, kind: str, name: str, num: int, keys: dict) -> None:
     if kind == "algebra":
         _require(keys, _KIND_KEYS["algebra"], kind, num)
-        field = field_from_order(_int_value(keys, "field"))
+        field = _wrap(field_from_order, kind, name)(_int_value(keys, "field"))
         labels = _name_list(keys["labels"][0])
         unit = _literal_value(keys, "unit")
         constants = _literal_value(keys, "constants")

@@ -321,6 +321,15 @@ def test_element_listing_past_the_cap_is_a_data_error(tmp_path, capsys):
     assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
 
 
+def test_candidate_listing_past_the_cap_is_a_data_error(capsys):
+    # an 11-tuple makes the first consequence block list 4^11 formulas
+    args = ["preenvelope", "--workspace", DEMO, "--module", "RR",
+            "--tuple", ";".join(["[1, 0]"] * 11), "--context", "envS", "--budget", "small"]
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "section",
     [

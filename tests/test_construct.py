@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import ppmod.construct
+import ppmod.formulas
+
 from ppmod import (
     Budget,
     Field,
@@ -18,7 +21,7 @@ from ppmod import (
     verify_factorisation,
     verify_generator,
 )
-from ppmod.errors import ValidationFailure
+from ppmod.errors import CapExceeded, ValidationFailure
 from ppmod.fixtures import divt, mod_rr, mod_s, r2, xt0
 
 F2 = Field(2)
@@ -59,6 +62,33 @@ def test_consequence_enum_respects_candidate_cap():
     out = consequence_enum(theta, ctx, Budget(2, 2, 1, 3))
     assert out.truncated
     assert len(out.formulas) == 1
+
+
+def test_consequence_enum_refuses_a_block_past_the_cap():
+    # arity 11 over R2: the first block (no bound variables, one
+    # equation) already lists 4^11 > 2^20 candidates
+    theta = top(r2(), "right", 11)
+    with pytest.raises(CapExceeded, match="4\\^11"):
+        consequence_enum(theta, make_context([mod_s()]), Budget(2, 2, 64, 3))
+
+
+def test_a_demo_run_builds_formulas_only_for_accepted_candidates(monkeypatch):
+    # consequences are decided on solution sets: rejected candidates
+    # leave no evaluate entry and build no formula
+    built = []
+    for module in (ppmod.construct, ppmod.formulas):
+        original = module.pp_formula
+        monkeypatch.setattr(
+            module, "pp_formula", lambda *a, _f=original: built.append(1) or _f(*a)
+        )
+    saved = dict(evaluate.cache)
+    evaluate.cache.clear()
+    try:
+        standard_run()
+        assert len(evaluate.cache) <= 10
+    finally:
+        evaluate.cache.update(saved)
+    assert len(built) <= 20
 
 
 def test_worked_chain_stabilises_at_the_simple_module(chain):

@@ -147,9 +147,6 @@ def test_make_context_validates():
     with pytest.raises(ValidationFailure):
         # wrong way around: the annihilator does not imply divisibility
         make_context([mod_rr()], pairs=[(divt("right"), xt0("right"))])
-    ctx = make_context([mod_rr()], pairs=[(divt("right"), xt0("right"))],
-                       validate_pairs=False)
-    assert len(ctx.pairs) == 1
 
 
 def test_pair_closed_matches_evaluation():

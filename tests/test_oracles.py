@@ -45,6 +45,12 @@ the ``relative_ml_check`` matrix, the End/Biend structure tables and
 ``from_r``, ``ring_isomorphic``, the induced matrices of ``scalar_ring``,
 the error type and message of ``make_algebra``, ``make_module`` and
 ``make_map``, and ``hasse_edges`` on any boolean relation.
+
+``consequence_enum`` decides each candidate theta and chi on solution
+sets and builds a formula only for an accepted one.  The loop it
+replaced (two normalised formulas per candidate, ``pair_closed`` and
+``evaluate`` signatures) is kept as ``oracle_consequence_enum``; the
+formula fingerprints, their order and ``truncated`` must agree.
 """
 
 import random
@@ -59,8 +65,11 @@ from hypothesis.extra import numpy as hnp
 from ppmod import Field, fixtures, linalg
 from ppmod.acceptance import _random_hom
 from ppmod.algebras import Algebra, make_algebra, structure_product
+from ppmod.construct import Budget, ConsequenceList, consequence_enum
+from ppmod.defcat import make_context, pair_closed
 from ppmod.errors import (
     CapExceeded,
+    EmptyContext,
     NonAssociative,
     NotASubmodule,
     PpmodError,
@@ -70,6 +79,7 @@ from ppmod.fields import ELEM
 from ppmod.formulas import (
     SubgroupRep,
     bot,
+    conj,
     dual,
     evaluate,
     formula_sum,
@@ -952,8 +962,6 @@ def test_normalisation_matches_the_slot_loops(data, field, k):
     want_a, want_b = oracle_normalise(alg, a, b)
     assert same_array(phi.a, want_a) and same_array(phi.b, want_b)
     assert (phi.nbound, phi.neq) == (want_b.shape[0], want_a.shape[1])
-    raw = pp_formula(alg, "right", n, a, b, normalise=False)
-    assert same_array(raw.a, a) and same_array(raw.b, b)
 
 
 @given(data=st.data(), field=fields, k=alg_dims, d=mod_dims, g=st.sampled_from(GENUINE_MODULES))
@@ -1601,3 +1609,93 @@ def test_hasse_edges_match_the_triple_loop_on_any_relation(data, k):
 def test_hasse_edges_match_the_triple_loop_on_the_grids(m):
     lat = pp_lattice(m, 1)
     assert hasse_edges(lat) == oracle_hasse_edges(lat)
+
+
+def oracle_consequence_enum(theta, ctx, budget):
+    if not ctx.generators:
+        raise EmptyContext("consequence enumeration needs context generators")
+    alg = theta.algebra
+    probes = [free_realisation(theta).module] + list(ctx.generators)
+
+    def signature(psi):
+        return tuple(evaluate(psi, x).basis.tobytes() for x in probes)
+
+    results = [theta]
+    seen = {signature(theta)}
+    n = theta.nfree
+    elems = alg.enumerate_elements()
+    truncated = False
+    for t in range(budget.bound_vars + 1):
+        for neq in range(1, budget.equations + 1):
+            slots = (n + t) * neq
+            for codes in product(range(len(elems)), repeat=slots):
+                coeffs = elems[list(codes)].reshape(n + t, neq, alg.dim)
+                chi = pp_formula(alg, theta.side, n, coeffs[:n], coeffs[n:])
+                psi = conj(theta, chi)
+                if any(not pair_closed(theta, psi, g) for g in ctx.generators):
+                    continue
+                sig = signature(psi)
+                if sig in seen:
+                    continue
+                if len(results) >= budget.candidates:
+                    truncated = True
+                    return ConsequenceList(theta, tuple(results), truncated)
+                seen.add(sig)
+                results.append(psi)
+    return ConsequenceList(theta, tuple(results), truncated)
+
+
+def consequence_thetas(alg):
+    """Corpus formulas and pp-type generators of grid tuples, arity 1-2."""
+    thetas = [p for p in fixtures.formula_corpus(alg, "right") if p.nfree <= 2]
+    for m in fixtures.right_grid(alg)[1:]:
+        units = np.eye(m.dim, dtype=ELEM)
+        thetas.append(pp_type_generator(m, units[:1]))
+        thetas.append(pp_type_generator(m, units[[0, -1]]))
+    return list({p.fingerprint(): p for p in thetas}.values())
+
+
+def consequence_contexts(alg, first, second):
+    """One- and two-generator contexts; signatures are read in generator order."""
+    g, h = (fixtures.right_grid(alg)[i] for i in (first, second))
+    return make_context([g]), make_context([g, h]), make_context([h, g])
+
+
+def consequence_budget(theta, candidates):
+    """Two equations where the largest block lists at most 256 candidates, else one."""
+    q = theta.algebra.enumerate_elements().shape[0]
+    equations = 2 if q ** (2 * (theta.nfree + 1)) <= 256 else 1
+    return Budget(1, equations, candidates, 1)
+
+
+@pytest.mark.parametrize(
+    "alg, first, second",
+    # grid modules that kill some formulas: S and S+S over r2, the two
+    # simples over tri2, F3 and F3^2
+    [(fixtures.r2(), 1, 4), (fixtures.tri2(), 1, 2), (fixtures.f3(), 1, 2)],
+    ids=["r2", "tri2", "f3"],
+)
+def test_consequence_enum_matches_the_formula_loop(alg, first, second):
+    one, two, swapped = consequence_contexts(alg, first, second)
+    for theta in consequence_thetas(alg):
+        # every context with the full allowance; truncating allowances on
+        # the two-generator context
+        runs = [(ctx, 64) for ctx in (one, two, swapped)] + [(two, 1), (two, 2)]
+        for ctx, candidates in runs:
+            budget = consequence_budget(theta, candidates)
+            got = consequence_enum(theta, ctx, budget)
+            want = oracle_consequence_enum(theta, ctx, budget)
+            assert got.truncated == want.truncated
+            assert [p.fingerprint() for p in got.formulas] == [
+                p.fingerprint() for p in want.formulas
+            ]
+
+
+def test_consequence_enum_matches_the_formula_loop_on_the_demo_budget():
+    ctx = make_context([fixtures.mod_s()])
+    for theta in (pp_type_generator(fixtures.mod_rr(), [[1, 0]]), fixtures.xt0()):
+        for candidates in (1, 64):
+            budget = Budget(2, 2, candidates, 3)
+            got, want = consequence_enum(theta, ctx, budget), oracle_consequence_enum(theta, ctx, budget)
+            assert got.truncated == want.truncated
+            assert [p.fingerprint() for p in got.formulas] == [p.fingerprint() for p in want.formulas]

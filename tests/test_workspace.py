@@ -255,8 +255,9 @@ def test_huge_field_orders_are_refused_before_any_search():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     for q in (-3, 0, 1, 6, 100):
-        with pytest.raises(ValidationFailure, match=f"{q} is not a prime power"):
+        with pytest.raises(ValidationFailure, match=f"{q} is not a prime power") as exc:
             parse_workspace(one_algebra(q))
+        assert str(exc.value).startswith("[algebra A] ")
     assert field_from_order(9) is field_from_order(9)
     assert (field_from_order(9).p, field_from_order(9).d) == (3, 2)
 

@@ -6,12 +6,12 @@ pp-pairs (phi, psi) with psi <= phi that every member must close
 (equal solution sets).  Membership testing demands the explicit list;
 with generators only it is refused rather than approximated.
 
-Purity is decided one element at a time: a map preserves pp-types of
-single elements iff it is a pure embedding, and a surjection is a pure
-epimorphism iff every element of the target lifts inside the solution
-set of its pp-type generator.  Both reductions are to one free
-variable, so ``purity_check`` only ever evaluates pp-types of single
-elements.
+Purity is decided by splitting: a finite-dimensional module over a
+finite-dimensional algebra is pure-projective and pure-injective, so a
+pure mono out of it or a pure epi onto it splits.  ``purity_check``
+solves once over a basis of Hom(target, source) for a retraction and a
+section, and lists elements only on a side that does not split, to find
+its first single-element witness in code order.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .modules import (
     ModuleRep,
     constrained_hom,
     direct_sum,
+    hom_space,
     quotient,
     submodule,
     tuple_rows,
@@ -126,35 +127,59 @@ class PurityReport:
     epi_witness: tuple | None  # (element, formula) with no lift in phi(source)
 
 
-def purity_check(f_map: ModuleMap) -> PurityReport:
-    """Single-element purity tests on a finite map.
+def _splits(field, products: np.ndarray) -> bool:
+    """Is the identity a linear combination of the (h, d, d) stack?
 
-    pure_mono: every source element satisfies (in the source) the
-    generator of its image's pp-type.  pure_epi: every target element
-    has a preimage inside the solution set of its pp-type generator.
+    An empty stack splits only the zero identity.
+    """
+    h, d = products.shape[:2]
+    if h == 0:
+        return d == 0
+    lhs = products.reshape(h, d * d).T
+    return linalg.solve(field, lhs, linalg.eye(field, d).reshape(-1)) is not None
+
+
+def purity_check(f_map: ModuleMap) -> PurityReport:
+    """Purity of a finite map f: M -> N, decided by splitting.
+
+    With F the matrix of f and G_i a basis of Hom(N, M), pure_mono holds
+    iff F G = I_M for some G in the span (a retraction), and pure_epi iff
+    S F = I_N for some S (a section).  A side that does not split is
+    settled by the single-element tests, which also give its witness:
+    a source element that fails (in the source) the generator of its
+    image's pp-type, or a target element with no preimage inside the
+    solution set of its pp-type generator.  Split maps list no elements.
     """
     m, n = f_map.source, f_map.target
     field = m.algebra.field
+    hom = [g.matrix for g in hom_space(n, m)]
+    h = len(hom)
+    gs = np.array(hom, dtype=ELEM).reshape(h, n.dim, m.dim)
+    # F G_i and G_i F for every basis map G_i of Hom(N, M)
+    fg = linalg.images(field, f_map.matrix, gs).transpose(1, 0, 2)
+    gf = linalg.matmul(field, gs.reshape(h * n.dim, m.dim), f_map.matrix)
     mono_ok, mono_wit = True, None
-    for a in m.enumerate_elements():
-        fa = f_map.apply(a)
-        psi = pp_type_generator(n, fa.reshape(1, -1))
-        if not evaluate(psi, m).contains(a):
-            mono_ok, mono_wit = False, (a, psi)
-            break
+    if not _splits(field, fg):
+        for a in m.enumerate_elements():
+            fa = f_map.apply(a)
+            psi = pp_type_generator(n, fa.reshape(1, -1))
+            if not evaluate(psi, m).contains(a):
+                mono_ok, mono_wit = False, (a, psi)
+                break
     epi_ok, epi_wit = True, None
-    for aa in n.enumerate_elements():
-        phi = pp_type_generator(n, aa.reshape(1, -1))
-        sol = evaluate(phi, m)
-        # affine solve: b in phi(m) with b @ f = aa
-        lhs = (
-            linalg.matmul(field, sol.basis, f_map.matrix).T
-            if sol.dim
-            else np.zeros((n.dim, 0), dtype=ELEM)
-        )
-        if linalg.solve(field, lhs, aa) is None:
-            epi_ok, epi_wit = False, (aa, phi)
-            break
+    if not _splits(field, gf.reshape(h, n.dim, n.dim)):
+        for aa in n.enumerate_elements():
+            phi = pp_type_generator(n, aa.reshape(1, -1))
+            sol = evaluate(phi, m)
+            # affine solve: b in phi(m) with b @ f = aa
+            lhs = (
+                linalg.matmul(field, sol.basis, f_map.matrix).T
+                if sol.dim
+                else np.zeros((n.dim, 0), dtype=ELEM)
+            )
+            if linalg.solve(field, lhs, aa) is None:
+                epi_ok, epi_wit = False, (aa, phi)
+                break
     return PurityReport(mono_ok, epi_ok, mono_wit, epi_wit)
 
 

@@ -304,8 +304,8 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: boom\n"
 
 
-def test_element_listing_past_the_cap_is_a_data_error(tmp_path, capsys):
-    # purity lists all 2^21 elements of a 21-dimensional module: capped
+def big_module_workspace(tmp_path):
+    """A 21-dimensional module over F2: listing its 2^21 elements is capped."""
     eye = [[int(i == j) for j in range(21)] for i in range(21)]
     ws = tmp_path / "big.ws"
     ws.write_text(
@@ -313,12 +313,30 @@ def test_element_listing_past_the_cap_is_a_data_error(tmp_path, capsys):
         "constants = [[[1]]]\n\n[module M]\nalgebra = K\nside = right\n"
         f"dim = 21\nactions = [{eye}]\n"
     )
+    return ws, eye
+
+
+def test_element_listing_past_the_cap_is_a_data_error(tmp_path, capsys):
+    # the zero map does not split, so purity lists all 2^21 elements for a witness: capped
+    ws, _ = big_module_workspace(tmp_path)
+    zero = [[0] * 21 for _ in range(21)]
+    code, out, err = run(
+        ["purity", "--workspace", str(ws), "--source", "M", "--target", "M",
+         "--matrix", str(zero)], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+
+
+def test_split_map_on_a_large_module_is_answered(tmp_path, capsys):
+    # the identity splits both ways: decided without listing an element
+    ws, eye = big_module_workspace(tmp_path)
     code, out, err = run(
         ["purity", "--workspace", str(ws), "--source", "M", "--target", "M",
          "--matrix", str(eye)], capsys
     )
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+    assert code == 0 and err == ""
+    assert out == "map: M -> M\npure monomorphism: yes\npure epimorphism: yes\n"
 
 
 def test_candidate_listing_past_the_cap_is_a_data_error(capsys):

@@ -1,5 +1,7 @@
 """Purity, pullback/pushout transfer, and definable context membership."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,9 @@ from ppmod.errors import (
     NotInSolutionSet,
     ValidationFailure,
 )
-from ppmod.fixtures import divt, mod_rr, mod_s, r2, xt0
+from ppmod.acceptance import _random_automorphism, _random_hom
+from ppmod.fixtures import divt, mod_rr, mod_s, r2, right_grid, xt0
+from ppmod.modules import ModuleRep
 
 F2 = Field(2)
 
@@ -47,6 +51,59 @@ def test_split_maps_are_pure():
     proj = ds.projections[1]
     rep2 = purity_check(proj)
     assert rep2.pure_epi and not rep2.pure_mono
+
+
+LIST_ELEMENTS = ModuleRep.enumerate_elements
+
+
+def forbid_listing(monkeypatch, *modules):
+    """enumerate_elements raises on the given modules, or on every module if none."""
+
+    def guarded(self):
+        if not modules or any(self is m for m in modules):
+            raise AssertionError(f"listed the elements of {self!r}")
+        return LIST_ELEMENTS(self)
+
+    monkeypatch.setattr(ModuleRep, "enumerate_elements", guarded)
+
+
+def test_split_sides_list_no_elements(monkeypatch):
+    import ppmod.defcat
+
+    rr = mod_rr()
+    ds = direct_sum([mod_s(), rr])
+    inj, proj = ds.injections[0], ds.projections[1]
+    # the first pullback of acceptance criterion 4: its projection is a pure epi
+    rng = random.Random(404)
+    grid = [m for m in right_grid(r2()) if 1 <= m.dim <= 2]
+    n, b, m = (grid[rng.randrange(len(grid))] for _ in range(3))
+    sq = direct_sum([n, b])
+    p = _random_automorphism(rng, sq.module).compose(sq.projections[0])
+    to_source = pullback_pure(_random_hom(rng, m, n), p).to_source
+    homs = []
+    hom_space = ppmod.defcat.hom_space
+
+    def counted(a, b):
+        homs.append((a, b))
+        return hom_space(a, b)
+
+    monkeypatch.setattr(ppmod.defcat, "hom_space", counted)
+
+    forbid_listing(monkeypatch)
+    rep = purity_check(identity_on(rr))
+    assert rep.pure_mono and rep.pure_epi
+    # a side that does not split may list elements for its witness; a split side never
+    forbid_listing(monkeypatch, inj.source)
+    assert purity_check(inj).pure_mono
+    forbid_listing(monkeypatch, proj.target)
+    assert purity_check(proj).pure_epi
+    forbid_listing(monkeypatch, to_source.target)
+    assert purity_check(to_source).pure_epi
+    # one Hom(target, source) per purity_check
+    assert [(a.fingerprint(), b.fingerprint()) for a, b in homs] == [
+        (f.target.fingerprint(), f.source.fingerprint())
+        for f in (identity_on(rr), inj, proj, to_source)
+    ]
 
 
 def test_radical_embedding_is_not_pure():

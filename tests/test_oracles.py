@@ -51,6 +51,14 @@ sets and builds a formula only for an accepted one.  The loop it
 replaced (two normalised formulas per candidate, ``pair_closed`` and
 ``evaluate`` signatures) is kept as ``oracle_consequence_enum``; the
 formula fingerprints, their order and ``truncated`` must agree.
+
+``purity_check`` decides each side by one solve for a retraction or a
+section over a basis of Hom(target, source), and lists elements only
+when a side does not split.  The element loops it ran on every map are
+kept as ``oracle_purity_check``; both answers, the witness element bytes
+and the witness formula fingerprints must agree on hom combinations
+over F2, F3, F5, F4 and F9 (dim-0 modules included), on the k2, r2, f3
+and tri2 grids and on the pullbacks and pushouts of criterion 4.
 """
 
 import random
@@ -63,10 +71,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ppmod import Field, fixtures, linalg
-from ppmod.acceptance import _random_hom
+from ppmod.acceptance import _random_automorphism, _random_hom
 from ppmod.algebras import Algebra, make_algebra, structure_product
 from ppmod.construct import Budget, ConsequenceList, consequence_enum
-from ppmod.defcat import make_context, pair_closed
+from ppmod.defcat import (
+    PurityReport,
+    make_context,
+    pair_closed,
+    pullback_pure,
+    purity_check,
+    pushout_pure,
+)
 from ppmod.errors import (
     CapExceeded,
     EmptyContext,
@@ -1699,3 +1714,109 @@ def test_consequence_enum_matches_the_formula_loop_on_the_demo_budget():
             got, want = consequence_enum(theta, ctx, budget), oracle_consequence_enum(theta, ctx, budget)
             assert got.truncated == want.truncated
             assert [p.fingerprint() for p in got.formulas] == [p.fingerprint() for p in want.formulas]
+
+
+def oracle_purity_check(f_map):
+    m, n = f_map.source, f_map.target
+    field = m.algebra.field
+    mono_ok, mono_wit = True, None
+    for a in m.enumerate_elements():
+        fa = f_map.apply(a)
+        psi = pp_type_generator(n, fa.reshape(1, -1))
+        if not evaluate(psi, m).contains(a):
+            mono_ok, mono_wit = False, (a, psi)
+            break
+    epi_ok, epi_wit = True, None
+    for aa in n.enumerate_elements():
+        phi = pp_type_generator(n, aa.reshape(1, -1))
+        sol = evaluate(phi, m)
+        lhs = (
+            linalg.matmul(field, sol.basis, f_map.matrix).T
+            if sol.dim
+            else np.zeros((n.dim, 0), dtype=ELEM)
+        )
+        if linalg.solve(field, lhs, aa) is None:
+            epi_ok, epi_wit = False, (aa, phi)
+            break
+    return PurityReport(mono_ok, epi_ok, mono_wit, epi_wit)
+
+
+def report_key(rep):
+    """Both answers, witness element bytes and witness formula fingerprints."""
+
+    def witness(w):
+        return None if w is None else (w[0].dtype, w[0].shape, w[0].tobytes(), w[1].fingerprint())
+
+    return rep.pure_mono, rep.pure_epi, witness(rep.mono_witness), witness(rep.epi_witness)
+
+
+def assert_purity_matches(f_map):
+    assert report_key(purity_check(f_map)) == report_key(oracle_purity_check(f_map))
+
+
+@many
+@given(data=st.data(), alg=st.sampled_from(GENUINE), side=st.sampled_from(["right", "left"]))
+def test_purity_matches_the_element_loops_on_hom_combinations(data, alg, side):
+    # dim-0 modules are drawn on either end; the zero map and a sum of a
+    # split injection and a random hom are among the maps
+    mods = [m for m in genuine_modules(alg) if m.side == side]
+    m, n = data.draw(st.sampled_from(mods)), data.draw(st.sampled_from(mods))
+    field = alg.field
+    mode = data.draw(st.sampled_from(["hom", "zero", "injection plus hom"]))
+    if mode == "injection plus hom":
+        ds = direct_sum([m, n])
+        n, base = ds.module, ds.injections[0].matrix
+    else:
+        base = np.zeros((m.dim, n.dim), dtype=ELEM)
+    basis = hom_space(m, n)
+    matrix = base
+    if basis and mode != "zero":
+        stacked = np.stack([g.matrix.reshape(-1) for g in basis])
+        coeffs = sparse(data, field, (len(basis),))
+        matrix = field.add(base, linalg.matvec(field, coeffs, stacked).reshape(m.dim, n.dim))
+    assert_purity_matches(make_map(m, n, matrix))
+
+
+GRID_ALGEBRAS = [fixtures.k2(), fixtures.r2(), fixtures.f3(), fixtures.tri2()]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("alg", GRID_ALGEBRAS, ids=["k2", "r2", "f3", "tri2"])
+def test_purity_matches_the_element_loops_on_the_grids(alg, side):
+    # every ordered pair of grid modules of dimension <= 3: the zero map and
+    # two random homs, plus every injection and projection of their sum
+    grid = fixtures.right_grid(alg) if side == "right" else fixtures.left_grid(alg)
+    grid = [m for m in grid if m.dim <= 3]
+    rng = random.Random(8)
+    for m, n in product(grid, repeat=2):
+        maps = [make_map(m, n, np.zeros((m.dim, n.dim), dtype=ELEM))]
+        maps += [_random_hom(rng, m, n) for _ in range(2)]
+        ds = direct_sum([m, n])
+        maps += list(ds.injections) + list(ds.projections)
+        for f_map in maps:
+            assert_purity_matches(f_map)
+
+
+def c4_squares():
+    """The pullbacks and pushouts of acceptance criterion 4, in its draw order."""
+    alg = fixtures.r2()
+    rng = random.Random(404)
+    grid = [m for m in fixtures.right_grid(alg) if 1 <= m.dim <= 2]
+    for _ in range(20):
+        n, b, m = (grid[rng.randrange(len(grid))] for _ in range(3))
+        ds = direct_sum([n, b])
+        p = _random_automorphism(rng, ds.module).compose(ds.projections[0])
+        res = pullback_pure(_random_hom(rng, m, n), p)
+        yield (res.inclusion, res.inclusion_report), (res.to_source, res.to_source_report)
+    for _ in range(20):
+        dprime, b, m = (grid[rng.randrange(len(grid))] for _ in range(3))
+        ds = direct_sum([dprime, b])
+        i = ds.injections[0].compose(_random_automorphism(rng, ds.module))
+        res = pushout_pure(i, _random_hom(rng, dprime, m))
+        yield (res.antidiagonal, res.antidiagonal_report), (res.from_source, res.from_source_report)
+
+
+def test_purity_matches_the_element_loops_on_the_c4_squares():
+    for pair in c4_squares():
+        for f_map, report in pair:
+            assert report_key(report) == report_key(oracle_purity_check(f_map))

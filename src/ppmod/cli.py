@@ -40,7 +40,7 @@ from .formulas import (
     leq_relative,
     pp_type_generator,
 )
-from .lattice import filter_analysis, hasse_edges, pp_lattice
+from .lattice import DEFAULT_CAP, filter_analysis, hasse_edges, pp_lattice
 from .modules import make_map, module_span
 from .scalars import scalar_ring
 from .tensor import herzog_zero_test, tensor_product
@@ -466,12 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lattice", _cmd_lattice, "pp-definable subgroup lattice")
     p.add_argument("--module", required=True)
     p.add_argument("--arity", type=non_negative_int, default=1)
-    p.add_argument("--cap", type=int, default=2**16, help=CAP_HELP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
 
     p = add("filters", _cmd_filters, "maximal avoiding filters and irreducibility")
     p.add_argument("--module", required=True)
     p.add_argument("--arity", type=non_negative_int, default=1)
-    p.add_argument("--cap", type=int, default=2**16, help=CAP_HELP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
     p.add_argument("--avoid", type=int, default=0, help="lattice index to avoid")
 
     p = add("preenvelope", _cmd_preenvelope, "staged preenvelope construction")

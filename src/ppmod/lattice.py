@@ -7,14 +7,19 @@ pp-type, and evaluate it back on M.  The result is the least
 pp-definable subgroup containing S, so S is definable iff the closure
 is S itself.
 
-A tuple a has the principal closure <a>, the least pp-definable
-subgroup containing it, and every pp-definable subgroup is the sum of
-the <a> over its elements; sums of pp-definable subgroups are
-pp-definable.  Whole lattices are therefore the join-closure of the
-principal closures, one a per projective point of F_q^n (scalar
-multiples have the same closure), with no subspace enumeration.  One
-cap bounds the pointed power of the top M^arity, which is the largest
-any element's witness needs.
+M is finite-dimensional, so it freely realises the pp-type of each of
+its tuples: the principal closure <a>, the least pp-definable subgroup
+containing a, is the orbit End(M)·a under the diagonal action on M^n,
+and the pp-definable subgroups are the End(M)-submodules of M^n (Prest,
+Purity, Spectra and Localisation, 2009, 1.2).  A whole lattice is the
+join-closure of the orbits, one a per projective point of F_q^n, with
+no subspace enumeration; the pointed power only gives each element its
+witness.  One sum per pair of elements fills the join table; a <= b iff
+a + b = b, and the meet of a and b is their common lower bound of
+largest dimension, checked by the modular identity
+dim(a & b) + dim(a + b) = dim a + dim b.  One cap bounds the pointed
+power of the top M^arity, which is the largest any element's witness
+needs.
 
 Filters of the finite lattice are exactly the principal up-sets, so
 filter analysis (neg-isolation with respect to an avoided element, and
@@ -29,14 +34,8 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, ValidationFailure
-from .formulas import (
-    PpFormula,
-    SubgroupRep,
-    bot,
-    evaluate,
-    pp_type_generator,
-)
-from .modules import ModuleRep, direct_sum, tuple_rows
+from .formulas import PpFormula, SubgroupRep, bot, evaluate, pp_type_generator
+from .modules import ModuleRep, direct_sum, hom_space, tuple_rows
 
 DEFAULT_CAP = 2**16
 
@@ -58,17 +57,12 @@ def is_pp_definable(
     |M|^k.
     """
     field = m.algebra.field
-    rows = linalg.row_space(
-        field, tuple_rows(basis, m.dim * arity)
-    )
+    rows = linalg.row_space(field, tuple_rows(basis, m.dim * arity))
     k = rows.shape[0]
     if k == 0:
-        phi = bot(m.algebra, m.side, arity)
-        return DefinabilityResult(True, phi, rows)
+        return DefinabilityResult(True, bot(m.algebra, m.side, arity), rows)
     if field.q ** (m.dim * k) > cap:
-        raise CapExceeded(
-            f"pointed power needs |M|^{k} = {field.q ** (m.dim * k)} > cap {cap}"
-        )
+        raise CapExceeded(f"pointed power needs |M|^{k} = {field.q ** (m.dim * k)} > cap {cap}")
     power = direct_sum([m] * k).module
     # diagonal tuple: the j-th entry collects the j-th coordinate block
     # of every spanning row
@@ -108,34 +102,43 @@ class PpLattice:
         return len(self.elements) - 1
 
     def index_of(self, basis: np.ndarray) -> int:
+        field, n = self.module.algebra.field, self.module.dim * self.arity
+        rows = linalg.row_space(field, tuple_rows(basis, n))
         for i, el in enumerate(self.elements):
-            if linalg.subspace_eq(el.basis, basis):
+            if linalg.subspace_eq(el.basis, rows):
                 return i
         raise ValidationFailure("subspace is not a lattice element")
 
 
-def pp_lattice(
-    m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP
-) -> PpLattice:
+def principal_closures(m: ModuleRep, arity: int) -> list[np.ndarray]:
+    """The orbit <a> = End(M)·a of each projective point a of F_q^n, in code order."""
+    field, n = m.algebra.field, m.dim * arity
+    if n == 0:
+        return []
+    points = linalg.all_vectors(field, n)
+    lead = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
+    points = points[lead == 1]  # one a per projective point
+    ends = np.stack([h.matrix for h in hom_space(m, m)])
+    # End acts diagonally: every block of every point against every h
+    orbits = linalg.images(field, points.reshape(-1, m.dim), ends)
+    orbits = orbits.reshape(len(points), arity, len(ends), m.dim).swapaxes(1, 2)
+    return [linalg.row_space(field, orbit) for orbit in orbits.reshape(len(points), len(ends), n)]
+
+
+def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattice:
     """The full lattice of pp-definable subgroups of M^arity.
 
-    The lattice is the join-closure of the principal closures <a>, one
-    a per projective point of F_q^n.  The cap bounds the pointed power
-    of the top M^arity, the largest any element's witness needs.
+    The join-closure of the orbits End(M)·a, one a per projective point
+    of F_q^n; ``leq`` and ``meet`` are read off the one ``join`` table
+    and the meets checked by the modular identity.  The cap bounds the
+    pointed power of the top M^arity, the largest any witness needs.
     """
     field = m.algebra.field
     n = m.dim * arity
     top_power = field.q ** (m.dim * n)
     if top_power > cap:
-        raise CapExceeded(
-            f"pointed power needs |M|^{n} = {top_power} > cap {cap}"
-        )
-    principal: dict[bytes, np.ndarray] = {}
-    for a in linalg.all_vectors(field, n):
-        nonzero = a[a != 0]
-        if nonzero.size and nonzero[0] == 1:  # one a per projective point
-            closure = is_pp_definable(m, a[None, :], arity, cap).closure
-            principal.setdefault(closure.tobytes(), closure)
+        raise CapExceeded(f"pointed power needs |M|^{n} = {top_power} > cap {cap}")
+    principal = {c.tobytes(): c for c in principal_closures(m, arity)}
     bottom = linalg.zeros(0, n)
     found = {bottom.tobytes(): bottom, **principal}
     frontier = list(principal.values())
@@ -150,32 +153,32 @@ def pp_lattice(
         frontier = grown
     bases = sorted(found.values(), key=lambda b: (b.shape[0], b.tobytes()))
     elements = tuple(SubgroupRep(m, arity, basis) for basis in bases)
-    witnesses = []
-    for basis in bases:
-        res = is_pp_definable(m, basis, arity, cap)
-        if not res.definable:
-            raise ValidationFailure("a sum of pp closures is not pp-definable")
-        witnesses.append(res.witness)
+    results = [is_pp_definable(m, basis, arity, cap) for basis in bases]
+    if not all(res.definable for res in results):
+        raise ValidationFailure("a sum of pp closures is not pp-definable")
     k = len(elements)
-    leq = np.zeros((k, k), dtype=bool)
-    meet = np.zeros((k, k), dtype=np.int32)
-    join = np.zeros((k, k), dtype=np.int32)
     index = {el.basis.tobytes(): i for i, el in enumerate(elements)}
 
     def _find(basis: np.ndarray, what: str) -> int:
-        got = index.get(basis.tobytes())
-        if got is None:
-            raise ValidationFailure(
-                f"lattice is not closed under {what}; join-closure broken"
-            )
+        if (got := index.get(basis.tobytes())) is None:
+            raise ValidationFailure(f"lattice is not closed under {what}; join-closure broken")
         return got
 
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
-            meet[i, j] = _find(linalg.subspace_intersect(field, a.basis, b.basis), "intersection")
-            join[i, j] = _find(linalg.subspace_sum(field, a.basis, b.basis), "sum")
-    return PpLattice(m, arity, elements, tuple(witnesses), leq, meet, join)
+    join = np.zeros((k, k), dtype=np.int32)
+    for i, a in enumerate(bases):
+        for j in range(i, k):
+            join[i, j] = join[j, i] = _find(linalg.subspace_sum(field, a, bases[j]), "sum")
+    leq = join == np.arange(k)  # a <= b iff a + b = b
+    meet = np.zeros((k, k), dtype=np.int32)
+    for i in range(k):
+        # the common lower bound of largest dimension: the last in sort order
+        meet[i] = k - 1 - (leq[:, i, None] & leq)[::-1].argmax(axis=0)
+    # each meet lies in the intersection and each join is the sum, so the
+    # modular identity holds iff every meet is the intersection
+    dims = np.array([el.dim for el in elements])
+    if np.any(dims[meet] + dims[join] != dims[:, None] + dims):
+        raise ValidationFailure("lattice is not closed under intersection; join-closure broken")
+    return PpLattice(m, arity, elements, tuple(res.witness for res in results), leq, meet, join)
 
 
 def hasse_edges(lat: PpLattice) -> list[tuple[int, int]]:
@@ -218,9 +221,7 @@ def make_filter(lat: PpLattice, members) -> PpFilter:
 
 
 def principal_filter(lat: PpLattice, g: int) -> PpFilter:
-    return make_filter(
-        lat, [j for j in range(lat.size) if lat.leq[g, j]]
-    )
+    return make_filter(lat, np.flatnonzero(lat.leq[g]))
 
 
 def all_filters(lat: PpLattice) -> list[PpFilter]:
@@ -257,14 +258,9 @@ def filter_analysis(lat: PpLattice, avoid: int) -> list[NegIsolatedFilter]:
     """Filters maximal with respect to excluding ``avoid``, with flags."""
     if not 0 <= avoid < lat.size:
         raise ValidationFailure("avoided element is not in the lattice")
-    candidates = [
-        f for f in all_filters(lat) if avoid not in f.members
+    candidates = [f for f in all_filters(lat) if avoid not in f.members]
+    return [
+        NegIsolatedFilter(f, ziegler_irreducible(f))
+        for f in candidates
+        if not any(other.members > f.members for other in candidates)
     ]
-    out = []
-    for f in candidates:
-        if any(
-            other.members > f.members for other in candidates
-        ):
-            continue
-        out.append(NegIsolatedFilter(f, ziegler_irreducible(f)))
-    return out

@@ -97,6 +97,36 @@ def test_index_of_roundtrip():
         assert lat.index_of(lat.elements[i].basis) == i
     with pytest.raises(ValidationFailure):
         lat.index_of(linalg.row_space(F2, F2.asarray([[1, 0]])))
+    # any spanning set is canonicalised first, not only an RREF basis
+    for rows in ([[1, 1], [0, 1]], [[0, 1], [1, 0]]):
+        assert lat.index_of(F2.asarray(rows)) == lat.top
+
+
+def test_pp_lattice_witnesses_elements_only_and_reads_meets_off_joins(monkeypatch):
+    import ppmod.lattice
+
+    calls = {"hom_space": 0, "is_pp_definable": 0}
+
+    def counted(name):
+        fn = getattr(ppmod.lattice, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(ppmod.lattice, name, spy)
+
+    def no_intersection(*args):
+        raise AssertionError("pp_lattice intersected subspaces")
+
+    counted("hom_space")
+    counted("is_pp_definable")
+    monkeypatch.setattr(ppmod.linalg, "subspace_intersect", no_intersection)
+    for m, arity in ((mod_rr(), 1), (regular_module(tri2(), "right"), 1), (mod_s(), 2)):
+        calls.update(hom_space=0, is_pp_definable=0)
+        lat = pp_lattice(m, arity)
+        # one End basis, and one witness per element, none per projective point
+        assert calls == {"hom_space": 1, "is_pp_definable": lat.size}
 
 
 def test_arity_two_lattice_contains_diagonal():

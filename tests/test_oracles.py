@@ -24,7 +24,13 @@ pointed-power test on each survivor) is kept as ``oracle_pp_lattice``;
 elements, witnesses and the leq/meet/join tables must agree byte for
 byte, and where the new single cap refuses an input the oracle refuses
 it too.  The pointed-power closure of every such subspace must pass the
-old End-closure pair loop and be an element of the lattice.
+old End-closure pair loop and be an element of the lattice.  Each
+principal closure is the End(M)-orbit of its point; the pointed-power
+closure of each projective point is kept as
+``oracle_principal_closures``, and the join-closure over those with
+leq, meet and join from three eliminations per pair as
+``oracle_join_closure_lattice``, compared on the cases of the lattice
+benchmark workload and against their stored element digests.
 
 The linear systems are built from whole coefficient blocks: formula
 normalisation, the ``evaluate`` system, ``free_realisation``, the
@@ -61,8 +67,11 @@ over F2, F3, F5, F4 and F9 (dim-0 modules included), on the k2, r2, f3
 and tri2 grids and on the pullbacks and pushouts of criterion 4.
 """
 
+import hashlib
+import json
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,7 +113,14 @@ from ppmod.formulas import (
     prefix_restriction,
     substitute,
 )
-from ppmod.lattice import DEFAULT_CAP, PpLattice, hasse_edges, is_pp_definable, pp_lattice
+from ppmod.lattice import (
+    DEFAULT_CAP,
+    PpLattice,
+    hasse_edges,
+    is_pp_definable,
+    pp_lattice,
+    principal_closures,
+)
 from ppmod.modules import (
     ModuleRep,
     are_isomorphic,
@@ -665,6 +681,97 @@ def test_pp_lattice_matches_the_subspace_enumeration(m):
                     oracle_pp_lattice(m, arity, cap)
             else:
                 assert same_lattice(got, want)
+
+
+def oracle_principal_closures(m, arity):
+    """The pointed-power closure of each projective point, one call per point."""
+    out = []
+    for a in linalg.all_vectors(m.algebra.field, m.dim * arity):
+        nonzero = a[a != 0]
+        if nonzero.size and nonzero[0] == 1:  # one a per projective point
+            out.append(is_pp_definable(m, a[None, :], arity).closure)
+    return out
+
+
+def oracle_join_closure_lattice(m, arity):
+    """Join-closure of the per-point closures; leq, meet, join by eliminations per pair."""
+    field = m.algebra.field
+    principal = {}
+    for closure in oracle_principal_closures(m, arity):
+        principal.setdefault(closure.tobytes(), closure)
+    bottom = linalg.zeros(0, m.dim * arity)
+    found = {bottom.tobytes(): bottom, **principal}
+    frontier = list(principal.values())
+    while frontier:
+        grown = []
+        for s in frontier:
+            for p in principal.values():
+                t = linalg.subspace_sum(field, s, p)
+                if t.tobytes() not in found:
+                    found[t.tobytes()] = t
+                    grown.append(t)
+        frontier = grown
+    bases = sorted(found.values(), key=lambda b: (b.shape[0], b.tobytes()))
+    elements = tuple(SubgroupRep(m, arity, basis) for basis in bases)
+    witnesses = tuple(is_pp_definable(m, basis, arity).witness for basis in bases)
+    index = {el.basis.tobytes(): i for i, el in enumerate(elements)}
+    k = len(elements)
+    leq = np.zeros((k, k), dtype=bool)
+    meet = np.zeros((k, k), dtype=np.int32)
+    join = np.zeros((k, k), dtype=np.int32)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
+            meet[i, j] = index[linalg.subspace_intersect(field, a.basis, b.basis).tobytes()]
+            join[i, j] = index[linalg.subspace_sum(field, a.basis, b.basis).tobytes()]
+    return PpLattice(m, arity, elements, witnesses, leq, meet, join)
+
+
+ORBIT_MODULES = GRID_MODULES + [fixtures.mod_s(), fixtures.mod_rr(), fixtures.tri2_p1()]
+
+
+@pytest.mark.parametrize("m", ORBIT_MODULES, ids=repr)
+def test_principal_closures_match_the_pointed_power_per_point(m):
+    for arity in (0, 1, 2):
+        got, want = principal_closures(m, arity), oracle_principal_closures(m, arity)
+        assert len(got) == len(want)
+        assert all(same_array(g, w) for g, w in zip(got, want))
+
+
+LATTICE_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "lattices.json").read_text()
+)
+
+
+def lattice_workload_cases():
+    """(key, module, arity) of every pp_lattice call of the lattice benchmark."""
+    for alg in (fixtures.r2(), fixtures.f3(), fixtures.tri2()):
+        for side, grid in (("right", fixtures.right_grid(alg)), ("left", fixtures.left_grid(alg))):
+            for i, m in enumerate(grid):
+                for arity in (1, 2):
+                    yield f"{'/'.join(alg.labels)}:{side}:{i}:{arity}", m, arity
+
+
+def element_digest(lat):
+    h = hashlib.sha256()
+    for el in lat.elements:
+        h.update(repr(el.basis.shape).encode())
+        h.update(el.basis.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "key, m, arity", [pytest.param(*case, id=case[0]) for case in lattice_workload_cases()]
+)
+def test_pp_lattice_matches_the_per_point_join_closure(key, m, arity):
+    # the cases without a stored digest are the ones refused by the cap
+    if key not in LATTICE_DIGESTS:
+        with pytest.raises(CapExceeded):
+            pp_lattice(m, arity)
+        return
+    got = pp_lattice(m, arity)
+    assert element_digest(got) == LATTICE_DIGESTS[key]
+    assert same_lattice(got, oracle_join_closure_lattice(m, arity))
 
 
 @pytest.mark.parametrize(

@@ -295,17 +295,13 @@ def verify_factorisation(
         b_n = state.stages[n].module
         b_next = state.stages[n + 1].module
         for t_idx, target in enumerate(targets):
-            down = hom_space(b_next, target)
-            if down:
-                columns = np.stack(
-                    [
-                        linalg.matmul(field, f_n.matrix, h.matrix).reshape(-1)
-                        for h in down
-                    ],
-                    axis=1,
-                )
-            else:
-                columns = np.zeros((b_n.dim * target.dim, 0), dtype=ELEM)
+            t = target.dim
+            down = [h.matrix for h in hom_space(b_next, target)]
+            h = len(down)
+            hs = np.array(down, dtype=ELEM).reshape(h, b_next.dim, t)
+            # f_n h for every basis map h of Hom(B_{n+1}, T), one column each
+            columns = linalg.images(field, f_n.matrix, hs)
+            columns = columns.transpose(0, 2, 1).reshape(b_n.dim * t, h)
             for g in hom_space(b_n, target):
                 checked += 1
                 if linalg.solve(field, columns, g.matrix.reshape(-1)) is None:

@@ -21,9 +21,17 @@ dim(a & b) + dim(a + b) = dim a + dim b.  One cap bounds the pointed
 power of the top M^arity, which is the largest any element's witness
 needs.
 
-Filters of the finite lattice are exactly the principal up-sets, so
-filter analysis (neg-isolation with respect to an avoided element, and
-the join/meet irreducibility test) runs over generators.
+Every filter of the finite lattice is a principal up-set up(g), so a
+filter is its generator g and every filter question is read off ``leq``:
+- the filters maximal among those avoiding an element a are generated
+  by the minimal g with g not below a, since up(g) avoids a iff g is
+  not below a, and up(h) strictly contains up(g) iff h < g;
+- up(g) is Ziegler irreducible (for all p1, p2 outside it some c in it
+  has (p1 & c) + (p2 & c) outside it) iff g has at most one lower
+  cover: the sum is monotone in c, so c = g decides, and every x < g
+  is p & g for some p outside (take p = x), so up(g) fails iff g is
+  the join of two elements below it, which in a finite lattice holds
+  iff g has two or more lower covers.
 """
 
 from __future__ import annotations
@@ -181,71 +189,31 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
     return PpLattice(m, arity, elements, tuple(res.witness for res in results), leq, meet, join)
 
 
-def hasse_edges(lat: PpLattice) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with element i covered by element j."""
+def _covers(lat: PpLattice) -> np.ndarray:
+    """covers[i, j]: i < j with nothing strictly between."""
     below = lat.leq & ~np.eye(lat.size, dtype=bool)
-    # i < j with nothing strictly between, in row-major order
-    covers = below & ~(below @ below)
-    return [(i, j) for i, j in np.argwhere(covers).tolist()]
+    return below & ~(below @ below)
+
+
+def hasse_edges(lat: PpLattice) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) with element i covered by element j, in row-major order."""
+    return [(i, j) for i, j in np.argwhere(_covers(lat)).tolist()]
 
 
 @dataclass(frozen=True, eq=False)
 class PpFilter:
-    """An upward-closed, meet-closed nonempty subset of a PpLattice."""
+    """The filter of a PpLattice generated by ``generator``: its up-set.
+
+    Every filter of a finite lattice is principal, so the generator is
+    the filter.
+    """
 
     lattice: PpLattice
-    members: frozenset[int]
+    generator: int
 
     @property
-    def generator(self) -> int:
-        """Least member; finite filters are principal."""
-        lat = self.lattice
-        for i in sorted(self.members):
-            if all(lat.leq[i, j] for j in self.members):
-                return i
-        raise ValidationFailure("filter has no least element")
-
-
-def make_filter(lat: PpLattice, members) -> PpFilter:
-    members = frozenset(int(i) for i in members)
-    if not members:
-        raise ValidationFailure("filters are nonempty")
-    for i in members:
-        for j in range(lat.size):
-            if lat.leq[i, j] and j not in members:
-                raise ValidationFailure("filter is not upward closed")
-        for j in members:
-            if int(lat.meet[i, j]) not in members:
-                raise ValidationFailure("filter is not meet closed")
-    return PpFilter(lat, members)
-
-
-def principal_filter(lat: PpLattice, g: int) -> PpFilter:
-    return make_filter(lat, np.flatnonzero(lat.leq[g]))
-
-
-def all_filters(lat: PpLattice) -> list[PpFilter]:
-    """Every filter of the finite lattice, i.e. every principal up-set."""
-    return [principal_filter(lat, g) for g in range(lat.size)]
-
-
-def ziegler_irreducible(filt: PpFilter) -> bool:
-    """Irreducibility, read off the lattice literally.
-
-    For every pair outside the filter there must be a member whose
-    meets with the two stay jointly outside after summing.
-    """
-    lat = filt.lattice
-    outside = [i for i in range(lat.size) if i not in filt.members]
-    for p1 in outside:
-        for p2 in outside:
-            if not any(
-                int(lat.join[lat.meet[p1, c], lat.meet[p2, c]])
-                not in filt.members
-                for c in filt.members
-            ):
-                return False
-    return True
+    def members(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.lattice.leq[self.generator]).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,12 +223,20 @@ class NegIsolatedFilter:
 
 
 def filter_analysis(lat: PpLattice, avoid: int) -> list[NegIsolatedFilter]:
-    """Filters maximal with respect to excluding ``avoid``, with flags."""
+    """Filters maximal with respect to excluding ``avoid``, with flags.
+
+    They are generated by the minimal g with g not below ``avoid``,
+    listed in ascending g; g's filter is Ziegler irreducible iff g has
+    at most one lower cover.
+    """
     if not 0 <= avoid < lat.size:
         raise ValidationFailure("avoided element is not in the lattice")
-    candidates = [f for f in all_filters(lat) if avoid not in f.members]
+    covers = _covers(lat)
+    outside = ~lat.leq[:, avoid]
+    # outside is an up-set, so g is minimal in it iff no lower cover of g is
+    minimal = outside & ~(outside @ covers)
+    irreducible = covers.sum(axis=0) <= 1
     return [
-        NegIsolatedFilter(f, ziegler_irreducible(f))
-        for f in candidates
-        if not any(other.members > f.members for other in candidates)
+        NegIsolatedFilter(PpFilter(lat, g), bool(irreducible[g]))
+        for g in np.flatnonzero(minimal).tolist()
     ]

@@ -173,11 +173,12 @@ def synthesize_scalar(m: ModuleRep, g, eb: EndBiend | None = None) -> ScalarSynt
     d = m.dim
     g = field.asarray(g).reshape(d, d)
     eb = eb or end_and_biend(m)
-    for h in eb.end.basis:
-        if not np.array_equal(
-            linalg.matmul(field, g, h), linalg.matmul(field, h, g)
-        ):
-            raise ValidationFailure("matrix is not a biendomorphism")
+    ends = eb.end.basis
+    # g h and h g for every basis endomorphism h
+    gh = linalg.images(field, g, ends).transpose(1, 0, 2)
+    hg = linalg.matmul(field, ends.reshape(len(ends) * d, d), g).reshape(ends.shape)
+    if not np.array_equal(gh, hg):
+        raise ValidationFailure("matrix is not a biendomorphism")
     gens = eb.generators
     k = gens.shape[0]
     joined = np.concatenate([gens, linalg.matmul(field, gens, g)], axis=0)

@@ -377,6 +377,9 @@ def test_negative_dim_or_arity_in_a_workspace_is_a_data_error(section, tmp_path,
          "cannot parse matrix '[[0], [0]'"),
         (["purity", "--source", "RS", "--target", "S", "--matrix", "[0, 1]"],
          "matrix needs shape (3, 1)"),
+        # RR's lattice is the three-chain [0] < [1] < [2]
+        (["filters", "--module", "RR", "--avoid", "-1"], "avoided element is not in the lattice"),
+        (["filters", "--module", "RR", "--avoid", "3"], "avoided element is not in the lattice"),
     ],
 )
 def test_argument_errors_carry_no_line_number(args, message, capsys):

@@ -63,3 +63,24 @@ def test_traced_entry_points_resolve():
                 assert hasattr(obj, part), f"ppmod.{module}.{name}"
                 obj = getattr(obj, part)
             assert callable(obj), f"ppmod.{module}.{name}"
+
+
+def package_imports() -> list[str]:
+    """Every name ``src/ppmod/__init__.py`` imports from its modules, in order."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def test_all_is_exactly_the_package_imports():
+    # a name deleted from a module must leave both lists together
+    import ppmod
+
+    assert len(ppmod.__all__) == len(set(ppmod.__all__))
+    assert set(ppmod.__all__) == set(package_imports())
+    for name in ppmod.__all__:
+        assert hasattr(ppmod, name), name

@@ -7,18 +7,15 @@ import pytest
 
 from ppmod import (
     Field,
-    all_filters,
+    PpFilter,
     direct_sum,
     evaluate,
     filter_analysis,
     hasse_edges,
     is_pp_definable,
     linalg,
-    make_filter,
     pp_lattice,
-    principal_filter,
     regular_module,
-    ziegler_irreducible,
 )
 from ppmod.errors import CapExceeded, ValidationFailure
 from ppmod.fixtures import mod_rr, mod_s, r2, tri2
@@ -152,45 +149,12 @@ def test_s_squared_lattice_collapses():
     assert [e.dim for e in lat.elements] == [0, 2]
 
 
-def test_all_filters_are_filters():
-    lat = pp_lattice(regular_module(tri2(), "right"), 1)
-    filters = all_filters(lat)
-    assert len(filters) == 7
-    for filt in filters:
-        members = filt.members
-        assert lat.top in members
-        for i in members:
-            for j in range(lat.size):
-                if lat.leq[i, j]:
-                    assert j in members
-            for j in members:
-                assert lat.meet[i, j] in members
-
-
-def test_principal_filter_and_generator():
+def test_a_filter_is_its_generator():
     lat = pp_lattice(regular_module(tri2(), "right"), 1)
     for g in range(lat.size):
-        filt = principal_filter(lat, g)
+        filt = PpFilter(lat, g)
         assert filt.generator == g
-        assert filt.members == frozenset(
-            j for j in range(lat.size) if lat.leq[g, j]
-        )
-
-
-def test_make_filter_validates():
-    lat = pp_lattice(regular_module(tri2(), "right"), 1)
-    # an upward-closed set that misses a meet: take two coatoms
-    coatoms = [i for i in range(lat.size) if lat.leq[i, lat.top] and i != lat.top
-               and not any(lat.leq[i, j] and j not in (i, lat.top)
-                           for j in range(lat.size))]
-    assert len(coatoms) >= 2
-    a, b = coatoms[0], coatoms[1]
-    bad = frozenset({a, b, lat.top})
-    if lat.meet[a, b] not in bad:
-        with pytest.raises(ValidationFailure):
-            make_filter(lat, bad)
-    with pytest.raises(ValidationFailure):
-        make_filter(lat, [lat.bottom])  # not upward closed in a 7-element lattice
+        assert filt.members == frozenset(np.flatnonzero(lat.leq[g]).tolist())
 
 
 def test_filter_analysis_on_rr():
@@ -199,8 +163,8 @@ def test_filter_analysis_on_rr():
     assert len(out) == 1
     assert out[0].ziegler
     filt = out[0].filter
+    assert filt.generator == 1
     assert lat.bottom not in filt.members
-    assert ziegler_irreducible(filt)
 
 
 def test_filter_analysis_avoiding_top_is_empty():

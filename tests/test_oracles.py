@@ -58,6 +58,18 @@ replaced (two normalised formulas per candidate, ``pair_closed`` and
 ``evaluate`` signatures) is kept as ``oracle_consequence_enum``; the
 formula fingerprints, their order and ``truncated`` must agree.
 
+A filter of a finite lattice is its generator, and ``filter_analysis``
+reads the maximal avoiding filters and their Ziegler flags off ``leq``
+and its covers.  The loops it replaced (every principal up-set checked
+for upward and meet closure, pairwise maximality, the least-member
+generator search and the literal irreducibility test) are kept as
+``oracle_filter_analysis``; generators, members, flags and their order
+must agree on random closure systems, which need not be modular, and on
+the lattices of the lattice benchmark workload.  ``verify_factorisation``
+builds its factor columns with one ``linalg.images``; the per-map loop
+is ``oracle_verify_factorisation``, compared on ``ok``, ``checked`` and
+the failure-map bytes.
+
 ``purity_check`` decides each side by one solve for a retraction or a
 section over a basis of Hom(target, source), and lists elements only
 when a side does not split.  The element loops it ran on every map are
@@ -67,10 +79,12 @@ over F2, F3, F5, F4 and F9 (dim-0 modules included), on the k2, r2, f3
 and tri2 grids and on the pullbacks and pushouts of criterion 4.
 """
 
+import functools
 import hashlib
 import json
 import random
 from itertools import combinations, product
+from operator import and_
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +96,14 @@ from hypothesis.extra import numpy as hnp
 from ppmod import Field, fixtures, linalg
 from ppmod.acceptance import _random_automorphism, _random_hom
 from ppmod.algebras import Algebra, make_algebra, structure_product
-from ppmod.construct import Budget, ConsequenceList, consequence_enum
+from ppmod.construct import (
+    Budget,
+    ConsequenceList,
+    FactorisationReport,
+    consequence_enum,
+    run_construction,
+    verify_factorisation,
+)
 from ppmod.defcat import (
     PurityReport,
     make_context,
@@ -115,7 +136,10 @@ from ppmod.formulas import (
 )
 from ppmod.lattice import (
     DEFAULT_CAP,
+    PpFilter,
     PpLattice,
+    _covers,
+    filter_analysis,
     hasse_edges,
     is_pp_definable,
     pp_lattice,
@@ -149,6 +173,7 @@ from ppmod.scalars import (
     scalar_ring,
 )
 from ppmod.tensor import relative_ml_check, tensor_product
+from ppmod.workspace import load_workspace
 
 FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(3, 2)]
 
@@ -1733,6 +1758,112 @@ def test_hasse_edges_match_the_triple_loop_on_the_grids(m):
     assert hasse_edges(lat) == oracle_hasse_edges(lat)
 
 
+def oracle_ziegler_irreducible(lat, members):
+    """For every pair outside the filter some member's meets with the two sum outside it."""
+    outside = [i for i in range(lat.size) if i not in members]
+    return all(
+        any(int(lat.join[lat.meet[p1, c], lat.meet[p2, c]]) not in members for c in members)
+        for p1 in outside
+        for p2 in outside
+    )
+
+
+def oracle_filter_analysis(lat, avoid):
+    """(generator, members, ziegler) of each maximal filter avoiding ``avoid``.
+
+    Every principal up-set is checked to be upward and meet closed, the
+    avoiding ones are compared pairwise for maximality, and each
+    survivor's generator is searched as its least member.
+    """
+    if not 0 <= avoid < lat.size:
+        raise ValidationFailure("avoided element is not in the lattice")
+    k = lat.size
+    filters = []
+    for g in range(k):
+        members = frozenset(j for j in range(k) if lat.leq[g, j])
+        for i in members:
+            for j in range(k):
+                if lat.leq[i, j] and j not in members:
+                    raise AssertionError("filter is not upward closed")
+            for j in members:
+                if int(lat.meet[i, j]) not in members:
+                    raise AssertionError("filter is not meet closed")
+        filters.append(members)
+    candidates = [f for f in filters if avoid not in f]
+    out = []
+    for members in candidates:
+        if any(other > members for other in candidates):
+            continue
+        generator = next(i for i in sorted(members) if all(lat.leq[i, j] for j in members))
+        out.append((generator, members, oracle_ziegler_irreducible(lat, members)))
+    return out
+
+
+def assert_filters_match(lat, avoids):
+    """filter_analysis against the loops on each avoid, and the cover test on every up-set.
+
+    A reported generator is minimal outside the down-set of ``avoid``,
+    so it is never a join of two smaller elements and every reported
+    flag is yes; the cover test is also checked on every principal
+    filter, where both answers occur.
+    """
+    for avoid in avoids:
+        got = [(r.filter.generator, r.filter.members, r.ziegler) for r in filter_analysis(lat, avoid)]
+        assert got == oracle_filter_analysis(lat, avoid)
+    one_lower_cover = _covers(lat).sum(axis=0) <= 1
+    for g in range(lat.size):
+        members = PpFilter(lat, g).members
+        assert one_lower_cover[g] == oracle_ziegler_irreducible(lat, members)
+
+
+@st.composite
+def closure_systems(draw):
+    """A random closure system on at most 5 points, as a lattice by inclusion.
+
+    Drawn subsets closed under intersection, plus the full set; meet is
+    the intersection and join the least closed superset.  Such lattices
+    need not be modular.
+    """
+    full = (1 << draw(st.integers(0, 5))) - 1
+    sets = {full} | set(draw(st.lists(st.integers(0, full), max_size=8)))
+    while more := {a & b for a in sets for b in sets} - sets:
+        sets |= more
+    sets = sorted(sets, key=lambda a: (bin(a).count("1"), a))
+    index = {a: i for i, a in enumerate(sets)}
+    k = len(sets)
+    leq = np.array([[a & b == a for b in sets] for a in sets], dtype=bool)
+    meet = np.array([[index[a & b] for b in sets] for a in sets], dtype=np.int32)
+    join = np.zeros((k, k), dtype=np.int32)
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            closed_above = [c for c in sets if (a | b) & c == a | b]
+            join[i, j] = index[functools.reduce(and_, closed_above)]
+    return PpLattice(None, 1, (None,) * k, (None,) * k, leq, meet, join)
+
+
+@many
+@given(lat=closure_systems())
+def test_filter_analysis_matches_the_up_set_loops_on_closure_systems(lat):
+    assert_filters_match(lat, range(lat.size))
+
+
+# the loops take about 30 ms a call on the two 67-element workload lattices,
+# so those get the bottom, the top and one seeded avoid
+EVERY_AVOID_UP_TO = 25
+
+
+@pytest.mark.parametrize(
+    "key, m, arity",
+    [pytest.param(*case, id=case[0]) for case in lattice_workload_cases() if case[0] in LATTICE_DIGESTS],
+)
+def test_filter_analysis_matches_the_up_set_loops_on_the_workload_lattices(key, m, arity):
+    lat = pp_lattice(m, arity)
+    if lat.size <= EVERY_AVOID_UP_TO:
+        assert_filters_match(lat, range(lat.size))
+    else:
+        assert_filters_match(lat, [lat.bottom, lat.top, random.Random(key).randrange(lat.size)])
+
+
 def oracle_consequence_enum(theta, ctx, budget):
     if not ctx.generators:
         raise EmptyContext("consequence enumeration needs context generators")
@@ -1821,6 +1952,64 @@ def test_consequence_enum_matches_the_formula_loop_on_the_demo_budget():
             got, want = consequence_enum(theta, ctx, budget), oracle_consequence_enum(theta, ctx, budget)
             assert got.truncated == want.truncated
             assert [p.fingerprint() for p in got.formulas] == [p.fingerprint() for p in want.formulas]
+
+
+def oracle_verify_factorisation(state, targets):
+    """The per-map loop: one ``matmul`` per basis map of Hom(B_{n+1}, T)."""
+    targets = list(targets)
+    field = state.ctx.algebra.field
+    for target in targets:
+        if state.ctx.pairs and not all(pair_closed(phi, psi, target) for phi, psi in state.ctx.pairs):
+            raise ValidationFailure("target does not close the context pairs")
+    failures = []
+    checked = 0
+    for n, f_n in enumerate(state.maps):
+        b_n = state.stages[n].module
+        b_next = state.stages[n + 1].module
+        for t_idx, target in enumerate(targets):
+            down = hom_space(b_next, target)
+            if down:
+                columns = np.stack(
+                    [linalg.matmul(field, f_n.matrix, h.matrix).reshape(-1) for h in down], axis=1
+                )
+            else:
+                columns = np.zeros((b_n.dim * target.dim, 0), dtype=ELEM)
+            for g in hom_space(b_n, target):
+                checked += 1
+                if linalg.solve(field, columns, g.matrix.reshape(-1)) is None:
+                    failures.append((n, t_idx, g))
+    return FactorisationReport(not failures, checked, tuple(failures))
+
+
+def factorisation_key(rep):
+    """``ok``, ``checked`` and each failure's stage, target and map bytes."""
+    failures = [(n, t, g.matrix.dtype, g.matrix.shape, g.matrix.tobytes()) for n, t, g in rep.failures]
+    return rep.ok, rep.checked, failures
+
+
+def construction_states():
+    """The demo preenvelope and the shorter budgets of test_construct.
+
+    The demo run (RR, [1, 0], context envS, budget small) is also the
+    state of acceptance criterion 5 and test_construct's default chain.
+    """
+    ws = load_workspace(Path(__file__).resolve().parent.parent / "workspaces" / "demo.ws")
+    rr, ctx = ws.module("RR"), ws.context("envS")
+    yield run_construction(rr, [[1, 0]], ctx, ws.budget("small"))
+    for budget in (Budget(2, 2, 1, 2), Budget(2, 2, 64, 1)):
+        yield run_construction(rr, [[1, 0]], ctx, budget)
+
+
+def test_verify_factorisation_matches_the_per_map_loop():
+    s = fixtures.mod_s()
+    s2, s3 = direct_sum([s, s]).module, direct_sum([s, s, s]).module
+    zero = zero_module(fixtures.r2(), "right")
+    for state in construction_states():
+        # criterion 5's targets, a target outside the context (maps that
+        # fail) and a dim-0 target (empty Homs)
+        for targets in ([s, s2, s3], [fixtures.mod_rr()], [zero, s]):
+            got = verify_factorisation(state, targets)
+            assert factorisation_key(got) == factorisation_key(oracle_verify_factorisation(state, targets))
 
 
 def oracle_purity_check(f_map):

@@ -108,11 +108,11 @@ def test_synthesized_scalar_has_the_graph_of_its_matrix():
     assert linalg.subspace_eq(sol.basis, graph)
 
 
-def test_synthesize_rejects_matrices_outside_the_commutant():
-    m = mod_rr()
-    bad = F2.asarray([[1, 0], [0, 0]])  # fails to commute with t
-    with pytest.raises(ValidationFailure):
-        synthesize_scalar(m, bad)
+@pytest.mark.parametrize("bad", [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]])
+def test_synthesize_rejects_matrices_outside_the_commutant(bad):
+    # each fails to commute with t, an endomorphism of RR
+    with pytest.raises(ValidationFailure, match="^matrix is not a biendomorphism$"):
+        synthesize_scalar(mod_rr(), F2.asarray(bad))
 
 
 @pytest.mark.parametrize("mod_fn", [mod_rr, mod_s, mod_rr_alt], ids=["RR", "S", "RRalt"])

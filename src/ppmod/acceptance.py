@@ -56,7 +56,8 @@ from .modules import (
     are_isomorphic,
     constrained_hom,
     direct_sum,
-    hom_space,
+    hom_basis,
+    hom_orbits,
     make_map,
 )
 from .scalars import scalar_ring
@@ -161,9 +162,10 @@ def criterion_3_free_realisation() -> tuple[bool, str]:
     """Every solution is hit by a morphism from the free realisation.
 
     The set of witness-tuple images under homomorphisms is the linear
-    span of the images under a hom-space basis, so coverage of the whole
-    solution set is one subspace comparison; explicit homomorphisms are
-    still produced for a sample of solutions as a direct check.
+    span of the images under a hom-space basis, the ``hom_orbits`` of the
+    tuple, so coverage of the whole solution set is one subspace
+    comparison; explicit homomorphisms are still produced for a sample
+    of solutions as a direct check.
     """
     rng = random.Random(303)
     plan = [(r2(), 50), (f3(), 25), (tri2(), 25)]
@@ -177,16 +179,7 @@ def criterion_3_free_realisation() -> tuple[bool, str]:
             fr = free_realisation(phi)
             for m in rg:
                 sol = evaluate(phi, m)
-                images = [
-                    h.apply_tuple(fr.tuple).reshape(-1)
-                    for h in hom_space(fr.module, m)
-                ]
-                reach = linalg.row_space(
-                    field,
-                    np.stack(images)
-                    if images
-                    else np.zeros((0, phi.nfree * m.dim), dtype=ELEM),
-                )
+                reach = linalg.row_space(field, hom_orbits(fr.module, m, fr.tuple[None])[0])
                 if not linalg.subspace_eq(sol.basis, reach):
                     return False, f"unreached solutions over {alg.labels}"
                 elements = sol.elements()
@@ -204,11 +197,11 @@ def criterion_3_free_realisation() -> tuple[bool, str]:
 
 
 def _random_hom(rng, source, target) -> ModuleMap:
-    basis = hom_space(source, target)
+    basis = hom_basis(source, target)
     field = source.algebra.field
     coeffs = [rng.randrange(field.q) for _ in basis]
-    flat = [linalg.zeros(0, source.dim * target.dim)] + [h.matrix.reshape(1, -1) for h in basis]
-    mat = linalg.matvec(field, coeffs, np.vstack(flat)).reshape(source.dim, target.dim)
+    flat = basis.reshape(len(basis), source.dim * target.dim)
+    mat = linalg.matvec(field, coeffs, flat).reshape(source.dim, target.dim)
     return make_map(source, target, mat)
 
 

@@ -18,6 +18,8 @@ and a formula is built only for an accepted one.  A budget can
 truncate a row (more closed strengthenings existed than the candidate
 allowance), reported as ``budget_exhausted`` on the state; a block of
 candidates longer than ``linalg.ENUMERATION_CAP`` raises CapExceeded.
+The verifiers work on Hom spaces: a ``hom_basis`` decides factoring,
+and the generator check reads each stage's image type off ``hom_orbits``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import (
     SideMismatch,
     ValidationFailure,
 )
-from .fields import ELEM
 from .defcat import DefinableContext, pair_closed
 from .formulas import (
     PpFormula,
@@ -44,8 +45,6 @@ from .formulas import (
     equivalent,
     evaluate,
     free_realisation,
-    leq_absolute,
-    leq_relative,
     pp_formula,
     pp_type_generator,
     prefix_restriction,
@@ -56,7 +55,8 @@ from .modules import (
     ModuleRep,
     constrained_hom,
     extend_to_generators,
-    hom_space,
+    hom_basis,
+    hom_orbits,
     identity_map,
     module_span,
     tuple_rows,
@@ -295,36 +295,38 @@ def verify_factorisation(
         b_n = state.stages[n].module
         b_next = state.stages[n + 1].module
         for t_idx, target in enumerate(targets):
-            t = target.dim
-            down = [h.matrix for h in hom_space(b_next, target)]
-            h = len(down)
-            hs = np.array(down, dtype=ELEM).reshape(h, b_next.dim, t)
+            hs = hom_basis(b_next, target)
             # f_n h for every basis map h of Hom(B_{n+1}, T), one column each
             columns = linalg.images(field, f_n.matrix, hs)
-            columns = columns.transpose(0, 2, 1).reshape(b_n.dim * t, h)
-            for g in hom_space(b_n, target):
+            columns = columns.transpose(0, 2, 1).reshape(b_n.dim * target.dim, len(hs))
+            for g in hom_basis(b_n, target):
                 checked += 1
-                if linalg.solve(field, columns, g.matrix.reshape(-1)) is None:
-                    failures.append((n, t_idx, g))
+                if linalg.solve(field, columns, g.reshape(-1)) is None:
+                    failures.append((n, t_idx, ModuleMap(b_n, target, g)))
     return FactorisationReport(not failures, checked, tuple(failures))
 
 
 def verify_generator(state: ConstructionState, phi: PpFormula) -> bool:
     """Does the image type of the initial tuple stay generated by phi?
 
-    At every stage m the generator psi_m of the image tuple's pp-type
+    At every stage m the generator psi_m of the image tuple a_m's pp-type
     must be below phi absolutely and above it relative to the context.
-    phi itself must generate the initial tuple's pp-type.
+    B_m freely realises psi_m at a_m, so psi_m is never built: psi_m <=
+    phi iff a_m lies in phi(B_m), and phi(G) <= psi_m(G) = Hom(B_m, G)·a_m
+    on each generator G.  phi must generate the initial tuple's pp-type.
     """
     theta0 = state.stages[0].theta
     if not equivalent(phi, theta0):
         raise ValidationFailure(
             "formula does not generate the initial tuple's pp-type"
         )
+    field = state.ctx.algebra.field
     for stage in state.stages:
-        psi_m = pp_type_generator(stage.module, stage.a_image)
-        if not leq_relative(phi, psi_m, state.ctx):
-            return False
-        if not leq_absolute(psi_m, phi):
+        b_m, a_m = stage.module, stage.a_image
+        for g in state.ctx.generators:
+            reach = linalg.row_space(field, hom_orbits(b_m, g, a_m[None])[0])
+            if not linalg.subspace_le(field, evaluate(phi, g).basis, reach):
+                return False
+        if not evaluate(phi, b_m).contains(a_m):
             return False
     return True

@@ -10,8 +10,10 @@ Purity is decided by splitting: a finite-dimensional module over a
 finite-dimensional algebra is pure-projective and pure-injective, so a
 pure mono out of it or a pure epi onto it splits.  ``purity_check``
 solves once over a basis of Hom(target, source) for a retraction and a
-section, and lists elements only on a side that does not split, to find
-its first single-element witness in code order.
+section, and walks elements only on a side that does not split, to find
+its first single-element witness in code order.  A finite module freely
+realises its tuples, phi_b(M) = Hom(N, M)·b, so that walk and
+``strict_atomic_witness`` ask about Hom spans, not formulas.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     AlgebraMismatch,
+    CapExceeded,
     EmptyContext,
     LengthMismatch,
     NoExplicitPairs,
@@ -37,7 +40,7 @@ from .modules import (
     ModuleRep,
     constrained_hom,
     direct_sum,
-    hom_space,
+    hom_basis,
     quotient,
     submodule,
     tuple_rows,
@@ -139,48 +142,61 @@ def _splits(field, products: np.ndarray) -> bool:
     return linalg.solve(field, lhs, linalg.eye(field, d).reshape(-1)) is not None
 
 
+# image entries built per ``linalg.images`` call of the witness walk
+_WALK_CELLS = 2**14
+
+
+def _first_outside(field, dim: int, stack: np.ndarray) -> np.ndarray | None:
+    """First e of F_q^dim in code order outside span{e S_i}, or None.
+
+    ``stack`` holds the (h, dim, dim) matrices S_i.  The walk builds the
+    elements a chunk at a time, coordinate 0 fastest as in
+    ``linalg.all_vectors``, with one ``linalg.images`` of at most
+    ``_WALK_CELLS`` entries per chunk, and raises CapExceeded once it has
+    passed ``linalg.ENUMERATION_CAP`` elements without finding one.
+    """
+    q, cap = field.q, linalg.ENUMERATION_CAP
+    total = q**dim
+    step = max(1, _WALK_CELLS // max(1, stack.shape[0] * dim))
+    for start in range(0, min(total, cap), step):
+        codes = np.arange(start, min(start + step, total, cap))
+        chunk = np.empty((codes.size, dim), dtype=ELEM)
+        for i in range(dim):
+            codes, chunk[:, i] = divmod(codes, q)
+        for e, orbit in zip(chunk, linalg.images(field, chunk, stack)):
+            if linalg.solve(field, orbit.T, e) is None:
+                return e
+    if total > cap:
+        raise CapExceeded(f"no witness among the first {cap} of {q}^{dim} elements (cap)")
+    return None
+
+
 def purity_check(f_map: ModuleMap) -> PurityReport:
     """Purity of a finite map f: M -> N, decided by splitting.
 
     With F the matrix of f and G_i a basis of Hom(N, M), pure_mono holds
     iff F G = I_M for some G in the span (a retraction), and pure_epi iff
-    S F = I_N for some S (a section).  A side that does not split is
-    settled by the single-element tests, which also give its witness:
-    a source element that fails (in the source) the generator of its
-    image's pp-type, or a target element with no preimage inside the
-    solution set of its pp-type generator.  Split maps list no elements.
+    S F = I_N for some S (a section).  A side that does not split names
+    its first witness in code order: a source element a failing the
+    generator psi of its image's pp-type, or a target element a with no
+    preimage in phi(M), phi its type's generator.  N freely realises
+    both, so psi(M) = span{a F G_i} and f(phi(M)) = span{a G_i F}: a is a
+    witness iff it lies outside span{a S_i}, S_i the F G_i or G_i F just
+    tested for splitting.  Only the reported witness's generator is built.
     """
     m, n = f_map.source, f_map.target
     field = m.algebra.field
-    hom = [g.matrix for g in hom_space(n, m)]
-    h = len(hom)
-    gs = np.array(hom, dtype=ELEM).reshape(h, n.dim, m.dim)
+    gs = hom_basis(n, m)
+    h = len(gs)
     # F G_i and G_i F for every basis map G_i of Hom(N, M)
     fg = linalg.images(field, f_map.matrix, gs).transpose(1, 0, 2)
-    gf = linalg.matmul(field, gs.reshape(h * n.dim, m.dim), f_map.matrix)
-    mono_ok, mono_wit = True, None
-    if not _splits(field, fg):
-        for a in m.enumerate_elements():
-            fa = f_map.apply(a)
-            psi = pp_type_generator(n, fa.reshape(1, -1))
-            if not evaluate(psi, m).contains(a):
-                mono_ok, mono_wit = False, (a, psi)
-                break
-    epi_ok, epi_wit = True, None
-    if not _splits(field, gf.reshape(h, n.dim, n.dim)):
-        for aa in n.enumerate_elements():
-            phi = pp_type_generator(n, aa.reshape(1, -1))
-            sol = evaluate(phi, m)
-            # affine solve: b in phi(m) with b @ f = aa
-            lhs = (
-                linalg.matmul(field, sol.basis, f_map.matrix).T
-                if sol.dim
-                else np.zeros((n.dim, 0), dtype=ELEM)
-            )
-            if linalg.solve(field, lhs, aa) is None:
-                epi_ok, epi_wit = False, (aa, phi)
-                break
-    return PurityReport(mono_ok, epi_ok, mono_wit, epi_wit)
+    gf = linalg.matmul(field, gs.reshape(h * n.dim, m.dim), f_map.matrix).reshape(h, n.dim, n.dim)
+    mono_wit = epi_wit = None
+    if not _splits(field, fg) and (a := _first_outside(field, m.dim, fg)) is not None:
+        mono_wit = (a, pp_type_generator(n, f_map.apply(a).reshape(1, -1)))
+    if not _splits(field, gf) and (aa := _first_outside(field, n.dim, gf)) is not None:
+        epi_wit = (aa, pp_type_generator(n, aa.reshape(1, -1)))
+    return PurityReport(mono_wit is None, epi_wit is None, mono_wit, epi_wit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,9 +285,10 @@ def strict_atomic_witness(
 ) -> ModuleMap:
     """Morphism m -> n carrying the tuple to the target tuple.
 
-    The generator of the tuple's pp-type must hold of the target tuple
-    in n; finite modules are strictly atomic in any ambient context, so
-    the morphism then exists and is found by a constrained solve.
+    m is finite, so it freely realises the pp-type of the tuple: a
+    morphism exists iff the target tuple satisfies the type's generator,
+    and finite modules are strictly atomic in any ambient context.  One
+    constrained solve finds the morphism or decides that none exists.
 
     Raises:
         NotInSolutionSet: the target tuple fails the generator formula
@@ -281,15 +298,9 @@ def strict_atomic_witness(
     tgt = tuple_rows(target_vectors, n.dim)
     if vecs.shape[0] != tgt.shape[0]:
         raise LengthMismatch("tuples of different lengths")
-    phi = pp_type_generator(m, vecs)
-    if not evaluate(phi, n).contains(tgt):
-        raise NotInSolutionSet(
-            "target tuple does not satisfy the pp-type generator"
-        )
     hom = constrained_hom(m, n, vecs, tgt)
     if hom is None:
-        raise ValidationFailure(
-            "no constrained morphism despite a satisfied generator; "
-            "this contradicts strict atomicity of finite modules"
+        raise NotInSolutionSet(
+            "target tuple does not satisfy the pp-type generator"
         )
     return hom

@@ -43,7 +43,7 @@ import numpy as np
 from . import linalg
 from .errors import CapExceeded, ValidationFailure
 from .formulas import PpFormula, SubgroupRep, bot, evaluate, pp_type_generator
-from .modules import ModuleRep, direct_sum, hom_space, tuple_rows
+from .modules import ModuleRep, direct_sum, hom_orbits, tuple_rows
 
 DEFAULT_CAP = 2**16
 
@@ -126,11 +126,8 @@ def principal_closures(m: ModuleRep, arity: int) -> list[np.ndarray]:
     points = linalg.all_vectors(field, n)
     lead = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
     points = points[lead == 1]  # one a per projective point
-    ends = np.stack([h.matrix for h in hom_space(m, m)])
-    # End acts diagonally: every block of every point against every h
-    orbits = linalg.images(field, points.reshape(-1, m.dim), ends)
-    orbits = orbits.reshape(len(points), arity, len(ends), m.dim).swapaxes(1, 2)
-    return [linalg.row_space(field, orbit) for orbit in orbits.reshape(len(points), len(ends), n)]
+    orbits = hom_orbits(m, m, points.reshape(len(points), arity, m.dim))
+    return [linalg.row_space(field, orbit) for orbit in orbits]
 
 
 def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattice:
@@ -227,7 +224,10 @@ def filter_analysis(lat: PpLattice, avoid: int) -> list[NegIsolatedFilter]:
 
     They are generated by the minimal g with g not below ``avoid``,
     listed in ascending g; g's filter is Ziegler irreducible iff g has
-    at most one lower cover.
+    at most one lower cover.  So every reported filter is irreducible:
+    were g the join of two smaller elements, both would lie below
+    ``avoid`` by the minimality of g, and so would g.  The flag is read
+    off the covers all the same, and reads yes on every reported filter.
     """
     if not 0 <= avoid < lat.size:
         raise ValidationFailure("avoided element is not in the lattice")

@@ -22,6 +22,11 @@ of the rows under every action, a submodule's actions are the batched
 ``coords_in_rref`` of those images, a quotient is ``quotient_map`` plus
 one ``matmul`` of the kept action rows, and the validators compare
 whole product tables and report the first failure in label order.
+
+Hom(m, n) is one canonical (h, m.dim, n.dim) stack, ``hom_basis``, and
+``hom_orbits`` sends tuples through all of it with one ``images``; a
+finite module freely realises its tuples, so callers read phi_b(n) =
+Hom(m, n)·b off an orbit instead of building and evaluating phi_b.
 """
 
 from __future__ import annotations
@@ -255,16 +260,35 @@ def identity_map(m: ModuleRep) -> ModuleMap:
     return ModuleMap(m, m, np.eye(m.dim, dtype=ELEM))
 
 
-def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
-    """Canonical F_q-basis of Hom(m, n)."""
+def hom_basis(m: ModuleRep, n: ModuleRep) -> np.ndarray:
+    """Canonical F_q-basis of Hom(m, n) as one (h, m.dim, n.dim) stack."""
     _require_compatible(m, n)
     if m.dim == 0 or n.dim == 0:
-        return []
+        return np.zeros((0, m.dim, n.dim), dtype=ELEM)
     f = m.algebra.field
     # vec(F) with act_m[i] F = F act_n[i] for every i
     hom_rows = linalg.sylvester_rows(f, m.actions, n.actions.transpose(0, 2, 1))
-    basis = linalg.null_space(f, hom_rows)
-    return [ModuleMap(m, n, row.reshape(m.dim, n.dim)) for row in basis]
+    return linalg.null_space(f, hom_rows).reshape(-1, m.dim, n.dim)
+
+
+def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
+    """Canonical F_q-basis of Hom(m, n)."""
+    return [ModuleMap(m, n, g) for g in hom_basis(m, n)]
+
+
+def hom_orbits(m: ModuleRep, n: ModuleRep, tuples: np.ndarray) -> np.ndarray:
+    """Each k-tuple of m under every basis map of Hom(m, n).
+
+    Entry (j, i) of the (p, h, k*n.dim) result is tuples[j], of shape
+    (p, k, m.dim), sent through ``hom_basis(m, n)[i]``, slot-major.  m is
+    finite, so it freely realises the pp-type of each tuple b: phi_b(n) =
+    Hom(m, n)·b for the generator phi_b (Prest, Purity, Spectra and
+    Localisation, 2009, 1.2), the row space of entry j.
+    """
+    homs = hom_basis(m, n)
+    p, k, h = tuples.shape[0], tuples.shape[1], homs.shape[0]
+    orbits = linalg.images(m.algebra.field, tuples.reshape(p * k, m.dim), homs)
+    return orbits.reshape(p, k, h, n.dim).swapaxes(1, 2).reshape(p, h, k * n.dim)
 
 
 def constrained_hom(
@@ -469,12 +493,12 @@ def are_isomorphic(m: ModuleRep, n: ModuleRep) -> bool:
         return False
     if m.dim == 0:
         return True
-    basis = hom_space(m, n)
-    if not basis:
+    basis = hom_basis(m, n)
+    if not len(basis):
         return False
     f = m.algebra.field
     # iterate all nonzero field combinations of the hom basis, in code order
-    stacked = np.stack([h.matrix.reshape(-1) for h in basis])
+    stacked = basis.reshape(len(basis), m.dim * n.dim)
     for coeffs in linalg.all_vectors(f, len(basis))[1:]:
         mat = linalg.matvec(f, coeffs, stacked).reshape(m.dim, n.dim)
         if linalg.rank(f, mat) == m.dim:

@@ -11,24 +11,22 @@ graph of that formula is the graph of g, which is checked rather than
 assumed.
 
 Structure tables are one ``linalg.pair_products`` of the basis read back
-with one batched ``coords_in_rref``, and an isomorphism candidate T is
-checked on every basis pair at once, as table_a T == kron(T, T) table_b.
+with one batched ``coords_in_rref``; End(M) is the ``hom_basis`` stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from . import linalg
 from .algebras import structure_product
-from .errors import CapExceeded, ValidationFailure
+from .errors import ValidationFailure
 from .fields import ELEM, Field
 from .formulas import PpFormula, evaluate, pp_formula, pp_type_generator
 from .memo import memo
-from .modules import ModuleRep, RIGHT, hom_space
+from .modules import ModuleRep, RIGHT, hom_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +106,7 @@ def end_and_biend(m: ModuleRep) -> EndBiend:
     """End(M), its commutant, and greedy module generators over End."""
     field = m.algebra.field
     d = m.dim
-    end_maps = hom_space(m, m)
-    end_mats = (
-        np.stack([h.matrix for h in end_maps])
-        if end_maps
-        else np.zeros((0, d, d), dtype=ELEM)
-    )
+    end_mats = hom_basis(m, m)
     end = _make_ring_table(field, end_mats, "f")
     biend_mats = _commutant(field, end_mats, d)
     from_r = None
@@ -283,37 +276,3 @@ def ring_kernel(rt: RingTable, algebra_dim: int) -> np.ndarray:
     if rt.from_r.shape[1] == 0:
         return linalg.eye(field, algebra_dim).astype(ELEM)
     return linalg.null_space(field, rt.from_r.T)
-
-
-def ring_isomorphic(
-    field: Field,
-    table_a: np.ndarray,
-    unit_a: np.ndarray,
-    table_b: np.ndarray,
-    unit_b: np.ndarray,
-    cap: int = linalg.ENUMERATION_CAP,
-) -> bool:
-    """Brute-force F-algebra isomorphism test on structure tables."""
-    k = table_a.shape[0]
-    if table_b.shape[0] != k:
-        return False
-    if k == 0:
-        return True
-    if field.q ** (k * k) > cap:
-        raise CapExceeded("isomorphism search space exceeds the cap")
-    unit_a = np.asarray(unit_a, ELEM)
-    unit_b = np.asarray(unit_b, ELEM)
-    flat_a = np.asarray(table_a, ELEM).reshape(k * k, k)
-    flat_b = np.asarray(table_b, ELEM).reshape(k * k, k)
-    for flat in product(range(field.q), repeat=k * k):
-        t_mat = np.array(flat, dtype=ELEM).reshape(k, k)
-        if linalg.rank(field, t_mat) != k:
-            continue
-        if not np.array_equal(linalg.matvec(field, unit_a, t_mat), unit_b):
-            continue
-        # T is multiplicative iff (e_i e_j) T == (e_i T)(e_j T) for every pair
-        lhs = linalg.matmul(field, flat_a, t_mat)
-        rhs = linalg.matmul(field, linalg.kron(field, t_mat, t_mat), flat_b)
-        if np.array_equal(lhs, rhs):
-            return True
-    return False

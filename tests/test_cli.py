@@ -316,16 +316,40 @@ def big_module_workspace(tmp_path):
     return ws, eye
 
 
-def test_element_listing_past_the_cap_is_a_data_error(tmp_path, capsys):
-    # the zero map does not split, so purity lists all 2^21 elements for a witness: capped
+def test_element_listing_past_the_cap_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # diag(1, ..., 1, 0) splits neither way and its first witness on both
+    # sides is e_20, element 2^20 in code order: a walk capped below that fails
+    from ppmod import linalg
+
+    ws, eye = big_module_workspace(tmp_path)
+    diag = [row[:] for row in eye]
+    diag[20][20] = 0
+    monkeypatch.setattr(linalg, "ENUMERATION_CAP", 2**4)
+    code, out, err = run(
+        ["purity", "--workspace", str(ws), "--source", "M", "--target", "M",
+         "--matrix", str(diag)], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+
+
+def test_early_witness_on_a_large_module_is_answered(tmp_path, capsys):
+    # the zero map splits neither way; its witness on both sides is e_0,
+    # the second element in code order, found without listing 2^21 elements
     ws, _ = big_module_workspace(tmp_path)
     zero = [[0] * 21 for _ in range(21)]
     code, out, err = run(
         ["purity", "--workspace", str(ws), "--source", "M", "--target", "M",
          "--matrix", str(zero)], capsys
     )
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+    e0 = str([1] + [0] * 20)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["map: M -> M", "pure monomorphism: no"]
+    assert lines[2].startswith(f"  witness element {e0} with type ")
+    assert lines[3] == "pure epimorphism: no"
+    assert lines[4].startswith(f"  witness element {e0} with type ")
+    assert len(lines) == 5
 
 
 def test_split_map_on_a_large_module_is_answered(tmp_path, capsys):

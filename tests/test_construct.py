@@ -149,6 +149,17 @@ def test_generator_check_accepts_the_type_generator(chain):
     assert verify_generator(st, gen)
 
 
+def test_generator_check_builds_no_type_generator(chain, monkeypatch):
+    # each stage's image type is read off Hom(B_m, X)·a_m, never built
+    def forbidden(*args):
+        raise AssertionError("verify_generator built a pp-type generator")
+
+    monkeypatch.setattr(ppmod.construct, "pp_type_generator", forbidden)
+    monkeypatch.setattr(ppmod.formulas, "pp_type_generator", forbidden)
+    assert verify_generator(chain, top(r2(), "right", 1))
+    assert verify_generator(chain, chain.stages[0].theta)
+
+
 def test_generator_check_rejects_non_generators(chain):
     st = chain
     with pytest.raises(ValidationFailure):

@@ -1,5 +1,6 @@
 """Purity, pullback/pushout transfer, and definable context membership."""
 
+import itertools
 import random
 
 import numpy as np
@@ -28,7 +29,6 @@ from ppmod.errors import (
 )
 from ppmod.acceptance import _random_automorphism, _random_hom
 from ppmod.fixtures import divt, mod_rr, mod_s, r2, right_grid, xt0
-from ppmod.modules import ModuleRep
 
 F2 = Field(2)
 
@@ -53,20 +53,6 @@ def test_split_maps_are_pure():
     assert rep2.pure_epi and not rep2.pure_mono
 
 
-LIST_ELEMENTS = ModuleRep.enumerate_elements
-
-
-def forbid_listing(monkeypatch, *modules):
-    """enumerate_elements raises on the given modules, or on every module if none."""
-
-    def guarded(self):
-        if not modules or any(self is m for m in modules):
-            raise AssertionError(f"listed the elements of {self!r}")
-        return LIST_ELEMENTS(self)
-
-    monkeypatch.setattr(ModuleRep, "enumerate_elements", guarded)
-
-
 def test_split_sides_list_no_elements(monkeypatch):
     import ppmod.defcat
 
@@ -80,30 +66,73 @@ def test_split_sides_list_no_elements(monkeypatch):
     sq = direct_sum([n, b])
     p = _random_automorphism(rng, sq.module).compose(sq.projections[0])
     to_source = pullback_pure(_random_hom(rng, m, n), p).to_source
-    homs = []
-    hom_space = ppmod.defcat.hom_space
+    homs, walks = [], []
+    hom_basis, first_outside = ppmod.defcat.hom_basis, ppmod.defcat._first_outside
 
-    def counted(a, b):
+    def counted_homs(a, b):
         homs.append((a, b))
-        return hom_space(a, b)
+        return hom_basis(a, b)
 
-    monkeypatch.setattr(ppmod.defcat, "hom_space", counted)
+    def counted_walks(field, dim, stack):
+        walks.append(dim)
+        return first_outside(field, dim, stack)
 
-    forbid_listing(monkeypatch)
-    rep = purity_check(identity_on(rr))
-    assert rep.pure_mono and rep.pure_epi
-    # a side that does not split may list elements for its witness; a split side never
-    forbid_listing(monkeypatch, inj.source)
-    assert purity_check(inj).pure_mono
-    forbid_listing(monkeypatch, proj.target)
-    assert purity_check(proj).pure_epi
-    forbid_listing(monkeypatch, to_source.target)
-    assert purity_check(to_source).pure_epi
+    monkeypatch.setattr(ppmod.defcat, "hom_basis", counted_homs)
+    monkeypatch.setattr(ppmod.defcat, "_first_outside", counted_walks)
+    maps = (identity_on(rr), inj, proj, to_source)
+    reports = [purity_check(f) for f in maps]
+    assert reports[0].pure_mono and reports[0].pure_epi
+    assert reports[1].pure_mono and reports[2].pure_epi and reports[3].pure_epi
+    # a side that does not split walks elements for its witness; a split side never
+    assert walks == [
+        dim
+        for f, rep in zip(maps, reports)
+        for dim, pure in ((f.source.dim, rep.pure_mono), (f.target.dim, rep.pure_epi))
+        if not pure
+    ]
     # one Hom(target, source) per purity_check
     assert [(a.fingerprint(), b.fingerprint()) for a, b in homs] == [
-        (f.target.fingerprint(), f.source.fingerprint())
-        for f in (identity_on(rr), inj, proj, to_source)
+        (f.target.fingerprint(), f.source.fingerprint()) for f in maps
     ]
+
+
+def test_purity_builds_a_type_generator_only_for_a_reported_witness(monkeypatch):
+    import ppmod.defcat
+
+    calls = []
+    real = ppmod.defcat.pp_type_generator
+
+    def counted(m, vectors):
+        calls.append(m)
+        return real(m, vectors)
+
+    monkeypatch.setattr(ppmod.defcat, "pp_type_generator", counted)
+    rng = random.Random(5)
+    grid = [m for m in right_grid(r2()) if m.dim <= 2]
+    for m, n in itertools.product(grid, repeat=2):
+        ds = direct_sum([m, n])
+        maps = [make_map(m, n, np.zeros((m.dim, n.dim), dtype=np.int16)), _random_hom(rng, m, n)]
+        for f_map in maps + list(ds.injections) + list(ds.projections):
+            calls.clear()
+            rep = purity_check(f_map)
+            # at most one per side that is not pure: the reported witness's type
+            assert len(calls) == (rep.mono_witness is not None) + (rep.epi_witness is not None)
+            assert len(calls) <= (not rep.pure_mono) + (not rep.pure_epi)
+
+
+def test_strict_atomic_witness_builds_and_evaluates_no_formula(monkeypatch):
+    import ppmod.defcat
+
+    def forbidden(*args):
+        raise AssertionError("strict_atomic_witness built or evaluated a formula")
+
+    for name in ("pp_type_generator", "evaluate"):
+        monkeypatch.setattr(ppmod.defcat, name, forbidden)
+    rr, s = mod_rr(), mod_s()
+    ctx = make_context([s])
+    assert strict_atomic_witness(rr, [[1, 0]], ctx, s, [[1]]).target is s
+    with pytest.raises(NotInSolutionSet, match="^target tuple does not satisfy the pp-type generator$"):
+        strict_atomic_witness(s, [[1]], ctx, rr, [[1, 0]])
 
 
 def test_radical_embedding_is_not_pure():

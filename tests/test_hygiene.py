@@ -1,8 +1,9 @@
-"""Source hygiene: ppmod modules share only public names.
+"""Source hygiene: ppmod modules share only public names, and import only what they use.
 
 A name with a leading underscore is private to the module that defines
 it; a module that needs it from another module should get a public
-name instead.
+name instead.  A name a module imports and never uses is a stale
+dependency left behind by a refactor.
 """
 
 import ast
@@ -39,6 +40,37 @@ def test_the_check_sees_private_imports(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text("from .modules import ModuleRep, _field_kron\nfrom os import _exit\n")
     assert private_imports(sample) == ["modules:_field_kron"]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Each name a module binds by import and never mentions again, in order."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_every_imported_name_is_used(path):
+    # the package __init__ imports to re-export; its list is checked against __all__
+    assert unused_imports(path) == []
+
+
+def test_the_check_sees_unused_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .modules import ModuleRep, hom_space\n\n"
+        "def f(m: ModuleRep) -> np.ndarray:\n    return hom_space(m, m)\n"
+    )
+    assert unused_imports(sample) == ["os"]
 
 
 def tracer_entry_points() -> dict:

@@ -101,29 +101,32 @@ def test_index_of_roundtrip():
 
 def test_pp_lattice_witnesses_elements_only_and_reads_meets_off_joins(monkeypatch):
     import ppmod.lattice
+    import ppmod.modules
 
-    calls = {"hom_space": 0, "is_pp_definable": 0}
+    calls = {"hom_basis": 0, "hom_orbits": 0, "is_pp_definable": 0}
 
-    def counted(name):
-        fn = getattr(ppmod.lattice, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def spy(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(ppmod.lattice, name, spy)
+        monkeypatch.setattr(module, name, spy)
 
     def no_intersection(*args):
         raise AssertionError("pp_lattice intersected subspaces")
 
-    counted("hom_space")
-    counted("is_pp_definable")
+    counted(ppmod.modules, "hom_basis")
+    counted(ppmod.lattice, "hom_orbits")
+    counted(ppmod.lattice, "is_pp_definable")
     monkeypatch.setattr(ppmod.linalg, "subspace_intersect", no_intersection)
     for m, arity in ((mod_rr(), 1), (regular_module(tri2(), "right"), 1), (mod_s(), 2)):
-        calls.update(hom_space=0, is_pp_definable=0)
+        calls.update(hom_basis=0, hom_orbits=0, is_pp_definable=0)
         lat = pp_lattice(m, arity)
-        # one End basis, and one witness per element, none per projective point
-        assert calls == {"hom_space": 1, "is_pp_definable": lat.size}
+        # one End basis and one orbit batch, and one witness per element,
+        # none per projective point
+        assert calls == {"hom_basis": 1, "hom_orbits": 1, "is_pp_definable": lat.size}
 
 
 def test_arity_two_lattice_contains_diagonal():

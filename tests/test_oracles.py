@@ -48,7 +48,7 @@ The module layer asks each question with one product over whole stacks
 they replaced are kept as oracles: ``module_span``, ``submodule`` and
 ``quotient`` (with their closure failures), ``TensorResult.tuple_class``,
 the ``relative_ml_check`` matrix, the End/Biend structure tables and
-``from_r``, ``ring_isomorphic``, the induced matrices of ``scalar_ring``,
+``from_r``, the induced matrices of ``scalar_ring``,
 the error type and message of ``make_algebra``, ``make_module`` and
 ``make_map``, and ``hasse_edges`` on any boolean relation.
 
@@ -77,8 +77,20 @@ kept as ``oracle_purity_check``; both answers, the witness element bytes
 and the witness formula fingerprints must agree on hom combinations
 over F2, F3, F5, F4 and F9 (dim-0 modules included), on the k2, r2, f3
 and tri2 grids and on the pullbacks and pushouts of criterion 4.
+
+A finite module freely realises its tuples: phi_b(M) = Hom(N, M)·b for
+a tuple b of N and the generator phi_b of its pp-type.  ``hom_orbits``
+is compared with ``evaluate(pp_type_generator(N, b), M)`` on the grids
+and on hypothesis draws (both sides, tuples of length 0 to 2, dim-0
+modules), and ``hom_basis`` with the list-building hom basis.  The paths
+this replaced are kept as oracles: the per-map list of criterion 3,
+``oracle_verify_generator`` (builds each stage's psi_m and orders it
+both ways) and ``oracle_strict_atomic_witness`` (generator, evaluation,
+then the constrained solve), which must give the same answers and raise
+the same exception class and message.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -103,6 +115,7 @@ from ppmod.construct import (
     consequence_enum,
     run_construction,
     verify_factorisation,
+    verify_generator,
 )
 from ppmod.defcat import (
     PurityReport,
@@ -111,12 +124,15 @@ from ppmod.defcat import (
     pullback_pure,
     purity_check,
     pushout_pure,
+    strict_atomic_witness,
 )
 from ppmod.errors import (
     CapExceeded,
     EmptyContext,
+    LengthMismatch,
     NonAssociative,
     NotASubmodule,
+    NotInSolutionSet,
     PpmodError,
     ValidationFailure,
 )
@@ -126,13 +142,17 @@ from ppmod.formulas import (
     bot,
     conj,
     dual,
+    equivalent,
     evaluate,
     formula_sum,
     free_realisation,
+    leq_absolute,
+    leq_relative,
     pp_formula,
     pp_type_generator,
     prefix_restriction,
     substitute,
+    top,
 )
 from ppmod.lattice import (
     DEFAULT_CAP,
@@ -153,6 +173,8 @@ from ppmod.modules import (
     dual_module,
     extend_to_generators,
     free_module,
+    hom_basis,
+    hom_orbits,
     hom_space,
     make_map,
     make_module,
@@ -169,7 +191,6 @@ from ppmod.scalars import (
     _commutant,
     _make_ring_table,
     end_and_biend,
-    ring_isomorphic,
     scalar_ring,
 )
 from ppmod.tensor import relative_ml_check, tensor_product
@@ -1365,30 +1386,6 @@ def oracle_from_r(m, biend_mats):
     return from_r
 
 
-def oracle_ring_isomorphic(field, table_a, unit_a, table_b, unit_b):
-    k = table_a.shape[0]
-    if table_b.shape[0] != k:
-        return False
-    if k == 0:
-        return True
-    for flat in product(range(field.q), repeat=k * k):
-        t_mat = np.array(flat, dtype=ELEM).reshape(k, k)
-        if linalg.rank(field, t_mat) != k:
-            continue
-        if not np.array_equal(linalg.matvec(field, unit_a, t_mat), unit_b):
-            continue
-        if all(
-            np.array_equal(
-                linalg.matvec(field, table_a[i, j], t_mat),
-                structure_product(field, table_b, t_mat[i], t_mat[j]),
-            )
-            for i in range(k)
-            for j in range(k)
-        ):
-            return True
-    return False
-
-
 def oracle_induced_matrix(m, formula):
     field = m.algebra.field
     d = m.dim
@@ -1638,36 +1635,6 @@ def test_ring_table_closure_failures_match_the_pair_loop(data, field, k, d):
         assert same_array(_make_ring_table(field, mats, "x").table, want)
 
 
-@many
-@given(data=st.data(), field=st.sampled_from(FIELDS[:4]), k=st.integers(0, 2))
-def test_ring_isomorphic_matches_the_pair_loop(data, field, k):
-    table_a, unit_a = sparse(data, field, (k, k, k)), sparse(data, field, (k,))
-    genuine = [alg for alg in GENUINE if alg.field == field and alg.dim == k]
-    if genuine and data.draw(st.booleans()):  # few automorphisms, unlike sparse tables
-        alg = data.draw(st.sampled_from(genuine))
-        table_a, unit_a = alg.constants, alg.unit
-    mode = data.draw(st.sampled_from(["random", "same", "swapped", "transported"]))
-    if mode == "random":
-        table_b, unit_b = sparse(data, field, (k, k, k)), sparse(data, field, (k,))
-    elif mode == "same":
-        table_b, unit_b = table_a.copy(), unit_a.copy()
-    elif mode == "swapped":  # the basis order reversed, an isomorphic table
-        rev = np.arange(k)[::-1]
-        table_b, unit_b = table_a[rev][:, rev][:, :, rev], unit_a[rev]
-    else:  # transported along an invertible T, so that T is an isomorphism
-        t_mat = sparse(data, field, (k, k))
-        red, pivots = linalg.rref(field, np.concatenate([t_mat, linalg.eye(field, k)], axis=1))
-        if pivots[:k] != list(range(k)):
-            return
-        s_mat = red[:, k:]  # T^-1
-        flat = linalg.matmul(field, table_a.reshape(k * k, k), t_mat)
-        table_b = linalg.matmul(field, linalg.kron(field, s_mat, s_mat), flat).reshape(k, k, k)
-        unit_b = linalg.matvec(field, unit_a, t_mat)
-    assert ring_isomorphic(field, table_a, unit_a, table_b, unit_b) == oracle_ring_isomorphic(
-        field, table_a, unit_a, table_b, unit_b
-    )
-
-
 @pytest.mark.parametrize("alg", GENUINE[:4], ids=algebra_id)
 def test_scalar_ring_matches_the_solve_loop(alg):
     for m in (m for m in genuine_modules(alg) if m.side == "right" and m.dim <= 3):
@@ -1862,6 +1829,28 @@ def test_filter_analysis_matches_the_up_set_loops_on_the_workload_lattices(key, 
         assert_filters_match(lat, range(lat.size))
     else:
         assert_filters_match(lat, [lat.bottom, lat.top, random.Random(key).randrange(lat.size)])
+
+
+def test_every_reported_filter_is_ziegler_irreducible_on_the_workload_lattices():
+    # a reported generator g is minimal outside the down-set of the avoided
+    # element, so g is never the join of two smaller elements: the flag is
+    # a theorem; the cover test itself still says no on some principal filters
+    refused = 0
+    for key, m, arity in lattice_workload_cases():
+        if key not in LATTICE_DIGESTS:
+            continue
+        lat = pp_lattice(m, arity)
+        for avoid in range(lat.size):
+            assert all(r.ziegler for r in filter_analysis(lat, avoid))
+        refused += int((_covers(lat).sum(axis=0) > 1).sum())
+    assert refused > 0
+
+
+@many
+@given(lat=closure_systems())
+def test_every_reported_filter_is_ziegler_irreducible_on_closure_systems(lat):
+    for avoid in range(lat.size):
+        assert all(r.ziegler for r in filter_analysis(lat, avoid))
 
 
 def oracle_consequence_enum(theta, ctx, budget):
@@ -2093,6 +2082,20 @@ def test_purity_matches_the_element_loops_on_the_grids(alg, side):
             assert_purity_matches(f_map)
 
 
+@pytest.mark.parametrize("cells", [1, 40])
+@pytest.mark.parametrize("alg", [fixtures.r2(), fixtures.f3()], ids=["r2", "f3"])
+def test_purity_witnesses_keep_the_code_order_across_walk_chunks(alg, cells, monkeypatch):
+    # tiny chunks put most witnesses past a chunk boundary
+    import ppmod.defcat
+
+    monkeypatch.setattr(ppmod.defcat, "_WALK_CELLS", cells)
+    grid = [m for m in fixtures.right_grid(alg) if m.dim <= 3]
+    rng = random.Random(9)
+    for m, n in product(grid, repeat=2):
+        for f_map in [make_map(m, n, np.zeros((m.dim, n.dim), dtype=ELEM)), _random_hom(rng, m, n)]:
+            assert_purity_matches(f_map)
+
+
 def c4_squares():
     """The pullbacks and pushouts of acceptance criterion 4, in its draw order."""
     alg = fixtures.r2()
@@ -2116,3 +2119,201 @@ def test_purity_matches_the_element_loops_on_the_c4_squares():
     for pair in c4_squares():
         for f_map, report in pair:
             assert report_key(report) == report_key(oracle_purity_check(f_map))
+
+
+# -- a finite module freely realises its tuples: phi_b(M) = Hom(N, M)·b ---------
+
+
+def oracle_hom_space(m, n):
+    """The list-building hom basis: one matrix per null-space row of the constraint loop."""
+    if m.dim == 0 or n.dim == 0:
+        return []
+    rows = linalg.null_space(m.algebra.field, oracle_hom_constraint_matrix(m, n))
+    return [row.reshape(m.dim, n.dim) for row in rows]
+
+
+def oracle_hom_stack(m, n):
+    """``oracle_hom_space`` stacked, (0, m.dim, n.dim) when empty."""
+    want = oracle_hom_space(m, n)
+    return np.stack(want) if want else np.zeros((0, m.dim, n.dim), dtype=ELEM)
+
+
+def oracle_type_solutions(n, b, m):
+    """phi_b(m) for a (k, n.dim) tuple b of n, through the generator formula."""
+    return evaluate(pp_type_generator(n, b), m).basis
+
+
+def assert_orbits_match(n, m, tuples):
+    got = hom_orbits(n, m, tuples)
+    homs = hom_space(n, m)
+    p, k = tuples.shape[:2]
+    assert got.dtype == ELEM and got.shape == (p, len(homs), k * m.dim)
+    field = n.algebra.field
+    for orbit, b in zip(got, tuples):
+        # entry i is b under the i-th basis map, flattened slot-major
+        assert all(same_array(row, h.apply_tuple(b).reshape(-1)) for row, h in zip(orbit, homs))
+        assert same_array(linalg.row_space(field, orbit), oracle_type_solutions(n, b, m))
+
+
+def grid_pairs(alg, side):
+    grid = fixtures.right_grid(alg) if side == "right" else fixtures.left_grid(alg)
+    return product(grid, repeat=2)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("alg", GRID_ALGEBRAS, ids=["k2", "r2", "f3", "tri2"])
+def test_hom_basis_is_the_stack_of_the_hom_space_list(alg, side):
+    for n, m in grid_pairs(alg, side):
+        want = oracle_hom_space(n, m)
+        got = hom_basis(n, m)
+        assert got.dtype == ELEM and got.shape == (len(want), n.dim, m.dim)
+        assert same_array(got, oracle_hom_stack(n, m))
+        homs = hom_space(n, m)
+        assert len(homs) == len(want)
+        assert all(same_array(h.matrix, w) for h, w in zip(homs, want))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("alg", GRID_ALGEBRAS, ids=["k2", "r2", "f3", "tri2"])
+def test_hom_orbits_are_the_type_generator_solutions_on_the_grids(alg, side):
+    # every ordered pair of grid modules, 4 random tuples of each length 0, 1, 2
+    rng = np.random.default_rng(11)
+    for n, m in grid_pairs(alg, side):
+        for k in (0, 1, 2):
+            tuples = rng.integers(0, alg.field.q, size=(4, k, n.dim)).astype(ELEM)
+            assert_orbits_match(n, m, tuples)
+
+
+@many
+@given(data=st.data(), alg=st.sampled_from(GENUINE), side=st.sampled_from(["right", "left"]))
+def test_hom_orbits_are_the_type_generator_solutions(data, alg, side):
+    # dim-0 modules are drawn on either end
+    mods = [m for m in genuine_modules(alg) if m.side == side]
+    n, m = data.draw(st.sampled_from(mods)), data.draw(st.sampled_from(mods))
+    k, p = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 3))
+    tuples = sparse(data, alg.field, (p, k, n.dim))
+    assert same_array(hom_basis(n, m), oracle_hom_stack(n, m))
+    assert_orbits_match(n, m, tuples)
+
+
+def oracle_criterion_3_reach(fr, m, nfree):
+    """The per-map list of criterion 3: the witness tuple under each hom_space map."""
+    images = [h.apply_tuple(fr.tuple).reshape(-1) for h in hom_space(fr.module, m)]
+    stacked = np.stack(images) if images else np.zeros((0, nfree * m.dim), dtype=ELEM)
+    return linalg.row_space(m.algebra.field, stacked)
+
+
+def test_criterion_3_reach_matches_the_per_map_list():
+    # the formulas and grids of acceptance criterion 3, in its draw order
+    rng = random.Random(303)
+    for alg, count in [(fixtures.r2(), 50), (fixtures.f3(), 25), (fixtures.tri2(), 25)]:
+        for _ in range(count):
+            phi = fixtures.random_formula(alg, "right", rng)
+            fr = free_realisation(phi)
+            for m in fixtures.right_grid(alg):
+                got = linalg.row_space(alg.field, hom_orbits(fr.module, m, fr.tuple[None])[0])
+                assert same_array(got, oracle_criterion_3_reach(fr, m, phi.nfree))
+                assert same_array(got, evaluate(phi, m).basis)
+
+
+def oracle_verify_generator(state, phi):
+    """The psi_m path: build each stage's type generator and order it both ways."""
+    theta0 = state.stages[0].theta
+    if not equivalent(phi, theta0):
+        raise ValidationFailure("formula does not generate the initial tuple's pp-type")
+    for stage in state.stages:
+        psi_m = pp_type_generator(stage.module, stage.a_image)
+        if not leq_relative(phi, psi_m, state.ctx):
+            return False
+        if not leq_absolute(psi_m, phi):
+            return False
+    return True
+
+
+def with_image(state, m, a_image):
+    """The state with stage m's image tuple replaced: a chain the checks can refuse."""
+    stages = list(state.stages)
+    stages[m] = dataclasses.replace(stages[m], a_image=np.asarray(a_image, dtype=ELEM))
+    return dataclasses.replace(state, stages=tuple(stages))
+
+
+def generator_states():
+    """The construction states of the factorisation test, and altered chains.
+
+    Moving the demo's image tuple to t makes its type fail the relative
+    check on S; swapping the tuple of R + S, pointed by (1, 0; s), keeps
+    the relative check on S and fails the absolute one.
+    """
+    states = list(construction_states())
+    yield from states
+    yield with_image(states[0], 0, [[0, 1]])
+    yield with_image(states[0], 1, [[0]])
+    rr, s = fixtures.mod_rr(), fixtures.mod_s()
+    rs = direct_sum([rr, s]).module
+    for ctx in (make_context([s]), make_context([s, rr])):
+        state = run_construction(rs, [[1, 0, 0], [0, 0, 1]], ctx, Budget(1, 1, 4, 2))
+        yield state
+        yield with_image(state, 0, [[0, 0, 1], [1, 0, 0]])
+
+
+def test_verify_generator_matches_the_psi_path():
+    seen = set()
+    for state in generator_states():
+        alg = state.ctx.algebra
+        theta0 = state.stages[0].theta
+        k = theta0.nfree
+        phis = [theta0, top(alg, "right", k), bot(alg, "right", k), fixtures.xt0("right")]
+        for phi in phis:
+            if phi.nfree != k:
+                continue
+            err = error_of(verify_generator, state, phi)
+            assert err == error_of(oracle_verify_generator, state, phi)
+            if err is None:
+                got = verify_generator(state, phi)
+                assert got == oracle_verify_generator(state, phi)
+            seen.add(err[0] if err else got)
+    # both answers and the refusal occur
+    assert seen == {True, False, "ValidationFailure"}
+
+
+def oracle_strict_atomic_witness(m, vectors, ctx, n, target_vectors):
+    """The formula path: generator, evaluation, then the constrained solve."""
+    vecs = tuple_rows(vectors, m.dim)
+    tgt = tuple_rows(target_vectors, n.dim)
+    if vecs.shape[0] != tgt.shape[0]:
+        raise LengthMismatch("tuples of different lengths")
+    phi = pp_type_generator(m, vecs)
+    if not evaluate(phi, n).contains(tgt):
+        raise NotInSolutionSet("target tuple does not satisfy the pp-type generator")
+    hom = constrained_hom(m, n, vecs, tgt)
+    if hom is None:
+        raise ValidationFailure(
+            "no constrained morphism despite a satisfied generator; "
+            "this contradicts strict atomicity of finite modules"
+        )
+    return hom
+
+
+@many
+@given(data=st.data(), alg=st.sampled_from(GENUINE), side=st.sampled_from(["right", "left"]))
+def test_strict_atomic_witness_matches_the_formula_path(data, alg, side):
+    field = alg.field
+    mods = [m for m in genuine_modules(alg) if m.side == side]
+    m, n = data.draw(st.sampled_from(mods)), data.draw(st.sampled_from(mods))
+    k = data.draw(st.integers(0, 2))
+    src = sparse(data, field, (k, m.dim))
+    basis = hom_basis(m, n)
+    mode = data.draw(st.sampled_from(["image", "random", "short"]))
+    if mode == "image" and len(basis):  # the image of src under a homomorphism
+        coeffs = sparse(data, field, (len(basis),))
+        h = linalg.matvec(field, coeffs, basis.reshape(len(basis), -1)).reshape(m.dim, n.dim)
+        tgt = linalg.matmul(field, src, h)
+    else:
+        tgt = sparse(data, field, (k + (mode == "short"), n.dim))
+    ctx = make_context([n]) if n.dim else make_context([m])
+    err = error_of(strict_atomic_witness, m, src, ctx, n, tgt)
+    assert err == error_of(oracle_strict_atomic_witness, m, src, ctx, n, tgt)
+    if err is None:
+        got = strict_atomic_witness(m, src, ctx, n, tgt)
+        want = oracle_strict_atomic_witness(m, src, ctx, n, tgt)
+        assert same_array(got.matrix, want.matrix) and got.source is m and got.target is n

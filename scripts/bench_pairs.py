@@ -1,0 +1,209 @@
+"""Benchmark a change against its parent in alternating pairs.
+
+    python3 scripts/bench_pairs.py --parent REV --change REV --pr N \
+        --scratch DIR [--claim WORKLOAD]
+
+Run from the root of a ppmod checkout.  Both revisions are cloned from
+this repository into DIR/parent and DIR/change (a local ``git clone``
+leaves the repository's own ``.git`` untouched), so each side runs its
+committed files with its own copy of ``perfbench`` and its run length.
+At seeds 1 and 97, every workload runs in ten alternating pairs,
+untraced (``python3 perfbench/run.py --workload W --seed S --trace 0``):
+at seed 1 the parent goes first in odd pairs, at seed 97 the change
+does.  Then each side runs each workload once traced (``--trace 1``).
+
+Every number in ``BENCH_<pr>.json`` is copied from the
+``.perfbench/<workload>-seed<S>-trace<0|1>.json`` result files those runs
+write.  For each workload, seed and end-to-end metric the pair summary
+(medians, quartiles, wins) is computed from the copied values and judged
+against the metric's bound in ``BENCHMARK.json``: the claimed workload's
+``wall_s`` by the gain rule, every other pairing by the no-regression
+rule.  The two clones are removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("calculus-f2", "calculus-fq", "lattice", "cli-demo")
+END_TO_END = ("wall_s", "setup_s", "op_p50_ms", "peak_rss_mb")
+SEEDS = (1, 97)
+PAIRS = 10
+
+
+def run_entry(result: dict) -> dict:
+    """The BENCH entry of one untraced result file."""
+    prov, extra = result["provenance"], result["extra"]
+    return {
+        "correct": result["failed"] == 0 and result["inputs_repeat"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "repetitions": result["repetitions"],
+        "end_to_end": {name: result["metrics"][name] for name in END_TO_END},
+        "capped_share": extra["capped_share"],
+        "speed": extra["speed"],
+        "git_sha": prov["git_sha"],
+        "src_sha256": prov["src_sha256"],
+    }
+
+
+def traced_entry(result: dict) -> dict:
+    """The non-zero per-layer metrics of one traced result file."""
+    return {name: value for name, value in result["metrics"].items() if value}
+
+
+def pair_summary(parent: list[float], change: list[float]) -> dict:
+    """Wins and spread of paired values of one metric (lower is better)."""
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need at least two pairs of equal length")
+    med = statistics.median
+    p_q = statistics.quantiles(parent, n=4)
+    c_q = statistics.quantiles(change, n=4)
+    return {
+        "parent": parent,
+        "change": change,
+        "pairs": len(parent),
+        "change_wins": sum(c < p for p, c in zip(parent, change)),
+        "parent_wins": sum(p < c for p, c in zip(parent, change)),
+        "parent_median": round(med(parent), 4),
+        "change_median": round(med(change), 4),
+        "parent_quartiles": [round(x, 4) for x in p_q],
+        "change_quartiles": [round(x, 4) for x in c_q],
+        "parent_iqr": round(p_q[2] - p_q[0], 4),
+        "median_gap": round(med(parent) - med(change), 4),
+    }
+
+
+def gain(summary: dict) -> bool:
+    """The gain rule: the change wins at least nine tenths of the pairs
+    (ties count for neither) and the medians differ by more than the
+    parent's interquartile range."""
+    return (
+        10 * summary["change_wins"] >= 9 * summary["pairs"]
+        and summary["median_gap"] > summary["parent_iqr"]
+    )
+
+
+def verdict(summary: dict, bound: float) -> str:
+    """The no-regression rule for one metric, ``bound`` relative to the
+    parent's median: 'better' when every change run is below every parent
+    run, else 'unresolved' when the parent's own spread is wider than the
+    bound, else 'worse' or 'within bound' by the medians."""
+    if max(summary["change"]) < min(summary["parent"]):
+        return "better"
+    base = summary["parent_median"]
+    if summary["parent_iqr"] > bound * base:
+        return "unresolved"
+    if summary["change_median"] - base > bound * base:
+        return "worse"
+    return "within bound"
+
+
+def claim_text(workload: str, summaries: dict) -> str:
+    """One sentence stating the paired wall_s result at every seed."""
+    wins = " and ".join(
+        f"{s['change_wins']} of {s['pairs']} at {seed}" for seed, s in summaries.items()
+    )
+    medians = " and ".join(
+        f"{s['parent_median']} -> {s['change_median']} s ({seed})" for seed, s in summaries.items()
+    )
+    iqrs = " and ".join(f"{s['parent_iqr']} s" for s in summaries.values())
+    met = "met" if all(gain(s) for s in summaries.values()) else "not met"
+    return (
+        f"{workload} wall_s: change below parent in {wins}; "
+        f"medians {medians}, parent IQR {iqrs}; gain rule {met}."
+    )
+
+
+def _clone(rev: str, dest: Path) -> None:
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", ".", str(dest)], check=True)
+    subprocess.run(["git", "-C", str(dest), "checkout", "--quiet", "--detach", rev], check=True)
+
+
+def _run(side: Path, workload: str, seed: int, traced: bool) -> dict:
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--trace", str(int(traced)),
+    ]
+    proc = subprocess.run(cmd, cwd=side, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"{' '.join(cmd)} in {side} exited {proc.returncode}: {proc.stderr}")
+    path = side / ".perfbench" / f"{workload}-seed{seed}-trace{int(traced)}.json"
+    return json.loads(path.read_text())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--pr", required=True)
+    parser.add_argument("--scratch", required=True, type=Path)
+    parser.add_argument("--claim", default="cli-demo", choices=WORKLOADS)
+    args = parser.parse_args(argv)
+    bounds = {m["name"]: m["bound"] for m in json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]}
+    sides = {"parent": args.scratch / "parent", "change": args.scratch / "change"}
+    if any(p.exists() for p in sides.values()):
+        print(f"error: {args.scratch}/parent or /change exists", file=sys.stderr)
+        return 2
+    args.scratch.mkdir(parents=True, exist_ok=True)
+    for name, path in sides.items():
+        _clone(getattr(args, name), path)
+    subject = subprocess.run(
+        ["git", "log", "-1", "--format=%s", args.change], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    try:
+        runs, pairs, claim, prov = {}, {}, {}, None
+        for i, seed in enumerate(SEEDS):
+            for workload in WORKLOADS:
+                key = f"{workload} seed {seed}"
+                results = {"parent": [], "change": []}
+                for k in range(PAIRS):
+                    order = ["parent", "change"] if (k + i) % 2 == 0 else ["change", "parent"]
+                    for name in order:
+                        results[name].append(_run(sides[name], workload, seed, False))
+                prov = prov or results["parent"][0]["provenance"]
+                runs[key] = {
+                    name: {
+                        "runs": [run_entry(r) for r in rs],
+                        "traced": traced_entry(_run(sides[name], workload, seed, True)),
+                    }
+                    for name, rs in results.items()
+                }
+                pairs[key] = {}
+                for metric in END_TO_END:
+                    values = {n: [r["metrics"][metric] for r in rs] for n, rs in results.items()}
+                    summary = pair_summary(values["parent"], values["change"])
+                    summary["verdict"] = verdict(summary, bounds[metric])
+                    pairs[key][metric] = summary
+                if workload == args.claim:
+                    claim[f"seed {seed}"] = pairs[key]["wall_s"]
+    finally:
+        for path in sides.values():
+            shutil.rmtree(path, ignore_errors=True)
+    out = {
+        "what": f"{subject} ({args.change}) against its parent {args.parent}",
+        "machine": {k: prov[k] for k in ("nproc", "machine", "python", "load")},
+        "commands": [
+            f"python3 scripts/bench_pairs.py --parent {args.parent} --change {args.change} "
+            f"--pr {args.pr} --scratch {args.scratch} --claim {args.claim}",
+            f"per seed S in {list(SEEDS)} and workload W: python3 perfbench/run.py --workload W "
+            f"--seed S --trace 0 in {PAIRS} alternating pairs (seed {SEEDS[0]}: parent first in "
+            f"odd pairs; seed {SEEDS[1]}: change first), then --trace 1 once per side",
+        ],
+        "claim": claim_text(args.claim, claim),
+        "bounds": bounds,
+        "pairs": pairs,
+        "runs": runs,
+    }
+    Path(f"BENCH_{args.pr}.json").write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,8 +13,14 @@ generator properties.
 Enumerations here are finite, budgeted and capped.  A consequence
 list always starts with theta itself, and the schedule reads row i at
 position j mod len(row i), so the schedule never starves.  Candidates
-are decided on solution sets, (theta and chi)(X) = theta(X) & chi(X),
-and a formula is built only for an accepted one.  A budget can
+theta and chi, chi with coefficient blocks (a, b), are decided on
+solution sets, (theta and chi)(X) = theta(X) & chi(X), and two linear
+facts decide every a at once for each b: x lies in chi(X) iff L_a(x)
+lies in W_b(X), with L_a(x) bilinear in (a, x) and W_b(X) independent
+of a, so closure on a generator is a zero row of one product, and the
+signature on C_theta depends on a only through one matrix M_a.  The
+accepted candidates are merged in code order, a_code * E^(t*neq) +
+b_code, and a formula is built only for an accepted one.  A budget can
 truncate a row (more closed strengthenings existed than the candidate
 allowance), reported as ``budget_exhausted`` on the state; a block of
 candidates longer than ``linalg.ENUMERATION_CAP`` raises CapExceeded.
@@ -25,7 +31,6 @@ and the generator check reads each stage's image type off ``hom_orbits``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -48,7 +53,7 @@ from .formulas import (
     pp_formula,
     pp_type_generator,
     prefix_restriction,
-    solution_basis,
+    system_rows,
 )
 from .modules import (
     ModuleMap,
@@ -61,6 +66,11 @@ from .modules import (
     module_span,
     tuple_rows,
 )
+
+
+# entries of one product of a run of a-codes with one residue table in
+# ``consequence_enum`` (a single a-code's product may be larger)
+_PRODUCT_CELLS = 2**22
 
 
 @dataclass(frozen=True)
@@ -100,52 +110,167 @@ def consequence_enum(
     """Strengthenings of theta that stay closed on the context generators.
 
     Candidates are conjunctions theta and chi with chi ranging over all
-    coefficient blocks in theta's free variables within the budget's
-    bound-variable and equation allowances, in code order.  Bound
-    variables are disjoint, so (theta and chi)(X) = theta(X) & chi(X):
-    a candidate closes on a generator G iff theta(G) <= chi(G), and the
-    accepted ones, all equal to theta on the generators, are deduplicated
-    by their solution sets on C_theta, the free realisation of theta.
-    Only an accepted candidate becomes a formula.  The list is capped at
-    budget.candidates; theta itself is element 0.  A block that would
-    list more than ``linalg.ENUMERATION_CAP`` raises CapExceeded.
+    coefficient blocks (a, b) in theta's free variables within the
+    budget's bound-variable and equation allowances, in code order.
+    Bound variables are disjoint, so (theta and chi)(X) = theta(X) &
+    chi(X): a candidate closes on a generator G iff theta(G) <= chi(G),
+    and the accepted ones, all equal to theta on the generators, are
+    deduplicated by their solution sets on C_theta, the free realisation
+    of theta.
+
+    Both questions are linear in a for a fixed block b.  x lies in
+    chi(X) iff L_a(x) lies in W_b(X), where L_a(x)_e = sum_i x_i rho(a_ie)
+    is bilinear in (a, x) and W_b(X), spanned by the b rows, does not
+    depend on a.  So one product of the a listing with a table per (b, X)
+    gives L_a(v) mod W_b(X) for every basis row v of theta(X):
+
+    * a candidate closes on G iff its row on G is zero;
+    * the signature theta(C) & chi(C) is the image in theta(C) of the left
+      kernel of its row M_a on C = C_theta, so equal M_a share one
+      ``null_space``.
+
+    The distinct M_a of a block are walked by the least code they occur
+    at, in ``product`` order: index a_code * E^(t*neq) + b_code for E
+    algebra elements, since the a slots come first.  So each signature is
+    met where a candidate-by-candidate walk would meet it.  The a listing
+    is taken in runs of a-codes, each product at most ``_PRODUCT_CELLS``
+    entries unless one a-code's product is larger, so the products do not
+    grow with the listing and a truncating budget stops at the run it
+    fills up in.  Only an accepted candidate becomes a formula.  The
+    list is capped at budget.candidates; theta itself is element 0.  A
+    block that would list more than ``linalg.ENUMERATION_CAP`` raises
+    CapExceeded.
     """
     if not ctx.generators:
         raise EmptyContext("consequence enumeration needs context generators")
     alg = theta.algebra
     field = alg.field
+    n, k = theta.nfree, alg.dim
     c_theta = free_realisation(theta).module
-    on_gens = [(g, evaluate(theta, g).basis) for g in ctx.generators]
     on_c = evaluate(theta, c_theta).basis
+    # the generators decide closure, C_theta the signature
+    gen_moves = [(g, _moves(g, evaluate(theta, g).basis, n)) for g in ctx.generators]
+    c_moves = _moves(c_theta, on_c, n)
     results = [theta]
     seen = {on_c.tobytes()}
-    n = theta.nfree
-    elems = alg.enumerate_elements()
+    elems = field.q**k
     for t in range(budget.bound_vars + 1):
         for neq in range(1, budget.equations + 1):
             slots = (n + t) * neq
-            if len(elems) ** slots > linalg.ENUMERATION_CAP:
+            if elems**slots > linalg.ENUMERATION_CAP:
                 raise CapExceeded(
-                    f"listing {len(elems)}^{slots} candidate formulas "
+                    f"listing {elems}^{slots} candidate formulas "
                     f"exceeds the cap {linalg.ENUMERATION_CAP}"
                 )
-            for codes in product(range(len(elems)), repeat=slots):
-                coeffs = elems[list(codes)].reshape(n + t, neq, alg.dim)
-                a, b = coeffs[:n], coeffs[n:]
-                if not all(
-                    linalg.subspace_le(field, th, solution_basis(a, b, g))
-                    for g, th in on_gens
-                ):
-                    continue
-                chi_c = solution_basis(a, b, c_theta)
-                sig = linalg.subspace_intersect(field, on_c, chi_c).tobytes()
-                if sig in seen:
-                    continue
-                if len(results) >= budget.candidates:
-                    return ConsequenceList(theta, tuple(results), True)
-                seen.add(sig)
-                results.append(conj(theta, pp_formula(alg, theta.side, n, a, b)))
+            a_list = _code_listing(field, n * neq, k)
+            b_list = _code_listing(field, t * neq, k)
+            nb = b_list.shape[0]
+            b_list = b_list.reshape(nb, t, neq, k)
+            gen_tables = [_residue_tables(g, moves, b_list) for g, moves in gen_moves]
+            c_tables = _residue_tables(c_theta, c_moves, b_list)
+            m_shape = (on_c.shape[0], neq * c_theta.dim)
+            widest = max(1, *(tab[0].size for tab in (*gen_tables, c_tables)))
+            step = max(1, _PRODUCT_CELLS // widest)
+            weights = _key_weights(field, m_shape[0] * m_shape[1])
+            walked = set()  # M_a keys met in earlier chunks of this block
+            # a chunk holds every b-code of a run of a-codes, so the chunks
+            # meet the candidates in code order
+            for start in range(0, a_list.shape[0], step):
+                chunk = a_list[start : start + step]
+                codes, keys = [], []
+                for b_code in range(nb):
+                    live = np.arange(chunk.shape[0])
+                    for tables in gen_tables:
+                        rows = linalg.matmul(field, chunk[live], tables[b_code])
+                        live = live[~rows.any(axis=1)]
+                    codes.append((start + live) * nb + b_code)
+                    m_rows = linalg.matmul(field, chunk[live], c_tables[b_code])
+                    keys.append(m_rows.astype(np.int64) @ weights)
+                for code, key in _least_codes(np.concatenate(keys), np.concatenate(codes)):
+                    if key.tobytes() in walked:
+                        continue
+                    walked.add(key.tobytes())
+                    a_code, b_code = divmod(code, nb)
+                    m_a = linalg.matmul(field, a_list[a_code : a_code + 1], c_tables[b_code])
+                    kernel = linalg.null_space(field, m_a.reshape(m_shape).T)
+                    # kernel and on_c are in RREF, so kernel @ on_c is too
+                    sig = linalg.matmul(field, kernel, on_c).tobytes()
+                    if sig in seen:
+                        continue
+                    if len(results) >= budget.candidates:
+                        return ConsequenceList(theta, tuple(results), True)
+                    seen.add(sig)
+                    a = a_list[a_code].reshape(n, neq, k)
+                    chi = pp_formula(alg, theta.side, n, a, b_list[b_code])
+                    results.append(conj(theta, chi))
     return ConsequenceList(theta, tuple(results), False)
+
+
+def _code_listing(field, slots: int, k: int) -> np.ndarray:
+    """Every block of ``slots`` algebra elements in ``product`` order, flat.
+
+    ``product`` makes slot 0 the most significant digit, while
+    ``linalg.all_vectors`` puts coordinate 0 fastest, so the slots of its
+    listing of F_q^(slots*k) are read in reverse; each element keeps its
+    own code order.  Shape (E^slots, slots*k).
+    """
+    rows = field.q ** (slots * k)
+    listing = linalg.all_vectors(field, slots * k).reshape(rows, slots, k)
+    return listing[:, ::-1].reshape(rows, slots * k)
+
+
+def _moves(x: ModuleRep, basis: np.ndarray, n: int) -> np.ndarray:
+    """v_i rho(e_l) for every basis row v of theta(X), slot i and element l.
+
+    Shape (h, n, k, dim): L_a(v)_e is the sum of a_iel times entry (v, i, l).
+    """
+    h, d, k = basis.shape[0], x.dim, x.algebra.dim
+    moved = linalg.images(x.algebra.field, basis.reshape(h * n, d), x.actions)
+    return moved.reshape(h, n, k, d)
+
+
+def _residue_tables(x: ModuleRep, moves: np.ndarray, b_list: np.ndarray) -> np.ndarray:
+    """For every b, the table T_b with (flat a) @ T_b = L_a(v) mod W_b(X).
+
+    Rows of T_b are the (i, e, l) coefficient slots of a, columns the
+    basis rows v of theta(X) times the residue in F^(neq*dim); shape
+    (#b, n*neq*k, h*neq*dim).
+    """
+    field = x.algebra.field
+    h, n, k, d = moves.shape
+    nb, t, neq, _ = b_list.shape
+    width = neq * d
+    systems = system_rows(b_list.reshape(nb * t, neq, k), x).reshape(nb, t * d, width)
+    residue = np.stack([linalg.residue_map(field, *linalg.rref(field, w)) for w in systems])
+    blocks = residue.reshape(nb * neq, d, width)  # block e: the rows of equation e
+    tables = linalg.images(field, moves.reshape(h * n * k, d), blocks)
+    tables = tables.reshape(h, n, k, nb, neq, width).transpose(3, 1, 4, 2, 0, 5)
+    return tables.reshape(nb, n * neq * k, h * width)
+
+
+def _key_weights(field, width: int) -> np.ndarray:
+    """Packs rows of ``width`` field codes into int64 keys (rows @ weights),
+    as many entries per key as fit in 62 bits: equal rows iff equal keys.
+    Sorting the short keys is what keeps the grouping cheap: M_a rows run
+    to hundreds of entries of a few bits each."""
+    bits = (field.q - 1).bit_length()
+    per_key = 62 // bits
+    cols = np.arange(width)
+    weights = np.zeros((width, -(-width // per_key)), dtype=np.int64)
+    weights[cols, cols // per_key] = 1 << (bits * (cols % per_key))
+    return weights
+
+
+def _least_codes(keys: np.ndarray, codes: np.ndarray):
+    """(code, key row) at the least code of each distinct key row, in
+    increasing code order."""
+    order = np.lexsort((codes, *keys.T[::-1]))
+    keys, codes = keys[order], codes[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    keys, codes = keys[starts], codes[starts]
+    first = np.argsort(codes)
+    return zip(codes[first].tolist(), keys[first])
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +296,10 @@ class ConstructionState:
     maps: tuple[ModuleMap, ...]  # maps[n]: B_n -> B_{n+1}
     rows: tuple[ConsequenceList, ...]  # rows[i-1] enumerates theta_{i-1}
     budget_exhausted: bool
-    iso_stable_at: int | None  # least n with maps[n] an isomorphism
+    # least n with maps[n] an isomorphism: the first isomorphism in the
+    # chain, not a proof that the chain has stabilised (later maps may
+    # still grow the stages)
+    iso_stable_at: int | None
 
     @property
     def final(self) -> ModuleRep:

@@ -279,16 +279,16 @@ def pushout_pure(i_map: ModuleMap, f_map: ModuleMap) -> PushoutResult:
 def strict_atomic_witness(
     m: ModuleRep,
     vectors,
-    ctx: DefinableContext,
     n: ModuleRep,
     target_vectors,
 ) -> ModuleMap:
     """Morphism m -> n carrying the tuple to the target tuple.
 
     m is finite, so it freely realises the pp-type of the tuple: a
-    morphism exists iff the target tuple satisfies the type's generator,
-    and finite modules are strictly atomic in any ambient context.  One
-    constrained solve finds the morphism or decides that none exists.
+    morphism exists iff the target tuple satisfies the type's generator.
+    Finite modules are strictly atomic in every definable context, so the
+    answer takes no context.  One constrained solve finds the morphism or
+    decides that none exists.
 
     Raises:
         NotInSolutionSet: the target tuple fails the generator formula

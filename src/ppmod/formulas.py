@@ -237,18 +237,28 @@ def solution_basis(a: np.ndarray, b: np.ndarray, m: ModuleRep) -> np.ndarray:
     The blocks need not be normalised; their solution set is the same.
     """
     f = m.algebra.field
-    n, neq, k = a.shape
-    t, d = b.shape[0], m.dim
+    n, d = a.shape[0], m.dim
     if d == 0 or n == 0:
         return linalg.zeros(0, n * d)
-    # system rows: one block row per variable; columns: one block per
-    # equation; block (v, j) is rho(coeff[v, j]), all blocks in one product
-    coeff = np.concatenate([a, b], axis=0).reshape((n + t) * neq, k)
-    blocks = linalg.matmul(f, coeff, m.actions.reshape(k, d * d))
-    blocks = blocks.reshape(n + t, neq, d, d).transpose(0, 2, 1, 3)
-    sys = blocks.reshape((n + t) * d, neq * d)
+    sys = system_rows(np.concatenate([a, b], axis=0), m)
     sols = linalg.null_space(f, sys.T)  # rows u with u @ sys = 0
     return linalg.row_space(f, sols[:, : n * d])
+
+
+def system_rows(coeff: np.ndarray, m: ModuleRep) -> np.ndarray:
+    """The F_q system of a (v, neq, m_R) coefficient block over m.
+
+    One block row per variable, one block column per equation: block
+    (v, j) is rho(coeff[v, j]), all blocks from one product of the
+    stacked coefficients with the stacked action matrices.  A row vector
+    x in m^v solves the block iff x @ rows = 0; shape (v*dim, neq*dim).
+    """
+    v, neq, k = coeff.shape
+    d = m.dim
+    blocks = linalg.matmul(
+        m.algebra.field, coeff.reshape(v * neq, k), m.actions.reshape(k, d * d)
+    )
+    return blocks.reshape(v, neq, d, d).transpose(0, 2, 1, 3).reshape(v * d, neq * d)
 
 
 @memo(lambda phi, m: (phi.fingerprint(), m.fingerprint()))

@@ -234,20 +234,32 @@ def coords_in_rref(field: Field, basis: np.ndarray, v: np.ndarray) -> np.ndarray
     return v[..., [c for c, _ in _leads(basis)]]
 
 
+def residue_map(field: Field, basis: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """The matrix R with v @ R the residue of v modulo an RREF basis.
+
+    ``pivots`` are the pivot columns of the first rows of ``basis`` (as
+    ``rref`` returns them).  Row j of R is the residue of e_j: itself on a
+    free column, minus its basis row off the pivot on a pivot column.  A
+    residue is zero iff v lies in the span, and two residues are equal
+    iff the classes are.
+    """
+    out = eye(field, basis.shape[1])
+    out[pivots] = field.neg(basis[: len(pivots)])
+    out[pivots, pivots] = 0
+    return out
+
+
 def quotient_map(field: Field, basis: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
     """Free columns and projection table of F^n -> F^n / rowspace(RREF basis).
 
-    Row j of the (n, #free) table is the class of e_j: a free column is its
-    own class, a pivot column minus its basis row read on the free columns.
+    Row j of the (n, #free) table is the class of e_j: the residue of e_j
+    read on the free columns.
     """
     pivots = [c for c, _ in _leads(basis)]
     free = np.ones(n, dtype=bool)
     free[pivots] = False
     free_cols = np.flatnonzero(free)
-    table = zeros(n, free_cols.size)
-    table[free_cols, np.arange(free_cols.size)] = 1
-    table[pivots] = field.neg(basis[:, free_cols])
-    return free_cols.tolist(), table
+    return free_cols.tolist(), residue_map(field, basis, pivots)[:, free_cols]
 
 
 def subspace_sum(field: Field, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:

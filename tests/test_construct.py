@@ -100,6 +100,18 @@ def test_worked_chain_stabilises_at_the_simple_module(chain):
     assert are_isomorphic(st.final, mod_s())
 
 
+def test_iso_stable_at_marks_the_first_isomorphism_not_stability():
+    # S in Def(R_R): B_1 and B_2 are both R_R, so the first isomorphism is
+    # at step 1, but B_3 has odd dimension and so is not in add(R_R), whose
+    # members all have even dimension
+    rr = mod_rr()
+    st = run_construction(mod_s(), [[1]], make_context([rr]), Budget(1, 1, 8, 3))
+    assert [stage.module.dim for stage in st.stages] == [1, 2, 2, 3]
+    assert st.iso_stable_at == 1
+    assert are_isomorphic(st.stages[1].module, rr) and are_isomorphic(st.stages[2].module, rr)
+    assert st.final.dim % rr.dim == 1
+
+
 def test_chain_maps_compose_and_track_the_tuple(chain):
     st = chain
     for n, h in enumerate(st.maps):

@@ -129,10 +129,9 @@ def test_strict_atomic_witness_builds_and_evaluates_no_formula(monkeypatch):
     for name in ("pp_type_generator", "evaluate"):
         monkeypatch.setattr(ppmod.defcat, name, forbidden)
     rr, s = mod_rr(), mod_s()
-    ctx = make_context([s])
-    assert strict_atomic_witness(rr, [[1, 0]], ctx, s, [[1]]).target is s
+    assert strict_atomic_witness(rr, [[1, 0]], s, [[1]]).target is s
     with pytest.raises(NotInSolutionSet, match="^target tuple does not satisfy the pp-type generator$"):
-        strict_atomic_witness(s, [[1]], ctx, rr, [[1, 0]])
+        strict_atomic_witness(s, [[1]], rr, [[1, 0]])
 
 
 def test_radical_embedding_is_not_pure():
@@ -244,15 +243,13 @@ def test_pair_closed_matches_evaluation():
 
 def test_strict_atomic_witness_maps_tuple():
     rr, s = mod_rr(), mod_s()
-    ctx = make_context([s])
-    w = strict_atomic_witness(rr, [[1, 0]], ctx, s, [[1]])
+    w = strict_atomic_witness(rr, [[1, 0]], s, [[1]])
     assert w.source is rr and w.target is s
     assert np.array_equal(w.apply_tuple(F2.asarray([[1, 0]])), F2.asarray([[1]]))
 
 
 def test_strict_atomic_witness_rejects_bad_target():
     rr, s = mod_rr(), mod_s()
-    ctx = make_context([s])
     with pytest.raises(NotInSolutionSet):
-        # 1 in RR fails the t-annihilator that s satisfies relative to <S>
-        strict_atomic_witness(s, [[1]], ctx, rr, [[1, 0]])
+        # 1 in RR fails x*t = 0, which generates the pp-type of 1 in S
+        strict_atomic_witness(s, [[1]], rr, [[1, 0]])

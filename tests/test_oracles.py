@@ -52,11 +52,16 @@ the ``relative_ml_check`` matrix, the End/Biend structure tables and
 the error type and message of ``make_algebra``, ``make_module`` and
 ``make_map``, and ``hasse_edges`` on any boolean relation.
 
-``consequence_enum`` decides each candidate theta and chi on solution
-sets and builds a formula only for an accepted one.  The loop it
-replaced (two normalised formulas per candidate, ``pair_closed`` and
-``evaluate`` signatures) is kept as ``oracle_consequence_enum``; the
-formula fingerprints, their order and ``truncated`` must agree.
+``consequence_enum`` decides every a-block of a candidate theta and
+chi at once for a fixed b-block: membership in chi(X) is L_a(x) in
+W_b(X), with L_a bilinear in (a, x) and W_b(X) independent of a, so
+closure and signature are read off one product per (b, X).  The two
+loops it replaced are kept as oracles: the formula loop (two normalised
+formulas per candidate, ``pair_closed`` and ``evaluate`` signatures) as
+``oracle_consequence_enum``, and the per-candidate solve of the raw
+blocks on solution sets as ``oracle_consequence_enum_on_solution_sets``;
+the formula fingerprints, their order and ``truncated`` must agree with
+both.
 
 A filter of a finite lattice is its generator, and ``filter_analysis``
 reads the maximal avoiding filters and their Ziegler flags off ``leq``
@@ -105,7 +110,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ppmod import Field, fixtures, linalg
+from ppmod import Field, construct, fixtures, linalg
 from ppmod.acceptance import _random_automorphism, _random_hom
 from ppmod.algebras import Algebra, make_algebra, structure_product
 from ppmod.construct import (
@@ -151,7 +156,9 @@ from ppmod.formulas import (
     pp_formula,
     pp_type_generator,
     prefix_restriction,
+    solution_basis,
     substitute,
+    system_rows,
     top,
 )
 from ppmod.lattice import (
@@ -1534,14 +1541,17 @@ def test_module_span_matches_the_orbit_loop(data, field, k, d):
 
 @given(data=st.data(), field=fields, n=st.integers(0, 6))
 def test_quotient_map_matches_the_residue_loop(data, field, n):
-    basis = linalg.row_space(field, sparse(data, field, (data.draw(st.integers(0, 4)), n)))
+    rows = sparse(data, field, (data.draw(st.integers(0, 4)), n))
+    basis = linalg.row_space(field, rows)
     free, table = linalg.quotient_map(field, basis, n)
     pivots = [int(np.nonzero(r)[0][0]) for r in basis]
     assert free == [c for c in range(n) if c not in pivots]
-    want = np.zeros((n, len(free)), dtype=ELEM)
+    residues = np.zeros((n, n), dtype=ELEM)
     for j in range(n):
-        want[j] = linalg.reduce_mod(field, basis, np.eye(n, dtype=ELEM)[j])[free]
-    assert same_array(table, want)
+        residues[j] = linalg.reduce_mod(field, basis, np.eye(n, dtype=ELEM)[j])
+    assert same_array(table, residues[:, free])
+    # the residue map straight from rref, zero rows included
+    assert same_array(linalg.residue_map(field, *linalg.rref(field, rows)), residues)
 
 
 @many
@@ -1887,6 +1897,52 @@ def oracle_consequence_enum(theta, ctx, budget):
     return ConsequenceList(theta, tuple(results), truncated)
 
 
+def oracle_consequence_enum_on_solution_sets(theta, ctx, budget):
+    """The per-candidate loop: solve each candidate's raw blocks on every probe."""
+    if not ctx.generators:
+        raise EmptyContext("consequence enumeration needs context generators")
+    alg = theta.algebra
+    field = alg.field
+    c_theta = free_realisation(theta).module
+    on_gens = [(g, evaluate(theta, g).basis) for g in ctx.generators]
+    on_c = evaluate(theta, c_theta).basis
+    results = [theta]
+    seen = {on_c.tobytes()}
+    n = theta.nfree
+    elems = alg.enumerate_elements()
+    for t in range(budget.bound_vars + 1):
+        for neq in range(1, budget.equations + 1):
+            slots = (n + t) * neq
+            if len(elems) ** slots > linalg.ENUMERATION_CAP:
+                raise CapExceeded(
+                    f"listing {len(elems)}^{slots} candidate formulas "
+                    f"exceeds the cap {linalg.ENUMERATION_CAP}"
+                )
+            for codes in product(range(len(elems)), repeat=slots):
+                coeffs = elems[list(codes)].reshape(n + t, neq, alg.dim)
+                a, b = coeffs[:n], coeffs[n:]
+                if not all(
+                    linalg.subspace_le(field, th, solution_basis(a, b, g))
+                    for g, th in on_gens
+                ):
+                    continue
+                chi_c = solution_basis(a, b, c_theta)
+                sig = linalg.subspace_intersect(field, on_c, chi_c).tobytes()
+                if sig in seen:
+                    continue
+                if len(results) >= budget.candidates:
+                    return ConsequenceList(theta, tuple(results), True)
+                seen.add(sig)
+                results.append(conj(theta, pp_formula(alg, theta.side, n, a, b)))
+    return ConsequenceList(theta, tuple(results), False)
+
+
+def same_consequences(got, want):
+    return got.truncated == want.truncated and [p.fingerprint() for p in got.formulas] == [
+        p.fingerprint() for p in want.formulas
+    ]
+
+
 def consequence_thetas(alg):
     """Corpus formulas and pp-type generators of grid tuples, arity 1-2."""
     thetas = [p for p in fixtures.formula_corpus(alg, "right") if p.nfree <= 2]
@@ -1926,21 +1982,123 @@ def test_consequence_enum_matches_the_formula_loop(alg, first, second):
         for ctx, candidates in runs:
             budget = consequence_budget(theta, candidates)
             got = consequence_enum(theta, ctx, budget)
-            want = oracle_consequence_enum(theta, ctx, budget)
-            assert got.truncated == want.truncated
-            assert [p.fingerprint() for p in got.formulas] == [
-                p.fingerprint() for p in want.formulas
-            ]
+            assert same_consequences(got, oracle_consequence_enum(theta, ctx, budget))
+            assert same_consequences(
+                got, oracle_consequence_enum_on_solution_sets(theta, ctx, budget)
+            )
 
 
-def test_consequence_enum_matches_the_formula_loop_on_the_demo_budget():
+# the default chunk holds every block here; one cell makes one a-code a chunk
+chunk_cells = pytest.mark.parametrize("cells", [construct._PRODUCT_CELLS, 1], ids=["whole", "one-a"])
+
+
+@chunk_cells
+def test_consequence_enum_matches_the_formula_loop_on_the_demo_budget(cells, monkeypatch):
+    monkeypatch.setattr(construct, "_PRODUCT_CELLS", cells)
     ctx = make_context([fixtures.mod_s()])
     for theta in (pp_type_generator(fixtures.mod_rr(), [[1, 0]]), fixtures.xt0()):
         for candidates in (1, 64):
             budget = Budget(2, 2, candidates, 3)
-            got, want = consequence_enum(theta, ctx, budget), oracle_consequence_enum(theta, ctx, budget)
-            assert got.truncated == want.truncated
-            assert [p.fingerprint() for p in got.formulas] == [p.fingerprint() for p in want.formulas]
+            got = consequence_enum(theta, ctx, budget)
+            assert same_consequences(got, oracle_consequence_enum(theta, ctx, budget))
+            assert same_consequences(
+                got, oracle_consequence_enum_on_solution_sets(theta, ctx, budget)
+            )
+
+
+@chunk_cells
+@pytest.mark.parametrize("alg", [fixtures.r2(), fixtures.tri2(), fixtures.f3()], ids=["r2", "tri2", "f3"])
+def test_consequence_enum_matches_both_loops_on_the_edge_cases(alg, cells, monkeypatch):
+    # no free variables, theta(X) = 0, theta(X) = X^n, and the zero module
+    # as a generator (first or second); one and two bound variables
+    monkeypatch.setattr(construct, "_PRODUCT_CELLS", cells)
+    grid = fixtures.right_grid(alg)
+    thetas = [top(alg, "right", 0), bot(alg, "right", 1), top(alg, "right", 1)]
+    contexts = [make_context([grid[0]]), make_context([grid[0], grid[1]]), make_context([grid[1], grid[0]])]
+    q = alg.enumerate_elements().shape[0]
+    for theta, ctx, candidates in product(thetas, contexts, (1, 64)):
+        for budget in (Budget(1, 1, candidates, 1), Budget(2, 1, candidates, 1)):
+            if q ** (theta.nfree + budget.bound_vars) > 4096:
+                continue
+            got = consequence_enum(theta, ctx, budget)
+            assert same_consequences(got, oracle_consequence_enum(theta, ctx, budget))
+            assert same_consequences(
+                got, oracle_consequence_enum_on_solution_sets(theta, ctx, budget)
+            )
+
+
+def signature_groups(theta, ctx, budget):
+    """b-codes and, per b-code, the distinct residue maps M_a of the closing a.
+
+    A closing candidate is decided on solution sets; its M_a is the residue
+    of L_a(v) = v @ system_rows(a, C) modulo W_b(C) for each basis row v of
+    theta(C), one ``reduce_mod`` per row.
+    """
+    alg = theta.algebra
+    field = alg.field
+    c_theta = free_realisation(theta).module
+    on_c = evaluate(theta, c_theta).basis
+    on_gens = [(g, evaluate(theta, g).basis) for g in ctx.generators]
+    elems = alg.enumerate_elements()
+    n = theta.nfree
+    b_codes = groups = 0
+    for t in range(budget.bound_vars + 1):
+        for neq in range(1, budget.equations + 1):
+            for b_digits in product(range(len(elems)), repeat=t * neq):
+                b = elems[list(b_digits)].reshape(t, neq, alg.dim)
+                w = linalg.row_space(field, system_rows(b, c_theta))
+                keys = set()
+                for a_digits in product(range(len(elems)), repeat=n * neq):
+                    a = elems[list(a_digits)].reshape(n, neq, alg.dim)
+                    if all(
+                        linalg.subspace_le(field, th, solution_basis(a, b, g))
+                        for g, th in on_gens
+                    ):
+                        moved = linalg.matmul(field, on_c, system_rows(a, c_theta))
+                        keys.add(b"".join(linalg.reduce_mod(field, w, v).tobytes() for v in moved))
+                b_codes += 1
+                groups += len(keys)
+    return b_codes, groups
+
+
+@chunk_cells
+def test_consequence_enum_solves_once_per_signature_group(cells, monkeypatch):
+    monkeypatch.setattr(construct, "_PRODUCT_CELLS", cells)
+    ctx = make_context([fixtures.mod_s()])
+    budget = Budget(2, 2, 64, 3)
+    calls = []
+    original = linalg.null_space
+    for theta in (pp_type_generator(fixtures.mod_rr(), [[1, 0]]), fixtures.xt0()):
+        b_codes, groups = signature_groups(theta, ctx, budget)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "null_space", lambda *a: calls.append(1) or original(*a))
+            got = consequence_enum(theta, ctx, budget)
+        assert b_codes == 294  # 4^0 + 4^0 + 4^1 + 4^2 + 4^2 + 4^4 over the six blocks
+        assert len(calls) <= b_codes + groups
+        # theta's own probes are solved already: one call per distinct M_a
+        # at most, where the per-candidate loop made one per candidate and
+        # generator and one more per closing candidate
+        assert len(calls) <= groups
+        assert same_consequences(got, oracle_consequence_enum(theta, ctx, budget))
+
+
+def test_consequence_enum_on_s_plus_s_in_def_rr():
+    # theta's arity grows 2 -> 3 -> 5 -> 7 with the stages; the last call
+    # lists 4^8 candidates per block, past what the per-candidate loop does
+    # in seconds, so the oracle checks the first three calls
+    ctx = make_context([fixtures.mod_rr()])
+    budget = Budget(1, 1, 8, 3)
+    s_plus_s = fixtures.right_grid(fixtures.r2())[4]
+    assert s_plus_s.dim == 2 and not s_plus_s.actions[1].any()
+    state = run_construction(s_plus_s, np.eye(2, dtype=ELEM), ctx, budget)
+    assert [stage.module.dim for stage in state.stages] == [2, 3, 5, 7]
+    assert [stage.theta.nfree for stage in state.stages] == [2, 3, 5, 7]
+    for stage, row in list(zip(state.stages, state.rows))[:3]:
+        assert row.theta is stage.theta
+        assert same_consequences(
+            row, oracle_consequence_enum_on_solution_sets(stage.theta, ctx, budget)
+        )
 
 
 def oracle_verify_factorisation(state, targets):
@@ -2311,9 +2469,9 @@ def test_strict_atomic_witness_matches_the_formula_path(data, alg, side):
     else:
         tgt = sparse(data, field, (k + (mode == "short"), n.dim))
     ctx = make_context([n]) if n.dim else make_context([m])
-    err = error_of(strict_atomic_witness, m, src, ctx, n, tgt)
+    err = error_of(strict_atomic_witness, m, src, n, tgt)
     assert err == error_of(oracle_strict_atomic_witness, m, src, ctx, n, tgt)
     if err is None:
-        got = strict_atomic_witness(m, src, ctx, n, tgt)
+        got = strict_atomic_witness(m, src, n, tgt)
         want = oracle_strict_atomic_witness(m, src, ctx, n, tgt)
         assert same_array(got.matrix, want.matrix) and got.source is m and got.target is n

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -19,3 +21,90 @@ def test_survey_fixtures_prints_the_golden_survey():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (ROOT / "tests" / "survey_fixtures.golden").read_text()
+
+
+def load_bench_pairs():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_result(wall_s, failed=0):
+    return {
+        "provenance": {"git_sha": "abc", "src_sha256": "def", "nproc": 2},
+        "workload": "cli-demo",
+        "repetitions": 3,
+        "attempted": 45,
+        "failed": failed,
+        "inputs_repeat": True,
+        "metrics": {"wall_s": wall_s, "setup_s": 0.25, "op_p50_ms": 280.0, "peak_rss_mb": 33.5},
+        "extra": {"capped_share": 0.0, "speed": 2.5, "unscaled_wall_s": 2 * wall_s},
+    }
+
+
+def test_bench_pairs_copies_the_result_files():
+    bench = load_bench_pairs()
+    entry = bench.run_entry(synthetic_result(5.0))
+    assert entry == {
+        "correct": True,
+        "attempted": 45,
+        "failed": 0,
+        "repetitions": 3,
+        "end_to_end": {"wall_s": 5.0, "setup_s": 0.25, "op_p50_ms": 280.0, "peak_rss_mb": 33.5},
+        "capped_share": 0.0,
+        "speed": 2.5,
+        "git_sha": "abc",
+        "src_sha256": "def",
+    }
+    assert not bench.run_entry(synthetic_result(5.0, failed=1))["correct"]
+    traced = {"metrics": {"linalg.rref.calls": 10, "lattice.pp_lattice.capped": 0}}
+    assert bench.traced_entry(traced) == {"linalg.rref.calls": 10}
+
+
+def test_bench_pairs_summarises_alternating_pairs():
+    bench = load_bench_pairs()
+    parent = [6.3, 6.1, 6.2, 6.4, 6.0, 6.25, 6.35, 6.15, 6.05, 6.3]
+    change = [5.0, 5.1, 6.3, 4.9, 5.05, 5.0, 4.95, 5.2, 5.1, 5.0]
+    got = bench.pair_summary(parent, change)
+    assert got["pairs"] == 10 and got["change_wins"] == 9  # pair 3 is lost
+    assert got["parent_wins"] == 1
+    assert got["parent_median"] == 6.225 and got["change_median"] == 5.025
+    # exclusive quartiles: sorted positions 2.75 and 8.25 of 10
+    assert got["parent_quartiles"] == [6.0875, 6.225, 6.3125]
+    assert got["parent_iqr"] == 0.225
+    assert got["median_gap"] == 1.2
+    assert got["parent"] == parent and got["change"] == change
+    assert bench.gain(got)
+    text = bench.claim_text("cli-demo", {"seed 1": got})
+    assert text.startswith("cli-demo wall_s: change below parent in 9 of 10 at seed 1;")
+    assert text.endswith("gain rule met.")
+    with pytest.raises(ValueError):
+        bench.pair_summary([1.0, 2.0], [1.0])
+
+
+def test_bench_pairs_gain_needs_nine_wins_and_a_gap_past_the_spread():
+    bench = load_bench_pairs()
+    parent = [6.3, 6.1, 6.2, 6.4, 6.0, 6.25, 6.35, 6.15, 6.05, 6.3]
+    eight = bench.pair_summary(parent, [5.0] * 8 + [6.5, 6.5])
+    assert eight["change_wins"] == 8 and not bench.gain(eight)
+    # ten wins, but the medians differ by less than the parent's IQR
+    close = bench.pair_summary(parent, [p - 0.01 for p in parent])
+    assert close["change_wins"] == 10 and not bench.gain(close)
+    assert "gain rule not met" in bench.claim_text("cli-demo", {"seed 1": close})
+
+
+def test_bench_pairs_verdicts_follow_the_bound():
+    bench = load_bench_pairs()
+    parent = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+    summary = bench.pair_summary
+    assert bench.verdict(summary(parent, [p * 0.5 for p in parent]), 0.25) == "better"
+    assert bench.verdict(summary(parent, [p * 1.1 for p in parent]), 0.25) == "within bound"
+    assert bench.verdict(summary(parent, [p * 1.5 for p in parent]), 0.25) == "worse"
+    # a parent spread wider than the bound leaves the metric unresolved
+    wide = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]
+    assert bench.verdict(summary(wide, [w * 1.5 for w in wide]), 0.25) == "unresolved"
+    # unless every change run reads better than every parent run
+    assert bench.verdict(summary(wide, [0.4] * 10), 0.25) == "better"

@@ -233,7 +233,8 @@ def solution_basis(a: np.ndarray, b: np.ndarray, m: ModuleRep) -> np.ndarray:
     """Canonical basis of the solutions in m^n of the blocks a (n free) and b.
 
     Kernel-then-project: solve the quantifier-free system over F_q in
-    all (free + bound) coordinates, then project onto the free block.
+    all (free + bound) coordinates, then project onto the free block,
+    which on the RREF kernel is ``linalg.prefix_basis``.
     The blocks need not be normalised; their solution set is the same.
     """
     f = m.algebra.field
@@ -242,7 +243,7 @@ def solution_basis(a: np.ndarray, b: np.ndarray, m: ModuleRep) -> np.ndarray:
         return linalg.zeros(0, n * d)
     sys = system_rows(np.concatenate([a, b], axis=0), m)
     sols = linalg.null_space(f, sys.T)  # rows u with u @ sys = 0
-    return linalg.row_space(f, sols[:, : n * d])
+    return linalg.prefix_basis(sols, n * d)
 
 
 def system_rows(coeff: np.ndarray, m: ModuleRep) -> np.ndarray:

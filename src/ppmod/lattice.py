@@ -14,9 +14,10 @@ and the pp-definable subgroups are the End(M)-submodules of M^n (Prest,
 Purity, Spectra and Localisation, 2009, 1.2).  A whole lattice is the
 join-closure of the orbits, one a per projective point of F_q^n, with
 no subspace enumeration; the pointed power only gives each element its
-witness.  One sum per pair of elements fills the join table; a <= b iff
-a + b = b, and the meet of a and b is their common lower bound of
-largest dimension, checked by the modular identity
+witness.  The closure sums each element once with each principal, and
+x + y is x plus, one stored sum at a time, the principals that first
+reached y; a <= b iff a + b = b, and the meet of a and b is their
+common lower bound of largest dimension, checked by the modular identity
 dim(a & b) + dim(a + b) = dim a + dim b.  One cap bounds the pointed
 power of the top M^arity, which is the largest any element's witness
 needs.
@@ -134,26 +135,34 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
     """The full lattice of pp-definable subgroups of M^arity.
 
     The join-closure of the orbits End(M)·a, one a per projective point
-    of F_q^n; ``leq`` and ``meet`` are read off the one ``join`` table
-    and the meets checked by the modular identity.  The cap bounds the
-    pointed power of the top M^arity, the largest any witness needs.
+    of F_q^n, sums each non-zero element with each principal once; column
+    y of ``join`` folds those sums along the principals that first reached
+    y, so no join needs a lookup check.  ``leq`` and ``meet`` are read
+    off ``join`` and the meets checked by the modular identity.  The cap
+    bounds the pointed power of the top M^arity, the largest any witness
+    needs.
     """
     field = m.algebra.field
     n = m.dim * arity
     top_power = field.q ** (m.dim * n)
     if top_power > cap:
         raise CapExceeded(f"pointed power needs |M|^{n} = {top_power} > cap {cap}")
-    principal = {c.tobytes(): c for c in principal_closures(m, arity)}
+    principal = list({c.tobytes(): c for c in principal_closures(m, arity)}.values())
     bottom = linalg.zeros(0, n)
-    found = {bottom.tobytes(): bottom, **principal}
-    frontier = list(principal.values())
+    # path[x]: the principals whose sums first reached x, so x is their
+    # sum; plus[x][j]: the key of x + principal[j]
+    found, path, plus = {bottom.tobytes(): bottom}, {bottom.tobytes(): ()}, {}
+    frontier = [bottom]
     while frontier:
         grown = []
         for s in frontier:
-            for p in principal.values():
-                t = linalg.subspace_sum(field, s, p)
+            key = s.tobytes()
+            plus[key] = []
+            for j, p in enumerate(principal):
+                t = linalg.subspace_sum(field, s, p) if len(s) else p
+                plus[key].append(t.tobytes())
                 if t.tobytes() not in found:
-                    found[t.tobytes()] = t
+                    found[t.tobytes()], path[t.tobytes()] = t, path[key] + (j,)
                     grown.append(t)
         frontier = grown
     bases = sorted(found.values(), key=lambda b: (b.shape[0], b.tobytes()))
@@ -162,17 +171,15 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
     if not all(res.definable for res in results):
         raise ValidationFailure("a sum of pp closures is not pp-definable")
     k = len(elements)
-    index = {el.basis.tobytes(): i for i, el in enumerate(elements)}
-
-    def _find(basis: np.ndarray, what: str) -> int:
-        if (got := index.get(basis.tobytes())) is None:
-            raise ValidationFailure(f"lattice is not closed under {what}; join-closure broken")
-        return got
-
+    index = {basis.tobytes(): i for i, basis in enumerate(bases)}
+    table = np.array([[index[t] for t in plus[b.tobytes()]] for b in bases], dtype=np.int32)
     join = np.zeros((k, k), dtype=np.int32)
-    for i, a in enumerate(bases):
-        for j in range(i, k):
-            join[i, j] = join[j, i] = _find(linalg.subspace_sum(field, a, bases[j]), "sum")
+    for y, b in enumerate(bases):
+        # x + y = (x + p1) + p2 + ... over y's path, for every x at once
+        col = np.arange(k, dtype=np.int32)
+        for j in path[b.tobytes()]:
+            col = table[col, j]
+        join[:, y] = col
     leq = join == np.arange(k)  # a <= b iff a + b = b
     meet = np.zeros((k, k), dtype=np.int32)
     for i in range(k):

@@ -213,6 +213,22 @@ def _residue(field: Field, leads, v: list[int]) -> list[int]:
     return v
 
 
+def grow_basis(field: Field, leads: list, rows: np.ndarray) -> bool:
+    """Append the non-zero residue of each row to ``leads``, in place.
+
+    ``leads`` holds (leading column, row) pairs as ``_leads`` returns them.
+    Each appended residue is zero at every earlier lead, so the list is a
+    semi-echelon basis on which the sequential ``_residue`` stays exact: a
+    row lies in the span iff its residue is zero.  True iff a row grew it.
+    """
+    size = len(leads)
+    for v in np.asarray(rows, ELEM).tolist():
+        v = _residue(field, leads, v)
+        if any(v):
+            leads.append((next(c for c, x in enumerate(v) if x), v))
+    return len(leads) > size
+
+
 def reduce_mod(field: Field, basis: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Residue of v after eliminating the pivots of an RREF basis."""
     v = np.asarray(v, ELEM)
@@ -266,16 +282,14 @@ def subspace_sum(field: Field, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     return row_space(field, np.concatenate([b1, b2], axis=0))
 
 
-def subspace_intersect(field: Field, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Canonical basis of rowspace(b1) & rowspace(b2).
+def prefix_basis(basis: np.ndarray, c: int) -> np.ndarray:
+    """RREF basis of the projection of an RREF basis onto its first c columns.
 
-    Zassenhaus: the rows of [[b1, b1], [b2, 0]] whose pivot lies in the
-    right half have right halves forming the RREF basis of the meet.
+    The rows whose lead lies in the first c columns, cut to c columns, are
+    already reduced and echelon; the other rows project to zero.
     """
-    n = b1.shape[1]
-    rows = [r + r for r in b1.tolist()] + [r + [0] * n for r in b2.tolist()]
-    pivots = _eliminate(field, rows, 2 * n)
-    return _array([row[n:] for row, pc in zip(rows, pivots) if pc >= n], n)
+    b = basis[:, :c]
+    return b[b.any(axis=1)]
 
 
 def subspace_le(field: Field, b1: np.ndarray, b2: np.ndarray) -> bool:

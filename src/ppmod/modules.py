@@ -328,14 +328,19 @@ def constrained_hom(
 # -- span and generation -------------------------------------------------
 
 
+def _orbit(m: ModuleRep, rows: np.ndarray) -> np.ndarray:
+    """Each row acted on by every basis element: with the rows, the submodule's span."""
+    images = linalg.images(m.algebra.field, rows, m.actions)
+    return images.reshape(rows.shape[0] * m.algebra.dim, m.dim)
+
+
 def module_span(m: ModuleRep, rows: np.ndarray) -> np.ndarray:
     """Canonical basis of the submodule generated by the given vectors."""
     f = m.algebra.field
     rows = tuple_rows(rows, m.dim)
     if rows.shape[0] == 0 or m.dim == 0:
         return linalg.zeros(0, m.dim)
-    orbit = linalg.images(f, rows, m.actions).reshape(rows.shape[0] * m.algebra.dim, m.dim)
-    return linalg.row_space(f, np.concatenate([orbit, rows], axis=0))
+    return linalg.row_space(f, np.concatenate([_orbit(m, rows), rows], axis=0))
 
 
 def is_submodule(m: ModuleRep, basis: np.ndarray) -> bool:
@@ -345,18 +350,23 @@ def is_submodule(m: ModuleRep, basis: np.ndarray) -> bool:
 
 
 def extend_to_generators(m: ModuleRep, vectors: np.ndarray) -> np.ndarray:
-    """Append standard basis vectors (in order) until the tuple generates."""
+    """Append standard basis vectors (in order) until the tuple generates.
+
+    The span so far is one growing echelon basis (``linalg.grow_basis``)
+    of the orbits of the tuple and of each kept e_j.
+    """
     f = m.algebra.field
     vectors = tuple_rows(vectors, m.dim)
     out = [v for v in vectors]
-    span = module_span(m, vectors)
+    span: list = []
+    linalg.grow_basis(f, span, np.concatenate([vectors, _orbit(m, vectors)], axis=0))
     for j in range(m.dim):
-        if span.shape[0] == m.dim:
+        if len(span) == m.dim:
             break
-        ej = m.basis_vector(j)
-        if not linalg.in_span(f, span, ej):
-            out.append(ej)
-            span = module_span(m, np.stack(out))
+        ej = m.basis_vector(j)[None]
+        if linalg.grow_basis(f, span, ej):
+            out.append(ej[0])
+            linalg.grow_basis(f, span, _orbit(m, ej))
     return np.stack(out) if out else np.zeros((0, m.dim), dtype=ELEM)
 
 
@@ -366,7 +376,9 @@ def presentation(m: ModuleRep, generators: np.ndarray) -> np.ndarray:
     Returns an array of shape (k, s, alg.dim): each row is an s-tuple of
     algebra elements r with ``sum_i g_i . r_i = 0`` (coefficients acting
     on the module side).  The rows generate the whole kernel of
-    R^s -> m as a module; a greedy pass keeps the list short.
+    R^s -> m as a module; a greedy pass keeps the list short, keeping a
+    kernel row iff it lies outside the submodule the kept rows generate:
+    one growing echelon basis (``linalg.grow_basis``) of their orbits.
 
     Raises:
         NotGenerating: the tuple does not generate (witness attached).
@@ -381,15 +393,17 @@ def presentation(m: ModuleRep, generators: np.ndarray) -> np.ndarray:
             if not linalg.in_span(f, span, m.basis_vector(j)):
                 raise NotGenerating(m.basis_vector(j))
     # row (i, l) of the cover matrix is g_i acted on by e_l
-    cover = linalg.images(f, gens, m.actions).reshape(s * alg.dim, m.dim)
+    cover = _orbit(m, gens)
     kernel = linalg.null_space(f, cover.T)
-    free = free_module(alg, m.side, s) if s else zero_module(alg, m.side)
+    regular = alg.right_regular_actions() if m.side == RIGHT else alg.left_regular_actions()
     chosen: list[np.ndarray] = []
-    closure = linalg.zeros(0, s * alg.dim)
+    closure: list = []
     for row in kernel:
-        if not linalg.in_span(f, closure, row):
+        if linalg.grow_basis(f, closure, row[None]):
             chosen.append(row)
-            closure = module_span(free, np.stack(chosen)) if s else closure
+            # row acted on by e_l is row_i @ regular[l] in each slot i
+            orbit = linalg.images(f, row.reshape(s, alg.dim), regular)
+            linalg.grow_basis(f, closure, orbit.transpose(1, 0, 2).reshape(alg.dim, s * alg.dim))
     if not chosen:
         return np.zeros((0, s, alg.dim), dtype=ELEM)
     return np.stack(chosen).reshape(-1, s, alg.dim)

@@ -216,7 +216,7 @@ def synthesize_scalar(m: ModuleRep, g, eb: EndBiend | None = None) -> ScalarSynt
         raise ValidationFailure(
             "synthesized formula does not define the intended scalar"
         )
-    domain = linalg.row_space(field, sol[:, :d])
+    domain = linalg.prefix_basis(sol, d)
     total = domain.shape[0] == d
     functional = sol.shape[0] == domain.shape[0]
     return ScalarSynthesis(rho, phi, gens, g, total, functional)

@@ -19,6 +19,7 @@ from ppmod import (
 )
 from ppmod.errors import CapExceeded, ValidationFailure
 from ppmod.fixtures import mod_rr, mod_s, r2, tri2
+from ppmod.lattice import principal_closures
 
 F2 = Field(2)
 
@@ -43,6 +44,13 @@ def test_witnesses_evaluate_to_their_elements():
             assert linalg.subspace_eq(sol.basis, lat.elements[i].basis)
 
 
+def intersection_by_listing(field, u, w):
+    """The members of rowspace(u) that lie in rowspace(w), as a canonical basis."""
+    members = linalg.matmul(field, linalg.all_vectors(field, u.shape[0]), u)
+    inside = [v for v in members if linalg.in_span(field, w, v)]
+    return linalg.row_space(field, np.array(inside, dtype=u.dtype).reshape(-1, u.shape[1]))
+
+
 def test_lattice_operations_match_subspace_operations():
     m = regular_module(tri2(), "right")
     lat = pp_lattice(m, 1)
@@ -50,7 +58,7 @@ def test_lattice_operations_match_subspace_operations():
     f = m.algebra.field
     for i in range(lat.size):
         for j in range(lat.size):
-            want_meet = linalg.subspace_intersect(
+            want_meet = intersection_by_listing(
                 f, lat.elements[i].basis, lat.elements[j].basis
             )
             got_meet = lat.elements[lat.meet[i, j]].basis
@@ -114,19 +122,34 @@ def test_pp_lattice_witnesses_elements_only_and_reads_meets_off_joins(monkeypatc
 
         monkeypatch.setattr(module, name, spy)
 
-    def no_intersection(*args):
-        raise AssertionError("pp_lattice intersected subspaces")
-
     counted(ppmod.modules, "hom_basis")
     counted(ppmod.lattice, "hom_orbits")
     counted(ppmod.lattice, "is_pp_definable")
-    monkeypatch.setattr(ppmod.linalg, "subspace_intersect", no_intersection)
     for m, arity in ((mod_rr(), 1), (regular_module(tri2(), "right"), 1), (mod_s(), 2)):
         calls.update(hom_basis=0, hom_orbits=0, is_pp_definable=0)
         lat = pp_lattice(m, arity)
         # one End basis and one orbit batch, and one witness per element,
         # none per projective point
         assert calls == {"hom_basis": 1, "hom_orbits": 1, "is_pp_definable": lat.size}
+
+
+def test_pp_lattice_sums_each_element_with_each_principal_once(monkeypatch):
+    calls = 0
+    real = linalg.subspace_sum
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "subspace_sum", spy)
+    for m, arity in ((mod_rr(), 1), (regular_module(tri2(), "right"), 1), (mod_s(), 2)):
+        principals = {c.tobytes() for c in principal_closures(m, arity)}
+        calls = 0
+        lat = pp_lattice(m, arity)
+        # the closure sums every non-zero element with every principal;
+        # the join table folds those sums and adds none of its own
+        assert calls == (lat.size - 1) * len(principals)
 
 
 def test_arity_two_lattice_contains_diagonal():

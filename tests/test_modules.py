@@ -36,7 +36,7 @@ from ppmod.fixtures import (
     tri2_s1,
     tri2_s2,
 )
-from ppmod.modules import free_module
+from ppmod.modules import extend_to_generators, free_module
 
 F2 = Field(2)
 
@@ -214,6 +214,20 @@ def test_presentation_relations_annihilate_generators():
     rr = mod_rr()
     rel_free = presentation(rr, F2.asarray([[1, 0]]))
     assert rel_free.shape[0] == 0
+
+
+def test_presentation_builds_no_free_module(monkeypatch):
+    import ppmod.modules
+
+    def refuse(*args):
+        raise AssertionError("presentation built a module")
+
+    cases = [(m, extend_to_generators(m, m.enumerate_elements()[1:2])) for m in right_grid(tri2())]
+    for name in ("free_module", "regular_module"):
+        monkeypatch.setattr(ppmod.modules, name, refuse)
+    for m, gens in cases:
+        rel = presentation(m, gens)
+        assert rel.shape[1:] == (gens.shape[0], m.algebra.dim)
 
 
 def test_map_apply_and_compose():

@@ -15,7 +15,14 @@ The list-row elimination kernel of ``linalg`` (``rref``, ``null_space``,
 ``solve``, ``reduce_mod`` and the subspace operations) is compared byte
 for byte with the numpy table-broadcast kernel it replaced, and the
 one-``matvec`` random hom of the acceptance battery with its
-per-element loop.
+per-element loop.  The Zassenhaus intersection the library no longer
+needs is kept here as ``zassenhaus_intersect`` for the lattice oracles.
+``extend_to_generators`` and the greedy pass of ``presentation`` grow
+one semi-echelon span; the loops that re-eliminated the span per kept
+vector are ``oracle_extend_to_generators`` and ``oracle_presentation``,
+compared on the grids, on modules over F5, F4 and F9[t]/(t^2), and on
+the pointed powers with the diagonal tuples ``is_pp_definable`` builds
+for the lattices of the lattice benchmark workload.
 
 ``pp_lattice`` builds the lattice as the join-closure of principal pp
 closures.  The routine it replaced (every subspace of F_q^(dim*arity),
@@ -314,6 +321,21 @@ def oracle_presentation(m, generators):
     return np.stack(chosen).reshape(-1, s, alg.dim)
 
 
+def oracle_extend_to_generators(m, vectors):
+    f = m.algebra.field
+    vectors = tuple_rows(vectors, m.dim)
+    out = [v for v in vectors]
+    span = module_span(m, vectors)
+    for j in range(m.dim):
+        if span.shape[0] == m.dim:
+            break
+        ej = m.basis_vector(j)
+        if not linalg.in_span(f, span, ej):
+            out.append(ej)
+            span = module_span(m, np.stack(out))
+    return np.stack(out) if out else np.zeros((0, m.dim), dtype=ELEM)
+
+
 def oracle_end_closed(field, end_basis, arity, basis):
     if basis.shape[0] == 0:
         return True
@@ -381,7 +403,7 @@ def oracle_pp_lattice(m, arity, cap=DEFAULT_CAP):
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
-            meet[i, j] = index[linalg.subspace_intersect(field, a.basis, b.basis).tobytes()]
+            meet[i, j] = index[zassenhaus_intersect(field, a.basis, b.basis).tobytes()]
             join[i, j] = index[linalg.subspace_sum(field, a.basis, b.basis).tobytes()]
     return PpLattice(m, arity, elements, tuple(w for _, w in found), leq, meet, join)
 
@@ -497,6 +519,18 @@ def oracle_subspace_intersect(field, b1, b2):
     coeffs = oracle_null_space(field, stacked.T)
     part = linalg.matmul(field, coeffs[:, : b1.shape[0]], b1)
     return oracle_row_space(field, part)
+
+
+def zassenhaus_intersect(field, b1, b2):
+    """Canonical basis of rowspace(b1) & rowspace(b2).
+
+    Zassenhaus: the rows of [[b1, b1], [b2, 0]] whose pivot lies in the
+    right half have right halves forming the RREF basis of the meet.
+    """
+    n = b1.shape[1]
+    rows = [r + r for r in b1.tolist()] + [r + [0] * n for r in b2.tolist()]
+    pivots = linalg._eliminate(field, rows, 2 * n)
+    return linalg._array([row[n:] for row, pc in zip(rows, pivots) if pc >= n], n)
 
 
 def oracle_subspace_le(field, b1, b2):
@@ -657,7 +691,7 @@ def test_subspace_operations_match_the_numpy_kernel(data, field):
         b1 = oracle_subspace_intersect(field, b1, b2)
     elif mode == "one more row":  # b2's rows, then rows that may leave it
         b1 = np.concatenate([b2, b1], axis=0)
-    got = linalg.subspace_intersect(field, b1, b2)
+    got = zassenhaus_intersect(field, b1, b2)
     assert same_array(got, oracle_subspace_intersect(field, b1, b2))
     assert linalg.subspace_le(field, b1, b2) == oracle_subspace_le(field, b1, b2)
     assert linalg.subspace_le(field, b2, b1) == oracle_subspace_le(field, b2, b1)
@@ -670,11 +704,25 @@ GRID_MODULES = [
 ]
 
 
+@given(data=st.data(), field=fields)
+def test_prefix_basis_is_the_row_space_of_the_prefix(data, field):
+    basis = linalg.row_space(field, matrices(data, field))
+    for b in (basis, basis[:0]):  # and the empty basis of the same width
+        for c in range(b.shape[1] + 1):
+            want = linalg.row_space(field, b[:, :c])
+            assert same_array(linalg.prefix_basis(b, c), want)
+
+
+def same_generators_and_presentation(m, vectors):
+    gens = extend_to_generators(m, vectors)
+    assert same_array(gens, oracle_extend_to_generators(m, vectors))
+    assert same_array(presentation(m, gens), oracle_presentation(m, gens))
+
+
 @pytest.mark.parametrize("m", GRID_MODULES, ids=repr)
 def test_presentation_and_generators_match_the_loops(m):
     for start in m.enumerate_elements()[:3]:
-        gens = extend_to_generators(m, start.reshape(1, -1))
-        assert np.array_equal(presentation(m, gens), oracle_presentation(m, gens))
+        same_generators_and_presentation(m, start.reshape(1, -1))
     eb = end_and_biend(m)
     assert np.array_equal(eb.generators, oracle_greedy_generators(m, eb.end.basis))
 
@@ -775,7 +823,7 @@ def oracle_join_closure_lattice(m, arity):
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
-            meet[i, j] = index[linalg.subspace_intersect(field, a.basis, b.basis).tobytes()]
+            meet[i, j] = index[zassenhaus_intersect(field, a.basis, b.basis).tobytes()]
             join[i, j] = index[linalg.subspace_sum(field, a.basis, b.basis).tobytes()]
     return PpLattice(m, arity, elements, witnesses, leq, meet, join)
 
@@ -825,6 +873,19 @@ def test_pp_lattice_matches_the_per_point_join_closure(key, m, arity):
     got = pp_lattice(m, arity)
     assert element_digest(got) == LATTICE_DIGESTS[key]
     assert same_lattice(got, oracle_join_closure_lattice(m, arity))
+
+
+@pytest.mark.parametrize(
+    "key, m, arity",
+    [pytest.param(*case, id=case[0]) for case in lattice_workload_cases() if case[0] in LATTICE_DIGESTS],
+)
+def test_pointed_power_generators_match_the_span_loops(key, m, arity):
+    """The pointed power of each element with the diagonal tuple ``is_pp_definable`` builds."""
+    for el in pp_lattice(m, arity).elements[1:]:
+        k = el.dim
+        power = direct_sum([m] * k).module
+        diag = el.basis.reshape(k, arity, m.dim).transpose(1, 0, 2).reshape(arity, power.dim)
+        same_generators_and_presentation(power, diag)
 
 
 @pytest.mark.parametrize(
@@ -1083,6 +1144,14 @@ GENUINE = [fixtures.k2(), fixtures.f3(), fixtures.r2(), fixtures.tri2()] + [
     truncated(f) for f in FIELDS[2:]
 ]
 GENUINE_MODULES = [m for alg in GENUINE for m in genuine_modules(alg)]
+
+
+@pytest.mark.parametrize("m", GENUINE_MODULES, ids=repr)
+def test_generators_and_presentation_match_the_span_loops(m):
+    rng = np.random.default_rng(m.dim)
+    for length in (0, 1, 1, 2, 2):
+        vectors = rng.integers(0, m.algebra.field.q, (length, m.dim)).astype(ELEM)
+        same_generators_and_presentation(m, vectors)
 
 
 def algebra_id(alg):
@@ -1927,7 +1996,7 @@ def oracle_consequence_enum_on_solution_sets(theta, ctx, budget):
                 ):
                     continue
                 chi_c = solution_basis(a, b, c_theta)
-                sig = linalg.subspace_intersect(field, on_c, chi_c).tobytes()
+                sig = zassenhaus_intersect(field, on_c, chi_c).tobytes()
                 if sig in seen:
                     continue
                 if len(results) >= budget.candidates:

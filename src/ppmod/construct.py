@@ -424,12 +424,12 @@ def verify_factorisation(
         b_next = state.stages[n + 1].module
         for t_idx, target in enumerate(targets):
             hs = hom_basis(b_next, target)
-            # f_n h for every basis map h of Hom(B_{n+1}, T), one column each
-            columns = linalg.images(field, f_n.matrix, hs)
-            columns = columns.transpose(0, 2, 1).reshape(b_n.dim * target.dim, len(hs))
+            # the span of f_n h over the basis maps h of Hom(B_{n+1}, T)
+            composites = linalg.images(field, f_n.matrix, hs).transpose(1, 0, 2)
+            through = linalg.row_space(field, composites.reshape(len(hs), b_n.dim * target.dim))
             for g in hom_basis(b_n, target):
                 checked += 1
-                if linalg.solve(field, columns, g.reshape(-1)) is None:
+                if not linalg.in_span(field, through, g.reshape(-1)):
                     failures.append((n, t_idx, ModuleMap(b_n, target, g)))
     return FactorisationReport(not failures, checked, tuple(failures))
 

@@ -6,14 +6,17 @@ A @ x = b); subspaces are represented by their reduced-row-echelon
 basis, which is a canonical form, so two subspaces are equal iff their
 bases are byte-identical.
 
-Every elimination is the one Gauss-Jordan :func:`_eliminate` and every
-membership test the one sequential reduction :func:`_residue`, both on
-Python list rows through the field's list tables; numpy is only the
-boundary (one ``tolist`` in, one ``ELEM`` array out), since the matrices
-are small and per-call numpy overhead would dominate.
+Every elimination is :func:`_insert` of rows into a reduced echelon list
+kept sorted by lead, the (unique) RREF basis, and every membership test
+the one sequential reduction :func:`_residue`, both on Python list rows
+through the field's list tables; numpy is only the boundary (one
+``tolist`` in, one ``ELEM`` array out), since the matrices are small and
+per-call numpy overhead would dominate.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 import numpy as np
 
@@ -106,90 +109,8 @@ def all_vectors(field: Field, n: int) -> np.ndarray:
     return np.ascontiguousarray(digits[::-1].T)
 
 
-def _eliminate(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
-    """Gauss-Jordan on list rows, in place; returns the pivot columns."""
-    add, mul, neg, inv = field.add_list, field.mul_list, field.neg_list, field.inv_list
-    pivots: list[int] = []
-    nrows = len(rows)
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        scale = mul[inv[rows[r][c]]]
-        pivot_row = rows[r] = [scale[x] for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                s = mul[neg[row[c]]]
-                rows[i] = [add[x][s[y]] for x, y in zip(row, pivot_row)]
-        pivots.append(c)
-    return pivots
-
-
 def _array(rows: list[list[int]], ncols: int) -> np.ndarray:
     return np.array(rows, dtype=ELEM).reshape(len(rows), ncols)
-
-
-def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    m = np.asarray(a, ELEM)
-    if m.ndim != 2:
-        raise DimensionMismatch("rref expects a 2-D array")
-    rows = m.tolist()
-    pivots = _eliminate(field, rows, m.shape[1])
-    return _array(rows, m.shape[1]), pivots
-
-
-def row_space(field: Field, a: np.ndarray) -> np.ndarray:
-    """Canonical (RREF, no zero rows) basis of the row space."""
-    m, pivots = rref(field, a)
-    return m[: len(pivots)]
-
-
-def rank(field: Field, a: np.ndarray) -> int:
-    return len(rref(field, a)[1])
-
-
-def null_space(field: Field, a: np.ndarray) -> np.ndarray:
-    """Canonical basis (as rows) of {x : a @ x = 0}."""
-    a = np.asarray(a, ELEM)
-    n = a.shape[1]
-    red = a.tolist()
-    pivots = _eliminate(field, red, n)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        row = [0] * n
-        row[fc] = 1
-        for r, pc in enumerate(pivots):
-            row[pc] = field.neg_list[red[r][fc]]
-        basis.append(row)
-    dim = len(_eliminate(field, basis, n))
-    return _array(basis[:dim], n)
-
-
-def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of a @ x = b, or None when inconsistent."""
-    a = np.asarray(a, ELEM)
-    b = np.asarray(b, ELEM).reshape(-1)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"matrix {a.shape} vs rhs {b.shape}")
-    n = a.shape[1]
-    aug = [row + [x] for row, x in zip(a.tolist(), b.tolist())]
-    pivots = _eliminate(field, aug, n + 1)
-    if n in pivots:
-        return None
-    x = [0] * n
-    for row, pc in zip(aug, pivots):
-        x[pc] = row[n]
-    return np.array(x, dtype=ELEM)
-
-
-# -- subspaces (rows of an RREF basis span the space) -------------------
 
 
 def _leads(basis: np.ndarray) -> list[tuple[int, list[int]]]:
@@ -213,20 +134,92 @@ def _residue(field: Field, leads, v: list[int]) -> list[int]:
     return v
 
 
-def grow_basis(field: Field, leads: list, rows: np.ndarray) -> bool:
-    """Append the non-zero residue of each row to ``leads``, in place.
+def _insert(field: Field, leads: list, rows: list[list[int]]) -> list:
+    """Insert rows into the (lead, row) pairs of an RREF basis, in place, and
+    return them.  Rows are replaced, never changed, so a shallow copy of
+    ``leads`` is a basis of its own."""
+    add, mul, neg, inv = field.add_list, field.mul_list, field.neg_list, field.inv_list
+    for v in rows:
+        if len(leads) == len(v):  # the whole space
+            break
+        if leads:
+            v = _residue(field, leads, v)
+        for c, x in enumerate(v):
+            if x:
+                break
+        else:
+            continue
+        if x != 1:
+            scale = mul[inv[x]]
+            v = [scale[y] for y in v]
+        for i, (d, row) in enumerate(leads):
+            if row[c]:
+                s = mul[neg[row[c]]]
+                leads[i] = (d, [add[y][s[z]] for y, z in zip(row, v)])
+        insort(leads, (c, v))  # leads are distinct, so rows are never compared
+    return leads
 
-    ``leads`` holds (leading column, row) pairs as ``_leads`` returns them.
-    Each appended residue is zero at every earlier lead, so the list is a
-    semi-echelon basis on which the sequential ``_residue`` stays exact: a
-    row lies in the span iff its residue is zero.  True iff a row grew it.
-    """
+
+def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and the pivot column list."""
+    m = np.asarray(a, ELEM)
+    if m.ndim != 2:
+        raise DimensionMismatch("rref expects a 2-D array")
+    leads = _insert(field, [], m.tolist())
+    out = zeros(*m.shape)
+    if leads:
+        out[: len(leads)] = [row for _, row in leads]
+    return out, [c for c, _ in leads]
+
+
+def row_space(field: Field, a: np.ndarray) -> np.ndarray:
+    """Canonical (RREF, no zero rows) basis of the row space."""
+    m, pivots = rref(field, a)
+    return m[: len(pivots)]
+
+
+def rank(field: Field, a: np.ndarray) -> int:
+    return len(rref(field, a)[1])
+
+
+def null_space(field: Field, a: np.ndarray) -> np.ndarray:
+    """Canonical basis (as rows) of {x : a @ x = 0}."""
+    a = np.asarray(a, ELEM)
+    n = a.shape[1]
+    leads = _insert(field, [], a.tolist())
+    pivots = {c for c, _ in leads}
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        row = [0] * n
+        row[fc] = 1
+        for pc, red in leads:
+            row[pc] = field.neg_list[red[fc]]
+        basis.append(row)
+    return _array([row for _, row in _insert(field, [], basis)], n)
+
+
+def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """One solution of a @ x = b, or None when inconsistent."""
+    a = np.asarray(a, ELEM)
+    b = np.asarray(b, ELEM).reshape(-1)
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"matrix {a.shape} vs rhs {b.shape}")
+    n = a.shape[1]
+    x = [0] * n
+    for pc, row in _insert(field, [], [row + [x] for row, x in zip(a.tolist(), b.tolist())]):
+        if pc == n:
+            return None
+        x[pc] = row[n]
+    return np.array(x, dtype=ELEM)
+
+
+# -- subspaces (rows of an RREF basis span the space) -------------------
+
+
+def grow_basis(field: Field, leads: list, rows: np.ndarray) -> int:
+    """``_insert`` of array rows: how many grew the reduced echelon list ``leads``."""
     size = len(leads)
-    for v in np.asarray(rows, ELEM).tolist():
-        v = _residue(field, leads, v)
-        if any(v):
-            leads.append((next(c for c, x in enumerate(v) if x), v))
-    return len(leads) > size
+    return len(_insert(field, leads, np.asarray(rows, ELEM).tolist())) - size
 
 
 def reduce_mod(field: Field, basis: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -279,7 +272,12 @@ def quotient_map(field: Field, basis: np.ndarray, n: int) -> tuple[list[int], np
 
 
 def subspace_sum(field: Field, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    return row_space(field, np.concatenate([b1, b2], axis=0))
+    """RREF basis of the sum: b2 inserted into the RREF basis b1, and b1
+    itself when b2 lies in its span."""
+    leads = _leads(b1)
+    if not grow_basis(field, leads, b2):
+        return b1
+    return _array([row for _, row in leads], b1.shape[1])
 
 
 def prefix_basis(basis: np.ndarray, c: int) -> np.ndarray:

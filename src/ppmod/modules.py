@@ -387,14 +387,15 @@ def presentation(m: ModuleRep, generators: np.ndarray) -> np.ndarray:
     alg = m.algebra
     gens = tuple_rows(generators, m.dim)
     s = gens.shape[0]
-    span = module_span(m, gens)
-    if span.shape[0] != m.dim:
+    # row (i, l) of the cover matrix is g_i acted on by e_l; its rows span
+    # the submodule the tuple generates, of dimension s·dim R − dim kernel
+    cover = _orbit(m, gens)
+    kernel = linalg.null_space(f, cover.T)
+    if cover.shape[0] - kernel.shape[0] != m.dim:
+        span = module_span(m, gens)
         for j in range(m.dim):
             if not linalg.in_span(f, span, m.basis_vector(j)):
                 raise NotGenerating(m.basis_vector(j))
-    # row (i, l) of the cover matrix is g_i acted on by e_l
-    cover = _orbit(m, gens)
-    kernel = linalg.null_space(f, cover.T)
     regular = alg.right_regular_actions() if m.side == RIGHT else alg.left_regular_actions()
     chosen: list[np.ndarray] = []
     closure: list = []

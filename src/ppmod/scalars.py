@@ -121,32 +121,29 @@ def end_and_biend(m: ModuleRep) -> EndBiend:
 
 
 def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
-    """Module generators over End, greedy by orbit-dimension descent."""
+    """Module generators over End, greedy by the rows each End-orbit adds
+    to a copy of the echelon span (``linalg.grow_basis``)."""
     field = m.algebra.field
     d = m.dim
-    span = np.zeros((0, d), dtype=ELEM)
+    span: list = []
     chosen: list[np.ndarray] = []
     elements = m.enumerate_elements()
     # images[v] lists v @ h for every h in end_mats
     images = linalg.images(field, elements, end_mats)
-    while span.shape[0] < d:
+    while len(span) < d:
         best = None
         best_gain = 0
         best_span = span
         for v, image in zip(elements, images):
-            cand = linalg.row_space(field, np.concatenate([span, image], axis=0))
-            gain = cand.shape[0] - span.shape[0]
+            cand = list(span)
+            gain = linalg.grow_basis(field, cand, image)
             if gain > best_gain:
                 best, best_gain, best_span = v, gain, cand
         if best is None:
             raise ValidationFailure("no element extends the End-orbit span")
         chosen.append(best)
         span = best_span
-    return (
-        np.stack(chosen)
-        if chosen
-        else np.zeros((0, d), dtype=ELEM)
-    )
+    return np.stack(chosen) if chosen else np.zeros((0, d), dtype=ELEM)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,13 +156,13 @@ class ScalarSynthesis:
     functional: bool
 
 
-def synthesize_scalar(m: ModuleRep, g, eb: EndBiend | None = None) -> ScalarSynthesis:
+def synthesize_scalar(m: ModuleRep, g) -> ScalarSynthesis:
     """The two-variable formula whose graph is the graph of g on M."""
     field = m.algebra.field
     alg = m.algebra
     d = m.dim
     g = field.asarray(g).reshape(d, d)
-    eb = eb or end_and_biend(m)
+    eb = end_and_biend(m)
     ends = eb.end.basis
     # g h and h g for every basis endomorphism h
     gh = linalg.images(field, g, ends).transpose(1, 0, 2)
@@ -206,12 +203,7 @@ def synthesize_scalar(m: ModuleRep, g, eb: EndBiend | None = None) -> ScalarSynt
             b[base + 2 * k - 2 + r, col0 : col0 + phi.neq] = phi.b[r]
     rho = pp_formula(alg, m.side, 2, a, b)
     sol = evaluate(rho, m).basis
-    graph = linalg.row_space(
-        field,
-        np.concatenate(
-            [linalg.eye(field, d), g], axis=1
-        ),
-    )
+    graph = np.concatenate([linalg.eye(field, d), g], axis=1)  # RREF already
     if not linalg.subspace_eq(sol, graph):
         raise ValidationFailure(
             "synthesized formula does not define the intended scalar"
@@ -240,7 +232,7 @@ def scalar_ring(m: ModuleRep) -> ScalarRing:
     synths = []
     induced = []
     for g in eb.biend.basis:
-        s = synthesize_scalar(m, g, eb)
+        s = synthesize_scalar(m, g)
         synths.append(s)
         sol = evaluate(s.formula, m).basis
         # total iff the first d pivots are 0..d-1; then row j is (e_j, g(e_j))

@@ -116,3 +116,26 @@ def test_all_is_exactly_the_package_imports():
     assert set(ppmod.__all__) == set(package_imports())
     for name in ppmod.__all__:
         assert hasattr(ppmod, name), name
+
+
+LIST_TABLES = {"add_list", "mul_list", "neg_list", "inv_list"}
+
+
+def list_table_reads(path: Path) -> list[str]:
+    """Each field list table a module reads, in order of appearance."""
+    tree = ast.parse(path.read_text())
+    return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in LIST_TABLES]
+
+
+def test_only_the_kernel_reads_the_list_tables():
+    # row elimination lives in linalg alone; a loop over the list tables
+    # anywhere else is a second elimination
+    readers = {path.name for path in SRC.glob("*.py") if list_table_reads(path)}
+    assert readers <= {"fields.py", "linalg.py"}
+    assert "linalg.py" in readers
+
+
+def test_the_check_sees_list_table_reads(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("def f(field, v):\n    return [field.neg_list[x] for x in v], field.add_table\n")
+    assert list_table_reads(sample) == ["neg_list"]

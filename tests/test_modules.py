@@ -22,7 +22,7 @@ from ppmod import (
     sum_quotient,
     zero_module,
 )
-from ppmod.errors import CapExceeded, NotARepresentation, NotASubmodule, SideMismatch
+from ppmod.errors import CapExceeded, NotARepresentation, NotASubmodule, NotGenerating, SideMismatch
 from ppmod.fixtures import (
     k2,
     mod_lr,
@@ -228,6 +228,29 @@ def test_presentation_builds_no_free_module(monkeypatch):
     for m, gens in cases:
         rel = presentation(m, gens)
         assert rel.shape[1:] == (gens.shape[0], m.algebra.dim)
+
+
+def test_presentation_spans_the_tuple_only_to_name_a_witness(monkeypatch):
+    import ppmod.modules
+
+    calls = 0
+    real = ppmod.modules.module_span
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    cases = [(m, extend_to_generators(m, m.enumerate_elements()[1:2])) for m in right_grid(tri2())]
+    monkeypatch.setattr(ppmod.modules, "module_span", spy)
+    for m, gens in cases:
+        presentation(m, gens)
+    # a generating tuple is read off the kernel's dimension
+    assert calls == 0
+    with pytest.raises(NotGenerating) as err:
+        presentation(mod_rr(), F2.asarray([[0, 1]]))  # t generates only tR
+    assert calls == 1
+    assert np.array_equal(err.value.witness, F2.asarray([1, 0]))
 
 
 def test_map_apply_and_compose():

@@ -528,13 +528,71 @@ def zassenhaus_intersect(field, b1, b2):
     right half have right halves forming the RREF basis of the meet.
     """
     n = b1.shape[1]
-    rows = [r + r for r in b1.tolist()] + [r + [0] * n for r in b2.tolist()]
-    pivots = linalg._eliminate(field, rows, 2 * n)
-    return linalg._array([row[n:] for row, pc in zip(rows, pivots) if pc >= n], n)
+    stacked = np.concatenate([np.concatenate([b1, b1], axis=1), np.pad(b2, ((0, 0), (0, n)))])
+    red, pivots = linalg.rref(field, stacked)
+    return red[[r for r, pc in enumerate(pivots) if pc >= n], n:]
 
 
 def oracle_subspace_le(field, b1, b2):
     return all(not np.any(oracle_reduce_mod(field, b2, row)) for row in b1)
+
+
+def oracle_eliminate(field, rows, ncols):
+    """The column sweep: Gauss-Jordan on list rows, in place; returns the pivot columns."""
+    add, mul, neg, inv = field.add_list, field.mul_list, field.neg_list, field.inv_list
+    pivots = []
+    nrows = len(rows)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        scale = mul[inv[rows[r][c]]]
+        pivot_row = rows[r] = [scale[x] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                s = mul[neg[row[c]]]
+                rows[i] = [add[x][s[y]] for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+    return pivots
+
+
+def sweep_rref(field, a):
+    rows = a.tolist()
+    pivots = oracle_eliminate(field, rows, a.shape[1])
+    return np.array(rows, dtype=ELEM).reshape(a.shape), pivots
+
+
+def sweep_null_space(field, a):
+    n = a.shape[1]
+    red = a.tolist()
+    pivots = oracle_eliminate(field, red, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        row = [0] * n
+        row[fc] = 1
+        for r, pc in enumerate(pivots):
+            row[pc] = field.neg_list[red[r][fc]]
+        basis.append(row)
+    dim = len(oracle_eliminate(field, basis, n))
+    return np.array(basis[:dim], dtype=ELEM).reshape(dim, n)
+
+
+def sweep_solve(field, a, b):
+    n = a.shape[1]
+    aug = [row + [x] for row, x in zip(a.tolist(), b.tolist())]
+    pivots = oracle_eliminate(field, aug, n + 1)
+    if n in pivots:
+        return None
+    x = [0] * n
+    for row, pc in zip(aug, pivots):
+        x[pc] = row[n]
+    return np.array(x, dtype=ELEM)
 
 
 # -- random objects ------------------------------------------------------------
@@ -695,6 +753,58 @@ def test_subspace_operations_match_the_numpy_kernel(data, field):
     assert same_array(got, oracle_subspace_intersect(field, b1, b2))
     assert linalg.subspace_le(field, b1, b2) == oracle_subspace_le(field, b1, b2)
     assert linalg.subspace_le(field, b2, b1) == oracle_subspace_le(field, b2, b1)
+
+
+def shaped_matrices(data, field):
+    """0-10 x 0-12 matrices: any shape, tall or wide; zero, sparse or dense."""
+    rows, cols = data.draw(
+        st.sampled_from([(st.integers(0, 10), st.integers(0, 12)),
+                         (st.integers(6, 10), st.integers(0, 4)),
+                         (st.integers(0, 4), st.integers(8, 12))])
+    )
+    shape = (data.draw(rows), data.draw(cols))
+    entries = data.draw(st.sampled_from([
+        st.just(0),
+        st.sampled_from([0, 0, 0, 1, field.q - 1]),
+        st.integers(0, field.q - 1),
+    ]))
+    return data.draw(hnp.arrays(ELEM, shape, elements=entries, fill=st.nothing()))
+
+
+@given(data=st.data(), field=fields)
+def test_row_insertion_matches_the_column_sweep(data, field):
+    a = shaped_matrices(data, field)
+    got, pivots = linalg.rref(field, a)
+    want, want_pivots = sweep_rref(field, a)
+    assert pivots == want_pivots
+    assert same_array(got, want)
+    assert same_array(linalg.row_space(field, a), want[: len(want_pivots)])
+    assert same_array(linalg.null_space(field, a), sweep_null_space(field, a))
+    b = elems(data, field, (a.shape[0],))
+    if data.draw(st.booleans()):  # a consistent right-hand side
+        b = linalg.matvec(field, elems(data, field, (a.shape[1],)), a.T)
+    got, want = linalg.solve(field, a, b), sweep_solve(field, a, b)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert same_array(got, want)
+
+
+@given(data=st.data(), field=fields)
+def test_subspace_sum_is_the_row_space_of_the_concatenation(data, field):
+    n = data.draw(st.integers(0, 12))
+    b1, b2 = (linalg.row_space(field, matrices(data, field, cols=st.just(n))) for _ in range(2))
+    want = linalg.row_space(field, np.concatenate([b1, b2], axis=0))
+    assert same_array(linalg.subspace_sum(field, b1, b2), want)
+
+
+@given(data=st.data(), field=fields)
+def test_subspace_sum_returns_the_first_basis_when_the_second_lies_inside(data, field):
+    n = data.draw(st.integers(0, 12))
+    b1 = linalg.row_space(field, matrices(data, field, cols=st.just(n)))
+    # b2: the row space of combinations of b1's rows
+    coeffs = elems(data, field, (data.draw(st.integers(0, 4)), b1.shape[0]))
+    b2 = linalg.row_space(field, linalg.matmul(field, coeffs, b1))
+    assert linalg.subspace_sum(field, b1, b2) is b1
 
 
 GRID_MODULES = [

@@ -122,9 +122,13 @@ LIST_TABLES = {"add_list", "mul_list", "neg_list", "inv_list"}
 
 
 def list_table_reads(path: Path) -> list[str]:
-    """Each field list table a module reads, in order of appearance."""
+    """The name of each field list table a module reads, once per read."""
     tree = ast.parse(path.read_text())
-    return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in LIST_TABLES]
+    return [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in LIST_TABLES
+    ]
 
 
 def test_only_the_kernel_reads_the_list_tables():

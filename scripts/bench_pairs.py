@@ -16,9 +16,10 @@ Every number in ``BENCH_<pr>.json`` is copied from the
 ``.perfbench/<workload>-seed<S>-trace<0|1>.json`` result files those runs
 write.  For each workload, seed and end-to-end metric the pair summary
 (medians, quartiles, wins) is computed from the copied values and judged
-against the metric's bound in ``BENCHMARK.json``: the claimed workload's
-``wall_s`` by the gain rule, every other pairing by the no-regression
-rule.  The two clones are removed at the end.
+against the metric's bound in ``BENCHMARK.json`` by the no-regression
+rule.  With ``--claim W``, ``claim`` states workload W's ``wall_s`` pairs
+judged by the gain rule; without it no gain is claimed and ``claim`` is
+null.  The two clones are removed at the end.
 """
 
 from __future__ import annotations
@@ -126,6 +127,12 @@ def _clone(rev: str, dest: Path) -> None:
     subprocess.run(["git", "-C", str(dest), "checkout", "--quiet", "--detach", rev], check=True)
 
 
+def _subject(rev: str) -> str:
+    return subprocess.run(
+        ["git", "log", "-1", "--format=%s", rev], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def _run(side: Path, workload: str, seed: int, traced: bool) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -144,7 +151,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--pr", required=True)
     parser.add_argument("--scratch", required=True, type=Path)
-    parser.add_argument("--claim", default="cli-demo", choices=WORKLOADS)
+    parser.add_argument("--claim", choices=WORKLOADS)
     args = parser.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]}
     sides = {"parent": args.scratch / "parent", "change": args.scratch / "change"}
@@ -154,9 +161,7 @@ def main(argv=None) -> int:
     args.scratch.mkdir(parents=True, exist_ok=True)
     for name, path in sides.items():
         _clone(getattr(args, name), path)
-    subject = subprocess.run(
-        ["git", "log", "-1", "--format=%s", args.change], capture_output=True, text=True, check=True
-    ).stdout.strip()
+    subject = _subject(args.change)
     try:
         runs, pairs, claim, prov = {}, {}, {}, None
         for i, seed in enumerate(SEEDS):
@@ -191,12 +196,13 @@ def main(argv=None) -> int:
         "machine": {k: prov[k] for k in ("nproc", "machine", "python", "load")},
         "commands": [
             f"python3 scripts/bench_pairs.py --parent {args.parent} --change {args.change} "
-            f"--pr {args.pr} --scratch {args.scratch} --claim {args.claim}",
+            f"--pr {args.pr} --scratch {args.scratch}"
+            + (f" --claim {args.claim}" if args.claim else ""),
             f"per seed S in {list(SEEDS)} and workload W: python3 perfbench/run.py --workload W "
             f"--seed S --trace 0 in {PAIRS} alternating pairs (seed {SEEDS[0]}: parent first in "
             f"odd pairs; seed {SEEDS[1]}: change first), then --trace 1 once per side",
         ],
-        "claim": claim_text(args.claim, claim),
+        "claim": claim_text(args.claim, claim) if args.claim else None,
         "bounds": bounds,
         "pairs": pairs,
         "runs": runs,

@@ -19,19 +19,6 @@ from .errors import BadUnit, DimensionMismatch, NonAssociative
 from .fields import ELEM, Field
 
 
-def structure_product(
-    field: Field, constants: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Product of u and v under structure constants of shape (k, k, k).
-
-    sum_ij u_i v_j constants[i, j], computed as one ``matvec`` of the
-    flattened outer product u v against constants as a (k*k, k) matrix.
-    """
-    k = constants.shape[0]
-    uv = field.mul(np.asarray(u, ELEM)[:, None], np.asarray(v, ELEM)[None, :])
-    return linalg.matvec(field, uv.reshape(k * k), constants.reshape(k * k, k))
-
-
 @dataclass(frozen=True, eq=False)
 class Algebra:
     field: Field
@@ -44,8 +31,14 @@ class Algebra:
         return len(self.labels)
 
     def mul_elems(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Product of two elements in basis coordinates."""
-        return structure_product(self.field, self.constants, u, v)
+        """Product of two elements in basis coordinates.
+
+        sum_ij u_i v_j constants[i, j], computed as one ``matvec`` of the
+        flattened outer product u v against constants as a (k*k, k) matrix.
+        """
+        k = self.dim
+        uv = self.field.mul(np.asarray(u, ELEM)[:, None], np.asarray(v, ELEM)[None, :])
+        return linalg.matvec(self.field, uv.reshape(k * k), self.constants.reshape(k * k, k))
 
     def elem_zero(self) -> np.ndarray:
         return np.zeros(self.dim, dtype=ELEM)
@@ -64,7 +57,11 @@ class Algebra:
         return int(sum(int(c) * self.field.q**i for i, c in enumerate(v)))
 
     def elem_from_code(self, code: int) -> np.ndarray:
-        return self.enumerate_elements()[code]
+        """The element whose base-q digits are ``code`` (inverse of ``elem_code``)."""
+        q = self.field.q
+        if not 0 <= code < q**self.dim:
+            raise DimensionMismatch(f"element code {code} outside 0..{q**self.dim - 1}")
+        return np.array([code // q**i % q for i in range(self.dim)], dtype=ELEM)
 
     def enumerate_elements(self) -> np.ndarray:
         """All q^dim elements in code order, shape (q^dim, dim)."""

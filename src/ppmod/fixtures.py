@@ -16,7 +16,6 @@ grid plus the left regular module.
 
 from __future__ import annotations
 
-from functools import lru_cache
 import random
 
 import numpy as np
@@ -35,6 +34,7 @@ from .formulas import (
     substitute,
     top,
 )
+from .memo import memo
 from .modules import (
     LEFT,
     RIGHT,
@@ -46,30 +46,32 @@ from .modules import (
     zero_module,
 )
 
+_once = memo(lambda: ())
 
-@lru_cache(maxsize=None)
+
+@_once
 def f2() -> Field:
     return Field(2)
 
 
-@lru_cache(maxsize=None)
+@_once
 def f3_field() -> Field:
     return Field(3)
 
 
-@lru_cache(maxsize=None)
+@_once
 def k2() -> Algebra:
     f = f2()
     return make_algebra(f, ["1"], np.ones((1, 1, 1), dtype=ELEM), [1])
 
 
-@lru_cache(maxsize=None)
+@_once
 def f3() -> Algebra:
     f = f3_field()
     return make_algebra(f, ["1"], np.ones((1, 1, 1), dtype=ELEM), [1])
 
 
-@lru_cache(maxsize=None)
+@_once
 def r2() -> Algebra:
     """F_2[t] / (t^2) with basis {1, t}."""
     f = f2()
@@ -81,7 +83,7 @@ def r2() -> Algebra:
     return make_algebra(f, ["1", "t"], c, [1, 0])
 
 
-@lru_cache(maxsize=None)
+@_once
 def tri2() -> Algebra:
     """Upper-triangular 2x2 matrices over F_2, basis {e11, e12, e22}."""
     f = f2()
@@ -96,13 +98,13 @@ def tri2() -> Algebra:
 # -- R2 modules ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_once
 def mod_rr() -> ModuleRep:
     """The right regular module of r2."""
     return regular_module(r2(), RIGHT)
 
 
-@lru_cache(maxsize=None)
+@_once
 def mod_s() -> ModuleRep:
     """One-dimensional right r2-module with t acting as zero."""
     acts = np.zeros((2, 1, 1), dtype=ELEM)
@@ -110,19 +112,19 @@ def mod_s() -> ModuleRep:
     return make_module(r2(), RIGHT, 1, acts)
 
 
-@lru_cache(maxsize=None)
+@_once
 def mod_lr() -> ModuleRep:
     return regular_module(r2(), LEFT)
 
 
-@lru_cache(maxsize=None)
+@_once
 def mod_ls() -> ModuleRep:
     acts = np.zeros((2, 1, 1), dtype=ELEM)
     acts[0, 0, 0] = 1
     return make_module(r2(), LEFT, 1, acts)
 
 
-@lru_cache(maxsize=None)
+@_once
 def mod_rr_alt() -> ModuleRep:
     """Two-dimensional right module, t acting by the lower shift.
 
@@ -179,7 +181,7 @@ def left_grid(alg: Algebra) -> list[ModuleRep]:
     return mods
 
 
-@lru_cache(maxsize=None)
+@_once
 def tri2_s1() -> ModuleRep:
     """Simple right module at the first vertex (e11 acts as 1)."""
     acts = np.zeros((3, 1, 1), dtype=ELEM)
@@ -187,14 +189,14 @@ def tri2_s1() -> ModuleRep:
     return make_module(tri2(), RIGHT, 1, acts)
 
 
-@lru_cache(maxsize=None)
+@_once
 def tri2_s2() -> ModuleRep:
     acts = np.zeros((3, 1, 1), dtype=ELEM)
     acts[2, 0, 0] = 1
     return make_module(tri2(), RIGHT, 1, acts)
 
 
-@lru_cache(maxsize=None)
+@_once
 def tri2_p1() -> ModuleRep:
     """Projective cover of tri2_s1: span{e11, e12} of the regular module."""
     acts = np.zeros((3, 2, 2), dtype=ELEM)

@@ -4,7 +4,8 @@ Conventions: matrices are 2-D numpy arrays of field-element codes.
 ``solve``/``null_space`` use the column convention (unknowns x with
 A @ x = b); subspaces are represented by their reduced-row-echelon
 basis, which is a canonical form, so two subspaces are equal iff their
-bases are byte-identical.
+bases are byte-identical.  Every Hom space and commutant is the one
+Sylvester null space :func:`intertwiners`.
 
 Every elimination is :func:`_insert` of rows into a reduced echelon list
 kept sorted by lead, the (unique) RREF basis, and every membership test
@@ -91,6 +92,20 @@ def sylvester_rows(field: Field, left: np.ndarray, right: np.ndarray) -> np.ndar
     lk = field.mul(left[:, :, None, :, None], eye(field, b)[None, None, :, None, :])
     rk = field.mul(eye(field, a)[None, :, None, :, None], right[:, None, :, None, :])
     return field.sub(lk, rk).reshape(s * a * b, a * b)
+
+
+def intertwiners(field: Field, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Canonical basis, as an (h, a, b) stack, of {X : left[i] X = X right[i] for all i}.
+
+    ``left`` is (s, a, a) and ``right`` is (s, b, b): the null space of
+    ``sylvester_rows`` with ``right`` transposed, reshaped.  Hom spaces
+    and commutants are such spaces.
+    """
+    a, b = left.shape[1], right.shape[1]
+    if a == 0 or b == 0:
+        return np.zeros((0, a, b), dtype=ELEM)
+    rows = sylvester_rows(field, left, right.transpose(0, 2, 1))
+    return null_space(field, rows).reshape(-1, a, b)
 
 
 def all_vectors(field: Field, n: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Evaluation, free realisations, pp-type generators and End/Biend rings
 are pure functions of their arguments' fingerprints, so each keeps its
-results in a dict keyed by those fingerprints.  The caches are
-unbounded and live as long as the process.
+results in a dict keyed by those fingerprints; the argument-free
+fixtures key their one result by ``()``.  The caches are unbounded and
+live as long as the process.
 """
 
 from __future__ import annotations

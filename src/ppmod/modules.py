@@ -263,12 +263,7 @@ def identity_map(m: ModuleRep) -> ModuleMap:
 def hom_basis(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     """Canonical F_q-basis of Hom(m, n) as one (h, m.dim, n.dim) stack."""
     _require_compatible(m, n)
-    if m.dim == 0 or n.dim == 0:
-        return np.zeros((0, m.dim, n.dim), dtype=ELEM)
-    f = m.algebra.field
-    # vec(F) with act_m[i] F = F act_n[i] for every i
-    hom_rows = linalg.sylvester_rows(f, m.actions, n.actions.transpose(0, 2, 1))
-    return linalg.null_space(f, hom_rows).reshape(-1, m.dim, n.dim)
+    return linalg.intertwiners(m.algebra.field, m.actions, n.actions)
 
 
 def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
@@ -486,20 +481,6 @@ def quotient(m: ModuleRep, rows: np.ndarray) -> Quotient:
     actions = linalg.matmul(f, kept_rows, proj).reshape(s, qdim, qdim)
     q = make_module(m.algebra, m.side, qdim, actions, validate=False)
     return Quotient(q, ModuleMap(m, q, proj))
-
-
-def sum_quotient(
-    parts: list[ModuleRep], relations: np.ndarray | None = None
-) -> DirectSum | Quotient:
-    """Direct sum of the parts, optionally followed by a quotient.
-
-    With relations given they are rows in the coordinates of the sum;
-    the returned Quotient's projection starts from the sum module.
-    """
-    ds = direct_sum(parts)
-    if relations is None:
-        return ds
-    return quotient(ds.module, relations)
 
 
 def are_isomorphic(m: ModuleRep, n: ModuleRep) -> bool:

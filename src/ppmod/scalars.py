@@ -8,20 +8,23 @@ endomorphism ring, take a generator phi of the pp-type of the tuple
 joined with its g-image, and say that u and v decompose as sums whose
 i-th summand pair satisfies phi's i-th coordinate projection.  The
 graph of that formula is the graph of g, which is checked rather than
-assumed.
+assumed, so the ring of definable scalars is Biend(M) itself.
 
-Structure tables are one ``linalg.pair_products`` of the basis read back
-with one batched ``coords_in_rref``; End(M) is the ``hom_basis`` stack.
+End(M) and Biend(M) are ``RingTable``s: algebras (``algebras.Algebra``)
+over a canonical matrix basis.  End(M) is the ``hom_basis`` stack and
+Biend(M) is ``linalg.intertwiners`` of that stack with itself; their
+structure constants are one ``linalg.pair_products`` of the basis read
+back with one batched ``coords_in_rref``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg
-from .algebras import structure_product
+from .algebras import Algebra
 from .errors import ValidationFailure
 from .fields import ELEM, Field
 from .formulas import PpFormula, evaluate, pp_formula, pp_type_generator
@@ -30,30 +33,17 @@ from .modules import ModuleRep, RIGHT, hom_basis
 
 
 @dataclass(frozen=True, eq=False)
-class RingTable:
-    """A finite-dimensional algebra of matrices, with structure table.
+class RingTable(Algebra):
+    """A matrix algebra as an :class:`Algebra` over its canonical basis.
 
-    ``field`` is the field of the matrix entries; ``basis[i]`` acts on
-    row vectors by right multiplication; ``table`` holds structure
-    constants (basis[i] basis[j] expanded over the basis); ``from_r``
-    maps algebra basis elements to coordinate rows when the base
-    algebra acts through this ring.
+    ``basis[i]`` acts on row vectors by right multiplication and is basis
+    element i of the structure constants; ``from_r`` maps base algebra
+    basis elements to coordinate rows when the base algebra acts through
+    this ring.
     """
 
-    field: Field
-    labels: tuple[str, ...]
     basis: np.ndarray  # (k, d, d)
-    table: np.ndarray  # (k, k, k)
-    unit: np.ndarray  # (k,)
     from_r: np.ndarray | None = None  # (algebra dim, k)
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Product of two coordinate rows via the structure table."""
-        return structure_product(self.field, self.table, x, y)
 
 
 def _make_ring_table(
@@ -74,14 +64,11 @@ def _make_ring_table(
     table = linalg.coords_in_rref(field, vec, prods)
     if table is None:
         raise ValidationFailure("matrix set is not closed under products")
-    if d:
-        unit = linalg.coords_in_rref(field, vec, linalg.eye(field, d).reshape(-1))
-        if unit is None:
-            raise ValidationFailure("matrix ring does not contain the identity")
-    else:
-        unit = np.zeros(0, dtype=ELEM)
+    unit = linalg.coords_in_rref(field, vec, linalg.eye(field, d).reshape(-1))
+    if unit is None:
+        raise ValidationFailure("matrix ring does not contain the identity")
     labels = tuple(f"{prefix}{i}" for i in range(k))
-    return RingTable(field, labels, mats, table.reshape(k, k, k), unit, from_r)
+    return RingTable(field, labels, table.reshape(k, k, k), unit, mats, from_r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,16 +78,6 @@ class EndBiend:
     generators: np.ndarray  # (g, dim): module generators over End
 
 
-def _commutant(field: Field, mats: np.ndarray, d: int) -> np.ndarray:
-    """Canonical basis, as (k, d, d), of {G : G m = m G for every m in mats}."""
-    if d == 0:
-        return np.zeros((0, 0, 0), dtype=ELEM)
-    rows = linalg.null_space(
-        field, linalg.sylvester_rows(field, mats, mats.transpose(0, 2, 1))
-    )
-    return rows.reshape(-1, d, d)
-
-
 @memo(lambda m: m.fingerprint())
 def end_and_biend(m: ModuleRep) -> EndBiend:
     """End(M), its commutant, and greedy module generators over End."""
@@ -108,7 +85,7 @@ def end_and_biend(m: ModuleRep) -> EndBiend:
     d = m.dim
     end_mats = hom_basis(m, m)
     end = _make_ring_table(field, end_mats, "f")
-    biend_mats = _commutant(field, end_mats, d)
+    biend_mats = linalg.intertwiners(field, end_mats, end_mats)
     from_r = None
     if m.side == RIGHT and d:
         vec = biend_mats.reshape(biend_mats.shape[0], d * d)
@@ -152,12 +129,16 @@ class ScalarSynthesis:
     type_generator: PpFormula  # phi for the joined tuple
     generators: np.ndarray
     matrix: np.ndarray  # the biendomorphism realised
-    total: bool
-    functional: bool
+    total: bool  # True: the solution set is checked to be the graph [I | g]
+    functional: bool  # True, by the same check
 
 
 def synthesize_scalar(m: ModuleRep, g) -> ScalarSynthesis:
-    """The two-variable formula whose graph is the graph of g on M."""
+    """The two-variable formula whose graph is the graph of g on M.
+
+    Raises ``ValidationFailure`` unless g commutes with End(M) and the
+    formula's solution set on M is exactly the graph [I | g].
+    """
     field = m.algebra.field
     alg = m.algebra
     d = m.dim
@@ -208,14 +189,16 @@ def synthesize_scalar(m: ModuleRep, g) -> ScalarSynthesis:
         raise ValidationFailure(
             "synthesized formula does not define the intended scalar"
         )
-    domain = linalg.prefix_basis(sol, d)
-    total = domain.shape[0] == d
-    functional = sol.shape[0] == domain.shape[0]
-    return ScalarSynthesis(rho, phi, gens, g, total, functional)
+    return ScalarSynthesis(rho, phi, gens, g, True, True)
 
 
 @dataclass(frozen=True, eq=False)
 class ScalarRing:
+    """``ring`` is ``biend`` relabelled r0, r1, ...: every basis biendomorphism
+    has a formula checked to define its graph, so the definable scalars of a
+    finite module are Biend(M) (Prest, Purity, Spectra and Localisation,
+    2009), and ``matches_biend``, which the reports print, is always true."""
+
     ring: RingTable
     end: RingTable
     biend: RingTable
@@ -225,28 +208,11 @@ class ScalarRing:
 
 
 def scalar_ring(m: ModuleRep) -> ScalarRing:
-    """Definable scalars of M, assembled one biendomorphism at a time."""
-    field = m.algebra.field
-    d = m.dim
+    """Definable scalars of M: one ``synthesize_scalar`` per Biend basis element."""
     eb = end_and_biend(m)
-    synths = []
-    induced = []
-    for g in eb.biend.basis:
-        s = synthesize_scalar(m, g)
-        synths.append(s)
-        sol = evaluate(s.formula, m).basis
-        # total iff the first d pivots are 0..d-1; then row j is (e_j, g(e_j))
-        if not np.array_equal(sol[:d, :d], linalg.eye(field, d)):
-            raise ValidationFailure("synthesized scalar is not total")
-        induced.append(sol[:d, d:])
-    induced_mats = (
-        np.stack(induced) if induced else np.zeros((0, d, d), dtype=ELEM)
-    )
-    matches = np.array_equal(induced_mats, eb.biend.basis)
-    ring = _make_ring_table(field, induced_mats, "r", eb.biend.from_r)
-    return ScalarRing(
-        ring, eb.end, eb.biend, eb.generators, tuple(synths), matches
-    )
+    synths = tuple(synthesize_scalar(m, g) for g in eb.biend.basis)
+    ring = replace(eb.biend, labels=tuple(f"r{i}" for i in range(eb.biend.dim)))
+    return ScalarRing(ring, eb.end, eb.biend, eb.generators, synths, True)
 
 
 def annihilator_basis(m: ModuleRep) -> np.ndarray:

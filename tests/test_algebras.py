@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ppmod import Field, make_algebra
+from ppmod import Field, linalg, make_algebra
 from ppmod.errors import BadUnit, DimensionMismatch, NonAssociative
 from ppmod.fixtures import f3, k2, r2, tri2
 
@@ -88,6 +88,24 @@ def test_elem_codes_roundtrip(alg_fn):
     assert len(seen) == count
     listed = list(alg.enumerate_elements())
     assert len(listed) == count
+
+
+def test_elem_codes_roundtrip_past_the_listing_cap():
+    # F_9^7, seven orthogonal idempotents: 9^7 elements, more than a listing may hold
+    f9, k = Field(3, 2), 7
+    constants = np.zeros((k, k, k), dtype=np.int16)
+    constants[range(k), range(k), range(k)] = 1
+    alg = make_algebra(f9, [f"e{i}" for i in range(k)], constants, f9.asarray([1] * k))
+    top = f9.q**k - 1
+    assert top + 1 > linalg.ENUMERATION_CAP
+    for code in (0, 1, 8, 9, 123_456, top):
+        v = alg.elem_from_code(code)
+        assert v.dtype == np.int16 and v.shape == (k,)
+        assert alg.elem_code(v) == code
+    assert np.array_equal(alg.elem_from_code(top), np.full(k, 8, dtype=np.int16))
+    for code in (-1, top + 1):
+        with pytest.raises(DimensionMismatch):
+            alg.elem_from_code(code)
 
 
 def test_label_index_and_scalar_elem():

@@ -143,3 +143,36 @@ def test_the_check_sees_list_table_reads(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text("def f(field, v):\n    return [field.neg_list[x] for x in v], field.add_table\n")
     assert list_table_reads(sample) == ["neg_list"]
+
+
+CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def functools_caches(path: Path) -> list[str]:
+    """Each ``functools`` cache a module imports or names, in order."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [alias.name for alias in node.names if alias.name in CACHE_DECORATORS]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+            and node.attr in CACHE_DECORATORS
+        ):
+            out.append(node.attr)
+    return out
+
+
+def test_memo_is_the_one_cache():
+    users = {path.name for path in SRC.glob("*.py") if functools_caches(path)}
+    assert users <= {"memo.py"}
+
+
+def test_the_check_sees_functools_caches(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import functools\nfrom functools import lru_cache, wraps\n\n"
+        "@functools.cache\ndef f():\n    return 1\n\n@lru_cache(maxsize=None)\ndef g():\n    return 2\n"
+    )
+    assert functools_caches(sample) == ["lru_cache", "cache"]

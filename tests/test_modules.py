@@ -19,7 +19,6 @@ from ppmod import (
     quotient,
     regular_module,
     submodule,
-    sum_quotient,
     zero_module,
 )
 from ppmod.errors import CapExceeded, NotARepresentation, NotASubmodule, NotGenerating, SideMismatch
@@ -156,13 +155,6 @@ def test_submodule_and_quotient():
 def test_submodule_rejects_unclosed_rows():
     with pytest.raises(NotASubmodule):
         submodule(mod_rr(), F2.asarray([[1, 0]]))  # 1 . t = t escapes
-
-
-def test_sum_quotient_dispatch():
-    plain = sum_quotient([mod_s(), mod_s()])
-    assert plain.module.dim == 2
-    rel = sum_quotient([mod_rr()], relations=F2.asarray([[0, 1]]))
-    assert rel.module.dim == 1
 
 
 def test_are_isomorphic_on_fixtures():

@@ -48,12 +48,12 @@ benchmark workload and against their stored element digests.
 The linear systems are built from whole coefficient blocks: formula
 normalisation, the ``evaluate`` system, ``free_realisation``, the
 formula constructors, the pointed tuple of ``is_pp_definable``, and the
-one Sylvester builder behind the Hom constraints, ``constrained_hom``,
-the commutant and the tensor relations.  The (variable, equation) slot
-loops they replaced are kept as oracles and compared byte for byte
-(shape, dtype, bytes, ``nbound`` and ``neq``) over F2, F3, F5, F4 and
-F9, with no free or bound variables, no equations, and dim-0 modules
-among the inputs.
+one Sylvester builder behind ``constrained_hom``, the tensor relations
+and ``linalg.intertwiners`` (every Hom basis and the commutant).  The
+(variable, equation) slot loops they replaced are kept as oracles and
+compared byte for byte (shape, dtype, bytes, ``nbound`` and ``neq``)
+over F2, F3, F5, F4 and F9, with no free or bound variables, no
+equations, and dim-0 modules among the inputs.
 
 The module layer asks each question with one product over whole stacks
 (``linalg.images``, ``pair_products``, ``quotient_map`` and the batched
@@ -61,8 +61,8 @@ The module layer asks each question with one product over whole stacks
 they replaced are kept as oracles: ``module_span``, ``submodule`` and
 ``quotient`` (with their closure failures), ``TensorResult.tuple_class``,
 the ``relative_ml_check`` matrix, the End/Biend structure tables and
-``from_r``, the induced matrices of ``scalar_ring``,
-the error type and message of ``make_algebra``, ``make_module`` and
+``from_r``, the matrices the ``scalar_ring`` formulas induce (the Biend
+basis), the error type and message of ``make_algebra``, ``make_module`` and
 ``make_map``, and ``hasse_edges`` on any boolean relation.
 
 ``consequence_enum`` decides every a-block of a candidate theta and
@@ -126,7 +126,7 @@ from hypothesis.extra import numpy as hnp
 
 from ppmod import Field, construct, fixtures, linalg
 from ppmod.acceptance import _random_automorphism, _random_hom
-from ppmod.algebras import Algebra, make_algebra, structure_product
+from ppmod.algebras import Algebra, make_algebra
 from ppmod.construct import (
     Budget,
     ConsequenceList,
@@ -209,7 +209,6 @@ from ppmod.modules import (
 )
 from ppmod.scalars import (
     RingTable,
-    _commutant,
     _make_ring_table,
     end_and_biend,
     scalar_ring,
@@ -252,7 +251,7 @@ def oracle_multiply(rt, x, y):
                 continue
             coeff = field.mul(int(x[i]), int(y[j]))
             acc = field.add(
-                acc, field.mul(np.full(rt.dim, coeff, ELEM), rt.table[i, j])
+                acc, field.mul(np.full(rt.dim, coeff, ELEM), rt.constants[i, j])
             )
     return acc
 
@@ -640,12 +639,11 @@ def test_mul_elems_matches_the_double_loop(data, field, k):
 def test_ring_table_multiply_matches_the_double_loop(data, field, k):
     table = elems(data, field, (k, k, k))
     rt = RingTable(
-        field, tuple(f"f{i}" for i in range(k)), np.zeros((k, 0, 0), ELEM),
-        table, elems(data, field, (k,)),
+        field, tuple(f"f{i}" for i in range(k)), table, elems(data, field, (k,)),
+        np.zeros((k, 0, 0), ELEM),
     )
     x, y = elems(data, field, (k,)), elems(data, field, (k,))
-    assert np.array_equal(rt.multiply(x, y), oracle_multiply(rt, x, y))
-    assert np.array_equal(structure_product(field, table, x, y), rt.multiply(x, y))
+    assert np.array_equal(rt.mul_elems(x, y), oracle_multiply(rt, x, y))
 
 
 @given(data=st.data(), field=fields, k=alg_dims, d=mod_dims)
@@ -1403,7 +1401,7 @@ def test_sylvester_rows_match_the_hom_and_tensor_loops(data, field, k, d, e):
 @given(data=st.data(), field=fields, s=st.integers(0, 3), d=mod_dims)
 def test_commutant_matches_the_block_loop(data, field, s, d):
     mats = sparse(data, field, (s, d, d))
-    assert same_array(_commutant(field, mats, d), oracle_commutant(field, mats, d))
+    assert same_array(linalg.intertwiners(field, mats, mats), oracle_commutant(field, mats, d))
 
 
 @given(data=st.data(), alg=st.sampled_from(GENUINE), side=st.sampled_from(["right", "left"]))
@@ -1798,7 +1796,7 @@ def test_ring_tables_and_from_r_match_the_pair_loops(alg):
     for m in genuine_modules(alg):
         eb = end_and_biend(m)
         for ring in (eb.end, eb.biend):
-            assert same_array(ring.table, oracle_ring_table(alg.field, ring.basis))
+            assert same_array(ring.constants, oracle_ring_table(alg.field, ring.basis))
             if m.dim:
                 ident = linalg.eye(alg.field, m.dim).reshape(-1)
                 flat = ring.basis.reshape(ring.dim, m.dim**2)
@@ -1807,6 +1805,25 @@ def test_ring_tables_and_from_r_match_the_pair_loops(alg):
             assert same_array(eb.biend.from_r, oracle_from_r(m, eb.biend.basis))
         else:
             assert eb.biend.from_r is None
+
+
+@pytest.mark.parametrize("alg", GENUINE, ids=algebra_id)
+def test_end_biend_and_scalar_ring_are_algebras(alg):
+    for m in genuine_modules(alg):
+        sr = scalar_ring(m)
+        for ring in (sr.end, sr.biend, sr.ring):
+            if m.dim:  # the zero module's rings are the zero ring, which make_algebra refuses
+                checked = make_algebra(alg.field, ring.labels, ring.constants, ring.unit)
+                assert same_array(checked.constants, ring.constants)
+            else:
+                assert ring.dim == 0 and ring.constants.shape == (0, 0, 0)
+        assert sr.ring.labels == tuple(f"r{i}" for i in range(sr.biend.dim))
+        for name in ("constants", "unit", "basis"):
+            assert same_array(getattr(sr.ring, name), getattr(sr.biend, name))
+        if sr.biend.from_r is None:
+            assert sr.ring.from_r is None
+        else:
+            assert same_array(sr.ring.from_r, sr.biend.from_r)
 
 
 @many
@@ -1829,7 +1846,7 @@ def test_ring_table_closure_failures_match_the_pair_loop(data, field, k, d):
         with pytest.raises(ValidationFailure, match="does not contain the identity"):
             _make_ring_table(field, mats, "x")
     else:
-        assert same_array(_make_ring_table(field, mats, "x").table, want)
+        assert same_array(_make_ring_table(field, mats, "x").constants, want)
 
 
 @pytest.mark.parametrize("alg", GENUINE[:4], ids=algebra_id)

@@ -58,7 +58,7 @@ def test_end_of_regular_module_is_the_algebra():
     eb = end_and_biend(mod_rr())
     alg = r2()
     assert eb.end.dim == 2
-    assert ring_isomorphic(F2, eb.end.table, eb.end.unit, alg.constants, alg.unit)
+    assert ring_isomorphic(F2, eb.end.constants, eb.end.unit, alg.constants, alg.unit)
     assert eb.biend.dim == 2
     assert eb.biend.from_r is not None
     # the algebra covers the whole bicommutant here
@@ -84,7 +84,7 @@ def test_tri2_regular_bicommutant_recovers_the_algebra():
     eb = end_and_biend(regular_module(alg, "right"))
     assert eb.biend.dim == 3
     assert ring_isomorphic(
-        F2, eb.biend.table, eb.biend.unit, alg.constants, alg.unit
+        F2, eb.biend.constants, eb.biend.unit, alg.constants, alg.unit
     )
 
 
@@ -94,12 +94,12 @@ def test_ring_table_is_associative_and_unital():
     vecs = [F2.asarray(v) for v in itertools.product(range(2), repeat=rt.dim)]
     unit = rt.unit
     for u in vecs:
-        assert np.array_equal(rt.multiply(u, unit), u)
-        assert np.array_equal(rt.multiply(unit, u), u)
+        assert np.array_equal(rt.mul_elems(u, unit), u)
+        assert np.array_equal(rt.mul_elems(unit, u), u)
         for v in vecs:
             for w in vecs:
-                lhs = rt.multiply(rt.multiply(u, v), w)
-                rhs = rt.multiply(u, rt.multiply(v, w))
+                lhs = rt.mul_elems(rt.mul_elems(u, v), w)
+                rhs = rt.mul_elems(u, rt.mul_elems(v, w))
                 assert np.array_equal(lhs, rhs)
 
 

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under ``scripts/``: run them as a user would."""
 
+import json
 import os
 import subprocess
 import sys
@@ -108,3 +109,36 @@ def test_bench_pairs_verdicts_follow_the_bound():
     assert bench.verdict(summary(wide, [w * 1.5 for w in wide]), 0.25) == "unresolved"
     # unless every change run reads better than every parent run
     assert bench.verdict(summary(wide, [0.4] * 10), 0.25) == "better"
+
+
+def run_bench_pairs(monkeypatch, tmp_path, *extra):
+    """``main`` end to end with the clones, git and the benchmark runs faked."""
+    bench = load_bench_pairs()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench, "_clone", lambda rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench, "_subject", lambda rev: "Some change")
+
+    def run(side, workload, seed, traced):
+        result = synthetic_result(5.0 if side.name == "parent" else 4.0)
+        result["provenance"].update(machine="x86_64", python="3.11", load=0.5)
+        return result
+
+    monkeypatch.setattr(bench, "_run", run)
+    argv = ["--parent", "p", "--change", "c", "--pr", "7", "--scratch", str(tmp_path / "s")]
+    assert bench.main(argv + list(extra)) == 0
+    return json.loads((tmp_path / "BENCH_7.json").read_text())
+
+
+def test_bench_pairs_claims_nothing_without_claim(monkeypatch, tmp_path):
+    out = run_bench_pairs(monkeypatch, tmp_path)
+    assert out["claim"] is None
+    assert "--claim" not in out["commands"][0]
+    assert out["pairs"]["cli-demo seed 1"]["wall_s"]["verdict"] == "better"
+
+
+def test_bench_pairs_states_the_claimed_workload(monkeypatch, tmp_path):
+    out = run_bench_pairs(monkeypatch, tmp_path, "--claim", "lattice")
+    assert out["commands"][0].endswith(" --claim lattice")
+    assert out["claim"].startswith("lattice wall_s: change below parent in 10 of 10 at seed 1")
+    assert out["claim"].endswith("gain rule met.")

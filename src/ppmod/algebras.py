@@ -48,10 +48,6 @@ class Algebra:
         v[i] = 1
         return v
 
-    def scalar_elem(self, c: int) -> np.ndarray:
-        """The element c * 1 for a field scalar c."""
-        return self.field.mul(np.full(self.dim, c, ELEM), self.unit)
-
     def elem_code(self, v: np.ndarray) -> int:
         """Integer code of an element (base-q digits = coordinates)."""
         return int(sum(int(c) * self.field.q**i for i, c in enumerate(v)))

@@ -62,7 +62,6 @@ from .modules import (
     extend_to_generators,
     hom_basis,
     hom_orbits,
-    identity_map,
     module_span,
     tuple_rows,
 )
@@ -304,13 +303,6 @@ class ConstructionState:
     @property
     def final(self) -> ModuleRep:
         return self.stages[-1].module
-
-    def composite(self, n: int, m: int) -> ModuleMap:
-        """The chain map B_n -> B_m (identity when n == m)."""
-        out = identity_map(self.stages[n].module)
-        for k in range(n, m):
-            out = out.compose(self.maps[k])
-        return out
 
 
 def run_construction(

@@ -27,7 +27,6 @@ from .errors import (
     AlgebraMismatch,
     CapExceeded,
     EmptyContext,
-    LengthMismatch,
     NoExplicitPairs,
     NotInSolutionSet,
     SideMismatch,
@@ -43,7 +42,6 @@ from .modules import (
     hom_basis,
     quotient,
     submodule,
-    tuple_rows,
 )
 
 
@@ -287,18 +285,14 @@ def strict_atomic_witness(
     m is finite, so it freely realises the pp-type of the tuple: a
     morphism exists iff the target tuple satisfies the type's generator.
     Finite modules are strictly atomic in every definable context, so the
-    answer takes no context.  One constrained solve finds the morphism or
-    decides that none exists.
+    answer takes no context.  One ``constrained_hom`` finds the morphism
+    or decides that none exists: the target tuple lies in Hom(m, n)·b.
 
     Raises:
         NotInSolutionSet: the target tuple fails the generator formula
             (an input mismatch, not a strictness failure).
     """
-    vecs = tuple_rows(vectors, m.dim)
-    tgt = tuple_rows(target_vectors, n.dim)
-    if vecs.shape[0] != tgt.shape[0]:
-        raise LengthMismatch("tuples of different lengths")
-    hom = constrained_hom(m, n, vecs, tgt)
+    hom = constrained_hom(m, n, vectors, target_vectors)
     if hom is None:
         raise NotInSolutionSet(
             "target tuple does not satisfy the pp-type generator"

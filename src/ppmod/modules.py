@@ -27,6 +27,9 @@ Hom(m, n) is one canonical (h, m.dim, n.dim) stack, ``hom_basis``, and
 ``hom_orbits`` sends tuples through all of it with one ``images``; a
 finite module freely realises its tuples, so callers read phi_b(n) =
 Hom(m, n)·b off an orbit instead of building and evaluating phi_b.
+``constrained_hom`` builds no system of its own: the map carrying b to
+a target tuple is one ``solve`` for the coefficients that combine the
+orbit of b into that tuple, times the basis.
 """
 
 from __future__ import annotations
@@ -212,17 +215,8 @@ class ModuleMap:
         f = self.source.algebra.field
         return linalg.rank(f, self.matrix) == self.source.dim
 
-    def is_surjective(self) -> bool:
-        f = self.source.algebra.field
-        return linalg.rank(f, self.matrix) == self.target.dim
-
     def is_isomorphism(self) -> bool:
         return self.source.dim == self.target.dim and self.is_injective()
-
-    def kernel_basis(self) -> np.ndarray:
-        """Canonical basis of {v : v @ matrix = 0}."""
-        f = self.source.algebra.field
-        return linalg.null_space(f, self.matrix.T)
 
     def fingerprint(self) -> tuple:
         return (
@@ -254,10 +248,6 @@ def make_map(source: ModuleRep, target: ModuleRep, matrix) -> ModuleMap:
             f"matrix does not commute with {source.algebra.labels[bad[0]]!r}"
         )
     return ModuleMap(source, target, matrix)
-
-
-def identity_map(m: ModuleRep) -> ModuleMap:
-    return ModuleMap(m, m, np.eye(m.dim, dtype=ELEM))
 
 
 def hom_basis(m: ModuleRep, n: ModuleRep) -> np.ndarray:
@@ -292,32 +282,27 @@ def constrained_hom(
     source_tuple: np.ndarray,
     target_tuple: np.ndarray,
 ) -> ModuleMap | None:
-    """A homomorphism sending source_tuple to target_tuple, or None."""
-    _require_compatible(m, n)
+    """A homomorphism sending source_tuple to target_tuple, or None.
+
+    The source tuple under every basis map of ``hom_basis(m, n)`` is the
+    ``hom_orbits`` row; the coefficients that combine those images into
+    the target tuple are one ``linalg.solve``, and the map is that
+    combination of the basis.
+    """
     f = m.algebra.field
     src = tuple_rows(source_tuple, m.dim)
     tgt = tuple_rows(target_tuple, n.dim)
     if src.shape[0] != tgt.shape[0]:
-        raise LengthMismatch("tuples of unequal length")
-    if n.dim == 0:
-        if np.any(tgt):
-            return None
-        return ModuleMap(m, n, np.zeros((m.dim, 0), dtype=ELEM))
-    if m.dim == 0:
-        if np.any(tgt):
-            return None
-        return ModuleMap(m, n, np.zeros((0, n.dim), dtype=ELEM))
-    hom_rows = linalg.sylvester_rows(f, m.actions, n.actions.transpose(0, 2, 1))
-    # row (v, j) reads (src[v] @ F)[j] off vec(F)
-    cons = linalg.kron(f, src, linalg.eye(f, n.dim))
-    lhs = np.concatenate([hom_rows, cons], axis=0)
-    rhs = np.concatenate(
-        [np.zeros(hom_rows.shape[0], dtype=ELEM), tgt.reshape(-1)]
-    )
-    x = linalg.solve(f, lhs, rhs)
-    if x is None:
+        raise LengthMismatch("tuples of different lengths")
+    homs = hom_basis(m, n)
+    h = homs.shape[0]
+    # row (v, j) reads coordinate j of src[v] under each basis map
+    images = linalg.images(f, src, homs).transpose(0, 2, 1).reshape(tgt.size, h)
+    coeffs = linalg.solve(f, images, tgt.reshape(-1))
+    if coeffs is None:
         return None
-    return ModuleMap(m, n, x.reshape(m.dim, n.dim))
+    matrix = linalg.matvec(f, coeffs, homs.reshape(h, m.dim * n.dim))
+    return ModuleMap(m, n, matrix.reshape(m.dim, n.dim))
 
 
 # -- span and generation -------------------------------------------------
@@ -339,9 +324,10 @@ def module_span(m: ModuleRep, rows: np.ndarray) -> np.ndarray:
 
 
 def is_submodule(m: ModuleRep, basis: np.ndarray) -> bool:
-    span = module_span(m, basis)
+    """Whether the rows span an action-closed subspace: their orbit lies in their span."""
     f = m.algebra.field
-    return linalg.subspace_le(f, span, linalg.row_space(f, basis))
+    rows = tuple_rows(basis, m.dim)
+    return linalg.subspace_le(f, _orbit(m, rows), linalg.row_space(f, rows))
 
 
 def extend_to_generators(m: ModuleRep, vectors: np.ndarray) -> np.ndarray:

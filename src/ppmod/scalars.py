@@ -213,24 +213,3 @@ def scalar_ring(m: ModuleRep) -> ScalarRing:
     synths = tuple(synthesize_scalar(m, g) for g in eb.biend.basis)
     ring = replace(eb.biend, labels=tuple(f"r{i}" for i in range(eb.biend.dim)))
     return ScalarRing(ring, eb.end, eb.biend, eb.generators, synths, True)
-
-
-def annihilator_basis(m: ModuleRep) -> np.ndarray:
-    """Canonical basis of {r in the algebra : M r = 0}."""
-    field = m.algebra.field
-    if m.dim == 0:
-        return linalg.eye(field, m.algebra.dim).astype(ELEM)
-    stacked = np.stack(
-        [m.actions[l].reshape(-1) for l in range(m.algebra.dim)]
-    )
-    return linalg.null_space(field, stacked.T)
-
-
-def ring_kernel(rt: RingTable, algebra_dim: int) -> np.ndarray:
-    """Kernel of the structural map from the base algebra, as rows."""
-    field = rt.field
-    if rt.from_r is None:
-        raise ValidationFailure("ring table has no structural map")
-    if rt.from_r.shape[1] == 0:
-        return linalg.eye(field, algebra_dim).astype(ELEM)
-    return linalg.null_space(field, rt.from_r.T)

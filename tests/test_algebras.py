@@ -7,6 +7,7 @@ import pytest
 
 from ppmod import Field, linalg, make_algebra
 from ppmod.errors import BadUnit, DimensionMismatch, NonAssociative
+from ppmod.fields import ELEM
 from ppmod.fixtures import f3, k2, r2, tri2
 
 F2 = Field(2)
@@ -108,13 +109,13 @@ def test_elem_codes_roundtrip_past_the_listing_cap():
             alg.elem_from_code(code)
 
 
-def test_label_index_and_scalar_elem():
+def test_label_index_and_scalar_multiple_of_the_unit():
     alg = r2()
     assert alg.label_index("t") == 1
     with pytest.raises(KeyError):
         alg.label_index("u")
-    two = f3().scalar_elem(2)
-    assert int(two[0]) == 2
+    two = f3().field.mul(np.full(1, 2, ELEM), f3().unit)
+    assert np.array_equal(two, f3().elem_from_code(2))
 
 
 def test_render_elem_forms():
@@ -123,7 +124,7 @@ def test_render_elem_forms():
     assert alg.render_elem(alg.basis_elem(1)) == "t"
     both = alg.field.add(alg.basis_elem(0), alg.basis_elem(1))
     assert alg.render_elem(both) == "(1 + t)"
-    assert f3().render_elem(f3().scalar_elem(2)) == "2*1"
+    assert f3().render_elem(f3().elem_from_code(2)) == "2*1"
 
 
 @pytest.mark.parametrize("alg_fn", [r2, tri2])

@@ -119,7 +119,9 @@ def test_chain_maps_compose_and_track_the_tuple(chain):
         assert h.target.fingerprint() == st.stages[n + 1].module.fingerprint()
         got = h.apply_tuple(st.stages[n].a_image)
         assert np.array_equal(got, st.stages[n + 1].a_image)
-    comp = st.composite(0, len(st.stages) - 1)
+    comp = st.maps[0]
+    for h in st.maps[1:]:
+        comp = comp.compose(h)
     assert np.array_equal(comp.apply_tuple(st.initial_tuple), st.stages[-1].a_image)
 
 

@@ -145,7 +145,7 @@ def test_radical_embedding_is_not_pure():
 
 def test_top_quotient_is_not_pure():
     quo = make_map(mod_rr(), mod_s(), [[1], [0]])
-    assert quo.is_surjective()
+    assert linalg.rank(F2, quo.matrix) == quo.target.dim
     rep = purity_check(quo)
     assert not rep.pure_epi
     assert rep.epi_witness is not None

@@ -8,6 +8,7 @@ dependency left behind by a refactor.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -176,3 +177,131 @@ def test_the_check_sees_functools_caches(tmp_path):
         "@functools.cache\ndef f():\n    return 1\n\n@lru_cache(maxsize=None)\ndef g():\n    return 2\n"
     )
     assert functools_caches(sample) == ["lru_cache", "cache"]
+
+
+def callers_of(path: Path, name: str) -> list[str]:
+    """``module.function`` of each function in which a call to ``name`` appears, once each."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{path.stem}.{child.name}" if where is None else where)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name and where not in out:
+                    out.append(where or path.stem)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), None)
+    return out
+
+
+def test_one_hom_null_space():
+    # the Sylvester rows are the Hom constraints and the tensor relations;
+    # every Hom question reads the null space, not a second system of its own
+    callers = [c for path in sorted(SRC.glob("*.py")) for c in callers_of(path, "sylvester_rows")]
+    assert sorted(callers) == ["linalg.intertwiners", "tensor.tensor_product"]
+
+
+def test_the_check_sees_sylvester_callers(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from . import linalg\n\n"
+        "def f(x):\n    def g():\n        return linalg.sylvester_rows(x, x, x)\n"
+        "    return g(), sylvester_rows(x, x, x)\n\n"
+        "def sylvester_rows(a, b, c):\n    return linalg.kron(a, b)\n"
+    )
+    assert callers_of(sample, "sylvester_rows") == ["sample.f"]
+
+
+CALLER_DIRS = (SRC, ROOT / "perfbench", ROOT / "scripts")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def definitions(path: Path) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of each function and method a module defines, dunders aside."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef) and not child.name.startswith("__"):
+                    out.append((name, child))
+                visit(child, f"{name}.")
+
+    visit(ast.parse(path.read_text()), "")
+    return out
+
+
+def references(tree: ast.AST) -> list[str]:
+    """Each name, attribute and whole dotted-name string part a syntax tree mentions."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                out += node.value.split(".")
+    return out
+
+
+def readme_names(text: str) -> set[str]:
+    """Every identifier inside a code span or a fenced code block of the README."""
+    spans = re.findall(r"```.*?```|`[^`]+`", text, re.S)
+    return {word for span in spans for word in re.findall(r"\w+", span)}
+
+
+def unreferenced(paths: list[Path], callers: list[Path], exported: set[str], named: set[str]) -> list[str]:
+    """``module:qualname`` of each definition in ``paths`` that nothing reaches.
+
+    A definition is reached when a file in ``callers`` mentions its name
+    outside the definition's own body, when it is exported, or when the
+    README names it.
+    """
+    counts: dict[str, int] = {}
+    for path in callers:
+        for word in references(ast.parse(path.read_text())):
+            counts[word] = counts.get(word, 0) + 1
+    out = []
+    for path in paths:
+        for qualname, node in definitions(path):
+            name = node.name
+            inside = sum(
+                word == name
+                for part in node.body
+                for word in references(part)
+            )
+            if counts.get(name, 0) > inside or name in exported or name in named:
+                continue
+            out.append(f"{path.stem}:{qualname}")
+    return out
+
+
+def test_every_definition_has_a_caller():
+    # a helper reached only from the tests is dead code kept alive by its test
+    import ppmod
+
+    callers = sorted(p for d in CALLER_DIRS for p in d.rglob("*.py"))
+    named = readme_names((ROOT / "README.md").read_text())
+    assert unreferenced(sorted(SRC.glob("*.py")), callers, set(ppmod.__all__), named) == []
+
+
+def test_the_check_sees_unreferenced_definitions(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "class A:\n    def used(self):\n        return 1\n\n"
+        "    def dead_method(self):\n        return self.dead_method()\n\n"
+        "    def __repr__(self):\n        return 'A'\n\n"
+        "def loop(n):\n    return loop(n - 1) if n else 0\n\n"
+        "def exported():\n    return A().used()\n\n"
+        "def in_readme():\n    return 1\n\n"
+        "def traced():\n    return 2\n\nENTRY = ('A.traced',)\n"
+    )
+    got = unreferenced([sample], [sample], {"exported"}, readme_names("```sh\nrun\n```\ncall `in_readme()`"))
+    assert got == ["sample:A.dead_method", "sample:loop"]

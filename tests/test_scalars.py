@@ -17,7 +17,6 @@ from ppmod import (
     end_and_biend,
 )
 from ppmod.errors import ValidationFailure
-from ppmod.scalars import annihilator_basis, ring_kernel
 from ppmod.fields import ELEM
 from ppmod.fixtures import mod_rr, mod_rr_alt, mod_s, r2, tri2
 
@@ -143,20 +142,6 @@ def test_scalar_ring_of_sum():
     ring = scalar_ring(m)
     assert ring.matches_biend
     assert ring.ring.dim == ring.biend.dim
-
-
-def test_ring_kernel_matches_annihilator():
-    s = mod_s()
-    eb = end_and_biend(s)
-    ker = ring_kernel(eb.biend, s.algebra.dim)
-    ann = annihilator_basis(s)
-    assert linalg.subspace_eq(
-        linalg.row_space(F2, ker), linalg.row_space(F2, ann)
-    )
-    # the regular module is faithful
-    eb_rr = end_and_biend(mod_rr())
-    assert ring_kernel(eb_rr.biend, 2).shape[0] == 0
-    assert annihilator_basis(mod_rr()).shape[0] == 0
 
 
 def test_generators_span_the_module_over_its_endomorphisms():

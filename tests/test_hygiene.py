@@ -9,6 +9,7 @@ dependency left behind by a refactor.
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -191,7 +192,7 @@ def callers_of(path: Path, name: str) -> list[str]:
             if isinstance(child, ast.Call):
                 func = child.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called == name and where not in out:
+                if called == name and (where or path.stem) not in out:
                     out.append(where or path.stem)
             visit(child, where)
 
@@ -264,20 +265,13 @@ def unreferenced(paths: list[Path], callers: list[Path], exported: set[str], nam
     outside the definition's own body, when it is exported, or when the
     README names it.
     """
-    counts: dict[str, int] = {}
-    for path in callers:
-        for word in references(ast.parse(path.read_text())):
-            counts[word] = counts.get(word, 0) + 1
+    counts = Counter(word for path in callers for word in references(ast.parse(path.read_text())))
     out = []
     for path in paths:
         for qualname, node in definitions(path):
             name = node.name
-            inside = sum(
-                word == name
-                for part in node.body
-                for word in references(part)
-            )
-            if counts.get(name, 0) > inside or name in exported or name in named:
+            inside = sum(word == name for part in node.body for word in references(part))
+            if counts[name] > inside or name in exported or name in named:
                 continue
             out.append(f"{path.stem}:{qualname}")
     return out

@@ -239,6 +239,15 @@ class Field:
             out = self.add_table[out, arr[i]]
         return out
 
+    def dot(self, u, v) -> int:
+        u = np.asarray(u, ELEM)
+        v = np.asarray(v, ELEM)
+        if u.shape != v.shape:
+            raise DimensionMismatch("dot of unequal shapes")
+        if u.size == 0:
+            return 0
+        return int(self.sum(self.mul_table[u, v]))
+
     def fingerprint(self) -> tuple:
         return ("F", self.p, self.d)
 

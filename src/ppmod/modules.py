@@ -289,6 +289,7 @@ def constrained_hom(
     the target tuple are one ``linalg.solve``, and the map is that
     combination of the basis.
     """
+    _require_compatible(m, n)
     f = m.algebra.field
     src = tuple_rows(source_tuple, m.dim)
     tgt = tuple_rows(target_tuple, n.dim)

@@ -76,6 +76,17 @@ def _fold_add(field, flat):
     return acc
 
 
+def test_dot_is_bilinear():
+    f = Field(3, 2)
+    rng = np.random.default_rng(11)
+    u = f.asarray(rng.integers(0, f.q, size=6))
+    v = f.asarray(rng.integers(0, f.q, size=6))
+    w = f.asarray(rng.integers(0, f.q, size=6))
+    lhs = f.dot(u, f.add(v, w))
+    rhs = f.add(f.dot(u, v), f.dot(u, w))
+    assert int(lhs) == int(rhs)
+
+
 def test_asarray_validates_range():
     f = Field(2)
     with pytest.raises(DimensionMismatch):

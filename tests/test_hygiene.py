@@ -253,17 +253,25 @@ def references(tree: ast.AST) -> list[str]:
 
 
 def readme_names(text: str) -> set[str]:
-    """Every identifier inside a code span or a fenced code block of the README."""
-    spans = re.findall(r"```.*?```|`[^`]+`", text, re.S)
-    return {word for span in spans for word in re.findall(r"\w+", span)}
+    """Each inline code span of the README that is one dotted name, ``()`` aside.
+
+    Only ``Class.method`` or ``module.function`` spans name a definition:
+    fenced blocks are dropped, and a bare word or a shell line names nothing.
+    """
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    spans = (span.removesuffix("()") for span in re.findall(r"`([^`\n]+)`", text))
+    return {span for span in spans if "." in span and DOTTED.fullmatch(span)}
 
 
 def unreferenced(paths: list[Path], callers: list[Path], exported: set[str], named: set[str]) -> list[str]:
     """``module:qualname`` of each definition in ``paths`` that nothing reaches.
 
     A definition is reached when a file in ``callers`` mentions its name
-    outside the definition's own body, when it is exported, or when the
-    README names it.
+    outside the definition's own body, when it is exported, or when
+    ``named`` holds its ``qualname`` or ``module.qualname``. The callers
+    are matched by bare name, not resolved: a dead method that shares its
+    name with any other mentioned attribute (``apply``, ``dim``) passes,
+    so the check finds dead code with unique names and can miss the rest.
     """
     counts = Counter(word for path in callers for word in references(ast.parse(path.read_text())))
     out = []
@@ -271,7 +279,9 @@ def unreferenced(paths: list[Path], callers: list[Path], exported: set[str], nam
         for qualname, node in definitions(path):
             name = node.name
             inside = sum(word == name for part in node.body for word in references(part))
-            if counts[name] > inside or name in exported or name in named:
+            if counts[name] > inside or name in exported:
+                continue
+            if {qualname, f"{path.stem}.{qualname}"} & named:
                 continue
             out.append(f"{path.stem}:{qualname}")
     return out
@@ -295,7 +305,14 @@ def test_the_check_sees_unreferenced_definitions(tmp_path):
         "def loop(n):\n    return loop(n - 1) if n else 0\n\n"
         "def exported():\n    return A().used()\n\n"
         "def in_readme():\n    return 1\n\n"
+        "def in_a_shell_block():\n    return 1\n\n"
+        "def as_a_bare_word():\n    return 1\n\n"
         "def traced():\n    return 2\n\nENTRY = ('A.traced',)\n"
     )
-    got = unreferenced([sample], [sample], {"exported"}, readme_names("```sh\nrun\n```\ncall `in_readme()`"))
-    assert got == ["sample:A.dead_method", "sample:loop"]
+    readme = (
+        "```sh\nsample.in_a_shell_block\n```\n"
+        "call `sample.in_readme()`, `as_a_bare_word` or `A.dead_method(x)`\n"
+    )
+    assert readme_names(readme) == {"sample.in_readme"}
+    got = unreferenced([sample], [sample], {"exported"}, readme_names(readme))
+    assert got == ["sample:A.dead_method", "sample:loop", "sample:in_a_shell_block", "sample:as_a_bare_word"]

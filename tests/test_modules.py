@@ -18,6 +18,7 @@ from ppmod import (
     presentation,
     quotient,
     regular_module,
+    strict_atomic_witness,
     submodule,
     zero_module,
 )
@@ -88,6 +89,17 @@ def test_make_map_rejects_non_equivariant_matrix():
 def test_make_map_rejects_mismatched_sides():
     with pytest.raises(SideMismatch):
         make_map(mod_rr(), mod_lr(), np.eye(2, dtype=np.int16))
+
+
+def test_constrained_hom_reports_mismatched_modules_before_the_tuples():
+    # the module mismatch wins over a malformed or unequal-length tuple,
+    # through constrained_hom and the one strict_atomic_witness built on it
+    rr, lr = mod_rr(), mod_lr()
+    for src, tgt in [([[1, 0]], [[1, 0], [0, 1]]), ([[1, 0, 0]], [[1, 0]])]:
+        with pytest.raises(SideMismatch):
+            constrained_hom(rr, lr, src, tgt)
+        with pytest.raises(SideMismatch):
+            strict_atomic_witness(rr, src, lr, tgt)
 
 
 def test_hom_space_matches_brute_force():

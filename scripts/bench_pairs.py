@@ -1,7 +1,7 @@
 """Benchmark a change against its parent in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent REV --change REV --pr N \
-        --scratch DIR [--claim WORKLOAD]
+        --scratch DIR [--claim WORKLOAD[:METRIC]]
 
 Run from the root of a ppmod checkout.  Both revisions are cloned from
 this repository into DIR/parent and DIR/change (a local ``git clone``
@@ -17,9 +17,9 @@ Every number in ``BENCH_<pr>.json`` is copied from the
 write.  For each workload, seed and end-to-end metric the pair summary
 (medians, quartiles, wins) is computed from the copied values and judged
 against the metric's bound in ``BENCHMARK.json`` by the no-regression
-rule.  With ``--claim W``, ``claim`` states workload W's ``wall_s`` pairs
-judged by the gain rule; without it no gain is claimed and ``claim`` is
-null.  The two clones are removed at the end.
+rule.  With ``--claim W:M``, ``claim`` states workload W's pairs of the
+end-to-end metric M (``wall_s`` when ``:M`` is left out) judged by the
+gain rule; without it no gain is claimed and ``claim`` is null.  The two clones are removed at the end.
 """
 
 from __future__ import annotations
@@ -106,18 +106,31 @@ def verdict(summary: dict, bound: float) -> str:
     return "within bound"
 
 
-def claim_text(workload: str, summaries: dict) -> str:
-    """One sentence stating the paired wall_s result at every seed."""
+def claim_arg(text: str) -> tuple[str, str]:
+    """``WORKLOAD`` or ``WORKLOAD:METRIC`` as (workload, metric); the metric defaults to wall_s."""
+    workload, _, metric = text.partition(":")
+    metric = metric or "wall_s"
+    if workload not in WORKLOADS or metric not in END_TO_END:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: expected WORKLOAD[:METRIC], WORKLOAD one of {', '.join(WORKLOADS)} "
+            f"and METRIC one of {', '.join(END_TO_END)}"
+        )
+    return workload, metric
+
+
+def claim_text(workload: str, metric: str, unit: str, summaries: dict) -> str:
+    """One sentence stating the paired result of one metric at every seed."""
     wins = " and ".join(
         f"{s['change_wins']} of {s['pairs']} at {seed}" for seed, s in summaries.items()
     )
     medians = " and ".join(
-        f"{s['parent_median']} -> {s['change_median']} s ({seed})" for seed, s in summaries.items()
+        f"{s['parent_median']} -> {s['change_median']} {unit} ({seed})"
+        for seed, s in summaries.items()
     )
-    iqrs = " and ".join(f"{s['parent_iqr']} s" for s in summaries.values())
+    iqrs = " and ".join(f"{s['parent_iqr']} {unit}" for s in summaries.values())
     met = "met" if all(gain(s) for s in summaries.values()) else "not met"
     return (
-        f"{workload} wall_s: change below parent in {wins}; "
+        f"{workload} {metric}: change below parent in {wins}; "
         f"medians {medians}, parent IQR {iqrs}; gain rule {met}."
     )
 
@@ -151,9 +164,12 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--pr", required=True)
     parser.add_argument("--scratch", required=True, type=Path)
-    parser.add_argument("--claim", choices=WORKLOADS)
+    parser.add_argument("--claim", type=claim_arg, metavar="WORKLOAD[:METRIC]")
     args = parser.parse_args(argv)
-    bounds = {m["name"]: m["bound"] for m in json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
+    units = {m["name"]: m["unit"] for m in end_to_end}
+    claimed, claimed_metric = args.claim or (None, None)
     sides = {"parent": args.scratch / "parent", "change": args.scratch / "change"}
     if any(p.exists() for p in sides.values()):
         print(f"error: {args.scratch}/parent or /change exists", file=sys.stderr)
@@ -186,8 +202,8 @@ def main(argv=None) -> int:
                     summary = pair_summary(values["parent"], values["change"])
                     summary["verdict"] = verdict(summary, bounds[metric])
                     pairs[key][metric] = summary
-                if workload == args.claim:
-                    claim[f"seed {seed}"] = pairs[key]["wall_s"]
+                if workload == claimed:
+                    claim[f"seed {seed}"] = pairs[key][claimed_metric]
     finally:
         for path in sides.values():
             shutil.rmtree(path, ignore_errors=True)
@@ -197,12 +213,14 @@ def main(argv=None) -> int:
         "commands": [
             f"python3 scripts/bench_pairs.py --parent {args.parent} --change {args.change} "
             f"--pr {args.pr} --scratch {args.scratch}"
-            + (f" --claim {args.claim}" if args.claim else ""),
+            + (f" --claim {claimed}:{claimed_metric}" if args.claim else ""),
             f"per seed S in {list(SEEDS)} and workload W: python3 perfbench/run.py --workload W "
             f"--seed S --trace 0 in {PAIRS} alternating pairs (seed {SEEDS[0]}: parent first in "
             f"odd pairs; seed {SEEDS[1]}: change first), then --trace 1 once per side",
         ],
-        "claim": claim_text(args.claim, claim) if args.claim else None,
+        "claim": (
+            claim_text(claimed, claimed_metric, units[claimed_metric], claim) if args.claim else None
+        ),
         "bounds": bounds,
         "pairs": pairs,
         "runs": runs,

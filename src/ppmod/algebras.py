@@ -5,7 +5,9 @@ An algebra is a based F_q-space with multiplication table
 vector.  Elements are coordinate vectors of length ``dim`` (numpy,
 field-element codes).  Construction validates associativity on every
 basis triple and both unit laws, so downstream code may assume a genuine
-unital associative algebra.
+unital associative algebra.  ``constants`` and ``unit`` are read-only
+and the fingerprint is computed once, so every cache key naming the
+algebra shares one tuple.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadUnit, DimensionMismatch, NonAssociative
-from .fields import ELEM, Field
+from .fields import ELEM, Field, freeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,6 +27,16 @@ class Algebra:
     labels: tuple[str, ...]
     constants: np.ndarray  # (dim, dim, dim); e_i e_j = sum_k c[i,j,k] e_k
     unit: np.ndarray  # (dim,)
+
+    def __post_init__(self):
+        freeze(self, "constants", "unit")
+        fingerprint = (
+            self.field.fingerprint(),
+            self.labels,
+            self.constants.tobytes(),
+            self.unit.tobytes(),
+        )
+        object.__setattr__(self, "_fingerprint", fingerprint)
 
     @property
     def dim(self) -> int:
@@ -96,12 +108,7 @@ class Algebra:
         return "(" + " + ".join(terms) + ")"
 
     def fingerprint(self) -> tuple:
-        return (
-            self.field.fingerprint(),
-            self.labels,
-            self.constants.tobytes(),
-            self.unit.tobytes(),
-        )
+        return self._fingerprint
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.dim}, labels={'/'.join(self.labels)})"
@@ -125,8 +132,8 @@ def make_algebra(
     m = len(labels)
     if len(set(labels)) != m or m == 0:
         raise DimensionMismatch("labels must be nonempty and distinct")
-    constants = field.asarray(constants)
-    unit = field.asarray(unit)
+    constants = field.asarray(constants, copy=True)
+    unit = field.asarray(unit, copy=True)
     if constants.shape != (m, m, m):
         raise DimensionMismatch(
             f"constants shape {constants.shape}, expected {(m, m, m)}"

@@ -87,6 +87,19 @@ def _canonical_modulus(p: int, d: int) -> list[int]:
     raise PpmodError(f"no irreducible of degree {d} over F_{p}")
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself stays writable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def freeze(obj, *names: str) -> None:
+    """Replace the named array attributes of a frozen dataclass by read-only views."""
+    for name in names:
+        object.__setattr__(obj, name, read_only(getattr(obj, name)))
+
+
 def _holds_bool(x) -> bool:
     return any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)
 
@@ -189,8 +202,11 @@ class Field:
 
     # -- elementwise operations (broadcasting) --------------------------
 
-    def asarray(self, x) -> np.ndarray:
+    def asarray(self, x, copy: bool = False) -> np.ndarray:
         """Validated array of field elements: the entry point for user data.
+
+        With ``copy`` the result never shares the caller's memory, so it
+        can be frozen (:func:`read_only`) without touching the caller's array.
 
         Raises:
             DimensionMismatch: ragged input, non-integer entries (booleans
@@ -209,7 +225,7 @@ class Field:
                     f"entries must be integers in 0..{self.q - 1} "
                     f"for F_{self.p}^{self.d}"
                 )
-        return a.astype(ELEM, copy=False)
+        return a.astype(ELEM, copy=copy)
 
     def add(self, a, b) -> np.ndarray:
         return self.add_table[np.asarray(a, ELEM), np.asarray(b, ELEM)]

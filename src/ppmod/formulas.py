@@ -20,9 +20,12 @@ block rho(c) of every (variable, equation) slot comes from one product
 of the stacked coefficients with the stacked action matrices, and the
 constructors place coefficient blocks and unit diagonals by slicing.
 
-Formulas are normalised on construction: zero equations are dropped,
-bound variables that appear in no equation are dropped, and equation
-columns are sorted lexicographically.  Equality of formulas is always
+Formulas are immutable: ``a`` and ``b`` are read-only (normalisation
+copies them, so no caller's array is shared) and the fingerprint is
+computed once, on the algebra's own tuple, so a memo key holds only the
+formula's bytes.  Formulas are normalised on construction: zero
+equations are dropped, bound variables that appear in no equation are
+dropped, and equation columns are sorted lexicographically.  Equality of formulas is always
 semantic (mutual :func:`leq_absolute`); no syntactic equality is
 offered.
 """
@@ -43,7 +46,7 @@ from .errors import (
     LengthMismatch,
     SideMismatch,
 )
-from .fields import ELEM
+from .fields import ELEM, freeze
 from .memo import memo
 from .modules import (
     ModuleRep,
@@ -67,8 +70,9 @@ class PpFormula:
     a: np.ndarray  # (nfree, neq, alg.dim)
     b: np.ndarray  # (nbound, neq, alg.dim)
 
-    def fingerprint(self) -> tuple:
-        return (
+    def __post_init__(self):
+        freeze(self, "a", "b")
+        fingerprint = (
             self.algebra.fingerprint(),
             self.side,
             self.nfree,
@@ -77,6 +81,10 @@ class PpFormula:
             self.a.tobytes(),
             self.b.tobytes(),
         )
+        object.__setattr__(self, "_fingerprint", fingerprint)
+
+    def fingerprint(self) -> tuple:
+        return self._fingerprint
 
     def render(self) -> str:
         """Workspace text syntax, e.g. ``E y1 . x1*t + y1*1 = 0``."""
@@ -185,7 +193,7 @@ def divisibility(algebra: Algebra, side: str, r) -> PpFormula:
 # -- evaluation -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SubgroupRep:
     """A pp-definable subgroup of M^arity: canonical echelon basis.
 

@@ -198,19 +198,31 @@ def rank(field: Field, a: np.ndarray) -> int:
 
 
 def null_space(field: Field, a: np.ndarray) -> np.ndarray:
-    """Canonical basis (as rows) of {x : a @ x = 0}."""
+    """Canonical basis (as rows) of {x : a @ x = 0}.
+
+    One elimination of ``a`` with its columns reversed: a pivot row then
+    has entries only at the free columns f left of its pivot p (in the
+    original order), so the kernel vectors e_f - sum_p red_p[f] e_p lead
+    at f and vanish at every other free column.  Ordered by f they are
+    the RREF basis, which is unique.
+    """
     a = np.asarray(a, ELEM)
     n = a.shape[1]
-    leads = _insert(field, [], a.tolist())
+    leads = _insert(field, [], a[:, ::-1].tolist())
     pivots = {c for c, _ in leads}
+    neg = field.neg_list
     basis = []
-    for fc in (c for c in range(n) if c not in pivots):
+    for fc in range(n - 1, -1, -1):  # reversed columns: original column n-1-fc ascending
+        if fc in pivots:
+            continue
         row = [0] * n
         row[fc] = 1
         for pc, red in leads:
-            row[pc] = field.neg_list[red[fc]]
-        basis.append(row)
-    return _array([row for _, row in _insert(field, [], basis)], n)
+            if pc > fc:
+                break
+            row[pc] = neg[red[fc]]
+        basis.append(row[::-1])
+    return _array(basis, n)
 
 
 def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

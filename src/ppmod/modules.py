@@ -14,7 +14,9 @@ sets and duals side-uniform: a map is a matrix applied on the right of
 a row vector for both sides, and the dual of a module transposes each
 action matrix and flips the side.
 
-All objects are immutable after construction.  Linear combinations of
+All objects are immutable after construction: a module's ``actions``
+are read-only and its fingerprint is computed once, so every cache key
+naming the module shares one tuple.  Linear combinations of
 action matrices and the code-order listing of elements go through
 :mod:`ppmod.linalg` (``matvec`` and ``all_vectors``).  Each question is
 one product over whole stacks: orbits and covers are ``linalg.images``
@@ -49,7 +51,8 @@ from .errors import (
     NotGenerating,
     SideMismatch,
 )
-from .fields import ELEM
+from .fields import ELEM, freeze, read_only
+from .memo import memo
 
 RIGHT = "right"
 LEFT = "left"
@@ -62,6 +65,11 @@ class ModuleRep:
     side: str
     dim: int
     actions: np.ndarray  # (alg.dim, dim, dim), applied as v @ actions[i]
+
+    def __post_init__(self):
+        freeze(self, "actions")
+        fingerprint = (self.algebra.fingerprint(), self.side, self.dim, self.actions.tobytes())
+        object.__setattr__(self, "_fingerprint", fingerprint)
 
     def rho(self, r: np.ndarray) -> np.ndarray:
         """Matrix of the action of an algebra element (row-applied)."""
@@ -86,12 +94,7 @@ class ModuleRep:
         return linalg.all_vectors(self.algebra.field, self.dim)
 
     def fingerprint(self) -> tuple:
-        return (
-            self.algebra.fingerprint(),
-            self.side,
-            self.dim,
-            self.actions.tobytes(),
-        )
+        return self._fingerprint
 
     def __repr__(self) -> str:
         return f"ModuleRep({self.side}, dim={self.dim})"
@@ -112,7 +115,7 @@ def make_module(
     if side not in SIDES:
         raise SideMismatch(f"side must be one of {SIDES}")
     f = algebra.field
-    actions = f.asarray(actions)
+    actions = f.asarray(actions, copy=True)
     if actions.shape != (algebra.dim, dim, dim):
         raise DimensionMismatch(
             f"actions shape {actions.shape}, expected {(algebra.dim, dim, dim)}"
@@ -250,10 +253,14 @@ def make_map(source: ModuleRep, target: ModuleRep, matrix) -> ModuleMap:
     return ModuleMap(source, target, matrix)
 
 
+@memo(lambda m, n: (m.fingerprint(), n.fingerprint()))
 def hom_basis(m: ModuleRep, n: ModuleRep) -> np.ndarray:
-    """Canonical F_q-basis of Hom(m, n) as one (h, m.dim, n.dim) stack."""
+    """Canonical F_q-basis of Hom(m, n) as one (h, m.dim, n.dim) stack.
+
+    Cached, so the stack is shared between callers and read-only.
+    """
     _require_compatible(m, n)
-    return linalg.intertwiners(m.algebra.field, m.actions, n.actions)
+    return read_only(linalg.intertwiners(m.algebra.field, m.actions, n.actions))
 
 
 def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:

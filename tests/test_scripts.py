@@ -79,8 +79,9 @@ def test_bench_pairs_summarises_alternating_pairs():
     assert got["median_gap"] == 1.2
     assert got["parent"] == parent and got["change"] == change
     assert bench.gain(got)
-    text = bench.claim_text("cli-demo", {"seed 1": got})
+    text = bench.claim_text("cli-demo", "wall_s", "s", {"seed 1": got})
     assert text.startswith("cli-demo wall_s: change below parent in 9 of 10 at seed 1;")
+    assert "medians 6.225 -> 5.025 s (seed 1), parent IQR 0.225 s;" in text
     assert text.endswith("gain rule met.")
     with pytest.raises(ValueError):
         bench.pair_summary([1.0, 2.0], [1.0])
@@ -94,7 +95,7 @@ def test_bench_pairs_gain_needs_nine_wins_and_a_gap_past_the_spread():
     # ten wins, but the medians differ by less than the parent's IQR
     close = bench.pair_summary(parent, [p - 0.01 for p in parent])
     assert close["change_wins"] == 10 and not bench.gain(close)
-    assert "gain rule not met" in bench.claim_text("cli-demo", {"seed 1": close})
+    assert "gain rule not met" in bench.claim_text("cli-demo", "wall_s", "s", {"seed 1": close})
 
 
 def test_bench_pairs_verdicts_follow_the_bound():
@@ -139,6 +140,26 @@ def test_bench_pairs_claims_nothing_without_claim(monkeypatch, tmp_path):
 
 def test_bench_pairs_states_the_claimed_workload(monkeypatch, tmp_path):
     out = run_bench_pairs(monkeypatch, tmp_path, "--claim", "lattice")
-    assert out["commands"][0].endswith(" --claim lattice")
+    assert out["commands"][0].endswith(" --claim lattice:wall_s")
     assert out["claim"].startswith("lattice wall_s: change below parent in 10 of 10 at seed 1")
     assert out["claim"].endswith("gain rule met.")
+
+
+def test_bench_pairs_claims_the_named_metric_in_its_unit(monkeypatch, tmp_path):
+    out = run_bench_pairs(monkeypatch, tmp_path, "--claim", "calculus-f2:peak_rss_mb")
+    assert out["commands"][0].endswith(" --claim calculus-f2:peak_rss_mb")
+    # the faked runs read 33.5 MB on both sides: no pair is won
+    assert out["claim"] == (
+        "calculus-f2 peak_rss_mb: change below parent in 0 of 10 at seed 1 and 0 of 10 at "
+        "seed 97; medians 33.5 -> 33.5 MB (seed 1) and 33.5 -> 33.5 MB (seed 97), parent "
+        "IQR 0.0 MB and 0.0 MB; gain rule not met."
+    )
+    assert out["pairs"]["calculus-f2 seed 1"]["peak_rss_mb"]["verdict"] == "within bound"
+
+
+@pytest.mark.parametrize("claim", ["lattice:rss", "nowhere", "nowhere:wall_s"])
+def test_bench_pairs_refuses_an_unknown_claim(claim):
+    bench = load_bench_pairs()
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--parent", "p", "--change", "c", "--pr", "7", "--scratch", "s", "--claim", claim])
+    assert exit_info.value.code == 2

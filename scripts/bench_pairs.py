@@ -19,7 +19,8 @@ write.  For each workload, seed and end-to-end metric the pair summary
 against the metric's bound in ``BENCHMARK.json`` by the no-regression
 rule.  With ``--claim W:M``, ``claim`` states workload W's pairs of the
 end-to-end metric M (``wall_s`` when ``:M`` is left out) judged by the
-gain rule; without it no gain is claimed and ``claim`` is null.  The two clones are removed at the end.
+gain rule; without it no gain is claimed and ``claim`` is null.  The two
+clones are removed at the end.
 """
 
 from __future__ import annotations

@@ -12,14 +12,21 @@ untraced (``python3 perfbench/run.py --workload W --seed S --trace 0``):
 at seed 1 the parent goes first in odd pairs, at seed 97 the change
 does.  Then each side runs each workload once traced (``--trace 1``).
 
-Every number in ``BENCH_<pr>.json`` is copied from the
-``.perfbench/<workload>-seed<S>-trace<0|1>.json`` result files those runs
-write.  For each workload, seed and end-to-end metric the pair summary
-(medians, quartiles, wins) is computed from the copied values and judged
-against the metric's bound in ``BENCHMARK.json`` by the no-regression
-rule.  With ``--claim W:M``, ``claim`` states workload W's pairs of the
-end-to-end metric M (``wall_s`` when ``:M`` is left out) judged by the
-gain rule; without it no gain is claimed and ``claim`` is null.  The two
+Every number in ``pairs`` and ``runs`` of ``BENCH_<pr>.json`` is
+copied from the ``.perfbench/<workload>-seed<S>-trace<0|1>.json`` result
+files those runs write.  For each workload, seed and end-to-end metric
+the pair summary (medians, quartiles, wins) is computed from the copied
+values and judged against the metric's bound in ``BENCHMARK.json`` by
+the no-regression rule.  With ``--claim W:M``, ``claim`` states workload
+W's pairs of the end-to-end metric M (``wall_s`` when ``:M`` is left
+out) judged by the gain rule; without it no gain is claimed and
+``claim`` is null.
+
+Last, with its bytecode compiled, each side imports the command line
+seven times, alternating with the other side, in a fresh
+``python3 -X importtime -c "import numpy, ppmod.cli"``: ``import_us``
+keeps the cumulative microseconds of ``ppmod.cli`` in each run and their
+median, per side.  A cold-start claim cites these medians.  The two
 clones are removed at the end.
 """
 
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -37,6 +45,8 @@ WORKLOADS = ("calculus-f2", "calculus-fq", "lattice", "cli-demo")
 END_TO_END = ("wall_s", "setup_s", "op_p50_ms", "peak_rss_mb")
 SEEDS = (1, 97)
 PAIRS = 10
+IMPORT_RUNS = 7
+IMPORT_CODE = "import numpy, ppmod.cli"
 
 
 def run_entry(result: dict) -> dict:
@@ -136,9 +146,19 @@ def claim_text(workload: str, metric: str, unit: str, summaries: dict) -> str:
     )
 
 
+def cumulative_us(importtime: str, module: str) -> int:
+    """The cumulative microseconds of ``module`` in ``python3 -X importtime`` output."""
+    for line in importtime.splitlines():
+        parts = line.split("|")
+        if len(parts) == 3 and parts[2].strip() == module:
+            return int(parts[1])
+    raise ValueError(f"{module} is not in the import times")
+
+
 def _clone(rev: str, dest: Path) -> None:
     subprocess.run(["git", "clone", "--quiet", "--no-checkout", ".", str(dest)], check=True)
     subprocess.run(["git", "-C", str(dest), "checkout", "--quiet", "--detach", rev], check=True)
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src/ppmod"], cwd=dest, check=True)
 
 
 def _subject(rev: str) -> str:
@@ -157,6 +177,18 @@ def _run(side: Path, workload: str, seed: int, traced: bool) -> dict:
         raise RuntimeError(f"{' '.join(cmd)} in {side} exited {proc.returncode}: {proc.stderr}")
     path = side / ".perfbench" / f"{workload}-seed{seed}-trace{int(traced)}.json"
     return json.loads(path.read_text())
+
+
+def _import_us(side: Path) -> int:
+    """Microseconds to import ``ppmod.cli`` in a fresh interpreter, after numpy."""
+    env = dict(os.environ)
+    src = str((side / "src").resolve())
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", IMPORT_CODE],
+        cwd=side, env=env, capture_output=True, text=True, check=True,
+    )
+    return cumulative_us(proc.stderr, "ppmod.cli")
 
 
 def main(argv=None) -> int:
@@ -205,6 +237,10 @@ def main(argv=None) -> int:
                     pairs[key][metric] = summary
                 if workload == claimed:
                     claim[f"seed {seed}"] = pairs[key][claimed_metric]
+        imports = {"parent": [], "change": []}
+        for k in range(IMPORT_RUNS):
+            for name in ["parent", "change"] if k % 2 == 0 else ["change", "parent"]:
+                imports[name].append(_import_us(sides[name]))
     finally:
         for path in sides.values():
             shutil.rmtree(path, ignore_errors=True)
@@ -218,11 +254,16 @@ def main(argv=None) -> int:
             f"per seed S in {list(SEEDS)} and workload W: python3 perfbench/run.py --workload W "
             f"--seed S --trace 0 in {PAIRS} alternating pairs (seed {SEEDS[0]}: parent first in "
             f"odd pairs; seed {SEEDS[1]}: change first), then --trace 1 once per side",
+            f"per side, {IMPORT_RUNS} times alternating (parent first): python3 -X importtime "
+            f"-c '{IMPORT_CODE}', the cumulative microseconds of ppmod.cli",
         ],
         "claim": (
             claim_text(claimed, claimed_metric, units[claimed_metric], claim) if args.claim else None
         ),
         "bounds": bounds,
+        "import_us": {
+            name: {"runs": us, "median": statistics.median(us)} for name, us in imports.items()
+        },
         "pairs": pairs,
         "runs": runs,
     }

@@ -17,7 +17,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -60,12 +59,13 @@ from .modules import (
     hom_orbits,
     make_map,
 )
+from .records import record
 from .scalars import scalar_ring
 from .tensor import herzog_zero_test, relative_ml_check, tensor_product
 from .workspace import render_workspace
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class CriterionResult:
     index: int
     name: str

@@ -12,16 +12,15 @@ algebra shares one tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
 from .errors import BadUnit, DimensionMismatch, NonAssociative
 from .fields import ELEM, Field, freeze
+from .records import record
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Algebra:
     field: Field
     labels: tuple[str, ...]

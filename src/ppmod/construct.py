@@ -30,8 +30,6 @@ and the generator check reads each stage's image type off ``hom_orbits``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -65,6 +63,7 @@ from .modules import (
     module_span,
     tuple_rows,
 )
+from .records import record
 
 
 # entries of one product of a run of a-codes with one residue table in
@@ -72,7 +71,7 @@ from .modules import (
 _PRODUCT_CELLS = 2**22
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class Budget:
     """Finite allowances for consequence enumeration and staging."""
 
@@ -87,7 +86,7 @@ class Budget:
                 raise ValidationFailure(f"budget field {name} must be positive")
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ConsequenceList:
     """Budgeted enumeration of the context-closed strengthenings of theta."""
 
@@ -272,7 +271,7 @@ def _least_codes(keys: np.ndarray, codes: np.ndarray):
     return zip(codes[first].tolist(), keys[first])
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Stage:
     """One rung of the chain: module, tuples, type generator, schedule."""
 
@@ -286,7 +285,7 @@ class Stage:
     a_image: np.ndarray  # image of the distinguished initial tuple
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ConstructionState:
     ctx: DefinableContext
     budget: Budget
@@ -385,7 +384,7 @@ def run_construction(
     )
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class FactorisationReport:
     ok: bool
     checked: int

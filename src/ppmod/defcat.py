@@ -18,8 +18,6 @@ realises its tuples, phi_b(M) = Hom(N, M)·b, so that walk and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -43,9 +41,10 @@ from .modules import (
     quotient,
     submodule,
 )
+from .records import record
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class DefinableContext:
     """Generators and/or explicit closed pairs cutting out a subcategory."""
 
@@ -120,7 +119,7 @@ def member_check(n: ModuleRep, ctx: DefinableContext) -> bool:
 # -- purity ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class PurityReport:
     pure_mono: bool
     pure_epi: bool
@@ -197,7 +196,7 @@ def purity_check(f_map: ModuleMap) -> PurityReport:
     return PurityReport(mono_wit is None, epi_wit is None, mono_wit, epi_wit)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PullbackResult:
     module: ModuleRep
     to_source: ModuleMap  # X -> M
@@ -234,7 +233,7 @@ def pullback_pure(f_map: ModuleMap, p_map: ModuleMap) -> PullbackResult:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PushoutResult:
     module: ModuleRep
     from_source: ModuleMap  # M -> Y

@@ -95,7 +95,7 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 def freeze(obj, *names: str) -> None:
-    """Replace the named array attributes of a frozen dataclass by read-only views."""
+    """Replace the named array attributes of a record by read-only views."""
     for name in names:
         object.__setattr__(obj, name, read_only(getattr(obj, name)))
 

@@ -32,8 +32,6 @@ offered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -58,9 +56,10 @@ from .modules import (
     quotient,
     tuple_rows,
 )
+from .records import record
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PpFormula:
     algebra: Algebra
     side: str
@@ -193,13 +192,15 @@ def divisibility(algebra: Algebra, side: str, r) -> PpFormula:
 # -- evaluation -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@record
 class SubgroupRep:
     """A pp-definable subgroup of M^arity: canonical echelon basis.
 
     Rows of ``basis`` are flat vectors of length arity * dim laid out
     slot-major: [x_1 coords | x_2 coords | ...].
     """
+
+    __slots__ = ("module", "arity", "basis")
 
     module: ModuleRep
     arity: int

@@ -37,19 +37,18 @@ filter is its generator g and every filter question is read off ``leq``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, ValidationFailure
 from .formulas import PpFormula, SubgroupRep, bot, evaluate, pp_type_generator
 from .modules import ModuleRep, direct_sum, hom_orbits, tuple_rows
+from .records import record
 
 DEFAULT_CAP = 2**16
 
 
-@dataclass(frozen=True)
+@record(eq=True)
 class DefinabilityResult:
     definable: bool
     witness: PpFormula  # defines the closure; on success, defines S
@@ -82,7 +81,7 @@ def is_pp_definable(
     return DefinabilityResult(definable, phi, closure)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PpLattice:
     """All pp-definable subgroups of M^arity with order and operations.
 
@@ -204,7 +203,7 @@ def hasse_edges(lat: PpLattice) -> list[tuple[int, int]]:
     return [(i, j) for i, j in np.argwhere(_covers(lat)).tolist()]
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PpFilter:
     """The filter of a PpLattice generated by ``generator``: its up-set.
 
@@ -220,7 +219,7 @@ class PpFilter:
         return frozenset(np.flatnonzero(self.lattice.leq[self.generator]).tolist())
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class NegIsolatedFilter:
     filter: PpFilter
     ziegler: bool

@@ -36,8 +36,6 @@ orbit of b into that tuple, times the basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -53,13 +51,14 @@ from .errors import (
 )
 from .fields import ELEM, freeze, read_only
 from .memo import memo
+from .records import record
 
 RIGHT = "right"
 LEFT = "left"
 SIDES = (RIGHT, LEFT)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ModuleRep:
     algebra: Algebra
     side: str
@@ -178,7 +177,7 @@ def dual_module(m: ModuleRep) -> ModuleRep:
 # -- maps ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PointedModule:
     """A module with a distinguished tuple of elements, rows of ``tuple``."""
 
@@ -190,7 +189,7 @@ class PointedModule:
         return self.tuple.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ModuleMap:
     source: ModuleRep
     target: ModuleRep
@@ -220,13 +219,6 @@ class ModuleMap:
 
     def is_isomorphism(self) -> bool:
         return self.source.dim == self.target.dim and self.is_injective()
-
-    def fingerprint(self) -> tuple:
-        return (
-            self.source.fingerprint(),
-            self.target.fingerprint(),
-            self.matrix.tobytes(),
-        )
 
 
 def _require_compatible(m: ModuleRep, n: ModuleRep) -> None:
@@ -402,7 +394,7 @@ def presentation(m: ModuleRep, generators: np.ndarray) -> np.ndarray:
 # -- sums, submodules, quotients -----------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class DirectSum:
     module: ModuleRep
     injections: tuple[ModuleMap, ...]
@@ -435,7 +427,7 @@ def direct_sum(parts: list[ModuleRep]) -> DirectSum:
     return DirectSum(module, tuple(injections), tuple(projections))
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Submodule:
     module: ModuleRep
     inclusion: ModuleMap  # submodule -> ambient
@@ -456,7 +448,7 @@ def submodule(m: ModuleRep, rows: np.ndarray) -> Submodule:
     return Submodule(sub, ModuleMap(sub, m, basis.copy()))
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class Quotient:
     module: ModuleRep
     projection: ModuleMap  # ambient -> quotient

@@ -19,8 +19,6 @@ back with one batched ``coords_in_rref``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from . import linalg
@@ -30,9 +28,10 @@ from .fields import ELEM, Field
 from .formulas import PpFormula, evaluate, pp_formula, pp_type_generator
 from .memo import memo
 from .modules import ModuleRep, RIGHT, hom_basis
+from .records import record, replace
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class RingTable(Algebra):
     """A matrix algebra as an :class:`Algebra` over its canonical basis.
 
@@ -71,7 +70,7 @@ def _make_ring_table(
     return RingTable(field, labels, table.reshape(k, k, k), unit, mats, from_r)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class EndBiend:
     end: RingTable
     biend: RingTable
@@ -123,7 +122,7 @@ def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
     return np.stack(chosen) if chosen else np.zeros((0, d), dtype=ELEM)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ScalarSynthesis:
     formula: PpFormula  # rho(u, v)
     type_generator: PpFormula  # phi for the joined tuple
@@ -192,7 +191,7 @@ def synthesize_scalar(m: ModuleRep, g) -> ScalarSynthesis:
     return ScalarSynthesis(rho, phi, gens, g, True, True)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ScalarRing:
     """``ring`` is ``biend`` relabelled r0, r1, ...: every basis biendomorphism
     has a formula checked to define its graph, so the definable scalars of a

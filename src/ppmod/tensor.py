@@ -17,8 +17,6 @@ formula layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -37,9 +35,10 @@ from .modules import (
     direct_sum,
     tuple_rows,
 )
+from .records import record
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class TensorResult:
     """M (x) L over the algebra, with canonical class coordinates.
 
@@ -119,7 +118,7 @@ def herzog_zero_test(
     return evaluate(dual(phi), l_mod).contains(lvecs)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class MittagLefflerReport:
     injective: bool
     matrix: np.ndarray  # canonical map on canonical tensor classes

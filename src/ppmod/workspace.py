@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -83,20 +82,18 @@ def field_from_order(q: int) -> Field:
     return Field(p, d)
 
 
-@dataclass(eq=False)
 class Workspace:
     """Named algebras, modules, formulas, contexts, and budgets."""
 
-    algebras: dict[str, Algebra] = dataclass_field(default_factory=dict)
-    modules: dict[str, ModuleRep] = dataclass_field(default_factory=dict)
-    formulas: dict[str, PpFormula] = dataclass_field(default_factory=dict)
-    contexts: dict[str, DefinableContext] = dataclass_field(default_factory=dict)
-    budgets: dict[str, Budget] = dataclass_field(default_factory=dict)
-    module_algebra: dict[str, str] = dataclass_field(default_factory=dict)
-    formula_algebra: dict[str, str] = dataclass_field(default_factory=dict)
-    context_refs: dict[str, tuple[tuple[str, ...], tuple[tuple[str, str], ...]]] = (
-        dataclass_field(default_factory=dict)
-    )
+    def __init__(self):
+        self.algebras: dict[str, Algebra] = {}
+        self.modules: dict[str, ModuleRep] = {}
+        self.formulas: dict[str, PpFormula] = {}
+        self.contexts: dict[str, DefinableContext] = {}
+        self.budgets: dict[str, Budget] = {}
+        self.module_algebra: dict[str, str] = {}
+        self.formula_algebra: dict[str, str] = {}
+        self.context_refs: dict[str, tuple[tuple[str, ...], tuple[tuple[str, str], ...]]] = {}
 
     # -- named additions ------------------------------------------------
 

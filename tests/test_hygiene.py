@@ -8,7 +8,10 @@ dependency left behind by a refactor.
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -316,3 +319,38 @@ def test_the_check_sees_unreferenced_definitions(tmp_path):
     assert readme_names(readme) == {"sample.in_readme"}
     got = unreferenced([sample], [sample], {"exported"}, readme_names(readme))
     assert got == ["sample:A.dead_method", "sample:loop", "sample:in_a_shell_block", "sample:as_a_bare_word"]
+
+
+def dataclass_imports(path: Path) -> list[str]:
+    """Each import statement of ``dataclasses`` in a module, as ``line:module``."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out += [f"{node.lineno}:{a.name}" for a in node.names if a.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            out.append(f"{node.lineno}:dataclasses")
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    # records.record replaces @dataclass: its code generation was most of the import time
+    importers = {path.name for path in SRC.glob("*.py") if dataclass_imports(path)}
+    assert importers == set()
+
+
+def test_the_check_sees_dataclass_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        '"""Not a dataclass."""\nimport os, dataclasses\n\n'
+        "def f():\n    from dataclasses import dataclass, replace\n    return dataclass, replace\n"
+    )
+    assert dataclass_imports(sample) == ["2:dataclasses", "5:dataclasses"]
+
+
+def test_the_cli_import_loads_no_dataclasses():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, numpy, ppmod.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'dataclasses'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -115,7 +115,6 @@ then the constrained solve), which must give the same answers and raise
 the same exception class and message.
 """
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -213,6 +212,7 @@ from ppmod.modules import (
     tuple_rows,
     zero_module,
 )
+from ppmod.records import replace
 from ppmod.scalars import (
     RingTable,
     _make_ring_table,
@@ -2629,8 +2629,8 @@ def oracle_verify_generator(state, phi):
 def with_image(state, m, a_image):
     """The state with stage m's image tuple replaced: a chain the checks can refuse."""
     stages = list(state.stages)
-    stages[m] = dataclasses.replace(stages[m], a_image=np.asarray(a_image, dtype=ELEM))
-    return dataclasses.replace(state, stages=tuple(stages))
+    stages[m] = replace(stages[m], a_image=np.asarray(a_image, dtype=ELEM))
+    return replace(state, stages=tuple(stages))
 
 
 def generator_states():

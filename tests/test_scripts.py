@@ -112,6 +112,10 @@ def test_bench_pairs_verdicts_follow_the_bound():
     assert bench.verdict(summary(wide, [0.4] * 10), 0.25) == "better"
 
 
+PARENT_IMPORT_US = [28100, 30500, 25900, 35800, 27400, 26800, 29900]
+CHANGE_IMPORT_US = [6100, 5400, 7400, 4500, 6900, 5800, 6200]
+
+
 def run_bench_pairs(monkeypatch, tmp_path, *extra):
     """``main`` end to end with the clones, git and the benchmark runs faked."""
     bench = load_bench_pairs()
@@ -126,6 +130,8 @@ def run_bench_pairs(monkeypatch, tmp_path, *extra):
         return result
 
     monkeypatch.setattr(bench, "_run", run)
+    import_us = {"parent": iter(PARENT_IMPORT_US), "change": iter(CHANGE_IMPORT_US)}
+    monkeypatch.setattr(bench, "_import_us", lambda side: next(import_us[side.name]))
     argv = ["--parent", "p", "--change", "c", "--pr", "7", "--scratch", str(tmp_path / "s")]
     assert bench.main(argv + list(extra)) == 0
     return json.loads((tmp_path / "BENCH_7.json").read_text())
@@ -163,3 +169,32 @@ def test_bench_pairs_refuses_an_unknown_claim(claim):
     with pytest.raises(SystemExit) as exit_info:
         bench.main(["--parent", "p", "--change", "c", "--pr", "7", "--scratch", "s", "--claim", claim])
     assert exit_info.value.code == 2
+
+
+def test_bench_pairs_records_the_median_import_time_per_side(monkeypatch, tmp_path):
+    out = run_bench_pairs(monkeypatch, tmp_path)
+    assert out["import_us"] == {
+        "parent": {"runs": PARENT_IMPORT_US, "median": 28100},
+        "change": {"runs": CHANGE_IMPORT_US, "median": 6100},
+    }
+    assert "python3 -X importtime -c 'import numpy, ppmod.cli'" in out["commands"][2]
+
+
+def test_bench_pairs_reads_the_cumulative_import_time():
+    bench = load_bench_pairs()
+    stderr = (
+        "import time: self [us] | cumulative | imported package\n"
+        "import time:       192 |        192 |       ppmod.records\n"
+        "import time:       381 |       6459 |   ppmod\n"
+        "import time:       529 |       9662 | ppmod.cli\n"
+    )
+    assert bench.cumulative_us(stderr, "ppmod.cli") == 9662
+    assert bench.cumulative_us(stderr, "ppmod") == 6459
+    with pytest.raises(ValueError):
+        bench.cumulative_us(stderr, "numpy")
+
+
+def test_bench_pairs_times_a_real_import(tmp_path):
+    # one fresh interpreter on this checkout: the command runs and its output parses
+    bench = load_bench_pairs()
+    assert bench._import_us(ROOT) > 0

@@ -349,8 +349,12 @@ def test_the_check_sees_dataclass_imports(tmp_path):
 
 def test_the_cli_import_loads_no_dataclasses():
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = "import sys, numpy, ppmod.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'dataclasses'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = "import sys, numpy, ppmod.cli; print(sorted(m for m in sys.modules if 'dataclasses' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

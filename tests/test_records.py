@@ -28,8 +28,9 @@ DATACLASS = {eq: dataclasses.dataclass(frozen=True, eq=eq) for eq in (False, Tru
 
 
 def outcome(fn, *args, **kwargs):
-    """``("value", repr)`` of the call, or ``("raises", class)`` with the class
-    of its error named by what both implementations share."""
+    """``("value", repr)`` of the call, or ``("raises", class, message)``: the
+    class both implementations share, and the message of a ppmod error only
+    (the two word their ``TypeError`` messages differently)."""
     try:
         return "value", repr(fn(*args, **kwargs))
     except (ValidationFailure, TypeError, AttributeError) as e:
@@ -110,7 +111,8 @@ def test_inherited_fields_come_first():
     assert rec_child.__record_fields__ == tuple(f.name for f in dataclasses.fields(dc_child))
     assert rec_child.__record_fields__ == ("field", "labels", "basis", "from_r")
     assert rec_base.__record_fields__ == ("field", "labels")
-    for args, kwargs in [(("F2", ("a",), 3), {}), (("F2",), {"labels": (), "basis": 1, "from_r": 2})]:
+    calls = [(("F2", ("a",), 3), {}), (("F2",), {"labels": (), "basis": 1, "from_r": 2})]
+    for args, kwargs in calls:
         rec, dc = rec_child(*args, **kwargs), dc_child(*args, **kwargs)
         assert repr(rec) == repr(dc)
         # the base's __post_init__ runs for the subclass too
@@ -211,7 +213,8 @@ def test_the_value_classes_compare_by_value():
 def test_replace_reruns_post_init():
     rec, dc = twins()
     for changes in [{"y": 7}, {"x": 3, "z": (1,)}, {}, {"x": -1}, {"w": 1}]:
-        assert outcome(replace, rec(1, 5), **changes) == outcome(dataclasses.replace, dc(1, 5), **changes)
+        want = outcome(dataclasses.replace, dc(1, 5), **changes)
+        assert outcome(replace, rec(1, 5), **changes) == want
     p = rec(1, 5)
     q = replace(p, y=7)
     assert q is not p and (p.y, q.y, q.x) == (5, 7, 1)

@@ -26,8 +26,9 @@ Last, with its bytecode compiled, each side imports the command line
 seven times, alternating with the other side, in a fresh
 ``python3 -X importtime -c "import numpy, ppmod.cli"``: ``import_us``
 keeps the cumulative microseconds of ``ppmod.cli`` in each run and their
-median, per side.  A cold-start claim cites these medians.  The two
-clones are removed at the end.
+median, per side.  A cold-start claim cites these medians.  ``src_lines``
+is the line count of ``src/ppmod/*.py`` per side, as ``wc -l`` counts
+it.  The two clones are removed at the end.
 """
 
 from __future__ import annotations
@@ -155,6 +156,11 @@ def cumulative_us(importtime: str, module: str) -> int:
     raise ValueError(f"{module} is not in the import times")
 
 
+def src_lines(side: Path) -> int:
+    """The newlines in ``src/ppmod/*.py`` of one checkout (``wc -l``)."""
+    return sum(path.read_bytes().count(b"\n") for path in (side / "src" / "ppmod").glob("*.py"))
+
+
 def _clone(rev: str, dest: Path) -> None:
     subprocess.run(["git", "clone", "--quiet", "--no-checkout", ".", str(dest)], check=True)
     subprocess.run(["git", "-C", str(dest), "checkout", "--quiet", "--detach", rev], check=True)
@@ -210,6 +216,7 @@ def main(argv=None) -> int:
     args.scratch.mkdir(parents=True, exist_ok=True)
     for name, path in sides.items():
         _clone(getattr(args, name), path)
+    lines = {name: src_lines(path) for name, path in sides.items()}
     subject = _subject(args.change)
     try:
         runs, pairs, claim, prov = {}, {}, {}, None
@@ -261,6 +268,7 @@ def main(argv=None) -> int:
             claim_text(claimed, claimed_metric, units[claimed_metric], claim) if args.claim else None
         ),
         "bounds": bounds,
+        "src_lines": lines,
         "import_us": {
             name: {"runs": us, "median": statistics.median(us)} for name, us in imports.items()
         },

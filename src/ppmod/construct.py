@@ -41,7 +41,7 @@ from .errors import (
     SideMismatch,
     ValidationFailure,
 )
-from .defcat import DefinableContext, pair_closed
+from .defcat import DefinableContext, member_check
 from .formulas import (
     PpFormula,
     conj,
@@ -403,11 +403,8 @@ def verify_factorisation(
     """
     targets = list(targets)
     field = state.ctx.algebra.field
-    for target in targets:
-        if state.ctx.pairs and not all(
-            pair_closed(phi, psi, target) for phi, psi in state.ctx.pairs
-        ):
-            raise ValidationFailure("target does not close the context pairs")
+    if state.ctx.pairs and not all(member_check(t, state.ctx) for t in targets):
+        raise ValidationFailure("target does not close the context pairs")
     failures = []
     checked = 0
     for n, f_n in enumerate(state.maps):

@@ -30,7 +30,7 @@ from .errors import (
     SideMismatch,
     ValidationFailure,
 )
-from .fields import ELEM
+from .fields import ELEM, digits
 from .formulas import PpFormula, evaluate, leq_absolute, pp_type_generator
 from .modules import (
     ModuleMap,
@@ -139,27 +139,21 @@ def _splits(field, products: np.ndarray) -> bool:
     return linalg.solve(field, lhs, linalg.eye(field, d).reshape(-1)) is not None
 
 
-# image entries built per ``linalg.images`` call of the witness walk
-_WALK_CELLS = 2**14
-
-
 def _first_outside(field, dim: int, stack: np.ndarray) -> np.ndarray | None:
     """First e of F_q^dim in code order outside span{e S_i}, or None.
 
-    ``stack`` holds the (h, dim, dim) matrices S_i.  The walk builds the
-    elements a chunk at a time, coordinate 0 fastest as in
-    ``linalg.all_vectors``, with one ``linalg.images`` of at most
-    ``_WALK_CELLS`` entries per chunk, and raises CapExceeded once it has
-    passed ``linalg.ENUMERATION_CAP`` elements without finding one.
+    ``stack`` holds the (h, dim, dim) matrices S_i.  The walk decodes the
+    elements a chunk at a time with ``fields.digits``, coordinate 0
+    fastest as in ``linalg.all_vectors``, with one ``linalg.images`` of at
+    most ``linalg.WALK_CELLS`` entries per chunk, and raises CapExceeded
+    once it has passed ``linalg.ENUMERATION_CAP`` elements without
+    finding one.
     """
     q, cap = field.q, linalg.ENUMERATION_CAP
     total = q**dim
-    step = max(1, _WALK_CELLS // max(1, stack.shape[0] * dim))
+    step = max(1, linalg.WALK_CELLS // max(1, stack.shape[0] * dim))
     for start in range(0, min(total, cap), step):
-        codes = np.arange(start, min(start + step, total, cap))
-        chunk = np.empty((codes.size, dim), dtype=ELEM)
-        for i in range(dim):
-            codes, chunk[:, i] = divmod(codes, q)
+        chunk = digits(np.arange(start, min(start + step, total, cap)), q, dim).astype(ELEM)
         for e, orbit in zip(chunk, linalg.images(field, chunk, stack)):
             if linalg.solve(field, orbit.T, e) is None:
                 return e

@@ -3,8 +3,11 @@
 An element of F_{p^d} is a plain int in ``0..q-1``: its base-p digits are
 the coefficients of a polynomial of degree < d in the power basis of the
 canonical modulus (digit i is the coefficient of X^i).  The modulus is
-the lexicographically least monic irreducible of degree d over F_p, so
-the encoding is canonical and equality of elements is equality of ints.
+the least monic irreducible of degree d over F_p in code order (its low
+d coefficients read as such a code), so the encoding is canonical and
+equality of elements is equality of ints.  :func:`digits` decodes codes
+into digit vectors; the tables are built from it with whole-array
+operations: add and neg digitwise mod p, mul as the digit convolution.
 
 Arrays of elements are ``ELEM`` numpy arrays and the operations here
 broadcast elementwise through the add/mul tables, which keeps q small
@@ -35,56 +38,45 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
+def digits(codes, base: int, width: int) -> np.ndarray:
+    """The low ``width`` base-``base`` digits of each code, least significant first.
+
+    Shape ``codes.shape + (width,)``, int64.  One ``divmod`` per digit, so
+    no intermediate exceeds the codes themselves.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    out = np.empty(codes.shape + (width,), dtype=np.int64)
+    for i in range(width):
+        codes, out[..., i] = divmod(codes, base)
     return out
 
 
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and any(a):
-        shift = len(a) - 1 - dm
-        c = (a[-1] * inv_lead) % p
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return a
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unreduced products of the digit polynomials a (..., m) and b (..., n)."""
+    m, n = a.shape[-1], b.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (m + n - 1,), np.int64)
+    for i in range(m):
+        out[..., i : i + n] += a[..., i, None] * b
+    return out
+
+
+def _monics(p: int, k: int) -> np.ndarray:
+    """Every monic of degree k over F_p in code order, coefficients low-first."""
+    return np.concatenate([digits(np.arange(p**k), p, k), np.ones((p**k, 1), np.int64)], axis=1)
 
 
 def _canonical_modulus(p: int, d: int) -> list[int]:
-    """Least monic irreducible of degree d over F_p, coefficients low-first."""
-    monics_by_degree: dict[int, list[list[int]]] = {}
+    """Least monic irreducible of degree d over F_p, coefficients low-first.
 
-    def monics(deg):
-        if deg not in monics_by_degree:
-            out = []
-            for code in range(p**deg):
-                coeffs = [(code // p**i) % p for i in range(deg)]
-                out.append(coeffs + [1])
-            monics_by_degree[deg] = out
-        return monics_by_degree[deg]
-
-    for cand in monics(d):
-        reducible = False
-        for deg in range(1, d // 2 + 1):
-            for f in monics(deg):
-                if _poly_mod(cand, f, p) == [0]:
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
-            return cand
-    raise PpmodError(f"no irreducible of degree {d} over F_{p}")
+    A reducible monic of degree d is a product of monics of degrees i and
+    d - i for some i <= d/2; the modulus is the first code no product hits.
+    """
+    powers = p ** np.arange(d)
+    reducible = np.zeros(p**d, dtype=bool)
+    for i in range(1, d // 2 + 1):
+        prod = _convolve(_monics(p, i)[:, None], _monics(p, d - i)[None, :]) % p
+        reducible[prod[..., :d] @ powers] = True
+    return digits(np.argmin(reducible), p, d).tolist() + [1]
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -118,13 +110,14 @@ class Field:
     """
 
     def __init__(self, p: int, d: int = 1):
-        if not _is_prime(p):
-            raise PpmodError(f"characteristic {p} is not prime")
+        # the order bound first: _is_prime is trial division up to sqrt(p)
         if d < 1:
             raise PpmodError(f"degree {d} must be >= 1")
         q = p**d
         if q > 256:
             raise PpmodError(f"field order {q} exceeds the table limit 256")
+        if not _is_prime(p):
+            raise PpmodError(f"characteristic {p} is not prime")
         self.p = p
         self.d = d
         self.q = q
@@ -133,47 +126,29 @@ class Field:
         if d > 1:
             self._check_axioms()
 
-    def _digits(self, a: int) -> list[int]:
-        return [(a // self.p**i) % self.p for i in range(self.d)]
-
-    def _from_digits(self, digits: list[int]) -> int:
-        digits = digits + [0] * (self.d - len(digits))
-        return sum((c % self.p) * self.p**i for i, c in enumerate(digits[: self.d]))
-
     def _build_tables(self) -> None:
+        """Every table from the digits of the elements: add and neg digitwise
+        mod p, mul the digit convolution reduced by X^k mod the modulus."""
         p, d, q = self.p, self.d, self.q
-        if d == 1:
-            rng = np.arange(q, dtype=np.int64)
-            self.add_table = ((rng[:, None] + rng[None, :]) % p).astype(ELEM)
-            self.mul_table = ((rng[:, None] * rng[None, :]) % p).astype(ELEM)
-            self.neg_table = ((-rng) % p).astype(ELEM)
-        else:
-            add = np.zeros((q, q), dtype=ELEM)
-            mul = np.zeros((q, q), dtype=ELEM)
-            neg = np.zeros(q, dtype=ELEM)
-            for a in range(q):
-                da = self._digits(a)
-                neg[a] = self._from_digits([(-c) % p for c in da])
-                for b in range(q):
-                    db = self._digits(b)
-                    add[a, b] = self._from_digits(
-                        [(x + y) % p for x, y in zip(da, db)]
-                    )
-                    prod = _poly_mod(_poly_mul(da, db, p), self.modulus, p)
-                    mul[a, b] = self._from_digits(prod)
-            self.add_table = add
-            self.mul_table = mul
-            self.neg_table = neg
-        inv = np.zeros(q, dtype=ELEM)
-        for a in range(1, q):
-            hits = np.nonzero(self.mul_table[a] == 1)[0]
-            if len(hits) != 1:
-                raise PpmodError(f"element {a} has no unique inverse")
-            inv[a] = hits[0]
-        self.inv_table = inv
+        powers = p ** np.arange(d)
+        el = digits(np.arange(q), p, d)
+        # row k is X^k mod the modulus, for the 2d - 1 degrees of a product
+        reduce = np.eye(2 * d - 1, d, dtype=np.int64)
+        for k in range(d, 2 * d - 1):
+            reduce[k, 1:] = reduce[k - 1, :-1]
+            reduce[k] = (reduce[k] - reduce[k - 1, -1] * np.asarray(self.modulus[:d])) % p
+        self.add_table = ((el[:, None] + el[None, :]) % p @ powers).astype(ELEM)
+        self.mul_table = ((_convolve(el[:, None], el[None, :]) @ reduce) % p @ powers).astype(ELEM)
+        self.neg_table = ((-el) % p @ powers).astype(ELEM)
+        hits = self.mul_table == 1
+        bad = np.flatnonzero(hits[1:].sum(axis=1) != 1)
+        if bad.size:
+            raise PpmodError(f"element {bad[0] + 1} has no unique inverse")
+        # row 0 has no hit, so 0 maps to 0
+        self.inv_table = hits.argmax(axis=1).astype(ELEM)
         # nested-list copies for the row elimination in linalg
         self.add_list, self.mul_list, self.neg_list, self.inv_list = (
-            t.tolist() for t in (self.add_table, self.mul_table, self.neg_table, inv)
+            t.tolist() for t in (self.add_table, self.mul_table, self.neg_table, self.inv_table)
         )
 
     def _check_axioms(self) -> None:

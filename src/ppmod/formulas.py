@@ -428,13 +428,8 @@ def pp_type_generator(m: ModuleRep, vectors) -> PpFormula:
     n = vecs.shape[0]
     gens = extend_to_generators(m, vecs)
     rels = presentation(m, gens)
-    neq = rels.shape[0]
-    a = np.transpose(rels[:, :n, :], (1, 0, 2)) if neq else np.zeros(
-        (n, 0, m.algebra.dim), dtype=ELEM
-    )
-    b = np.transpose(rels[:, n:, :], (1, 0, 2)) if neq else np.zeros(
-        (0, 0, m.algebra.dim), dtype=ELEM
-    )
+    a = np.transpose(rels[:, :n, :], (1, 0, 2))
+    b = np.transpose(rels[:, n:, :], (1, 0, 2))
     return pp_formula(m.algebra, m.side, n, a, b)
 
 

@@ -26,6 +26,8 @@ from .fields import ELEM, Field
 
 # The most rows any listing of F_q^n may have (elements, coefficient tuples).
 ENUMERATION_CAP = 2**20
+# The most image entries one ``images`` call of a walk over elements builds.
+WALK_CELLS = 2**14
 
 
 def zeros(m: int, n: int) -> np.ndarray:

@@ -98,23 +98,26 @@ def end_and_biend(m: ModuleRep) -> EndBiend:
 
 def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
     """Module generators over End, greedy by the rows each End-orbit adds
-    to a copy of the echelon span (``linalg.grow_basis``)."""
+    to a copy of the echelon span (``linalg.grow_basis``).  The orbits are
+    built a chunk at a time, at most ``linalg.WALK_CELLS`` entries each."""
     field = m.algebra.field
     d = m.dim
     span: list = []
     chosen: list[np.ndarray] = []
     elements = m.enumerate_elements()
-    # images[v] lists v @ h for every h in end_mats
-    images = linalg.images(field, elements, end_mats)
+    step = max(1, linalg.WALK_CELLS // max(1, end_mats.shape[0] * d))
     while len(span) < d:
         best = None
         best_gain = 0
         best_span = span
-        for v, image in zip(elements, images):
-            cand = list(span)
-            gain = linalg.grow_basis(field, cand, image)
-            if gain > best_gain:
-                best, best_gain, best_span = v, gain, cand
+        for start in range(0, len(elements), step):
+            chunk = elements[start : start + step]
+            # image lists v @ h for every h in end_mats
+            for v, image in zip(chunk, linalg.images(field, chunk, end_mats)):
+                cand = list(span)
+                gain = linalg.grow_basis(field, cand, image)
+                if gain > best_gain:
+                    best, best_gain, best_span = v, gain, cand
         if best is None:
             raise ValidationFailure("no element extends the End-orbit span")
         chosen.append(best)

@@ -6,6 +6,7 @@ algebra reduces to these tables.
 """
 
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ppmod import Field
-from ppmod.errors import DimensionMismatch
+from ppmod.errors import DimensionMismatch, PpmodError
 from ppmod.fields import ELEM
 
 SMALL_FIELDS = [Field(2), Field(3), Field(5), Field(7), Field(2, 2), Field(3, 2), Field(2, 3)]
@@ -148,3 +149,24 @@ def test_fingerprint_distinguishes_fields():
     assert Field(2).fingerprint() != Field(3).fingerprint()
     assert Field(2).fingerprint() != Field(2, 2).fingerprint()
     assert Field(5).fingerprint() == Field(5).fingerprint()
+
+
+def test_huge_field_orders_are_refused_before_the_primality_search():
+    def interrupted(signum, frame):
+        raise TimeoutError("the search for a prime factor ran")
+
+    previous = signal.signal(signal.SIGALRM, interrupted)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        for p, d in ((257, 1), (1000, 1), (2**31 - 1, 2), (2**61 - 1, 1), (2**89 - 1, 1), (2, 9)):
+            with pytest.raises(PpmodError, match=f"field order {p**d} exceeds the table limit 256"):
+                Field(p, d)
+        with pytest.raises(PpmodError, match="degree 0 must be >= 1"):
+            Field(2**61 - 1, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    for p, d in ((-3, 1), (0, 1), (1, 3), (6, 1), (4, 2), (255, 1)):
+        with pytest.raises(PpmodError, match=f"characteristic {p} is not prime"):
+            Field(p, d)
+    assert Field(2, 8).modulus == [1, 1, 0, 1, 1, 0, 0, 0, 1] and Field(251).modulus is None

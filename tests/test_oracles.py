@@ -113,6 +113,18 @@ this replaced are kept as oracles: the per-map list of criterion 3,
 both ways) and ``oracle_strict_atomic_witness`` (generator, evaluation,
 then the constrained solve), which must give the same answers and raise
 the same exception class and message.
+
+A field element is its base-p digits: ``Field`` builds its tables with
+``fields.digits`` and whole-array operations, and finds its modulus as
+the first monic no product of lower-degree monics hits.  The builder it
+replaced (polynomial multiply and remainder on lists, the modulus by
+trial division of each candidate, the loop over element pairs and the
+per-element inverse search) is kept as ``oracle_field_tables``; the
+tables, their list copies and the modulus must agree for all 70 prime
+powers q <= 256.  ``digits`` must give ``linalg.all_vectors`` on
+``arange(q**n)``.  The greedy End generators take their orbits a chunk
+at a time; the loop that took every orbit at once is kept as
+``all_at_once_greedy_generators``.
 """
 
 import functools
@@ -160,7 +172,7 @@ from ppmod.errors import (
     PpmodError,
     ValidationFailure,
 )
-from ppmod.fields import ELEM
+from ppmod.fields import ELEM, _is_prime, digits
 from ppmod.formulas import (
     SubgroupRep,
     bot,
@@ -215,6 +227,7 @@ from ppmod.modules import (
 from ppmod.records import replace
 from ppmod.scalars import (
     RingTable,
+    _greedy_generators,
     _make_ring_table,
     end_and_biend,
     scalar_ring,
@@ -446,6 +459,30 @@ def oracle_greedy_generators(m, end_mats):
             ]) if end_mats.shape[0] else np.zeros((0, d), dtype=ELEM)
             cand = linalg.row_space(field, np.concatenate([span, rows], axis=0))
             gain = cand.shape[0] - span.shape[0]
+            if gain > best_gain:
+                best, best_gain, best_span = v, gain, cand
+        if best is None:
+            raise ValidationFailure("no element extends the End-orbit span")
+        chosen.append(best)
+        span = best_span
+    return np.stack(chosen) if chosen else np.zeros((0, d), dtype=ELEM)
+
+
+def all_at_once_greedy_generators(m, end_mats):
+    """The greedy pass with every End-orbit from one ``images`` call."""
+    field = m.algebra.field
+    d = m.dim
+    span: list = []
+    chosen: list[np.ndarray] = []
+    elements = m.enumerate_elements()
+    images = linalg.images(field, elements, end_mats)
+    while len(span) < d:
+        best = None
+        best_gain = 0
+        best_span = span
+        for v, image in zip(elements, images):
+            cand = list(span)
+            gain = linalg.grow_basis(field, cand, image)
             if gain > best_gain:
                 best, best_gain, best_span = v, gain, cand
         if best is None:
@@ -875,6 +912,16 @@ def test_presentation_and_generators_match_the_loops(m):
         same_generators_and_presentation(m, start.reshape(1, -1))
     eb = end_and_biend(m)
     assert np.array_equal(eb.generators, oracle_greedy_generators(m, eb.end.basis))
+
+
+@pytest.mark.parametrize("cells", [1, 40, linalg.WALK_CELLS])
+def test_greedy_generators_match_the_all_at_once_orbits(cells, monkeypatch):
+    # tiny chunks put most elements past a chunk boundary
+    monkeypatch.setattr(linalg, "WALK_CELLS", cells)
+    for m in GRID_MODULES:
+        end_mats = hom_basis(m, m)
+        want = all_at_once_greedy_generators(m, end_mats)
+        assert same_array(_greedy_generators(m, end_mats), want)
 
 
 def same_lattice(got, want):
@@ -2482,9 +2529,7 @@ def test_purity_matches_the_element_loops_on_the_grids(alg, side):
 @pytest.mark.parametrize("alg", [fixtures.r2(), fixtures.f3()], ids=["r2", "f3"])
 def test_purity_witnesses_keep_the_code_order_across_walk_chunks(alg, cells, monkeypatch):
     # tiny chunks put most witnesses past a chunk boundary
-    import ppmod.defcat
-
-    monkeypatch.setattr(ppmod.defcat, "_WALK_CELLS", cells)
+    monkeypatch.setattr(linalg, "WALK_CELLS", cells)
     grid = [m for m in fixtures.right_grid(alg) if m.dim <= 3]
     rng = random.Random(9)
     for m, n in product(grid, repeat=2):
@@ -2713,3 +2758,119 @@ def test_strict_atomic_witness_matches_the_formula_path(data, alg, side):
         got = strict_atomic_witness(m, src, n, tgt)
         want = oracle_strict_atomic_witness(m, src, ctx, n, tgt)
         assert same_array(got.matrix, want.matrix) and got.source is m and got.target is n
+
+
+# -- the replaced field builder --------------------------------------------------
+
+
+def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
+    a = list(a)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], p - 2, p)
+    while len(a) - 1 >= dm and any(a):
+        shift = len(a) - 1 - dm
+        c = (a[-1] * inv_lead) % p
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - c * mi) % p
+        while len(a) > 1 and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def oracle_modulus(p: int, d: int) -> list[int]:
+    """The first monic of degree d with no monic factor of degree <= d/2."""
+    def monics(deg):
+        return [[(code // p**i) % p for i in range(deg)] + [1] for code in range(p**deg)]
+
+    for cand in monics(d):
+        if not any(
+            _poly_mod(cand, f, p) == [0] for deg in range(1, d // 2 + 1) for f in monics(deg)
+        ):
+            return cand
+    raise AssertionError(f"no irreducible of degree {d} over F_{p}")
+
+
+def oracle_field_tables(p: int, d: int):
+    """(modulus, add, mul, neg, inv) of F_{p^d}: mod p for d == 1, else the
+    loop over element pairs, and the inverse of each element searched alone."""
+    q = p**d
+    if d == 1:
+        modulus = None
+        rng = np.arange(q, dtype=np.int64)
+        add = ((rng[:, None] + rng[None, :]) % p).astype(ELEM)
+        mul = ((rng[:, None] * rng[None, :]) % p).astype(ELEM)
+        neg = ((-rng) % p).astype(ELEM)
+    else:
+        modulus = oracle_modulus(p, d)
+
+        def to_digits(a):
+            return [(a // p**i) % p for i in range(d)]
+
+        def from_digits(digs):
+            digs = digs + [0] * (d - len(digs))
+            return sum((c % p) * p**i for i, c in enumerate(digs[:d]))
+
+        add = np.zeros((q, q), dtype=ELEM)
+        mul = np.zeros((q, q), dtype=ELEM)
+        neg = np.zeros(q, dtype=ELEM)
+        for a in range(q):
+            da = to_digits(a)
+            neg[a] = from_digits([(-c) % p for c in da])
+            for b in range(q):
+                db = to_digits(b)
+                add[a, b] = from_digits([(x + y) % p for x, y in zip(da, db)])
+                mul[a, b] = from_digits(_poly_mod(_poly_mul(da, db, p), modulus, p))
+    inv = np.zeros(q, dtype=ELEM)
+    for a in range(1, q):
+        hits = np.nonzero(mul[a] == 1)[0]
+        assert len(hits) == 1
+        inv[a] = hits[0]
+    return modulus, (add, mul, neg, inv)
+
+
+FIELD_ORDERS = [(p, d) for p in range(2, 257) if _is_prime(p) for d in range(1, 9) if p**d <= 256]
+
+
+def test_the_field_oracle_covers_every_prime_power_up_to_256():
+    orders = sorted(p**d for p, d in FIELD_ORDERS)
+    assert len(orders) == 70 and len(set(orders)) == 70 and orders[-1] == 256
+
+
+@pytest.mark.parametrize("p, d", FIELD_ORDERS, ids=[f"F{p**d}" for p, d in FIELD_ORDERS])
+def test_field_tables_match_the_pair_loop(p, d):
+    field = Field(p, d)
+    modulus, tables = oracle_field_tables(p, d)
+    assert field.modulus == modulus
+    for name, want in zip(("add", "mul", "neg", "inv"), tables):
+        assert same_array(getattr(field, f"{name}_table"), want)
+        assert getattr(field, f"{name}_list") == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "p, d, n", [(2, 1, 0), (2, 1, 11), (3, 1, 6), (2, 2, 5), (5, 1, 4), (3, 2, 3), (2, 3, 4)]
+)
+def test_digits_of_the_codes_are_all_vectors(p, d, n):
+    field = Field(p, d)
+    got = digits(np.arange(field.q**n), field.q, n)
+    assert got.shape == (field.q**n, n)
+    assert same_array(got.astype(ELEM), linalg.all_vectors(field, n))
+
+
+def test_digits_of_codes_past_int32():
+    codes = [0, 1, 2**31, 2**40 + 12345, 3**39 + 7, 2**62 + 3, 2**63 - 1]
+    for base, width in ((2, 63), (3, 40), (7, 23), (256, 8), (10, 3)):
+        got = digits(np.array(codes), base, width)
+        assert got.dtype == np.int64 and got.shape == (len(codes), width)
+        assert got.tolist() == [[(c // base**i) % base for i in range(width)] for c in codes]
+    assert digits(np.array([[5, 6]]), 2, 3).tolist() == [[[1, 0, 1], [0, 1, 1]]]

@@ -1,6 +1,7 @@
 """Endomorphism rings, bicommutants, and definable scalar synthesis."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from ppmod import (
 )
 from ppmod.errors import ValidationFailure
 from ppmod.fields import ELEM
-from ppmod.fixtures import mod_rr, mod_rr_alt, mod_s, r2, tri2
+from ppmod.fixtures import k2, mod_rr, mod_rr_alt, mod_s, r2, tri2
+from ppmod.modules import hom_basis, make_module
+from ppmod.scalars import _greedy_generators
 
 F2 = Field(2)
 
@@ -155,3 +158,18 @@ def test_generators_span_the_module_over_its_endomorphisms():
         ]
         span = linalg.row_space(F2, np.stack(rows))
         assert span.shape[0] == m.dim
+
+
+def test_greedy_generators_take_the_orbits_in_bounded_chunks():
+    # F2^12 over k2: End is every 12 x 12 matrix (144 maps), and all 4096
+    # orbits at once were a 4096 x 1728 int64 product, about 108 MB traced
+    m = make_module(k2(), "right", 12, np.eye(12, dtype=ELEM)[None])
+    end_mats = hom_basis(m, m)
+    tracemalloc.start()
+    try:
+        generators = _greedy_generators(m, end_mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert generators.tolist() == [[1] + [0] * 11]
+    assert peak < 8 * 2**20

@@ -121,7 +121,15 @@ def run_bench_pairs(monkeypatch, tmp_path, *extra):
     bench = load_bench_pairs()
     monkeypatch.chdir(tmp_path)
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    monkeypatch.setattr(bench, "_clone", lambda rev, dest: dest.mkdir(parents=True))
+    def clone(rev, dest):
+        # the parent's sources have 3 + 4 lines, the change's 3 + 2
+        package = dest / "src" / "ppmod"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\n\ny = 2\n")
+        (package / "b.py").write_text("z = 3\n" * (4 if dest.name == "parent" else 2))
+        (package / "notes.txt").write_text("not counted\n")
+
+    monkeypatch.setattr(bench, "_clone", clone)
     monkeypatch.setattr(bench, "_subject", lambda rev: "Some change")
 
     def run(side, workload, seed, traced):
@@ -178,6 +186,11 @@ def test_bench_pairs_records_the_median_import_time_per_side(monkeypatch, tmp_pa
         "change": {"runs": CHANGE_IMPORT_US, "median": 6100},
     }
     assert "python3 -X importtime -c 'import numpy, ppmod.cli'" in out["commands"][2]
+
+
+def test_bench_pairs_records_the_source_lines_per_side(monkeypatch, tmp_path):
+    out = run_bench_pairs(monkeypatch, tmp_path)
+    assert out["src_lines"] == {"parent": 7, "change": 5}
 
 
 def test_bench_pairs_reads_the_cumulative_import_time():

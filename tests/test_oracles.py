@@ -2839,12 +2839,8 @@ def oracle_field_tables(p: int, d: int):
     return modulus, (add, mul, neg, inv)
 
 
+# the 70 prime powers q <= 256
 FIELD_ORDERS = [(p, d) for p in range(2, 257) if _is_prime(p) for d in range(1, 9) if p**d <= 256]
-
-
-def test_the_field_oracle_covers_every_prime_power_up_to_256():
-    orders = sorted(p**d for p, d in FIELD_ORDERS)
-    assert len(orders) == 70 and len(set(orders)) == 70 and orders[-1] == 256
 
 
 @pytest.mark.parametrize("p, d", FIELD_ORDERS, ids=[f"F{p**d}" for p, d in FIELD_ORDERS])

@@ -113,6 +113,10 @@ class Field:
         # the order bound first: _is_prime is trial division up to sqrt(p)
         if d < 1:
             raise PpmodError(f"degree {d} must be >= 1")
+        # |p| >= 2 and d > 8 exceed 256; a power past 64 bits is named, not
+        # taken, for it may be too large to take or to print
+        if abs(p) >= 2 and d > 8 and d * abs(p).bit_length() > 64:
+            raise PpmodError(f"field order {p}^{d} exceeds the table limit 256")
         q = p**d
         if q > 256:
             raise PpmodError(f"field order {q} exceeds the table limit 256")
@@ -123,12 +127,12 @@ class Field:
         self.q = q
         self.modulus = None if d == 1 else _canonical_modulus(p, d)
         self._build_tables()
-        if d > 1:
-            self._check_axioms()
 
     def _build_tables(self) -> None:
         """Every table from the digits of the elements: add and neg digitwise
-        mod p, mul the digit convolution reduced by X^k mod the modulus."""
+        mod p, mul the digit convolution reduced by X^k mod the modulus.
+        F_p[X]/(f) is a commutative ring for every monic f; only that it is
+        a field depends on f, and the unique inverses below check it."""
         p, d, q = self.p, self.d, self.q
         powers = p ** np.arange(d)
         el = digits(np.arange(q), p, d)
@@ -150,30 +154,6 @@ class Field:
         self.add_list, self.mul_list, self.neg_list, self.inv_list = (
             t.tolist() for t in (self.add_table, self.mul_table, self.neg_table, self.inv_table)
         )
-
-    def _check_axioms(self) -> None:
-        q = self.q
-        a = np.arange(q, dtype=ELEM)
-        am = self.add_table
-        mm = self.mul_table
-        if not np.array_equal(am, am.T) or not np.array_equal(mm, mm.T):
-            raise PpmodError("field tables are not commutative")
-        # associativity and distributivity on all q^3 triples
-        lhs = am[am[a[:, None, None], a[None, :, None]], a[None, None, :]]
-        rhs = am[a[:, None, None], am[a[None, :, None], a[None, None, :]]]
-        if not np.array_equal(lhs, rhs):
-            raise PpmodError("addition is not associative")
-        lhs = mm[mm[a[:, None, None], a[None, :, None]], a[None, None, :]]
-        rhs = mm[a[:, None, None], mm[a[None, :, None], a[None, None, :]]]
-        if not np.array_equal(lhs, rhs):
-            raise PpmodError("multiplication is not associative")
-        lhs = mm[a[:, None, None], am[a[None, :, None], a[None, None, :]]]
-        rhs = am[
-            mm[a[:, None, None], a[None, :, None]],
-            mm[a[:, None, None], a[None, None, :]],
-        ]
-        if not np.array_equal(lhs, rhs):
-            raise PpmodError("distributivity fails")
 
     # -- elementwise operations (broadcasting) --------------------------
 
@@ -214,8 +194,11 @@ class Field:
     def mul(self, a, b) -> np.ndarray:
         return self.mul_table[np.asarray(a, ELEM), np.asarray(b, ELEM)]
 
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
+    def inv(self, a) -> int:
+        a = self.asarray(a)
+        if a.ndim:
+            raise DimensionMismatch("inv takes one element")
+        if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         return int(self.inv_table[a])
 
@@ -231,8 +214,8 @@ class Field:
         return out
 
     def dot(self, u, v) -> int:
-        u = np.asarray(u, ELEM)
-        v = np.asarray(v, ELEM)
+        u = self.asarray(u)
+        v = self.asarray(v)
         if u.shape != v.shape:
             raise DimensionMismatch("dot of unequal shapes")
         if u.size == 0:

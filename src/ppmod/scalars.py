@@ -110,14 +110,16 @@ def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
         best = None
         best_gain = 0
         best_span = span
-        for start in range(0, len(elements), step):
-            chunk = elements[start : start + step]
-            # image lists v @ h for every h in end_mats
-            for v, image in zip(chunk, linalg.images(field, chunk, end_mats)):
-                cand = list(span)
-                gain = linalg.grow_basis(field, cand, image)
-                if gain > best_gain:
-                    best, best_gain, best_span = v, gain, cand
+        chunks = (elements[start : start + step] for start in range(0, len(elements), step))
+        # image lists v @ h for every h in end_mats, a chunk at a time
+        for v, image in (o for c in chunks for o in zip(c, linalg.images(field, c, end_mats))):
+            cand = list(span)
+            gain = linalg.grow_basis(field, cand, image)
+            if gain > best_gain:
+                best, best_gain, best_span = v, gain, cand
+                # no orbit adds more rows, and ties keep the first
+                if gain == d - len(span):
+                    break
         if best is None:
             raise ValidationFailure("no element extends the End-orbit span")
         chosen.append(best)

@@ -2,11 +2,14 @@
 
 Every field with q <= 9 is small enough to verify the full ring axioms
 by brute force, which keeps the rest of the suite honest: all linear
-algebra reduces to these tables.
+algebra reduces to these tables.  ``Field`` itself checks only the order
+bound, primality and unique inverses; the ring axioms of every extension
+field up to q = 256 are re-proved in ``test_oracles``.
 """
 
 import itertools
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +78,23 @@ def _fold_add(field, flat):
     for v in flat:
         acc = field.add(acc, v)
     return acc
+
+
+def test_inv_and_dot_validate_their_arguments():
+    f = Field(2)
+    for bad in (-1, 2, 3, 1.0, True, np.True_, "1", [1, 1]):
+        with pytest.raises(DimensionMismatch):
+            f.inv(bad)
+    for u in ([3], [1.7], [-1], [True], [2**70]):
+        with pytest.raises(DimensionMismatch):
+            f.dot(u, [1])
+        with pytest.raises(DimensionMismatch):
+            f.dot([1], u)
+    for zero in (0, np.int16(0), f.asarray(0)):
+        with pytest.raises(ZeroDivisionError, match="0 has no inverse"):
+            f.inv(zero)
+    assert f.inv(1) == 1 and Field(5).inv(np.int64(2)) == 3
+    assert f.dot([1, 1], [1, 1]) == 0 and f.dot([], []) == 0
 
 
 def test_dot_is_bilinear():
@@ -163,6 +183,13 @@ def test_huge_field_orders_are_refused_before_the_primality_search():
                 Field(p, d)
         with pytest.raises(PpmodError, match="degree 0 must be >= 1"):
             Field(2**61 - 1, 0)
+        # orders too large to print: 2^20000 has 6,021 digits
+        for p, d in ((2, 20000), (3, 10000), (2, 10**9), (-5, 10**9)):
+            with pytest.raises(PpmodError, match=rf"field order {p}\^{d} exceeds the table limit 256"):
+                Field(p, d)
+        for p in (-1, 0, 1):
+            with pytest.raises(PpmodError, match=f"characteristic {p} is not prime"):
+                Field(p, 10**9)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -170,3 +197,16 @@ def test_huge_field_orders_are_refused_before_the_primality_search():
         with pytest.raises(PpmodError, match=f"characteristic {p} is not prime"):
             Field(p, d)
     assert Field(2, 8).modulus == [1, 1, 0, 1, 1, 0, 0, 0, 1] and Field(251).modulus is None
+
+
+def test_building_f256_stays_small():
+    # the tables need one (256, 256, 15) int64 digit convolution, 7.9 MB;
+    # the q^3 re-proof of the ring axioms peaked at 97.7 MB
+    tracemalloc.start()
+    try:
+        field = Field(2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.mul_list[2][field.inv_list[2]] == 1
+    assert peak < 16 * 2**20

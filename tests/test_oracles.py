@@ -123,8 +123,15 @@ per-element inverse search) is kept as ``oracle_field_tables``; the
 tables, their list copies and the modulus must agree for all 70 prime
 powers q <= 256.  ``digits`` must give ``linalg.all_vectors`` on
 ``arange(q**n)``.  The greedy End generators take their orbits a chunk
-at a time; the loop that took every orbit at once is kept as
-``all_at_once_greedy_generators``.
+at a time and end a round at the first orbit that completes the span;
+the loop that took every orbit at once and scanned every element in
+every round is kept as ``all_at_once_greedy_generators``.
+
+F_p[X]/(f) is a commutative ring for every monic f, so ``Field`` builds
+its tables without re-proving the ring axioms.  That re-proof, once
+``Field._check_axioms``, is kept as ``check_ring_axioms``: commutativity,
+and associativity and distributivity on all q^3 triples, for each of the
+16 extension orders q <= 256.
 """
 
 import functools
@@ -134,6 +141,7 @@ import random
 from itertools import combinations, product
 from operator import and_
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -2851,6 +2859,59 @@ def test_field_tables_match_the_pair_loop(p, d):
     for name, want in zip(("add", "mul", "neg", "inv"), tables):
         assert same_array(getattr(field, f"{name}_table"), want)
         assert getattr(field, f"{name}_list") == want.tolist()
+
+
+def check_ring_axioms(field) -> None:
+    """The re-proof ``Field`` ran on every extension field it built."""
+    q = field.q
+    a = np.arange(q, dtype=ELEM)
+    am = field.add_table
+    mm = field.mul_table
+    if not np.array_equal(am, am.T) or not np.array_equal(mm, mm.T):
+        raise PpmodError("field tables are not commutative")
+    # associativity and distributivity on all q^3 triples
+    lhs = am[am[a[:, None, None], a[None, :, None]], a[None, None, :]]
+    rhs = am[a[:, None, None], am[a[None, :, None], a[None, None, :]]]
+    if not np.array_equal(lhs, rhs):
+        raise PpmodError("addition is not associative")
+    lhs = mm[mm[a[:, None, None], a[None, :, None]], a[None, None, :]]
+    rhs = mm[a[:, None, None], mm[a[None, :, None], a[None, None, :]]]
+    if not np.array_equal(lhs, rhs):
+        raise PpmodError("multiplication is not associative")
+    lhs = mm[a[:, None, None], am[a[None, :, None], a[None, None, :]]]
+    rhs = am[
+        mm[a[:, None, None], a[None, :, None]],
+        mm[a[:, None, None], a[None, None, :]],
+    ]
+    if not np.array_equal(lhs, rhs):
+        raise PpmodError("distributivity fails")
+
+
+# the 16 orders q <= 256 with d > 1
+EXTENSION_ORDERS = [(p, d) for p, d in FIELD_ORDERS if d > 1]
+
+
+@pytest.mark.parametrize("p, d", EXTENSION_ORDERS, ids=[f"F{p**d}" for p, d in EXTENSION_ORDERS])
+def test_extension_fields_satisfy_the_ring_axioms(p, d):
+    check_ring_axioms(Field(p, d))
+
+
+def test_the_ring_axiom_check_catches_broken_tables():
+    assert len(EXTENSION_ORDERS) == 16
+    field = Field(2, 2)
+    # mul(2, 3) = mul(3, 2) set to mul(2, 2) stays commutative but is no
+    # longer associative; add(0, 1) set to 0 is no longer commutative
+    cases = []
+    mul = field.mul_table.copy()
+    mul[2, 3] = mul[3, 2] = mul[2, 2]
+    cases.append((field.add_table, mul, "multiplication is not associative"))
+    add = field.add_table.copy()
+    add[0, 1] = 0
+    cases.append((add, field.mul_table, "not commutative"))
+    for add_table, mul_table, message in cases:
+        broken = SimpleNamespace(q=field.q, add_table=add_table, mul_table=mul_table)
+        with pytest.raises(PpmodError, match=message):
+            check_ring_axioms(broken)
 
 
 @pytest.mark.parametrize(

@@ -173,3 +173,20 @@ def test_greedy_generators_take_the_orbits_in_bounded_chunks():
         tracemalloc.stop()
     assert generators.tolist() == [[1] + [0] * 11]
     assert peak < 8 * 2**20
+
+
+def test_a_greedy_round_stops_at_the_orbit_that_completes_the_span(monkeypatch):
+    # F2^12 over k2: the orbit of e_1 is everything, so the one round reads
+    # the zero vector and e_1, where scanning every element made 4,096 calls
+    m = make_module(k2(), "right", 12, np.eye(12, dtype=ELEM)[None])
+    end_mats = hom_basis(m, m)
+    calls = []
+    grow_basis = linalg.grow_basis
+
+    def spy(field, basis, rows):
+        calls.append(len(rows))
+        return grow_basis(field, basis, rows)
+
+    monkeypatch.setattr(linalg, "grow_basis", spy)
+    assert _greedy_generators(m, end_mats).tolist() == [[1] + [0] * 11]
+    assert calls == [144, 144]

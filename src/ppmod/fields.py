@@ -100,8 +100,8 @@ class Field:
     """F_{p^d} with precomputed add/mul/neg/inv tables.
 
     Args:
-        p: characteristic, a prime.
-        d: extension degree, >= 1.
+        p: characteristic, a prime int.
+        d: extension degree, an int >= 1.
 
     Attributes:
         p, d, q: characteristic, degree, and order q = p**d.
@@ -110,9 +110,15 @@ class Field:
     """
 
     def __init__(self, p: int, d: int = 1):
+        for name, value in (("characteristic", p), ("degree", d)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise PpmodError(f"{name} must be an int, not {type(value).__name__}")
         # the order bound first: _is_prime is trial division up to sqrt(p)
         if d < 1:
             raise PpmodError(f"degree {d} must be >= 1")
+        # a p past 256 bits is named by its length, so no int printed below has 640 digits
+        if abs(p).bit_length() > 256:
+            raise PpmodError(f"a {abs(p).bit_length()}-bit characteristic exceeds the table limit 256")
         # |p| >= 2 and d > 8 exceed 256; a power past 64 bits is named, not
         # taken, for it may be too large to take or to print
         if abs(p) >= 2 and d > 8 and d * abs(p).bit_length() > 64:

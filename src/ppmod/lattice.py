@@ -13,14 +13,13 @@ containing a, is the orbit End(M)·a under the diagonal action on M^n,
 and the pp-definable subgroups are the End(M)-submodules of M^n (Prest,
 Purity, Spectra and Localisation, 2009, 1.2).  A whole lattice is the
 join-closure of the orbits, one a per projective point of F_q^n, with
-no subspace enumeration; the pointed power only gives each element its
-witness.  The closure sums each element once with each principal, and
-x + y is x plus, one stored sum at a time, the principals that first
-reached y; a <= b iff a + b = b, and the meet of a and b is their
-common lower bound of largest dimension, checked by the modular identity
-dim(a & b) + dim(a + b) = dim a + dim b.  One cap bounds the pointed
-power of the top M^arity, which is the largest any element's witness
-needs.
+no subspace enumeration and no element to prove definable; the pointed
+power only gives an element its witness, when it is read.  The closure
+sums each element once with each principal, and x + y is x plus, one
+stored sum at a time, the principals that first reached y; a <= b iff
+a + b = b, and the meet of a and b, their intersection, is their common
+lower bound of largest dimension.  One cap bounds the pointed power of
+the top M^arity, which is the largest any element's witness needs.
 
 Every filter of the finite lattice is a principal up-set up(g), so a
 filter is its generator g and every filter question is read off ``leq``:
@@ -55,6 +54,19 @@ class DefinabilityResult:
     closure: np.ndarray  # canonical basis of the least definable superset
 
 
+def _pointed_generator(m: ModuleRep, rows: np.ndarray, arity: int) -> PpFormula:
+    """The pp-type generator of the diagonal tuple of M^k that the k RREF rows
+    of a subspace S of M^arity point; it defines the least definable S' >= S."""
+    k = rows.shape[0]
+    if k == 0:
+        return bot(m.algebra, m.side, arity)
+    power = direct_sum([m] * k).module
+    # diagonal tuple: the j-th entry collects the j-th coordinate block
+    # of every spanning row
+    diag = rows.reshape(k, arity, m.dim).transpose(1, 0, 2).reshape(arity, power.dim)
+    return pp_type_generator(power, diag)
+
+
 def is_pp_definable(
     m: ModuleRep, basis, arity: int = 1, cap: int = DEFAULT_CAP
 ) -> DefinabilityResult:
@@ -67,18 +79,11 @@ def is_pp_definable(
     field = m.algebra.field
     rows = linalg.row_space(field, tuple_rows(basis, m.dim * arity))
     k = rows.shape[0]
-    if k == 0:
-        return DefinabilityResult(True, bot(m.algebra, m.side, arity), rows)
-    if field.q ** (m.dim * k) > cap:
+    if k and field.q ** (m.dim * k) > cap:
         raise CapExceeded(f"pointed power needs |M|^{k} = {field.q ** (m.dim * k)} > cap {cap}")
-    power = direct_sum([m] * k).module
-    # diagonal tuple: the j-th entry collects the j-th coordinate block
-    # of every spanning row
-    diag = rows.reshape(k, arity, m.dim).transpose(1, 0, 2).reshape(arity, power.dim)
-    phi = pp_type_generator(power, diag)
-    closure = evaluate(phi, m).basis
-    definable = linalg.subspace_eq(closure, rows)
-    return DefinabilityResult(definable, phi, closure)
+    phi = _pointed_generator(m, rows, arity)
+    closure = evaluate(phi, m).basis if k else rows
+    return DefinabilityResult(linalg.subspace_eq(closure, rows), phi, closure)
 
 
 @record
@@ -92,10 +97,15 @@ class PpLattice:
     module: ModuleRep
     arity: int
     elements: tuple[SubgroupRep, ...]
-    witnesses: tuple[PpFormula, ...]
     leq: np.ndarray  # bool (k, k)
     meet: np.ndarray  # int (k, k)
     join: np.ndarray  # int (k, k)
+
+    @property
+    def witnesses(self) -> tuple[PpFormula, ...]:
+        """Each element's ``is_pp_definable`` witness, built on each read (the
+        ``pp_type_generator`` memo makes a second read cheap)."""
+        return tuple(_pointed_generator(self.module, el.basis, self.arity) for el in self.elements)
 
     @property
     def size(self) -> int:
@@ -137,9 +147,8 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
     of F_q^n, sums each non-zero element with each principal once; column
     y of ``join`` folds those sums along the principals that first reached
     y, so no join needs a lookup check.  ``leq`` and ``meet`` are read
-    off ``join`` and the meets checked by the modular identity.  The cap
-    bounds the pointed power of the top M^arity, the largest any witness
-    needs.
+    off ``join``.  The cap bounds the pointed power of the top M^arity,
+    the largest any witness needs.
     """
     field = m.algebra.field
     n = m.dim * arity
@@ -165,11 +174,7 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
                     grown.append(t)
         frontier = grown
     bases = sorted(found.values(), key=lambda b: (b.shape[0], b.tobytes()))
-    elements = tuple(SubgroupRep(m, arity, basis) for basis in bases)
-    results = [is_pp_definable(m, basis, arity, cap) for basis in bases]
-    if not all(res.definable for res in results):
-        raise ValidationFailure("a sum of pp closures is not pp-definable")
-    k = len(elements)
+    k = len(bases)
     index = {basis.tobytes(): i for i, basis in enumerate(bases)}
     table = np.array([[index[t] for t in plus[b.tobytes()]] for b in bases], dtype=np.int32)
     join = np.zeros((k, k), dtype=np.int32)
@@ -184,12 +189,8 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
     for i in range(k):
         # the common lower bound of largest dimension: the last in sort order
         meet[i] = k - 1 - (leq[:, i, None] & leq)[::-1].argmax(axis=0)
-    # each meet lies in the intersection and each join is the sum, so the
-    # modular identity holds iff every meet is the intersection
-    dims = np.array([el.dim for el in elements])
-    if np.any(dims[meet] + dims[join] != dims[:, None] + dims):
-        raise ValidationFailure("lattice is not closed under intersection; join-closure broken")
-    return PpLattice(m, arity, elements, tuple(res.witness for res in results), leq, meet, join)
+    elements = tuple(SubgroupRep(m, arity, basis) for basis in bases)
+    return PpLattice(m, arity, elements, leq, meet, join)
 
 
 def _covers(lat: PpLattice) -> np.ndarray:

@@ -12,9 +12,10 @@ assumed, so the ring of definable scalars is Biend(M) itself.
 
 End(M) and Biend(M) are ``RingTable``s: algebras (``algebras.Algebra``)
 over a canonical matrix basis.  End(M) is the ``hom_basis`` stack and
-Biend(M) is ``linalg.intertwiners`` of that stack with itself; their
-structure constants are one ``linalg.pair_products`` of the basis read
-back with one batched ``coords_in_rref``.
+Biend(M) is ``linalg.intertwiners`` of that stack with itself.  Their
+products, the identity and (in Biend) the actions lie in them by
+definition, and their bases are RREF, so the structure constants (one
+``linalg.pair_products``), unit and ``from_r`` are read at the pivots.
 """
 
 from __future__ import annotations
@@ -49,25 +50,22 @@ def _make_ring_table(
     field: Field,
     mats: np.ndarray,
     prefix: str,
-    from_r: np.ndarray | None = None,
+    actions: np.ndarray | None = None,
 ) -> RingTable:
-    """Structure table of a matrix algebra given by a canonical basis.
+    """Structure table of a matrix algebra given by its canonical basis.
 
-    The basis rows (flattened matrices) must be in RREF so products can
-    be re-expanded by pivot extraction; closure under products and
-    presence of the identity are verified.
+    Each product, the identity and each of ``actions`` (read into
+    ``from_r``) must lie in the span; its coordinates are its entries at
+    the pivot columns of the RREF basis rows (flattened matrices).
     """
     k, d = mats.shape[0], mats.shape[1]
     vec = mats.reshape(k, d * d)
-    prods = linalg.pair_products(field, mats).reshape(k * k, d * d)
-    table = linalg.coords_in_rref(field, vec, prods)
-    if table is None:
-        raise ValidationFailure("matrix set is not closed under products")
-    unit = linalg.coords_in_rref(field, vec, linalg.eye(field, d).reshape(-1))
-    if unit is None:
-        raise ValidationFailure("matrix ring does not contain the identity")
+    pivots = [int(np.flatnonzero(row)[0]) for row in vec]
+    table = linalg.pair_products(field, mats).reshape(k, k, d * d)[..., pivots]
+    unit = linalg.eye(field, d).reshape(d * d)[pivots]
+    from_r = None if actions is None else actions.reshape(-1, d * d)[:, pivots]
     labels = tuple(f"{prefix}{i}" for i in range(k))
-    return RingTable(field, labels, table.reshape(k, k, k), unit, mats, from_r)
+    return RingTable(field, labels, table, unit, mats, from_r)
 
 
 @record
@@ -85,13 +83,8 @@ def end_and_biend(m: ModuleRep) -> EndBiend:
     end_mats = hom_basis(m, m)
     end = _make_ring_table(field, end_mats, "f")
     biend_mats = linalg.intertwiners(field, end_mats, end_mats)
-    from_r = None
-    if m.side == RIGHT and d:
-        vec = biend_mats.reshape(biend_mats.shape[0], d * d)
-        from_r = linalg.coords_in_rref(field, vec, m.actions.reshape(m.algebra.dim, d * d))
-        if from_r is None:
-            raise ValidationFailure("module action does not land in the commutant")
-    biend = _make_ring_table(field, biend_mats, "g", from_r)
+    actions = m.actions if m.side == RIGHT and d else None
+    biend = _make_ring_table(field, biend_mats, "g", actions)
     generators = _greedy_generators(m, end_mats)
     return EndBiend(end, biend, generators)
 
@@ -99,7 +92,9 @@ def end_and_biend(m: ModuleRep) -> EndBiend:
 def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
     """Module generators over End, greedy by the rows each End-orbit adds
     to a copy of the echelon span (``linalg.grow_basis``).  The orbits are
-    built a chunk at a time, at most ``linalg.WALK_CELLS`` entries each."""
+    built a chunk at a time, at most ``linalg.WALK_CELLS`` entries each.
+    No orbit adds more than min(d - len(span), dim End) rows, so a round
+    ends at the first that does; End holds the identity, so one grows."""
     field = m.algebra.field
     d = m.dim
     span: list = []
@@ -110,6 +105,7 @@ def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
         best = None
         best_gain = 0
         best_span = span
+        most = min(d - len(span), end_mats.shape[0])
         chunks = (elements[start : start + step] for start in range(0, len(elements), step))
         # image lists v @ h for every h in end_mats, a chunk at a time
         for v, image in (o for c in chunks for o in zip(c, linalg.images(field, c, end_mats))):
@@ -117,11 +113,8 @@ def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
             gain = linalg.grow_basis(field, cand, image)
             if gain > best_gain:
                 best, best_gain, best_span = v, gain, cand
-                # no orbit adds more rows, and ties keep the first
-                if gain == d - len(span):
+                if gain == most:
                     break
-        if best is None:
-            raise ValidationFailure("no element extends the End-orbit span")
         chosen.append(best)
         span = best_span
     return np.stack(chosen) if chosen else np.zeros((0, d), dtype=ELEM)
@@ -172,18 +165,11 @@ def synthesize_scalar(m: ModuleRep, g) -> ScalarSynthesis:
         b[k + i, 1] = field.neg(alg.unit)
     for i in range(k):
         base = 2 * k + i * per_conj
+        # slots i and k + i share x_i and y_i; the others take fresh rows
         fresh = iter(range(base, base + 2 * k - 2))
-        slot_row = {}
-        for s in range(2 * k):
-            if s == i:
-                slot_row[s] = i
-            elif s == k + i:
-                slot_row[s] = k + i
-            else:
-                slot_row[s] = next(fresh)
         col0 = 2 + i * phi.neq
         for s in range(2 * k):
-            b[slot_row[s], col0 : col0 + phi.neq] = phi.a[s]
+            b[s if s in (i, k + i) else next(fresh), col0 : col0 + phi.neq] = phi.a[s]
         for r in range(phi.nbound):
             b[base + 2 * k - 2 + r, col0 : col0 + phi.neq] = phi.b[r]
     rho = pp_formula(alg, m.side, 2, a, b)

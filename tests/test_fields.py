@@ -199,6 +199,28 @@ def test_huge_field_orders_are_refused_before_the_primality_search():
     assert Field(2, 8).modulus == [1, 1, 0, 1, 1, 0, 0, 0, 1] and Field(251).modulus is None
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3.0,), "characteristic must be an int, not float"),
+        (("2",), "characteristic must be an int, not str"),
+        ((True,), "characteristic must be an int, not bool"),
+        ((np.int64(3),), "characteristic must be an int, not int64"),
+        ((2, True), "degree must be an int, not bool"),
+        ((3, 1.0), "degree must be an int, not float"),
+        ((10**5000,), "a 16610-bit characteristic exceeds the table limit 256"),
+        ((-(10**5000),), "a 16610-bit characteristic exceeds the table limit 256"),
+        ((10**1000, 8), "a 3322-bit characteristic exceeds the table limit 256"),
+        ((10**1000, 10**9), "a 3322-bit characteristic exceeds the table limit 256"),
+    ],
+)
+def test_field_arguments_must_be_ints_small_enough_to_name(args, message):
+    # Field(3.0) was a field with q = 3.0 equal to Field(3); a characteristic
+    # past the int-to-str digit limit raised Python's ValueError
+    with pytest.raises(PpmodError, match=f"^{message}$"):
+        Field(*args)
+
+
 def test_building_f256_stays_small():
     # the tables need one (256, 256, 15) int64 digit convolution, 7.9 MB;
     # the q^3 re-proof of the ring axioms peaked at 97.7 MB

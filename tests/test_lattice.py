@@ -17,6 +17,7 @@ from ppmod import (
     pp_lattice,
     regular_module,
 )
+from ppmod.acceptance import criterion_7_lattice
 from ppmod.errors import CapExceeded, ValidationFailure
 from ppmod.fixtures import mod_rr, mod_s, r2, tri2
 from ppmod.lattice import principal_closures
@@ -107,11 +108,12 @@ def test_index_of_roundtrip():
         assert lat.index_of(F2.asarray(rows)) == lat.top
 
 
-def test_pp_lattice_witnesses_elements_only_and_reads_meets_off_joins(monkeypatch):
+def test_pp_lattice_builds_witnesses_only_when_they_are_read(monkeypatch):
     import ppmod.lattice
     import ppmod.modules
 
-    calls = {"hom_basis": 0, "hom_orbits": 0, "is_pp_definable": 0}
+    names = ("hom_basis", "hom_orbits", "is_pp_definable", "pp_type_generator", "evaluate")
+    calls = dict.fromkeys(names, 0)
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -123,14 +125,25 @@ def test_pp_lattice_witnesses_elements_only_and_reads_meets_off_joins(monkeypatc
         monkeypatch.setattr(module, name, spy)
 
     counted(ppmod.modules, "hom_basis")
-    counted(ppmod.lattice, "hom_orbits")
-    counted(ppmod.lattice, "is_pp_definable")
+    for name in names[1:]:
+        counted(ppmod.lattice, name)
     for m, arity in ((mod_rr(), 1), (regular_module(tri2(), "right"), 1), (mod_s(), 2)):
-        calls.update(hom_basis=0, hom_orbits=0, is_pp_definable=0)
+        calls.update(dict.fromkeys(names, 0))
         lat = pp_lattice(m, arity)
-        # one End basis and one orbit batch, and one witness per element,
-        # none per projective point
-        assert calls == {"hom_basis": 1, "hom_orbits": 1, "is_pp_definable": lat.size}
+        # one End basis and one orbit batch; no witness, and no definability check
+        assert calls == {**dict.fromkeys(names, 0), "hom_basis": 1, "hom_orbits": 1}
+        filter_analysis(lat, lat.bottom)
+        lat.index_of(lat.elements[-1].basis)
+        assert calls == {**dict.fromkeys(names, 0), "hom_basis": 1, "hom_orbits": 1}
+        # one generator per non-zero element on each read; the bottom is bot
+        for reads in (1, 2):
+            witnesses = lat.witnesses
+            assert len(witnesses) == lat.size
+            assert calls["pp_type_generator"] == reads * (lat.size - 1)
+        assert calls["is_pp_definable"] == calls["evaluate"] == 0
+    calls.update(dict.fromkeys(names, 0))
+    assert criterion_7_lattice()[0]
+    assert calls["pp_type_generator"] == calls["is_pp_definable"] == calls["evaluate"] == 0
 
 
 def test_pp_lattice_sums_each_element_with_each_principal_once(monkeypatch):

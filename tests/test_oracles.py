@@ -37,9 +37,12 @@ for the lattices of the lattice benchmark workload.
 closures.  The routine it replaced (every subspace of F_q^(dim*arity),
 filtered by closure under the diagonal End action, then the
 pointed-power test on each survivor) is kept as ``oracle_pp_lattice``;
-elements, witnesses and the leq/meet/join tables must agree byte for
-byte, and where the new single cap refuses an input the oracle refuses
-it too.  The pointed-power closure of every such subspace must pass the
+elements and the leq/meet/join tables must agree byte for byte, every
+element must pass ``is_pp_definable`` and have its witness, and where
+the new single cap refuses an input the oracle refuses it too.
+``pp_lattice`` itself proves no element definable and checks no meet:
+the pp-definable subgroups are the End(M)-submodules, and the
+intersection of two of them is one.  The pointed-power closure of every such subspace must pass the
 old End-closure pair loop and be an element of the lattice.  Each
 principal closure is the End(M)-orbit of its point; the pointed-power
 closure of each projective point is kept as
@@ -66,8 +69,9 @@ The module layer asks each question with one product over whole stacks
 ``coords_in_rref``).  The per-vector, per-pair and per-triple loops
 they replaced are kept as oracles: ``module_span``, ``submodule`` and
 ``quotient`` (with their closure failures), ``TensorResult.tuple_class``,
-the ``relative_ml_check`` matrix, the End/Biend structure tables and
-``from_r``, the matrices the ``scalar_ring`` formulas induce (the Biend
+the ``relative_ml_check`` matrix, the End/Biend structure tables, unit
+and ``from_r`` (read at the pivots of the canonical basis, with no
+closure check), the matrices the ``scalar_ring`` formulas induce (the Biend
 basis), the error type and message of ``make_algebra``, ``make_module`` and
 ``make_map``, and ``hasse_edges`` on any boolean relation.
 
@@ -123,9 +127,10 @@ per-element inverse search) is kept as ``oracle_field_tables``; the
 tables, their list copies and the modulus must agree for all 70 prime
 powers q <= 256.  ``digits`` must give ``linalg.all_vectors`` on
 ``arange(q**n)``.  The greedy End generators take their orbits a chunk
-at a time and end a round at the first orbit that completes the span;
-the loop that took every orbit at once and scanned every element in
-every round is kept as ``all_at_once_greedy_generators``.
+at a time and end a round at the first orbit that adds
+min(d - len(span), h) rows, h the End dimension, the most any orbit
+adds; the loop that took every orbit at once and scanned every element
+in every round is kept as ``all_at_once_greedy_generators``.
 
 F_p[X]/(f) is a commutative ring for every monic f, so ``Field`` builds
 its tables without re-proving the ring axioms.  That re-proof, once
@@ -423,11 +428,10 @@ def oracle_pp_lattice(m, arity, cap=DEFAULT_CAP):
     for basis in oracle_enumerate_subspaces(field, m.dim * arity):
         if not oracle_end_closed(field, end_basis, arity, basis):
             continue
-        res = is_pp_definable(m, basis, arity, cap)
-        if res.definable:
-            found.append((basis, res.witness))
-    found.sort(key=lambda bw: (bw[0].shape[0], bw[0].tobytes()))
-    elements = tuple(SubgroupRep(m, arity, basis) for basis, _ in found)
+        if is_pp_definable(m, basis, arity, cap).definable:
+            found.append(basis)
+    found.sort(key=lambda b: (b.shape[0], b.tobytes()))
+    elements = tuple(SubgroupRep(m, arity, basis) for basis in found)
     index = {el.basis.tobytes(): i for i, el in enumerate(elements)}
     k = len(elements)
     leq = np.zeros((k, k), dtype=bool)
@@ -438,7 +442,7 @@ def oracle_pp_lattice(m, arity, cap=DEFAULT_CAP):
             leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
             meet[i, j] = index[zassenhaus_intersect(field, a.basis, b.basis).tobytes()]
             join[i, j] = index[linalg.subspace_sum(field, a.basis, b.basis).tobytes()]
-    return PpLattice(m, arity, elements, tuple(w for _, w in found), leq, meet, join)
+    return PpLattice(m, arity, elements, leq, meet, join)
 
 
 def oracle_random_hom_matrix(rng, source, target):
@@ -932,11 +936,55 @@ def test_greedy_generators_match_the_all_at_once_orbits(cells, monkeypatch):
         assert same_array(_greedy_generators(m, end_mats), want)
 
 
+def upper_triangular_rows(field, n):
+    """F^n as a right module over the upper triangular n x n matrices, the
+    projective e_11 A: a brick, End = F."""
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {c: x for x, c in enumerate(cells)}
+    constants = np.zeros((len(cells),) * 3, dtype=ELEM)
+    for (i, j), (k, l) in product(cells, cells):
+        if j == k:  # E_ij E_kl = E_il
+            constants[index[i, j], index[k, l], index[i, l]] = 1
+    unit = np.array([int(i == j) for i, j in cells], dtype=ELEM)
+    alg = make_algebra(field, [f"e{i}{j}" for i, j in cells], constants, unit)
+    actions = np.zeros((len(cells), n, n), dtype=ELEM)
+    for x, (i, j) in enumerate(cells):
+        actions[x, i, j] = 1
+    return make_module(alg, "right", n, actions)
+
+
+@pytest.mark.parametrize("field, n", [(Field(2), 4), (Field(3), 3)], ids=["F2^4", "F3^3"])
+def test_a_greedy_round_ends_at_the_largest_gain_an_orbit_can_have(field, n, monkeypatch):
+    # End = F: each orbit adds at most one row, so a round ends at the first
+    # element outside the span, where stopping at d - len(span) scanned all q^n
+    m = upper_triangular_rows(field, n)
+    end_mats = hom_basis(m, m)
+    assert end_mats.shape[0] == 1
+    calls = []
+    grow_basis = linalg.grow_basis
+
+    def spy(field, basis, rows):
+        calls.append(len(rows))
+        return grow_basis(field, basis, rows)
+
+    monkeypatch.setattr(linalg, "grow_basis", spy)
+    got = _greedy_generators(m, end_mats)
+    monkeypatch.setattr(linalg, "grow_basis", grow_basis)
+    assert same_array(got, oracle_greedy_generators(m, end_mats))
+    # round r reads the zero vector, then e_1 .. e_r in code order up to the
+    # first element outside the span, e_r at code q^(r-1)
+    assert len(calls) == sum(field.q ** r + 1 for r in range(n))
+
+
 def same_lattice(got, want):
+    """Same elements and tables, and each witness is the one ``is_pp_definable``
+    gives the element."""
+    definability = [is_pp_definable(want.module, el.basis, want.arity) for el in want.elements]
     return (
         len(got.elements) == len(want.elements)
         and all(same_array(a.basis, b.basis) for a, b in zip(got.elements, want.elements))
-        and [w.render() for w in got.witnesses] == [w.render() for w in want.witnesses]
+        and all(res.definable for res in definability)
+        and [w.render() for w in got.witnesses] == [res.witness.render() for res in definability]
         and all(
             getattr(got, t).dtype == getattr(want, t).dtype
             and np.array_equal(getattr(got, t), getattr(want, t))
@@ -1019,7 +1067,6 @@ def oracle_join_closure_lattice(m, arity):
         frontier = grown
     bases = sorted(found.values(), key=lambda b: (b.shape[0], b.tobytes()))
     elements = tuple(SubgroupRep(m, arity, basis) for basis in bases)
-    witnesses = tuple(is_pp_definable(m, basis, arity).witness for basis in bases)
     index = {el.basis.tobytes(): i for i, el in enumerate(elements)}
     k = len(elements)
     leq = np.zeros((k, k), dtype=bool)
@@ -1030,7 +1077,7 @@ def oracle_join_closure_lattice(m, arity):
             leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
             meet[i, j] = index[zassenhaus_intersect(field, a.basis, b.basis).tobytes()]
             join[i, j] = index[linalg.subspace_sum(field, a.basis, b.basis).tobytes()]
-    return PpLattice(m, arity, elements, witnesses, leq, meet, join)
+    return PpLattice(m, arity, elements, leq, meet, join)
 
 
 ORBIT_MODULES = GRID_MODULES + [fixtures.mod_s(), fixtures.mod_rr(), fixtures.tri2_p1()]
@@ -1916,26 +1963,18 @@ def test_end_biend_and_scalar_ring_are_algebras(alg):
 
 
 @many
-@given(data=st.data(), field=fields, k=st.integers(0, 3), d=mod_dims)
-def test_ring_table_closure_failures_match_the_pair_loop(data, field, k, d):
-    if data.draw(st.booleans()):  # a random span: rarely closed under products
-        basis = linalg.row_space(field, sparse(data, field, (k, d * d)))
-    else:  # the span of the powers of one matrix: always closed
-        g = sparse(data, field, (d, d))
-        powers = [linalg.eye(field, d)]
-        for _ in range(d):
-            powers.append(linalg.matmul(field, powers[-1], g))
-        basis = linalg.row_space(field, np.stack(powers).reshape(d + 1, d * d))
+@given(data=st.data(), field=fields, d=mod_dims)
+def test_ring_table_of_a_power_span_matches_the_pair_loop(data, field, d):
+    # the span of the powers of one matrix: a ring, so read at the pivots
+    g = sparse(data, field, (d, d))
+    powers = [linalg.eye(field, d)]
+    for _ in range(d):
+        powers.append(linalg.matmul(field, powers[-1], g))
+    basis = linalg.row_space(field, np.stack(powers).reshape(d + 1, d * d))
     mats = basis.reshape(basis.shape[0], d, d)
-    want = oracle_ring_table(field, mats)
-    if want is None:
-        with pytest.raises(ValidationFailure, match="not closed under products"):
-            _make_ring_table(field, mats, "x")
-    elif d and not linalg.in_span(field, basis, np.eye(d, dtype=ELEM).reshape(-1)):
-        with pytest.raises(ValidationFailure, match="does not contain the identity"):
-            _make_ring_table(field, mats, "x")
-    else:
-        assert same_array(_make_ring_table(field, mats, "x").constants, want)
+    ring = _make_ring_table(field, mats, "x")
+    assert same_array(ring.constants, oracle_ring_table(field, mats))
+    assert same_array(ring.unit, oracle_coords_in_rref(field, basis, np.eye(d, dtype=ELEM).reshape(-1)))
 
 
 @pytest.mark.parametrize("alg", GENUINE[:4], ids=algebra_id)
@@ -2012,7 +2051,7 @@ def test_make_map_errors_match_the_label_loop(data, alg, side):
 def fake_lattice(leq):
     k = leq.shape[0]
     zeros = np.zeros((k, k), dtype=np.int32)
-    return PpLattice(None, 1, (None,) * k, (None,) * k, leq, zeros, zeros)
+    return PpLattice(None, 1, (None,) * k, leq, zeros, zeros)
 
 
 @given(data=st.data(), k=st.integers(0, 7))
@@ -2108,7 +2147,7 @@ def closure_systems(draw):
         for j, b in enumerate(sets):
             closed_above = [c for c in sets if (a | b) & c == a | b]
             join[i, j] = index[functools.reduce(and_, closed_above)]
-    return PpLattice(None, 1, (None,) * k, (None,) * k, leq, meet, join)
+    return PpLattice(None, 1, (None,) * k, leq, meet, join)
 
 
 @many

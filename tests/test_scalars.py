@@ -190,3 +190,16 @@ def test_a_greedy_round_stops_at_the_orbit_that_completes_the_span(monkeypatch):
     monkeypatch.setattr(linalg, "grow_basis", spy)
     assert _greedy_generators(m, end_mats).tolist() == [[1] + [0] * 11]
     assert calls == [144, 144]
+
+
+def test_ring_tables_are_read_at_the_pivots_without_a_membership_check(monkeypatch):
+    def refused(*args):
+        raise AssertionError("coords_in_rref was called")
+
+    monkeypatch.setattr(linalg, "coords_in_rref", refused)
+    for m in (mod_rr(), mod_s(), regular_module(tri2(), "right"), regular_module(tri2(), "left")):
+        eb = end_and_biend.__wrapped__(m)  # past the memo
+        for ring in (eb.end, eb.biend):
+            # the unit's coordinates combine the basis into the identity
+            ident = np.eye(m.dim, dtype=ELEM)
+            assert np.array_equal(F2.sum(F2.mul(ring.unit[:, None, None], ring.basis)), ident)

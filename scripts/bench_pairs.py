@@ -23,10 +23,12 @@ out) judged by the gain rule; without it no gain is claimed and
 ``claim`` is null.
 
 Last, with its bytecode compiled, each side imports the command line
-seven times, alternating with the other side, in a fresh
+21 times, alternating with the other side, in a fresh
 ``python3 -X importtime -c "import numpy, ppmod.cli"``: ``import_us``
 keeps the cumulative microseconds of ``ppmod.cli`` in each run and their
-median, per side.  A cold-start claim cites these medians.  ``src_lines``
+median, per side, and ``summary``, the pair summary of the alternating
+import pairs.  A cold-start claim cites that summary and is judged by
+the same gain rule as a workload metric.  ``src_lines``
 is the line count of ``src/ppmod/*.py`` per side, as ``wc -l`` counts
 it.  The two clones are removed at the end.
 """
@@ -46,7 +48,7 @@ WORKLOADS = ("calculus-f2", "calculus-fq", "lattice", "cli-demo")
 END_TO_END = ("wall_s", "setup_s", "op_p50_ms", "peak_rss_mb")
 SEEDS = (1, 97)
 PAIRS = 10
-IMPORT_RUNS = 7
+IMPORT_RUNS = 21
 IMPORT_CODE = "import numpy, ppmod.cli"
 
 
@@ -270,7 +272,8 @@ def main(argv=None) -> int:
         "bounds": bounds,
         "src_lines": lines,
         "import_us": {
-            name: {"runs": us, "median": statistics.median(us)} for name, us in imports.items()
+            **{name: {"runs": us, "median": statistics.median(us)} for name, us in imports.items()},
+            "summary": pair_summary(imports["parent"], imports["change"]),
         },
         "pairs": pairs,
         "runs": runs,

@@ -18,8 +18,12 @@ power only gives an element its witness, when it is read.  The closure
 sums each element once with each principal, and x + y is x plus, one
 stored sum at a time, the principals that first reached y; a <= b iff
 a + b = b, and the meet of a and b, their intersection, is their common
-lower bound of largest dimension.  One cap bounds the pointed power of
-the top M^arity, which is the largest any element's witness needs.
+lower bound of largest dimension.  Two refusals bound a lattice: the
+cap bounds the pointed power of the top M^arity, which is the largest
+any element's witness needs, and ``linalg.ENUMERATION_CAP`` bounds the
+k^2 entries of each table of a k-element lattice, checked as the
+closure grows, since k can be exponential in the arity where the
+pointed power is not (S over F_2[t]/(t^2) has dim 1).
 
 Every filter of the finite lattice is a principal up-set up(g), so a
 filter is its generator g and every filter question is read off ``leq``:
@@ -39,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import CapExceeded, ValidationFailure
+from .errors import ArityMismatch, CapExceeded, ValidationFailure
 from .formulas import PpFormula, SubgroupRep, bot, evaluate, pp_type_generator
 from .modules import ModuleRep, direct_sum, hom_orbits, tuple_rows
 from .records import record
@@ -67,15 +71,24 @@ def _pointed_generator(m: ModuleRep, rows: np.ndarray, arity: int) -> PpFormula:
     return pp_type_generator(power, diag)
 
 
+def _require_arity(arity) -> None:
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
+        raise ArityMismatch(f"arity must be an int >= 0, not {arity!r}")
+
+
 def is_pp_definable(
     m: ModuleRep, basis, arity: int = 1, cap: int = DEFAULT_CAP
 ) -> DefinabilityResult:
     """Is the subspace spanned by ``basis`` rows pp-definable in M^arity?
 
-    The rows live in M^arity, flattened.  Cost is governed by the
-    pointed power M^k with k the spanning-set size; the cap bounds
-    |M|^k.
+    The rows live in M^arity, flattened.  The witness is the pp-type
+    generator of a tuple of the pointed power M^k, k the spanning-set
+    size; the cap bounds |M|^k.  The work is linear algebra of
+    dimension k·dim M, not a walk of M^k, so the cap is a size bound
+    rather than the cost: lifted, |M|^k = 2^40 (R_R, 20 rows) takes
+    milliseconds.
     """
+    _require_arity(arity)
     field = m.algebra.field
     rows = linalg.row_space(field, tuple_rows(basis, m.dim * arity))
     k = rows.shape[0]
@@ -148,8 +161,11 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
     y of ``join`` folds those sums along the principals that first reached
     y, so no join needs a lookup check.  ``leq`` and ``meet`` are read
     off ``join``.  The cap bounds the pointed power of the top M^arity,
-    the largest any witness needs.
+    the largest any witness needs; the closure stops with CapExceeded
+    once its k elements would make tables of k^2 > ``linalg.ENUMERATION_CAP``
+    entries.
     """
+    _require_arity(arity)
     field = m.algebra.field
     n = m.dim * arity
     top_power = field.q ** (m.dim * n)
@@ -170,6 +186,12 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
                 t = linalg.subspace_sum(field, s, p) if len(s) else p
                 plus[key].append(t.tobytes())
                 if t.tobytes() not in found:
+                    size = len(found) + 1
+                    if size * size > linalg.ENUMERATION_CAP:
+                        raise CapExceeded(
+                            f"lattice tables need at least {size}^2 = {size * size} "
+                            f"entries > cap {linalg.ENUMERATION_CAP}"
+                        )
                     found[t.tobytes()], path[t.tobytes()] = t, path[key] + (j,)
                     grown.append(t)
         frontier = grown

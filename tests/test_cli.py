@@ -7,6 +7,7 @@ an unexpected exception (an internal error).
 
 import contextlib
 import io
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +188,24 @@ def test_lattice_and_filters(capsys):
     assert code == 0
     assert "maximal avoiding filters: 1" in out
     assert "ziegler irreducible yes" in out
+
+
+def test_a_lattice_past_the_table_bound_exits_2(capsys):
+    # S's lattice in arity 7 has 29,212 elements; its pointed power passes the cap
+    def interrupted(signum, frame):
+        raise TimeoutError("the join-closure ran on")
+
+    previous = signal.signal(signal.SIGALRM, interrupted)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        code, out, err = run(
+            ["lattice", "--workspace", DEMO, "--module", "S", "--arity", "7"], capsys
+        )
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out == ""
+    assert err.startswith("error: lattice tables need at least 1025^2") and err.count("\n") == 1
 
 
 def test_scalars_command(capsys):

@@ -1,6 +1,7 @@
 """pp-definable subgroup lattices, filters, and definability checks."""
 
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ppmod import (
     regular_module,
 )
 from ppmod.acceptance import criterion_7_lattice
-from ppmod.errors import CapExceeded, ValidationFailure
+from ppmod.errors import ArityMismatch, CapExceeded, ValidationFailure
 from ppmod.fixtures import mod_rr, mod_s, r2, tri2
 from ppmod.lattice import principal_closures
 
@@ -178,6 +179,46 @@ def test_arity_two_lattice_contains_diagonal():
 def test_cap_is_enforced():
     with pytest.raises(CapExceeded):
         pp_lattice(mod_rr(), 1, cap=2)
+
+
+def test_a_lattice_past_the_table_bound_is_refused_while_it_grows():
+    # S has dim 1, so the pointed power of arity 7 passes the cap, but its
+    # lattice has 29,212 elements: tables of 3.4 GB each
+    def interrupted(signum, frame):
+        raise TimeoutError("the join-closure ran on")
+
+    previous = signal.signal(signal.SIGALRM, interrupted)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(CapExceeded, match=r"^lattice tables need at least 1025\^2 = "):
+            pp_lattice(mod_s(), 7)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_table_bound_reads_the_enumeration_cap_at_call_time(monkeypatch):
+    # RR has 3 elements: 9 table entries pass a cap of 9 and not one of 8
+    monkeypatch.setattr(linalg, "ENUMERATION_CAP", 9)
+    assert pp_lattice(mod_rr(), 1).size == 3
+    monkeypatch.setattr(linalg, "ENUMERATION_CAP", 8)
+    with pytest.raises(CapExceeded, match=r"^lattice tables need at least 3\^2 = 9 entries > cap 8"):
+        pp_lattice(mod_rr(), 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pp_lattice(mod_rr(), -1),
+        lambda: pp_lattice(mod_rr(), 1.5),
+        lambda: pp_lattice(mod_rr(), True),
+        lambda: is_pp_definable(mod_rr(), [], -1),
+    ],
+    ids=["lattice-negative", "lattice-float", "lattice-bool", "definable-negative"],
+)
+def test_a_bad_arity_is_refused(call):
+    with pytest.raises(ArityMismatch, match=r"^arity must be an int >= 0, not "):
+        call()
 
 
 def test_s_squared_lattice_collapses():

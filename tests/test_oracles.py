@@ -39,7 +39,7 @@ filtered by closure under the diagonal End action, then the
 pointed-power test on each survivor) is kept as ``oracle_pp_lattice``;
 elements and the leq/meet/join tables must agree byte for byte, every
 element must pass ``is_pp_definable`` and have its witness, and where
-the new single cap refuses an input the oracle refuses it too.
+the pointed-power cap refuses an input the oracle refuses it too.
 ``pp_lattice`` itself proves no element definable and checks no meet:
 the pp-definable subgroups are the End(M)-submodules, and the
 intersection of two of them is one.  The pointed-power closure of every such subspace must pass the
@@ -72,7 +72,9 @@ they replaced are kept as oracles: ``module_span``, ``submodule`` and
 the ``relative_ml_check`` matrix, the End/Biend structure tables, unit
 and ``from_r`` (read at the pivots of the canonical basis, with no
 closure check), the matrices the ``scalar_ring`` formulas induce (the Biend
-basis), the error type and message of ``make_algebra``, ``make_module`` and
+basis) and their solution sets, each [I | g] byte for byte (the check
+``synthesize_scalar`` made before it built the formula by construction),
+the error type and message of ``make_algebra``, ``make_module`` and
 ``make_map``, and ``hasse_edges`` on any boolean relation.
 
 ``consequence_enum`` decides every a-block of a candidate theta and
@@ -1985,6 +1987,10 @@ def test_scalar_ring_matches_the_solve_loop(alg):
         stacked = np.stack(want) if want else np.zeros((0, m.dim, m.dim), dtype=ELEM)
         assert same_array(sr.ring.basis, stacked)
         assert sr.matches_biend == np.array_equal(stacked, sr.biend.basis)
+        # the check synthesize_scalar made: each solution set is [I | g]
+        for s in sr.syntheses:
+            graph = np.concatenate([linalg.eye(m.algebra.field, m.dim), s.matrix], axis=1)
+            assert same_array(evaluate(s.formula, m).basis, graph)
 
 
 @many

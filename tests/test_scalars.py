@@ -1,6 +1,7 @@
 """Endomorphism rings, bicommutants, and definable scalar synthesis."""
 
 import itertools
+import signal
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,8 @@ from ppmod import (
     synthesize_scalar,
     end_and_biend,
 )
-from ppmod.errors import ValidationFailure
+from ppmod.algebras import make_algebra
+from ppmod.errors import DimensionMismatch, ValidationFailure
 from ppmod.fields import ELEM
 from ppmod.fixtures import k2, mod_rr, mod_rr_alt, mod_s, r2, tri2
 from ppmod.modules import hom_basis, make_module
@@ -45,6 +47,28 @@ def ring_isomorphic(field, table_a, unit_a, table_b, unit_b):
         if np.array_equal(lhs, rhs):
             return True
     return False
+
+
+def kronecker_brick(k):
+    """The preprojective Kronecker module of dimension 2k + 1 over F2.
+
+    The algebra is the path algebra of two arrows a, b from vertex 1 to
+    vertex 2 (basis e1, e2, a, b); the module has F2^k at vertex 1 and
+    F2^(k+1) at vertex 2, with a = [I_k | 0] and b = [0 | I_k].  It is a
+    brick: End = F2, so Biend is all of M_(2k+1) and has (2k+1)^2 scalars.
+    """
+    c = np.zeros((4, 4, 4), dtype=ELEM)
+    c[0, 0, 0] = c[1, 1, 1] = 1  # e1 e1 = e1, e2 e2 = e2
+    c[0, 2, 2] = c[2, 1, 2] = 1  # e1 a = a = a e2
+    c[0, 3, 3] = c[3, 1, 3] = 1  # e1 b = b = b e2
+    alg = make_algebra(F2, ["e1", "e2", "a", "b"], c, [1, 1, 0, 0])
+    d = 2 * k + 1
+    acts = np.zeros((4, d, d), dtype=ELEM)
+    acts[0, :k, :k] = np.eye(k, dtype=ELEM)
+    acts[1, k:, k:] = np.eye(k + 1, dtype=ELEM)
+    acts[2, :k, k:] = np.eye(k, k + 1, dtype=ELEM)
+    acts[3, :k, k:] = np.eye(k, k + 1, 1, dtype=ELEM)
+    return make_module(alg, "right", d, acts)
 
 
 def split_f2_pair_table():
@@ -123,6 +147,47 @@ def test_synthesized_scalar_has_the_graph_of_its_matrix():
         F2, np.concatenate([linalg.eye(F2, 2), g], axis=1)
     )
     assert linalg.subspace_eq(sol.basis, graph)
+
+
+def test_kronecker_brick_scalars_have_the_graphs_of_their_matrices():
+    # the check synthesize_scalar no longer makes: the solution set of
+    # each formula is the graph [I | g], byte for byte
+    m = kronecker_brick(2)
+    ring = scalar_ring(m)
+    assert (ring.end.dim, ring.biend.dim) == (1, 25)
+    for syn in ring.syntheses:
+        graph = np.concatenate([linalg.eye(F2, 5), syn.matrix], axis=1)
+        sol = evaluate(syn.formula, m).basis
+        assert sol.dtype == graph.dtype and sol.shape == graph.shape
+        assert sol.tobytes() == graph.tobytes()
+
+
+def test_scalar_ring_evaluates_no_formula():
+    before = evaluate.stats()
+    ring = scalar_ring(kronecker_brick(3))
+    assert ring.ring.dim == 49
+    after = evaluate.stats()
+    assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+
+
+def test_scalar_ring_of_the_9_dimensional_brick_finishes_in_time():
+    def interrupted(signum, frame):
+        raise TimeoutError("scalar_ring ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, interrupted)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        ring = scalar_ring(kronecker_brick(4))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert ring.ring.dim == 81 and ring.matches_biend
+
+
+@pytest.mark.parametrize("bad", [[[1]], [1, 0, 1], [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+def test_synthesize_refuses_a_matrix_with_the_wrong_number_of_entries(bad):
+    with pytest.raises(DimensionMismatch, match=r"^a scalar of M needs 2\*2 entries, got \d+$"):
+        synthesize_scalar(mod_rr(), bad)
 
 
 @pytest.mark.parametrize("bad", [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]])

@@ -112,8 +112,8 @@ def test_bench_pairs_verdicts_follow_the_bound():
     assert bench.verdict(summary(wide, [0.4] * 10), 0.25) == "better"
 
 
-PARENT_IMPORT_US = [28100, 30500, 25900, 35800, 27400, 26800, 29900]
-CHANGE_IMPORT_US = [6100, 5400, 7400, 4500, 6900, 5800, 6200]
+PARENT_IMPORT_US = [28100, 30500, 25900, 35800, 27400, 26800, 29900] * 3
+CHANGE_IMPORT_US = [6100, 5400, 7400, 4500, 6900, 5800, 6200] * 3
 
 
 def run_bench_pairs(monkeypatch, tmp_path, *extra):
@@ -181,11 +181,19 @@ def test_bench_pairs_refuses_an_unknown_claim(claim):
 
 def test_bench_pairs_records_the_median_import_time_per_side(monkeypatch, tmp_path):
     out = run_bench_pairs(monkeypatch, tmp_path)
+    summary = out["import_us"].pop("summary")
     assert out["import_us"] == {
         "parent": {"runs": PARENT_IMPORT_US, "median": 28100},
         "change": {"runs": CHANGE_IMPORT_US, "median": 6100},
     }
+    assert out["commands"][2].startswith("per side, 21 times alternating")
     assert "python3 -X importtime -c 'import numpy, ppmod.cli'" in out["commands"][2]
+    # the import pairs are judged like a workload metric
+    bench = load_bench_pairs()
+    assert summary == bench.pair_summary(PARENT_IMPORT_US, CHANGE_IMPORT_US)
+    assert (summary["pairs"], summary["change_wins"], summary["parent_wins"]) == (21, 21, 0)
+    assert (summary["parent_median"], summary["change_median"]) == (28100, 6100)
+    assert bench.gain(summary)
 
 
 def test_bench_pairs_records_the_source_lines_per_side(monkeypatch, tmp_path):

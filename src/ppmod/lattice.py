@@ -22,8 +22,8 @@ lower bound of largest dimension.  Two refusals bound a lattice: the
 cap bounds the pointed power of the top M^arity, which is the largest
 any element's witness needs, and ``linalg.ENUMERATION_CAP`` bounds the
 k^2 entries of each table of a k-element lattice, checked as the
-closure grows, since k can be exponential in the arity where the
-pointed power is not (S over F_2[t]/(t^2) has dim 1).
+closure grows, since k can outgrow the pointed power: for S over
+F_2[t]/(t^2), |S|^n = 2^n, and every subspace of F_2^n is an element.
 
 Every filter of the finite lattice is a principal up-set up(g), so a
 filter is its generator g and every filter question is read off ``leq``:

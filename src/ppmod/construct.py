@@ -42,6 +42,7 @@ from .errors import (
     ValidationFailure,
 )
 from .defcat import DefinableContext, member_check
+from .fields import is_int
 from .formulas import (
     PpFormula,
     conj,
@@ -82,7 +83,10 @@ class Budget:
 
     def __post_init__(self):
         for name in ("bound_vars", "equations", "candidates", "stages"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValidationFailure(f"budget field {name} must be an int, not {value!r}")
+            if value < 1:
                 raise ValidationFailure(f"budget field {name} must be positive")
 
 

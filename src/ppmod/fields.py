@@ -92,6 +92,11 @@ def freeze(obj, *names: str) -> None:
         object.__setattr__(obj, name, read_only(getattr(obj, name)))
 
 
+def is_int(x) -> bool:
+    """Whether x is a Python int and not a bool: what a count, an arity or a cap must be."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _holds_bool(x) -> bool:
     return any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)
 
@@ -111,7 +116,7 @@ class Field:
 
     def __init__(self, p: int, d: int = 1):
         for name, value in (("characteristic", p), ("degree", d)):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_int(value):
                 raise PpmodError(f"{name} must be an int, not {type(value).__name__}")
         # the order bound first: _is_prime is trial division up to sqrt(p)
         if d < 1:

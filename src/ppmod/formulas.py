@@ -44,7 +44,7 @@ from .errors import (
     LengthMismatch,
     SideMismatch,
 )
-from .fields import ELEM, freeze
+from .fields import ELEM, freeze, is_int
 from .memo import memo
 from .modules import (
     ModuleRep,
@@ -149,6 +149,13 @@ def pp_formula(algebra: Algebra, side: str, nfree: int, a, b) -> PpFormula:
     return PpFormula(algebra, side, nfree, b.shape[0], len(keys), a, b)
 
 
+def require_arity(arity) -> None:
+    """The one arity check, at the door of ``top``, ``bot``, ``prefix_restriction``,
+    ``pp_lattice`` and ``is_pp_definable``: an int >= 0, not a bool or a numpy integer."""
+    if not is_int(arity) or arity < 0:
+        raise ArityMismatch(f"arity must be an int >= 0, not {arity!r}")
+
+
 def _diagonal(algebra: Algebra, n: int, r) -> np.ndarray:
     """An (n, n, dim) coefficient block with r on the diagonal."""
     out = np.zeros((n, n, algebra.dim), dtype=ELEM)
@@ -158,34 +165,36 @@ def _diagonal(algebra: Algebra, n: int, r) -> np.ndarray:
 
 def top(algebra: Algebra, side: str, nfree: int = 1) -> PpFormula:
     """x = x: no equations."""
-    return pp_formula(
-        algebra,
-        side,
-        nfree,
-        np.zeros((nfree, 0, algebra.dim), dtype=ELEM),
-        np.zeros((0, 0, algebra.dim), dtype=ELEM),
-    )
+    require_arity(nfree)
+    a = np.zeros((nfree, 0, algebra.dim), dtype=ELEM)
+    return pp_formula(algebra, side, nfree, a, a[:0])
 
 
 def bot(algebra: Algebra, side: str, nfree: int = 1) -> PpFormula:
     """x = 0 in every free variable."""
+    require_arity(nfree)
     a = _diagonal(algebra, nfree, algebra.unit)
     return pp_formula(algebra, side, nfree, a, np.zeros((0, nfree, algebra.dim), ELEM))
 
 
+def _coefficient(algebra: Algebra, r) -> np.ndarray:
+    """The algebra element r, of dim A entries, as a (1, 1, dim A) block."""
+    r = algebra.field.asarray(r)
+    if r.size != algebra.dim:
+        raise DimensionMismatch(f"element r of {r.size} entries, algebra dim {algebra.dim}")
+    return r.reshape(1, 1, algebra.dim)
+
+
 def annihilator(algebra: Algebra, side: str, r) -> PpFormula:
     """x . r = 0 (or r . x = 0 on the left)."""
-    r = algebra.field.asarray(r)
-    a = r.reshape(1, 1, algebra.dim)
+    a = _coefficient(algebra, r)
     return pp_formula(algebra, side, 1, a, np.zeros((0, 1, algebra.dim), ELEM))
 
 
 def divisibility(algebra: Algebra, side: str, r) -> PpFormula:
     """r | x: exists y with x = y . r (x = r . y on the left)."""
-    f = algebra.field
-    r = f.asarray(r)
     a = algebra.unit.reshape(1, 1, algebra.dim)
-    b = f.neg(r).reshape(1, 1, algebra.dim)
+    b = algebra.field.neg(_coefficient(algebra, r))
     return pp_formula(algebra, side, 1, a, b)
 
 
@@ -380,6 +389,7 @@ def substitute(phi: PpFormula, t_matrix) -> PpFormula:
 
 def prefix_restriction(phi: PpFormula, new_arity: int) -> PpFormula:
     """View an arity-k formula in the first k of new_arity variables."""
+    require_arity(new_arity)
     if new_arity < phi.nfree:
         raise ArityMismatch("prefix narrower than the formula arity")
     alg = phi.algebra

@@ -43,8 +43,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import ArityMismatch, CapExceeded, ValidationFailure
-from .formulas import PpFormula, SubgroupRep, bot, evaluate, pp_type_generator
+from .errors import CapExceeded, ValidationFailure
+from .fields import is_int
+from .formulas import PpFormula, SubgroupRep, bot, evaluate, pp_type_generator, require_arity
 from .modules import ModuleRep, direct_sum, hom_orbits, tuple_rows
 from .records import record
 
@@ -71,9 +72,13 @@ def _pointed_generator(m: ModuleRep, rows: np.ndarray, arity: int) -> PpFormula:
     return pp_type_generator(power, diag)
 
 
-def _require_arity(arity) -> None:
-    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
-        raise ArityMismatch(f"arity must be an int >= 0, not {arity!r}")
+def _require_pointed_power(m: ModuleRep, k: int, cap) -> None:
+    """Refuse a non-int cap, and a pointed power M^k past cap elements (M^0 is never built)."""
+    if not is_int(cap):
+        raise ValidationFailure(f"cap must be an int, not {cap!r}")
+    size = m.algebra.field.q ** (m.dim * k)
+    if k and size > cap:
+        raise CapExceeded(f"pointed power needs |M|^{k} = {size} > cap {cap}")
 
 
 def is_pp_definable(
@@ -88,12 +93,10 @@ def is_pp_definable(
     rather than the cost: lifted, |M|^k = 2^40 (R_R, 20 rows) takes
     milliseconds.
     """
-    _require_arity(arity)
-    field = m.algebra.field
-    rows = linalg.row_space(field, tuple_rows(basis, m.dim * arity))
+    require_arity(arity)
+    rows = linalg.row_space(m.algebra.field, tuple_rows(basis, m.dim * arity))
     k = rows.shape[0]
-    if k and field.q ** (m.dim * k) > cap:
-        raise CapExceeded(f"pointed power needs |M|^{k} = {field.q ** (m.dim * k)} > cap {cap}")
+    _require_pointed_power(m, k, cap)
     phi = _pointed_generator(m, rows, arity)
     closure = evaluate(phi, m).basis if k else rows
     return DefinabilityResult(linalg.subspace_eq(closure, rows), phi, closure)
@@ -165,12 +168,10 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
     once its k elements would make tables of k^2 > ``linalg.ENUMERATION_CAP``
     entries.
     """
-    _require_arity(arity)
+    require_arity(arity)
     field = m.algebra.field
     n = m.dim * arity
-    top_power = field.q ** (m.dim * n)
-    if top_power > cap:
-        raise CapExceeded(f"pointed power needs |M|^{n} = {top_power} > cap {cap}")
+    _require_pointed_power(m, n, cap)
     principal = list({c.tobytes(): c for c in principal_closures(m, arity)}.values())
     bottom = linalg.zeros(0, n)
     # path[x]: the principals whose sums first reached x, so x is their
@@ -258,7 +259,8 @@ def filter_analysis(lat: PpLattice, avoid: int) -> list[NegIsolatedFilter]:
     ``avoid`` by the minimality of g, and so would g.  The flag is read
     off the covers all the same, and reads yes on every reported filter.
     """
-    if not 0 <= avoid < lat.size:
+    index = isinstance(avoid, (int, np.integer)) and not isinstance(avoid, bool)
+    if not index or not 0 <= avoid < lat.size:
         raise ValidationFailure("avoided element is not in the lattice")
     covers = _covers(lat)
     outside = ~lat.leq[:, avoid]

@@ -25,6 +25,10 @@ of the rows under every action, a submodule's actions are the batched
 one ``matmul`` of the kept action rows, and the validators compare
 whole product tables and report the first failure in label order.
 
+``make_module`` is the one check of the module law.  The duals, sums,
+submodules and quotients start from checked modules, so they build the
+record directly, from fresh arrays they own and never touch again.
+
 Hom(m, n) is one canonical (h, m.dim, n.dim) stack, ``hom_basis``, and
 ``hom_orbits`` sends tuples through all of it with one ``images``; a
 finite module freely realises its tuples, so callers read phi_b(n) =
@@ -49,7 +53,7 @@ from .errors import (
     NotGenerating,
     SideMismatch,
 )
-from .fields import ELEM, freeze, read_only
+from .fields import ELEM, freeze, is_int, read_only
 from .memo import memo
 from .records import record
 
@@ -99,51 +103,44 @@ class ModuleRep:
         return f"ModuleRep({self.side}, dim={self.dim})"
 
 
-def make_module(
-    algebra: Algebra, side: str, dim: int, actions, validate: bool = True
-) -> ModuleRep:
+def make_module(algebra: Algebra, side: str, dim: int, actions) -> ModuleRep:
     """Build a module after checking the representation law.
 
     ``actions`` has one dim x dim matrix per algebra basis element and
     acts on row vectors.  For a left module pass the transposes of the
-    usual column-convention matrices.
+    usual column-convention matrices.  The one check of the module law.
 
     Raises:
+        SideMismatch, DimensionMismatch: a bad side, dim or actions shape.
         NotARepresentation: the law or the unit action fails.
     """
     if side not in SIDES:
         raise SideMismatch(f"side must be one of {SIDES}")
-    f = algebra.field
+    if not is_int(dim) or dim < 0:
+        raise DimensionMismatch(f"dim must be an int >= 0, not {dim!r}")
+    f, k = algebra.field, algebra.dim
     actions = f.asarray(actions, copy=True)
-    if actions.shape != (algebra.dim, dim, dim):
-        raise DimensionMismatch(
-            f"actions shape {actions.shape}, expected {(algebra.dim, dim, dim)}"
-        )
+    if actions.shape != (k, dim, dim):
+        raise DimensionMismatch(f"actions shape {actions.shape}, expected {(k, dim, dim)}")
     mod = ModuleRep(algebra, side, dim, actions)
-    if validate:
-        if not np.array_equal(mod.rho(algebra.unit), np.eye(dim, dtype=ELEM)):
-            raise NotARepresentation("unit does not act as the identity")
-        k = algebra.dim
-        # pair (i, j): the two actions composed in the side's order, and rho(e_i e_j)
-        got = linalg.pair_products(f, actions)
-        if side == LEFT:
-            got = got.transpose(1, 0, 2, 3)
-        target = linalg.matmul(
-            f, algebra.constants.reshape(k * k, k), actions.reshape(k, dim * dim)
-        ).reshape(k, k, dim, dim)
-        bad = np.argwhere((got != target).any(axis=(2, 3)))
-        if bad.size:
-            i, j = bad[0]
-            raise NotARepresentation(
-                f"law fails on basis pair ({algebra.labels[i]}, {algebra.labels[j]})"
-            )
+    if not np.array_equal(mod.rho(algebra.unit), np.eye(dim, dtype=ELEM)):
+        raise NotARepresentation("unit does not act as the identity")
+    # pair (i, j): the two actions composed in the side's order, and rho(e_i e_j)
+    got = linalg.pair_products(f, actions)
+    if side == LEFT:
+        got = got.transpose(1, 0, 2, 3)
+    target = linalg.matmul(
+        f, algebra.constants.reshape(k * k, k), actions.reshape(k, dim * dim)
+    ).reshape(k, k, dim, dim)
+    bad = np.argwhere((got != target).any(axis=(2, 3)))
+    if bad.size:
+        i, j = (algebra.labels[x] for x in bad[0])
+        raise NotARepresentation(f"law fails on basis pair ({i}, {j})")
     return mod
 
 
 def zero_module(algebra: Algebra, side: str) -> ModuleRep:
-    return make_module(
-        algebra, side, 0, np.zeros((algebra.dim, 0, 0), dtype=ELEM), validate=False
-    )
+    return make_module(algebra, side, 0, np.zeros((algebra.dim, 0, 0), dtype=ELEM))
 
 
 def regular_module(algebra: Algebra, side: str) -> ModuleRep:
@@ -157,6 +154,8 @@ def regular_module(algebra: Algebra, side: str) -> ModuleRep:
 
 def free_module(algebra: Algebra, side: str, slots: int) -> ModuleRep:
     """R^slots as a module; coordinates are slot-major blocks of dim R."""
+    if not is_int(slots) or slots < 0:
+        raise DimensionMismatch(f"slots must be an int >= 0, not {slots!r}")
     if slots == 0:
         return zero_module(algebra, side)
     reg = regular_module(algebra, side)
@@ -171,7 +170,7 @@ def dual_module(m: ModuleRep) -> ModuleRep:
     """
     acts = m.actions.transpose(0, 2, 1).copy()
     other = LEFT if m.side == RIGHT else RIGHT
-    return make_module(m.algebra, other, m.dim, acts, validate=False)
+    return ModuleRep(m.algebra, other, m.dim, acts)
 
 
 # -- maps ----------------------------------------------------------------
@@ -232,8 +231,11 @@ def make_map(source: ModuleRep, target: ModuleRep, matrix) -> ModuleMap:
     """Validated homomorphism (commutes with every basis action)."""
     _require_compatible(source, target)
     f = source.algebra.field
-    matrix = f.asarray(matrix).reshape(source.dim, target.dim)
     k, s, t = source.algebra.dim, source.dim, target.dim
+    matrix = f.asarray(matrix)
+    if matrix.size != s * t:
+        raise DimensionMismatch(f"map matrix of {matrix.size} entries, expected {s} x {t}")
+    matrix = matrix.reshape(s, t)
     # label i of both tables: actions[i] @ matrix and matrix @ target.actions[i]
     lhs = linalg.matmul(f, source.actions.reshape(k * s, s), matrix).reshape(k, s, t)
     rhs = linalg.images(f, matrix, target.actions).transpose(1, 0, 2)
@@ -416,7 +418,7 @@ def direct_sum(parts: list[ModuleRep]) -> DirectSum:
         offsets.append(pos)
         actions[:, pos : pos + p.dim, pos : pos + p.dim] = p.actions
         pos += p.dim
-    module = make_module(alg, first.side, total, actions, validate=False)
+    module = ModuleRep(alg, first.side, total, actions)
     injections = []
     projections = []
     for p, off in zip(parts, offsets):
@@ -444,7 +446,7 @@ def submodule(m: ModuleRep, rows: np.ndarray) -> Submodule:
     coords = linalg.coords_in_rref(f, basis, moved.reshape(s * k, m.dim))
     if coords is None:
         raise NotASubmodule("subspace is not closed under the action")
-    sub = make_module(m.algebra, m.side, k, coords.reshape(s, k, k), validate=False)
+    sub = ModuleRep(m.algebra, m.side, k, coords.reshape(s, k, k))
     return Submodule(sub, ModuleMap(sub, m, basis.copy()))
 
 
@@ -465,7 +467,7 @@ def quotient(m: ModuleRep, rows: np.ndarray) -> Quotient:
     # row (i, r) of the quotient action: the class of kept row keep[r] of actions[i]
     kept_rows = m.actions[:, keep].reshape(s * qdim, m.dim)
     actions = linalg.matmul(f, kept_rows, proj).reshape(s, qdim, qdim)
-    q = make_module(m.algebra, m.side, qdim, actions, validate=False)
+    q = ModuleRep(m.algebra, m.side, qdim, actions)
     return Quotient(q, ModuleMap(m, q, proj))
 
 

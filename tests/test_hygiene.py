@@ -210,6 +210,23 @@ def test_one_hom_null_space():
     assert sorted(callers) == ["linalg.intertwiners", "tensor.tensor_product"]
 
 
+def test_one_module_law_check():
+    # make_module checks the law on caller-given actions; the constructions
+    # built from checked modules make the record directly, and the workspace
+    # passes make_module by reference, so it makes no call here
+    callers = [c for path in sorted(SRC.glob("*.py")) for c in callers_of(path, "make_module")]
+    assert sorted(callers) == [
+        "fixtures.mod_ls",
+        "fixtures.mod_rr_alt",
+        "fixtures.mod_s",
+        "fixtures.tri2_p1",
+        "fixtures.tri2_s1",
+        "fixtures.tri2_s2",
+        "modules.regular_module",
+        "modules.zero_module",
+    ]
+
+
 def test_the_check_sees_sylvester_callers(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(

@@ -24,7 +24,9 @@ from ppmod import (
 )
 from ppmod.errors import CapExceeded, NotARepresentation, NotASubmodule, NotGenerating, SideMismatch
 from ppmod.fixtures import (
+    f3,
     k2,
+    left_grid,
     mod_lr,
     mod_rr,
     mod_rr_alt,
@@ -36,7 +38,7 @@ from ppmod.fixtures import (
     tri2_s1,
     tri2_s2,
 )
-from ppmod.modules import extend_to_generators, free_module
+from ppmod.modules import extend_to_generators, free_module, module_span
 
 F2 = Field(2)
 
@@ -50,13 +52,27 @@ def test_make_module_rejects_non_representation():
         make_module(alg, "right", 2, actions)
 
 
-def test_make_module_validate_flag_skips_check():
-    alg = r2()
-    actions = np.zeros((2, 2, 2), dtype=np.int16)
-    actions[0] = np.eye(2, dtype=np.int16)
-    actions[1] = [[0, 1], [0, 1]]
-    m = make_module(alg, "right", 2, actions, validate=False)
-    assert m.dim == 2
+def constructed_modules(alg) -> list:
+    """Every dual, pairwise sum, cyclic and whole submodule, and quotient by
+    one, of the right and left grid modules over ``alg``."""
+    grid = right_grid(alg) + left_grid(alg)
+    out = []
+    for m in grid:
+        out.append(dual_module(m))
+        out += [direct_sum([m, n]).module for n in grid if n.side == m.side]
+        for rows in [v[None] for v in m.enumerate_elements()] + [np.eye(m.dim, dtype=np.int16)]:
+            span = module_span(m, rows)
+            out += [submodule(m, span).module, quotient(m, span).module]
+    return out
+
+
+@pytest.mark.parametrize("alg", [r2, f3, tri2], ids=lambda a: a.__name__)
+def test_constructed_modules_pass_the_law_check(alg):
+    # dual_module, direct_sum, submodule and quotient build their records
+    # without make_module, the one check of the module law; each result
+    # must pass it and come back with the same fingerprint
+    for m in constructed_modules(alg()):
+        assert make_module(m.algebra, m.side, m.dim, m.actions).fingerprint() == m.fingerprint()
 
 
 def test_regular_module_action_matches_multiplication():

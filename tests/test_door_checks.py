@@ -1,7 +1,8 @@
 """Bad arguments to the public constructors raise a PpmodError at the door.
 
-Each case names the argument it refuses; before these checks some leaked
-numpy's or Python's own error from deep inside, and some were accepted.
+Each case is refused with a named ``PpmodError`` subclass whose message
+names the argument, never with numpy's or Python's own error from deep
+inside and never by accepting it.
 """
 
 import numpy as np

@@ -77,16 +77,12 @@ class Algebra:
     def right_regular_actions(self) -> np.ndarray:
         """Matrices of right multiplication, row convention (v @ m)."""
         # row l of actions[i] is e_l * e_i
-        return np.stack(
-            [self.constants[:, i, :].astype(ELEM) for i in range(self.dim)]
-        )
+        return self.constants.transpose(1, 0, 2).astype(ELEM, order="C")
 
     def left_regular_actions(self) -> np.ndarray:
         """Matrices of left multiplication in row-applied storage."""
         # row l of actions[i] is e_i * e_l
-        return np.stack(
-            [self.constants[i, :, :].astype(ELEM) for i in range(self.dim)]
-        )
+        return self.constants.astype(ELEM, order="C")
 
     def label_index(self, label: str) -> int:
         try:

@@ -12,21 +12,25 @@ coefficients act on the left.  Thanks to the row-applied action storage
 of :mod:`ppmod.modules`, evaluation code is identical for both sides.
 
 Solution sets are computed by building the F_q-linear system of the
-quantifier-free part over the module, taking its kernel, and projecting
-to the free coordinates (``solution_basis``, which ``evaluate`` wraps
-with its checks and cache); elements are never enumerated here.  Every
-system and formula is assembled from whole coefficient blocks: the
-block rho(c) of every (variable, equation) slot comes from one product
-of the stacked coefficients with the stacked action matrices, and the
-constructors place coefficient blocks and unit diagonals by slicing.
+quantifier-free part over the module and taking its kernel projected
+to the free coordinates, one elimination (``solution_basis``, which
+``evaluate`` wraps with its checks and cache); elements are never
+enumerated here.  Every system and formula is assembled from whole
+coefficient blocks: the block rho(c) of every (variable, equation) slot
+comes from one product of the stacked coefficients with the stacked
+action matrices, and the constructors place coefficient blocks and unit
+diagonals by slicing.
 
 Formulas are immutable: ``a`` and ``b`` are read-only (normalisation
 copies them, so no caller's array is shared) and the fingerprint is
 computed once, on the algebra's own tuple, so a memo key holds only the
 formula's bytes.  Formulas are normalised on construction: zero
 equations are dropped, bound variables that appear in no equation are
-dropped, and equation columns are sorted lexicographically.  Equality of formulas is always
-semantic (mutual :func:`leq_absolute`); no syntactic equality is
+dropped, and equation columns are sorted lexicographically.
+``pp_formula`` validates outside arrays and then normalises; the
+constructors build their blocks from formulas and arrays that already
+passed a door, so they normalise directly.  Equality of formulas is
+always semantic (mutual :func:`leq_absolute`); no syntactic equality is
 offered.
 """
 
@@ -116,7 +120,8 @@ def _render_term(alg: Algebra, side: str, var: str, coeff: np.ndarray) -> str:
 
 
 def pp_formula(algebra: Algebra, side: str, nfree: int, a, b) -> PpFormula:
-    """Build and normalise a pp formula."""
+    """Build and normalise a pp formula: the validated door for outside
+    coefficient arrays, as ``make_module`` is for modules."""
     f = algebra.field
     a = f.asarray(a)
     b = f.asarray(b)
@@ -137,8 +142,14 @@ def pp_formula(algebra: Algebra, side: str, nfree: int, a, b) -> PpFormula:
         raise DimensionMismatch(
             f"coefficient blocks {a.shape} / {b.shape} do not agree"
         )
-    if side not in ("right", "left"):
-        raise SideMismatch(f"bad side {side!r}")
+    _require_side(side)
+    return _normalised(algebra, side, nfree, a, b)
+
+
+def _normalised(algebra: Algebra, side: str, nfree: int, a: np.ndarray, b: np.ndarray) -> PpFormula:
+    """The normal form of ``ELEM`` blocks a (nfree, neq, dim) and b (t, neq, dim)
+    that already passed a door: ``pp_formula``'s, or a constructor's own."""
+    neq = a.shape[1]
     # drop bound variables that never occur
     b = b[b.reshape(b.shape[0], neq * algebra.dim).any(axis=1)]
     # drop all-zero equations, sort the rest lexicographically
@@ -147,6 +158,12 @@ def pp_formula(algebra: Algebra, side: str, nfree: int, a, b) -> PpFormula:
     a = a[:, keys]
     b = b[:, keys]
     return PpFormula(algebra, side, nfree, b.shape[0], len(keys), a, b)
+
+
+def _require_side(side) -> None:
+    """The one side check, at the door of ``pp_formula``, ``top`` and ``bot``."""
+    if side not in ("right", "left"):
+        raise SideMismatch(f"bad side {side!r}")
 
 
 def require_arity(arity) -> None:
@@ -166,15 +183,17 @@ def _diagonal(algebra: Algebra, n: int, r) -> np.ndarray:
 def top(algebra: Algebra, side: str, nfree: int = 1) -> PpFormula:
     """x = x: no equations."""
     require_arity(nfree)
+    _require_side(side)
     a = np.zeros((nfree, 0, algebra.dim), dtype=ELEM)
-    return pp_formula(algebra, side, nfree, a, a[:0])
+    return _normalised(algebra, side, nfree, a, a[:0])
 
 
 def bot(algebra: Algebra, side: str, nfree: int = 1) -> PpFormula:
     """x = 0 in every free variable."""
     require_arity(nfree)
+    _require_side(side)
     a = _diagonal(algebra, nfree, algebra.unit)
-    return pp_formula(algebra, side, nfree, a, np.zeros((0, nfree, algebra.dim), ELEM))
+    return _normalised(algebra, side, nfree, a, np.zeros((0, nfree, algebra.dim), ELEM))
 
 
 def _coefficient(algebra: Algebra, r) -> np.ndarray:
@@ -250,9 +269,9 @@ def _check_formula_module(phi: PpFormula, m: ModuleRep) -> None:
 def solution_basis(a: np.ndarray, b: np.ndarray, m: ModuleRep) -> np.ndarray:
     """Canonical basis of the solutions in m^n of the blocks a (n free) and b.
 
-    Kernel-then-project: solve the quantifier-free system over F_q in
-    all (free + bound) coordinates, then project onto the free block,
-    which on the RREF kernel is ``linalg.prefix_basis``.
+    Kernel-then-project: the kernel of the quantifier-free system over
+    F_q in all (free + bound) coordinates, projected onto the free block,
+    is one ``linalg.null_space`` cut to the free width.
     The blocks need not be normalised; their solution set is the same.
     """
     f = m.algebra.field
@@ -260,8 +279,7 @@ def solution_basis(a: np.ndarray, b: np.ndarray, m: ModuleRep) -> np.ndarray:
     if d == 0 or n == 0:
         return linalg.zeros(0, n * d)
     sys = system_rows(np.concatenate([a, b], axis=0), m)
-    sols = linalg.null_space(f, sys.T)  # rows u with u @ sys = 0
-    return linalg.prefix_basis(sols, n * d)
+    return linalg.null_space(f, sys.T, n * d)  # rows u with u @ sys = 0, cut
 
 
 def system_rows(coeff: np.ndarray, m: ModuleRep) -> np.ndarray:
@@ -311,7 +329,7 @@ def conj(phi: PpFormula, psi: PpFormula) -> PpFormula:
         b[: phi.nbound, : phi.neq] = phi.b
     if psi.nbound:
         b[phi.nbound :, phi.neq :] = psi.b
-    return pp_formula(alg, phi.side, n, a, b)
+    return _normalised(alg, phi.side, n, a, b)
 
 
 def formula_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -336,7 +354,7 @@ def formula_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
     b[2 * n : y, n:e] = phi.b
     b[n : 2 * n, e:] = psi.a
     b[y:, e:] = psi.b
-    return pp_formula(alg, phi.side, n, a, b)
+    return _normalised(alg, phi.side, n, a, b)
 
 
 def dual(phi: PpFormula) -> PpFormula:
@@ -354,7 +372,7 @@ def dual(phi: PpFormula) -> PpFormula:
     other = "left" if phi.side == "right" else "right"
     a = _diagonal(alg, n + t, alg.unit)[:n]
     b = np.concatenate([f.neg(phi.a), phi.b]).transpose(1, 0, 2)
-    return pp_formula(alg, other, n, a, b)
+    return _normalised(alg, other, n, a, b)
 
 
 def substitute(phi: PpFormula, t_matrix) -> PpFormula:
@@ -384,7 +402,7 @@ def substitute(phi: PpFormula, t_matrix) -> PpFormula:
     # original system on (x_old, y)
     b[:n, n:] = phi.a
     b[n:, n:] = phi.b
-    return pp_formula(alg, phi.side, nnew, a, b)
+    return _normalised(alg, phi.side, nnew, a, b)
 
 
 def prefix_restriction(phi: PpFormula, new_arity: int) -> PpFormula:
@@ -440,7 +458,7 @@ def pp_type_generator(m: ModuleRep, vectors) -> PpFormula:
     rels = presentation(m, gens)
     a = np.transpose(rels[:, :n, :], (1, 0, 2))
     b = np.transpose(rels[:, n:, :], (1, 0, 2))
-    return pp_formula(m.algebra, m.side, n, a, b)
+    return _normalised(m.algebra, m.side, n, a, b)
 
 
 # -- ordering ---------------------------------------------------------------

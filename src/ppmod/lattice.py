@@ -46,7 +46,7 @@ from . import linalg
 from .errors import CapExceeded, ValidationFailure
 from .fields import is_int
 from .formulas import PpFormula, SubgroupRep, bot, evaluate, pp_type_generator, require_arity
-from .modules import ModuleRep, direct_sum, hom_orbits, tuple_rows
+from .modules import ModuleRep, hom_orbits, power, tuple_rows
 from .records import record
 
 DEFAULT_CAP = 2**16
@@ -65,11 +65,10 @@ def _pointed_generator(m: ModuleRep, rows: np.ndarray, arity: int) -> PpFormula:
     k = rows.shape[0]
     if k == 0:
         return bot(m.algebra, m.side, arity)
-    power = direct_sum([m] * k).module
     # diagonal tuple: the j-th entry collects the j-th coordinate block
     # of every spanning row
-    diag = rows.reshape(k, arity, m.dim).transpose(1, 0, 2).reshape(arity, power.dim)
-    return pp_type_generator(power, diag)
+    diag = rows.reshape(k, arity, m.dim).transpose(1, 0, 2).reshape(arity, k * m.dim)
+    return pp_type_generator(power(m, k), diag)
 
 
 def _require_pointed_power(m: ModuleRep, k: int, cap) -> None:

@@ -127,7 +127,8 @@ def all_vectors(field: Field, n: int) -> np.ndarray:
 
 
 def _array(rows: list[list[int]], ncols: int) -> np.ndarray:
-    return np.array(rows, dtype=ELEM).reshape(len(rows), ncols)
+    """The rows as one compact (len(rows), ncols) array, not a view: results are cached."""
+    return np.array(rows, dtype=ELEM) if rows else zeros(0, ncols)
 
 
 def _leads(basis: np.ndarray) -> list[tuple[int, list[int]]]:
@@ -199,22 +200,27 @@ def rank(field: Field, a: np.ndarray) -> int:
     return len(rref(field, a)[1])
 
 
-def null_space(field: Field, a: np.ndarray) -> np.ndarray:
-    """Canonical basis (as rows) of {x : a @ x = 0}.
+def null_space(field: Field, a: np.ndarray, width: int | None = None) -> np.ndarray:
+    """Canonical basis (as rows) of {x : a @ x = 0}, projected onto its
+    first ``width`` coordinates (all of them by default).
 
     One elimination of ``a`` with its columns reversed: a pivot row then
     has entries only at the free columns f left of its pivot p (in the
     original order), so the kernel vectors e_f - sum_p red_p[f] e_p lead
     at f and vanish at every other free column.  Ordered by f they are
-    the RREF basis, which is unique.
+    the RREF basis, which is unique.  The vectors leading at f >= width
+    project to zero, and the others, cut to ``width`` columns, are still
+    reduced and echelon: only those are built.
     """
     a = np.asarray(a, ELEM)
     n = a.shape[1]
+    width = n if width is None else width
     leads = _insert(field, [], a[:, ::-1].tolist())
     pivots = {c for c, _ in leads}
     neg = field.neg_list
     basis = []
-    for fc in range(n - 1, -1, -1):  # reversed columns: original column n-1-fc ascending
+    # reversed columns: original column n-1-fc ascending, below width
+    for fc in range(n - 1, n - 1 - width, -1):
         if fc in pivots:
             continue
         row = [0] * n
@@ -223,8 +229,8 @@ def null_space(field: Field, a: np.ndarray) -> np.ndarray:
             if pc > fc:
                 break
             row[pc] = neg[red[fc]]
-        basis.append(row[::-1])
-    return _array(basis, n)
+        basis.append(row[::-1][:width])
+    return _array(basis, width)
 
 
 def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -309,20 +315,14 @@ def subspace_sum(field: Field, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     return _array([row for _, row in leads], b1.shape[1])
 
 
-def prefix_basis(basis: np.ndarray, c: int) -> np.ndarray:
-    """RREF basis of the projection of an RREF basis onto its first c columns.
-
-    The rows whose lead lies in the first c columns, cut to c columns, are
-    already reduced and echelon; the other rows project to zero.
-    """
-    b = basis[:, :c]
-    return b[b.any(axis=1)]
-
-
 def subspace_le(field: Field, b1: np.ndarray, b2: np.ndarray) -> bool:
     leads = _leads(b2)
     return not any(any(_residue(field, leads, v)) for v in np.asarray(b1, ELEM).tolist())
 
 
 def subspace_eq(b1: np.ndarray, b2: np.ndarray) -> bool:
-    return b1.shape == b2.shape and np.array_equal(b1, b2)
+    """Equality of the subspaces two canonical (RREF) bases span: equal
+    shapes and equal bytes.  Each basis is cast to ``ELEM`` first (no copy
+    when it is one already), so any integer array compares by value."""
+    b1, b2 = np.asarray(b1, ELEM), np.asarray(b2, ELEM)
+    return b1.shape == b2.shape and b1.tobytes() == b2.tobytes()

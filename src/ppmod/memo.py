@@ -1,6 +1,7 @@
 """The one result cache of the library.
 
-Evaluation, free realisations, pp-type generators, Hom bases and
+Evaluation, free realisations, pp-type generators, Hom bases, the
+powers M^k (``modules.power``, keyed by M's fingerprint and k) and
 End/Biend rings are pure functions of their arguments' fingerprints, so
 each keeps its results keyed by those fingerprints; the argument-free
 fixtures key their one result by ``()``.  An algebra, module or formula

@@ -26,8 +26,9 @@ one ``matmul`` of the kept action rows, and the validators compare
 whole product tables and report the first failure in label order.
 
 ``make_module`` is the one check of the module law.  The duals, sums,
-submodules and quotients start from checked modules, so they build the
-record directly, from fresh arrays they own and never touch again.
+powers, submodules and quotients start from checked modules, so they
+build the record directly, from fresh arrays they own and never touch
+again.  ``power`` is the one construction of M^k.
 
 Hom(m, n) is one canonical (h, m.dim, n.dim) stack, ``hom_basis``, and
 ``hom_orbits`` sends tuples through all of it with one ``images``; a
@@ -156,10 +157,27 @@ def free_module(algebra: Algebra, side: str, slots: int) -> ModuleRep:
     """R^slots as a module; coordinates are slot-major blocks of dim R."""
     if not is_int(slots) or slots < 0:
         raise DimensionMismatch(f"slots must be an int >= 0, not {slots!r}")
-    if slots == 0:
-        return zero_module(algebra, side)
-    reg = regular_module(algebra, side)
-    return reg if slots == 1 else direct_sum([reg] * slots).module
+    return power(regular_module(algebra, side), slots)
+
+
+@memo(lambda m, k: (m.fingerprint(), k))
+def power(m: ModuleRep, k: int) -> ModuleRep:
+    """M^k with block-diagonal actions, coordinates slot-major blocks of dim M.
+
+    The one construction of a power: the module of ``direct_sum([m] * k)``,
+    without its k injections and k projections, and for k = 1 no new
+    module (the first call caches ``m`` itself).  Cached, so the pointed
+    powers of the lattice and the free modules R^slots keep one
+    fingerprint per (M, k).
+    """
+    if k == 1:
+        return m
+    s, d = m.algebra.dim, m.dim
+    actions = np.zeros((s, k, d, k, d), dtype=ELEM)
+    slot = np.arange(k)
+    # the advanced indices lead the assigned view, of shape (k, s, d, d)
+    actions[:, slot, :, slot, :] = m.actions
+    return ModuleRep(m.algebra, m.side, k * d, actions.reshape(s, k * d, k * d))
 
 
 def dual_module(m: ModuleRep) -> ModuleRep:
@@ -228,13 +246,18 @@ def _require_compatible(m: ModuleRep, n: ModuleRep) -> None:
 
 
 def make_map(source: ModuleRep, target: ModuleRep, matrix) -> ModuleMap:
-    """Validated homomorphism (commutes with every basis action)."""
+    """Validated homomorphism (commutes with every basis action).
+
+    A 2-D ``matrix`` must have the shape (source.dim, target.dim), so a
+    transposed matrix is refused rather than read as another map; other
+    shapes are read row-major when they hold source.dim·target.dim entries.
+    """
     _require_compatible(source, target)
     f = source.algebra.field
     k, s, t = source.algebra.dim, source.dim, target.dim
     matrix = f.asarray(matrix)
-    if matrix.size != s * t:
-        raise DimensionMismatch(f"map matrix of {matrix.size} entries, expected {s} x {t}")
+    if matrix.size != s * t or (matrix.ndim == 2 and matrix.shape != (s, t)):
+        raise DimensionMismatch(f"map matrix of shape {matrix.shape}, expected {(s, t)}")
     matrix = matrix.reshape(s, t)
     # label i of both tables: actions[i] @ matrix and matrix @ target.actions[i]
     lhs = linalg.matmul(f, source.actions.reshape(k * s, s), matrix).reshape(k, s, t)

@@ -22,7 +22,7 @@ from ppmod import (
     submodule,
     zero_module,
 )
-from ppmod.errors import CapExceeded, NotARepresentation, NotASubmodule, NotGenerating, SideMismatch
+from ppmod.errors import CapExceeded, DimensionMismatch, NotARepresentation, NotASubmodule, NotGenerating, SideMismatch
 from ppmod.fixtures import (
     f3,
     k2,
@@ -38,7 +38,7 @@ from ppmod.fixtures import (
     tri2_s1,
     tri2_s2,
 )
-from ppmod.modules import extend_to_generators, free_module, module_span
+from ppmod.modules import extend_to_generators, free_module, hom_basis, module_span
 
 F2 = Field(2)
 
@@ -100,6 +100,15 @@ def test_make_map_rejects_non_equivariant_matrix():
         make_map(mod_rr(), mod_s(), [[0], [1]])
     h = make_map(mod_rr(), mod_s(), [[1], [0]])
     assert linalg.rank(F2, h.matrix) == h.target.dim and not h.is_injective()
+
+
+def test_make_map_refuses_the_transposed_matrix():
+    # a 3 x 2 transpose of a Hom(RR, RR + S) map was once read row-major
+    rr = mod_rr()
+    rs = direct_sum([rr, mod_s()]).module
+    for g in hom_basis(rr, rs):
+        with pytest.raises(DimensionMismatch, match=r"^map matrix of shape \(3, 2\), expected \(2, 3\)$"):
+            make_map(rr, rs, g.T)
 
 
 def test_make_map_rejects_mismatched_sides():

@@ -139,6 +139,21 @@ its tables without re-proving the ring axioms.  That re-proof, once
 ``Field._check_axioms``, is kept as ``check_ring_axioms``: commutativity,
 and associativity and distributivity on all q^3 triples, for each of the
 16 extension orders q <= 256.
+
+M^k is ``modules.power``, built block-diagonal without the injections
+and projections of ``direct_sum``; on the r2, tri2 and f3 grids its
+fingerprint must be that of ``direct_sum([m] * k).module`` for k = 1..3,
+and a second call returns the cached object.  ``subspace_eq`` compares
+canonical bases by their bytes and must agree with ``np.array_equal``
+on random RREF bases, empty bases of different widths and int64 copies.
+``null_space`` cut to its first c columns builds only the kernel rows
+that lead there; the row space of the cut full kernel (what the deleted
+``prefix_basis`` computed) is its oracle.  The regular actions are the
+structure constants, transposed for the right side, cast once; the
+per-basis-element stack is ``oracle_regular_actions``.  The formula
+constructors normalise their blocks without ``pp_formula``'s checks;
+over F2, F3 and F4 each constructor's formula must have the fingerprint
+that ``pp_formula`` gives on the blocks it normalised.
 """
 
 import functools
@@ -149,6 +164,7 @@ from itertools import combinations, product
 from operator import and_
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,7 +172,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ppmod import Field, construct, fixtures, linalg
+from ppmod import Field, construct, fixtures, formulas, linalg
 from ppmod.acceptance import _random_automorphism, _random_hom
 from ppmod.algebras import Algebra, make_algebra
 from ppmod.construct import (
@@ -232,6 +248,7 @@ from ppmod.modules import (
     make_map,
     make_module,
     module_span,
+    power,
     presentation,
     quotient,
     regular_module,
@@ -906,12 +923,56 @@ GRID_MODULES = [
 
 
 @given(data=st.data(), field=fields)
-def test_prefix_basis_is_the_row_space_of_the_prefix(data, field):
-    basis = linalg.row_space(field, matrices(data, field))
-    for b in (basis, basis[:0]):  # and the empty basis of the same width
-        for c in range(b.shape[1] + 1):
-            want = linalg.row_space(field, b[:, :c])
-            assert same_array(linalg.prefix_basis(b, c), want)
+def test_cut_null_space_is_the_row_space_of_the_prefix(data, field):
+    a = matrices(data, field)
+    kernel = linalg.null_space(field, a)
+    for c in range(a.shape[1] + 1):
+        got = linalg.null_space(field, a, c)
+        assert same_array(got, linalg.row_space(field, kernel[:, :c]))
+        # compact: no view into a wider kernel
+        assert got.flags.c_contiguous and (got.base is None or got.base.nbytes == got.nbytes)
+
+
+def oracle_regular_actions(alg, side):
+    """The per-basis-element stack ``right_regular_actions``/``left_regular_actions`` ran."""
+    if side == "right":
+        return np.stack([alg.constants[:, i, :].astype(ELEM) for i in range(alg.dim)])
+    return np.stack([alg.constants[i, :, :].astype(ELEM) for i in range(alg.dim)])
+
+
+@given(data=st.data(), field=fields, k=alg_dims)
+def test_regular_actions_match_the_stack_loop(data, field, k):
+    for alg in (random_algebra(data, field, k), *GENUINE):
+        assert same_array(alg.right_regular_actions(), oracle_regular_actions(alg, "right"))
+        assert same_array(alg.left_regular_actions(), oracle_regular_actions(alg, "left"))
+
+
+POWER_MODULES = [
+    m for alg in (fixtures.r2(), fixtures.tri2(), fixtures.f3())
+    for m in fixtures.right_grid(alg) + fixtures.left_grid(alg)
+]
+
+
+@pytest.mark.parametrize("m", POWER_MODULES, ids=repr)
+def test_power_is_the_module_of_the_direct_sum(m):
+    for k in (1, 2, 3):
+        got = power(m, k)
+        assert got.fingerprint() == direct_sum([m] * k).module.fingerprint()
+        assert power(m, k) is got
+
+
+@given(data=st.data(), field=fields)
+def test_subspace_eq_is_equality_of_the_arrays(data, field):
+    b1 = linalg.row_space(field, matrices(data, field))
+    n = b1.shape[1]
+    twin = linalg.row_space(field, matrices(data, field, cols=st.just(n)))
+    for b2 in (b1.copy(), twin, b1[:0], b1[:, : n // 2]):
+        want = b1.shape == b2.shape and np.array_equal(b1, b2)
+        assert linalg.subspace_eq(b1, b2) == want == linalg.subspace_eq(b2, b1)
+        # an int64 copy compares by value, not by its wider bytes
+        assert linalg.subspace_eq(b1, b2.astype(np.int64)) == want
+    m = data.draw(st.integers(0, 12))
+    assert linalg.subspace_eq(linalg.zeros(0, n), linalg.zeros(0, m)) == (n == m)
 
 
 def same_generators_and_presentation(m, vectors):
@@ -1496,6 +1557,50 @@ def test_formula_constructors_match_the_slot_loops(data, field, k):
     assert same_formula(
         prefix_restriction(phi, new_arity), oracle_prefix_restriction(phi, new_arity)
     )
+
+
+SMALL_FIELD_MODULES = [m for m in GENUINE_MODULES if m.algebra.field.q in (2, 3, 4)]
+
+
+def normalised_as_at_the_door(build, *args):
+    """``build(*args)``, which must normalise once, against ``pp_formula`` on
+    the blocks it normalised."""
+    seen = []
+    real = formulas._normalised
+
+    def spy(*blocks):
+        seen.append(blocks)
+        return real(*blocks)
+
+    with mock.patch.object(formulas, "_normalised", spy):
+        got = build(*args)
+    assert len(seen) == 1
+    assert got.fingerprint() == pp_formula(*seen[0]).fingerprint()
+
+
+@given(
+    data=st.data(),
+    field=st.sampled_from([Field(2), Field(3), Field(2, 2)]),
+    k=alg_dims,
+    side=st.sampled_from(["right", "left"]),
+)
+def test_formula_constructors_normalise_as_pp_formula_does(data, field, k, side):
+    alg = sparse_algebra(data, field, k)
+    n = data.draw(st.integers(0, 3))
+    phi, psi = formula_of(data, alg, side, nfree=n), formula_of(data, alg, side, nfree=n)
+    normalised_as_at_the_door(top, alg, side, n)
+    normalised_as_at_the_door(bot, alg, side, n)
+    normalised_as_at_the_door(conj, phi, psi)
+    normalised_as_at_the_door(formula_sum, phi, psi)
+    normalised_as_at_the_door(dual, phi)
+    t_matrix = sparse(data, field, (data.draw(st.integers(0, 3)), n, k))
+    normalised_as_at_the_door(substitute, phi, t_matrix)
+    normalised_as_at_the_door(prefix_restriction, phi, n + data.draw(st.integers(0, 2)))
+    # a genuine module, so the tuple extends to a presented generating one
+    g = data.draw(st.sampled_from(SMALL_FIELD_MODULES))
+    vectors = sparse(data, g.algebra.field, (data.draw(st.integers(0, 2)), g.dim))
+    # the uncached generator, so every draw builds its formula
+    normalised_as_at_the_door(pp_type_generator.__wrapped__, g, vectors)
 
 
 def assert_pointed_tuple_matches(m, basis, arity):

@@ -11,7 +11,11 @@ operations: add and neg digitwise mod p, mul as the digit convolution.
 
 Arrays of elements are ``ELEM`` numpy arrays and the operations here
 broadcast elementwise through the add/mul tables, which keeps q small
-(q <= 256 enforced; q <= 9 is the intended working range).  Linear
+(q <= 256 enforced; q <= 9 is the intended working range).  In
+characteristic 2 a code is a vector of base-2 digits, so the code of a
+sum is the XOR of the codes (``add_table[a, b] == a ^ b`` and
+``neg_table[a] == a``): ``add``, ``sub`` and ``sum`` are bitwise there,
+and over F2, where ``mul_table[a, b] == a & b``, ``mul`` is too.  Linear
 combinations and matrix products are not written here but in
 :mod:`ppmod.linalg`, whose row elimination uses the list copies
 ``add_list``/``mul_list``/``neg_list``/``inv_list`` of the tables.
@@ -194,15 +198,21 @@ class Field:
         return a.astype(ELEM, copy=copy)
 
     def add(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return np.asarray(a, ELEM) ^ np.asarray(b, ELEM)
         return self.add_table[np.asarray(a, ELEM), np.asarray(b, ELEM)]
 
     def sub(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return np.asarray(a, ELEM) ^ np.asarray(b, ELEM)
         return self.add_table[np.asarray(a, ELEM), self.neg_table[np.asarray(b, ELEM)]]
 
     def neg(self, a) -> np.ndarray:
         return self.neg_table[np.asarray(a, ELEM)]
 
     def mul(self, a, b) -> np.ndarray:
+        if self.q == 2:
+            return np.asarray(a, ELEM) & np.asarray(b, ELEM)
         return self.mul_table[np.asarray(a, ELEM), np.asarray(b, ELEM)]
 
     def inv(self, a) -> int:
@@ -214,8 +224,12 @@ class Field:
         return int(self.inv_table[a])
 
     def sum(self, arr, axis: int = 0) -> np.ndarray:
-        """Field sum along an axis (plain ``np.sum`` would leave F_p)."""
+        """Field sum along an axis (plain ``np.sum`` would leave F_p): one
+        XOR reduce in characteristic 2, a loop of ``add_table`` gathers over
+        the summed axis otherwise.  An empty axis sums to zeros."""
         arr = np.asarray(arr, ELEM)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(arr, axis=axis)
         if arr.shape[axis] == 0:
             return np.zeros(np.delete(arr.shape, axis), dtype=ELEM)
         arr = np.moveaxis(arr, axis, 0)
@@ -225,13 +239,19 @@ class Field:
         return out
 
     def dot(self, u, v) -> int:
+        """The dot product of two vectors of equal length.
+
+        Raises:
+            DimensionMismatch: an operand that is not a 1-D vector, or
+                vectors of unequal length.
+        """
         u = self.asarray(u)
         v = self.asarray(v)
-        if u.shape != v.shape:
-            raise DimensionMismatch("dot of unequal shapes")
-        if u.size == 0:
-            return 0
-        return int(self.sum(self.mul_table[u, v]))
+        if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
+            raise DimensionMismatch(
+                f"dot takes two vectors of equal length, not shapes {u.shape} and {v.shape}"
+            )
+        return int(self.sum(self.mul(u, v)))
 
     def fingerprint(self) -> tuple:
         return ("F", self.p, self.d)

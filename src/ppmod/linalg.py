@@ -12,7 +12,10 @@ kept sorted by lead, the (unique) RREF basis, and every membership test
 the one sequential reduction :func:`_residue`, both on Python list rows
 through the field's list tables; numpy is only the boundary (one
 ``tolist`` in, one ``ELEM`` array out), since the matrices are small and
-per-call numpy overhead would dominate.
+per-call numpy overhead would dominate.  In characteristic 2 the sum of
+two codes is their XOR, so a row operation is ``x ^ s[y]`` there, not
+``add[x][s[y]]``; over F2 a product's terms are 0 or 1 and its sum is
+the parity of the integer product, which an int16 wraparound keeps.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
     if a.shape[1] == 0:
         return zeros(a.shape[0], b.shape[1])
+    if field.q == 2:
+        return (a @ b) & 1
     if field.d == 1:
         return ((a.astype(np.int64) @ b.astype(np.int64)) % field.p).astype(ELEM)
     prod = field.mul_table[a[:, :, None], b[None, :, :]]
@@ -145,10 +150,14 @@ def _leads(basis: np.ndarray) -> list[tuple[int, list[int]]]:
 def _residue(field: Field, leads, v: list[int]) -> list[int]:
     """Eliminate each leading column from v, walking the rows in order."""
     add, mul, neg, inv = field.add_list, field.mul_list, field.neg_list, field.inv_list
+    xor = field.p == 2
     for c, row in leads:
         if v[c]:
             s = mul[neg[mul[v[c]][inv[row[c]]]]]
-            v = [add[x][s[y]] for x, y in zip(v, row)]
+            if xor:
+                v = [x ^ s[y] for x, y in zip(v, row)]
+            else:
+                v = [add[x][s[y]] for x, y in zip(v, row)]
     return v
 
 
@@ -157,6 +166,7 @@ def _insert(field: Field, leads: list, rows: list[list[int]]) -> list:
     return them.  Rows are replaced, never changed, so a shallow copy of
     ``leads`` is a basis of its own."""
     add, mul, neg, inv = field.add_list, field.mul_list, field.neg_list, field.inv_list
+    xor = field.p == 2
     for v in rows:
         if len(leads) == len(v):  # the whole space
             break
@@ -173,7 +183,10 @@ def _insert(field: Field, leads: list, rows: list[list[int]]) -> list:
         for i, (d, row) in enumerate(leads):
             if row[c]:
                 s = mul[neg[row[c]]]
-                leads[i] = (d, [add[y][s[z]] for y, z in zip(row, v)])
+                if xor:
+                    leads[i] = (d, [y ^ s[z] for y, z in zip(row, v)])
+                else:
+                    leads[i] = (d, [add[y][s[z]] for y, z in zip(row, v)])
         insort(leads, (c, v))  # leads are distinct, so rows are never compared
     return leads
 

@@ -22,11 +22,13 @@ from ppmod import (
     top,
 )
 from ppmod.errors import ArityMismatch, CapExceeded, DimensionMismatch, ValidationFailure
+from ppmod.fields import Field
 from ppmod.fixtures import mod_rr, r2
 from ppmod.formulas import prefix_restriction
 from ppmod.modules import free_module
 
 ARITY = r"^arity must be an int >= 0, not "
+DOT = r"^dot takes two vectors of equal length, not shapes "
 
 CASES = {
     "annihilator-short-r": (lambda: annihilator(r2(), "right", [1]), DimensionMismatch, "element r"),
@@ -58,6 +60,11 @@ CASES = {
         ValidationFailure,
         "^cap must be an int",
     ),
+    "dot-matrices": (lambda: Field(2).dot([[1, 0], [0, 1]], [[1, 1], [1, 1]]), DimensionMismatch, DOT),
+    "dot-1x1-matrices": (lambda: Field(2).dot([[1]], [[1]]), DimensionMismatch, DOT),
+    "dot-scalars": (lambda: Field(2).dot(1, 1), DimensionMismatch, DOT),
+    "dot-vector-and-matrix": (lambda: Field(3).dot([1, 2], [[1, 2]]), DimensionMismatch, DOT),
+    "dot-unequal-lengths": (lambda: Field(2, 2).dot([1, 2], [1, 2, 3]), DimensionMismatch, DOT),
 }
 for bad in (-1, 1.5, True, np.int64(1)):
     CASES[f"top-{bad!r}"] = (lambda bad=bad: top(r2(), "right", bad), ArityMismatch, ARITY)

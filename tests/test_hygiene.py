@@ -153,6 +153,40 @@ def test_the_check_sees_list_table_reads(tmp_path):
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
 
+def characteristic_2_tests(path: Path) -> list[str]:
+    """Each comparison of a field's ``p`` or ``q`` with 2 in a module, as written."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        reads = any(isinstance(x, ast.Attribute) and x.attr in {"p", "q"} for x in operands)
+        if reads and any(isinstance(x, ast.Constant) and x.value == 2 for x in operands):
+            out.append(ast.unparse(node))
+    return out
+
+
+def test_only_the_kernel_branches_on_characteristic_2():
+    # the XOR/AND arithmetic lives in fields and linalg alone; a test of
+    # p or q against 2 anywhere else is a second kernel growing
+    testers = {path.name for path in SRC.glob("*.py") if characteristic_2_tests(path)}
+    assert testers == {"fields.py", "linalg.py"}
+
+
+def test_the_check_sees_characteristic_2_tests(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def f(field, m, p):\n"
+        "    if field.q == 2 or 2 != m.algebra.field.p or field.p < 2:\n"
+        "        return field.d == 2, m.dim == 2, p == 2, field.q == 3\n"
+    )
+    assert characteristic_2_tests(sample) == [
+        "field.q == 2",
+        "2 != m.algebra.field.p",
+        "field.p < 2",
+    ]
+
+
 def functools_caches(path: Path) -> list[str]:
     """Each ``functools`` cache a module imports or names, in order."""
     out = []

@@ -154,6 +154,20 @@ per-basis-element stack is ``oracle_regular_actions``.  The formula
 constructors normalise their blocks without ``pp_formula``'s checks;
 over F2, F3 and F4 each constructor's formula must have the fingerprint
 that ``pp_formula`` gives on the blocks it normalised.
+
+In characteristic 2 the field arithmetic is bitwise: ``add``, ``sub``
+and ``sum`` XOR the codes, ``mul`` over F2 is AND, ``linalg.matmul``
+over F2 is the parity of the int16 product, and the row operations of
+the elimination XOR list rows.  The table path they replaced is kept as
+``oracle_add``, ``oracle_sub``, ``oracle_mul``, the term loop
+``oracle_sum``, ``oracle_dot`` and the int64 ``oracle_matmul``, compared
+over the eight orders 2..256 and over F3 and F9 (where the table path
+stays): on 0-d operands, broadcast shapes, empty summed axes and an F2
+product whose inner dimension of 40,000 wraps the int16 sum.  The table
+identities themselves (``add_table[a, b] == a ^ b``, ``neg_table[a] ==
+a``, and ``mul_table[a, b] == a & b`` over F2 alone) are asserted.
+``FIELDS`` holds F2, F4 and F8, so the column-sweep oracles, which read
+``add_list``, check the XOR row operations on three such fields.
 """
 
 import functools
@@ -267,7 +281,7 @@ from ppmod.scalars import (
 from ppmod.tensor import relative_ml_check, tensor_product
 from ppmod.workspace import load_workspace
 
-FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(3, 2)]
+FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(3, 2), Field(2, 3)]
 
 
 # -- the replaced loops ------------------------------------------------------
@@ -3081,3 +3095,133 @@ def test_digits_of_codes_past_int32():
         assert got.dtype == np.int64 and got.shape == (len(codes), width)
         assert got.tolist() == [[(c // base**i) % base for i in range(width)] for c in codes]
     assert digits(np.array([[5, 6]]), 2, 3).tolist() == [[[1, 0, 1], [0, 1, 1]]]
+
+
+# -- the table path of the field arithmetic --------------------------------------
+
+
+def oracle_add(field, a, b):
+    return field.add_table[np.asarray(a, ELEM), np.asarray(b, ELEM)]
+
+
+def oracle_sub(field, a, b):
+    return field.add_table[np.asarray(a, ELEM), field.neg_table[np.asarray(b, ELEM)]]
+
+
+def oracle_mul(field, a, b):
+    return field.mul_table[np.asarray(a, ELEM), np.asarray(b, ELEM)]
+
+
+def oracle_sum(field, arr, axis=0):
+    """One ``add_table`` gather per term of the summed axis."""
+    arr = np.asarray(arr, ELEM)
+    if arr.shape[axis] == 0:
+        return np.zeros(np.delete(arr.shape, axis), dtype=ELEM)
+    arr = np.moveaxis(arr, axis, 0)
+    out = arr[0]
+    for i in range(1, arr.shape[0]):
+        out = field.add_table[out, arr[i]]
+    return out
+
+
+def oracle_dot(field, u, v):
+    u, v = field.asarray(u), field.asarray(v)
+    if u.size == 0:
+        return 0
+    return int(oracle_sum(field, field.mul_table[u, v]))
+
+
+def oracle_matmul(field, a, b):
+    """The int64 product mod p for d == 1, the ``mul_table`` gather summed by the term loop otherwise."""
+    a, b = np.asarray(a, ELEM), np.asarray(b, ELEM)
+    if a.shape[1] == 0:
+        return np.zeros((a.shape[0], b.shape[1]), dtype=ELEM)
+    if field.d == 1:
+        return ((a.astype(np.int64) @ b.astype(np.int64)) % field.p).astype(ELEM)
+    return oracle_sum(field, field.mul_table[a[:, :, None], b[None, :, :]], axis=1)
+
+
+# the eight orders 2..256 of characteristic 2, and F3 and F9 for the table path
+KERNEL_FIELDS = [Field(2, d) for d in range(1, 9)] + [Field(3), Field(3, 2)]
+kernel_fields = st.sampled_from(KERNEL_FIELDS)
+
+
+def same_value(got, want):
+    """Same type (a 0-d result is a numpy scalar on both paths) and same array."""
+    return type(got) is type(want) and same_array(np.asarray(got), np.asarray(want))
+
+
+@pytest.mark.parametrize("d", range(1, 9), ids=[f"F{2**d}" for d in range(1, 9)])
+def test_characteristic_2_tables_are_bitwise(d):
+    field = Field(2, d)
+    a = np.arange(field.q, dtype=ELEM)
+    assert same_array(field.add_table, a[:, None] ^ a[None, :])
+    assert same_array(field.neg_table, a)
+    # AND is the product over F2 alone: over F4, X * X = X + 1 (code 3), not 2 & 2
+    assert np.array_equal(field.mul_table, a[:, None] & a[None, :]) == (d == 1)
+
+
+@given(
+    data=st.data(),
+    field=kernel_fields,
+    shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, max_side=4),
+)
+def test_elementwise_arithmetic_matches_the_table_gathers(data, field, shapes):
+    a = elems(data, field, shapes.input_shapes[0])
+    b = elems(data, field, shapes.input_shapes[1])
+    x = data.draw(st.integers(0, field.q - 1))
+    for op, oracle in ((field.add, oracle_add), (field.sub, oracle_sub), (field.mul, oracle_mul)):
+        for left, right in ((a, b), (x, b), (a, x), (x, x), (np.int16(x), a.tolist())):
+            assert same_value(op(left, right), oracle(field, left, right))
+
+
+@given(
+    data=st.data(),
+    field=kernel_fields,
+    shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+)
+def test_sum_matches_the_term_loop(data, field, shape):
+    arr = elems(data, field, shape)
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    assert same_array(np.asarray(field.sum(arr, axis)), np.asarray(oracle_sum(field, arr, axis)))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_an_empty_axis_sums_to_zeros(field):
+    for shape, axis in (((0,), 0), ((0, 4), 0), ((3, 0, 2), 1), ((2, 0), -1)):
+        arr = np.zeros(shape, dtype=ELEM)
+        got = np.asarray(field.sum(arr, axis))
+        assert same_array(got, np.asarray(oracle_sum(field, arr, axis)))
+        assert not got.any()
+
+
+@given(data=st.data(), field=kernel_fields, n=st.integers(0, 12))
+def test_dot_matches_the_table_path(data, field, n):
+    u, v = elems(data, field, (n,)), elems(data, field, (n,))
+    got = field.dot(u, v)
+    assert type(got) is int and got == oracle_dot(field, u, v)
+    assert field.dot(u.tolist(), v.tolist()) == got
+
+
+@given(data=st.data(), field=kernel_fields, m=st.integers(0, 6), k=st.integers(0, 6), n=st.integers(0, 6))
+def test_matmul_matches_the_table_path(data, field, m, k, n):
+    a, b = elems(data, field, (m, k)), elems(data, field, (k, n))
+    assert same_array(linalg.matmul(field, a, b), oracle_matmul(field, a, b))
+
+
+def test_f2_matmul_keeps_the_parity_past_int16():
+    # an inner dimension of 40,000 ones wraps the int16 sum; the parity stays
+    field = Field(2)
+    k = 40_000
+    rng = np.random.default_rng(25)
+    a = rng.integers(0, 2, size=(4, k)).astype(ELEM)
+    b = rng.integers(0, 2, size=(k, 3)).astype(ELEM)
+    a[0] = 1
+    a[1] = 0
+    a[1, :32_769] = 1
+    b[:, 0] = 1
+    exact = a.astype(np.int64) @ b.astype(np.int64)
+    assert exact[0, 0] == 40_000 and exact[1, 0] == 32_769 > np.iinfo(ELEM).max
+    got = linalg.matmul(field, a, b)
+    assert same_array(got, oracle_matmul(field, a, b))
+    assert got[0, 0] == 0 and got[1, 0] == 1

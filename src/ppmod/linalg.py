@@ -12,10 +12,10 @@ kept sorted by lead, the (unique) RREF basis, and every membership test
 the one sequential reduction :func:`_residue`, both on Python list rows
 through the field's list tables; numpy is only the boundary (one
 ``tolist`` in, one ``ELEM`` array out), since the matrices are small and
-per-call numpy overhead would dominate.  In characteristic 2 the sum of
-two codes is their XOR, so a row operation is ``x ^ s[y]`` there, not
-``add[x][s[y]]``; over F2 a product's terms are 0 or 1 and its sum is
-the parity of the integer product, which an int16 wraparound keeps.
+per-call numpy overhead would dominate.  Over F2 a product's terms are
+0 or 1, so ``matmul`` is the parity of the int16 integer product, which
+a wraparound keeps; over F_{2^d} its terms sum through ``Field.sum``'s
+XOR reduce.
 """
 
 from __future__ import annotations
@@ -150,14 +150,10 @@ def _leads(basis: np.ndarray) -> list[tuple[int, list[int]]]:
 def _residue(field: Field, leads, v: list[int]) -> list[int]:
     """Eliminate each leading column from v, walking the rows in order."""
     add, mul, neg, inv = field.add_list, field.mul_list, field.neg_list, field.inv_list
-    xor = field.p == 2
     for c, row in leads:
         if v[c]:
             s = mul[neg[mul[v[c]][inv[row[c]]]]]
-            if xor:
-                v = [x ^ s[y] for x, y in zip(v, row)]
-            else:
-                v = [add[x][s[y]] for x, y in zip(v, row)]
+            v = [add[x][s[y]] for x, y in zip(v, row)]
     return v
 
 
@@ -166,7 +162,6 @@ def _insert(field: Field, leads: list, rows: list[list[int]]) -> list:
     return them.  Rows are replaced, never changed, so a shallow copy of
     ``leads`` is a basis of its own."""
     add, mul, neg, inv = field.add_list, field.mul_list, field.neg_list, field.inv_list
-    xor = field.p == 2
     for v in rows:
         if len(leads) == len(v):  # the whole space
             break
@@ -183,10 +178,7 @@ def _insert(field: Field, leads: list, rows: list[list[int]]) -> list:
         for i, (d, row) in enumerate(leads):
             if row[c]:
                 s = mul[neg[row[c]]]
-                if xor:
-                    leads[i] = (d, [y ^ s[z] for y, z in zip(row, v)])
-                else:
-                    leads[i] = (d, [add[y][s[z]] for y, z in zip(row, v)])
+                leads[i] = (d, [add[y][s[z]] for y, z in zip(row, v)])
         insort(leads, (c, v))  # leads are distinct, so rows are never compared
     return leads
 

@@ -155,19 +155,18 @@ constructors normalise their blocks without ``pp_formula``'s checks;
 over F2, F3 and F4 each constructor's formula must have the fingerprint
 that ``pp_formula`` gives on the blocks it normalised.
 
-In characteristic 2 the field arithmetic is bitwise: ``add``, ``sub``
-and ``sum`` XOR the codes, ``mul`` over F2 is AND, ``linalg.matmul``
-over F2 is the parity of the int16 product, and the row operations of
-the elimination XOR list rows.  The table path they replaced is kept as
-``oracle_add``, ``oracle_sub``, ``oracle_mul``, the term loop
-``oracle_sum``, ``oracle_dot`` and the int64 ``oracle_matmul``, compared
-over the eight orders 2..256 and over F3 and F9 (where the table path
-stays): on 0-d operands, broadcast shapes, empty summed axes and an F2
-product whose inner dimension of 40,000 wraps the int16 sum.  The table
-identities themselves (``add_table[a, b] == a ^ b``, ``neg_table[a] ==
-a``, and ``mul_table[a, b] == a & b`` over F2 alone) are asserted.
-``FIELDS`` holds F2, F4 and F8, so the column-sweep oracles, which read
-``add_list``, check the XOR row operations on three such fields.
+In characteristic 2 ``Field.sum`` is one XOR reduce of the codes and
+``linalg.matmul`` over F2 is the parity of the int16 product.  The table
+path is kept as ``oracle_add``, ``oracle_sub``, ``oracle_mul``, the term
+loop ``oracle_sum``, ``oracle_dot`` and the int64 ``oracle_matmul``,
+compared with ``Field.add/sub/mul/sum/dot`` and ``linalg.matmul`` over
+the eight orders 2..256 and over F3 and F9: on 0-d operands, broadcast
+shapes, empty summed axes and an F2 product whose inner dimension of
+40,000 wraps the int16 sum.  The table identities themselves
+(``add_table[a, b] == a ^ b``, ``neg_table[a] == a``, and
+``mul_table[a, b] == a & b`` over F2 alone) are asserted, and a sum never
+shares memory with its input.  ``FIELDS`` holds F2, F4 and F8, so the
+column-sweep oracles cover three fields of characteristic 2.
 """
 
 import functools
@@ -3184,6 +3183,17 @@ def test_sum_matches_the_term_loop(data, field, shape):
     arr = elems(data, field, shape)
     axis = data.draw(st.integers(-len(shape), len(shape) - 1))
     assert same_array(np.asarray(field.sum(arr, axis)), np.asarray(oracle_sum(field, arr, axis)))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_a_sum_is_a_fresh_array(field):
+    # a one-term axis is where a loop starting from arr[0] returns a view
+    for shape, axis in (((1, 3), 0), ((2, 1), 1), ((3, 2), 0)):
+        arr = np.ones(shape, dtype=ELEM)
+        got = field.sum(arr, axis)
+        assert not np.shares_memory(got, arr)
+        got[...] = 0
+        assert arr.all()
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)

@@ -13,11 +13,13 @@ Arrays of elements are ``ELEM`` numpy arrays and the operations here
 broadcast elementwise through the add/mul tables, which keeps q small
 (q <= 256 enforced; q <= 9 is the intended working range).  In
 characteristic 2 a code is a vector of base-2 digits, so the code of a
-sum is the XOR of the codes (``add_table[a, b] == a ^ b``) and ``sum``
-is one XOR reduce there.  Linear combinations and matrix products are
-not written here but in :mod:`ppmod.linalg`, whose row elimination uses
-the list copies ``add_list``/``mul_list``/``neg_list``/``inv_list`` of
-the tables.
+sum is the XOR of the codes (``add_table[a, b] == a ^ b`` and
+``neg_table[a] == a``): ``add``, ``sub`` and ``sum`` are bitwise there,
+and over F2, where ``mul_table[a, b] == a & b``, ``mul`` is too.  Linear
+combinations and matrix products are not written here but in
+:mod:`ppmod.linalg`, whose row elimination uses the list copies
+``add_list``/``mul_list``/``neg_list``/``inv_list`` of the tables for
+every q.
 :meth:`Field.asarray` is the one validated entry point for outside data:
 it accepts integer arrays with entries in 0..q-1 and raises
 ``DimensionMismatch`` on anything else.
@@ -197,15 +199,21 @@ class Field:
         return a.astype(ELEM, copy=copy)
 
     def add(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return np.asarray(a, ELEM) ^ np.asarray(b, ELEM)
         return self.add_table[np.asarray(a, ELEM), np.asarray(b, ELEM)]
 
     def sub(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return self.add(a, b)
         return self.add_table[np.asarray(a, ELEM), self.neg_table[np.asarray(b, ELEM)]]
 
     def neg(self, a) -> np.ndarray:
         return self.neg_table[np.asarray(a, ELEM)]
 
     def mul(self, a, b) -> np.ndarray:
+        if self.q == 2:
+            return np.asarray(a, ELEM) & np.asarray(b, ELEM)
         return self.mul_table[np.asarray(a, ELEM), np.asarray(b, ELEM)]
 
     def inv(self, a) -> int:

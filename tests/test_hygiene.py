@@ -167,8 +167,8 @@ def characteristic_2_tests(path: Path) -> list[str]:
 
 
 def test_only_the_kernel_branches_on_characteristic_2():
-    # the XOR sum and the F2 parity product live in fields and linalg
-    # alone; a test of p or q against 2 anywhere else is a second kernel
+    # the XOR/AND arithmetic lives in fields and linalg alone; a test of
+    # p or q against 2 anywhere else is a second kernel growing
     testers = {path.name for path in SRC.glob("*.py") if characteristic_2_tests(path)}
     assert testers == {"fields.py", "linalg.py"}
 

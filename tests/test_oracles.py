@@ -155,9 +155,9 @@ constructors normalise their blocks without ``pp_formula``'s checks;
 over F2, F3 and F4 each constructor's formula must have the fingerprint
 that ``pp_formula`` gives on the blocks it normalised.
 
-In characteristic 2 ``Field.sum`` is one XOR reduce of the codes and
-``linalg.matmul`` over F2 is the parity of the int16 product.  The table
-path is kept as ``oracle_add``, ``oracle_sub``, ``oracle_mul``, the term
+In characteristic 2 ``Field.add``, ``sub`` and ``sum`` XOR the codes,
+``Field.mul`` over F2 is AND, and ``linalg.matmul`` over F2 is the
+parity of the int16 product.  The table path is kept as ``oracle_add``, ``oracle_sub``, ``oracle_mul``, the term
 loop ``oracle_sum``, ``oracle_dot`` and the int64 ``oracle_matmul``,
 compared with ``Field.add/sub/mul/sum/dot`` and ``linalg.matmul`` over
 the eight orders 2..256 and over F3 and F9: on 0-d operands, broadcast

@@ -49,7 +49,7 @@ from .formulas import (
     equivalent,
     evaluate,
     free_realisation,
-    pp_formula,
+    normalised,
     pp_type_generator,
     prefix_restriction,
     system_rows,
@@ -65,11 +65,6 @@ from .modules import (
     tuple_rows,
 )
 from .records import record
-
-
-# entries of one product of a run of a-codes with one residue table in
-# ``consequence_enum`` (a single a-code's product may be larger)
-_PRODUCT_CELLS = 2**22
 
 
 @record(eq=True)
@@ -134,11 +129,12 @@ def consequence_enum(
     The distinct M_a of a block are walked by the least code they occur
     at, in ``product`` order: index a_code * E^(t*neq) + b_code for E
     algebra elements, since the a slots come first.  So each signature is
-    met where a candidate-by-candidate walk would meet it.  The a listing
-    is taken in runs of a-codes, each product at most ``_PRODUCT_CELLS``
-    entries unless one a-code's product is larger, so the products do not
-    grow with the listing and a truncating budget stops at the run it
-    fills up in.  Only an accepted candidate becomes a formula.  The
+    met where a candidate-by-candidate walk would meet it.  The a-codes
+    are the chunks of one ``linalg.walk``, at most ``linalg.WALK_CELLS``
+    entries of the widest table per chunk, so the products do not grow
+    with the listing and a truncating budget stops at the chunk it fills
+    up in.  Only an accepted candidate becomes a formula, normalised
+    without ``pp_formula``'s door: its blocks come from the listing.  The
     list is capped at budget.candidates; theta itself is element 0.  A
     block that would list more than ``linalg.ENUMERATION_CAP`` raises
     CapExceeded.
@@ -164,21 +160,20 @@ def consequence_enum(
                     f"listing {elems}^{slots} candidate formulas "
                     f"exceeds the cap {linalg.ENUMERATION_CAP}"
                 )
-            a_list = _code_listing(field, n * neq, k)
-            b_list = _code_listing(field, t * neq, k)
-            nb = b_list.shape[0]
+            # ``product`` order is ``all_vectors`` order with the slots reversed
+            nb = field.q ** (t * neq * k)
+            b_list = linalg.all_vectors(field, t * neq * k).reshape(nb, t * neq, k)[:, ::-1]
             b_list = b_list.reshape(nb, t, neq, k)
             gen_tables = [_residue_tables(g, moves, b_list) for g, moves in gen_moves]
             c_tables = _residue_tables(c_theta, c_moves, b_list)
             m_shape = (on_c.shape[0], neq * c_theta.dim)
-            widest = max(1, *(tab[0].size for tab in (*gen_tables, c_tables)))
-            step = max(1, _PRODUCT_CELLS // widest)
+            widest = max(tab[0].size for tab in (*gen_tables, c_tables))
             weights = _key_weights(field, m_shape[0] * m_shape[1])
             walked = set()  # M_a keys met in earlier chunks of this block
             # a chunk holds every b-code of a run of a-codes, so the chunks
             # meet the candidates in code order
-            for start in range(0, a_list.shape[0], step):
-                chunk = a_list[start : start + step]
+            for start, chunk in linalg.walk(field, n * neq * k, widest):
+                chunk = chunk.reshape(len(chunk), n * neq, k)[:, ::-1].reshape(chunk.shape)
                 codes, keys = [], []
                 for b_code in range(nb):
                     live = np.arange(chunk.shape[0])
@@ -193,7 +188,8 @@ def consequence_enum(
                         continue
                     walked.add(key.tobytes())
                     a_code, b_code = divmod(code, nb)
-                    m_a = linalg.matmul(field, a_list[a_code : a_code + 1], c_tables[b_code])
+                    a = chunk[a_code - start : a_code - start + 1]
+                    m_a = linalg.matmul(field, a, c_tables[b_code])
                     kernel = linalg.null_space(field, m_a.reshape(m_shape).T)
                     # kernel and on_c are in RREF, so kernel @ on_c is too
                     sig = linalg.matmul(field, kernel, on_c).tobytes()
@@ -202,23 +198,9 @@ def consequence_enum(
                     if len(results) >= budget.candidates:
                         return ConsequenceList(theta, tuple(results), True)
                     seen.add(sig)
-                    a = a_list[a_code].reshape(n, neq, k)
-                    chi = pp_formula(alg, theta.side, n, a, b_list[b_code])
+                    chi = normalised(alg, theta.side, n, a.reshape(n, neq, k), b_list[b_code])
                     results.append(conj(theta, chi))
     return ConsequenceList(theta, tuple(results), False)
-
-
-def _code_listing(field, slots: int, k: int) -> np.ndarray:
-    """Every block of ``slots`` algebra elements in ``product`` order, flat.
-
-    ``product`` makes slot 0 the most significant digit, while
-    ``linalg.all_vectors`` puts coordinate 0 fastest, so the slots of its
-    listing of F_q^(slots*k) are read in reverse; each element keeps its
-    own code order.  Shape (E^slots, slots*k).
-    """
-    rows = field.q ** (slots * k)
-    listing = linalg.all_vectors(field, slots * k).reshape(rows, slots, k)
-    return listing[:, ::-1].reshape(rows, slots * k)
 
 
 def _moves(x: ModuleRep, basis: np.ndarray, n: int) -> np.ndarray:

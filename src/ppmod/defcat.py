@@ -30,7 +30,6 @@ from .errors import (
     SideMismatch,
     ValidationFailure,
 )
-from .fields import ELEM, digits
 from .formulas import PpFormula, evaluate, leq_absolute, pp_type_generator
 from .modules import (
     ModuleMap,
@@ -142,18 +141,12 @@ def _splits(field, products: np.ndarray) -> bool:
 def _first_outside(field, dim: int, stack: np.ndarray) -> np.ndarray | None:
     """First e of F_q^dim in code order outside span{e S_i}, or None.
 
-    ``stack`` holds the (h, dim, dim) matrices S_i.  The walk decodes the
-    elements a chunk at a time with ``fields.digits``, coordinate 0
-    fastest as in ``linalg.all_vectors``, with one ``linalg.images`` of at
-    most ``linalg.WALK_CELLS`` entries per chunk, and raises CapExceeded
-    once it has passed ``linalg.ENUMERATION_CAP`` elements without
-    finding one.
-    """
+    ``stack`` holds the (h, dim, dim) matrices S_i: one ``linalg.images``
+    per chunk of a ``linalg.walk`` stopped at ``linalg.ENUMERATION_CAP``,
+    past which a search without a witness raises CapExceeded."""
     q, cap = field.q, linalg.ENUMERATION_CAP
     total = q**dim
-    step = max(1, linalg.WALK_CELLS // max(1, stack.shape[0] * dim))
-    for start in range(0, min(total, cap), step):
-        chunk = digits(np.arange(start, min(start + step, total, cap)), q, dim).astype(ELEM)
+    for _, chunk in linalg.walk(field, dim, stack.shape[0] * dim, min(total, cap)):
         for e, orbit in zip(chunk, linalg.images(field, chunk, stack)):
             if linalg.solve(field, orbit.T, e) is None:
                 return e

@@ -143,10 +143,10 @@ def pp_formula(algebra: Algebra, side: str, nfree: int, a, b) -> PpFormula:
             f"coefficient blocks {a.shape} / {b.shape} do not agree"
         )
     _require_side(side)
-    return _normalised(algebra, side, nfree, a, b)
+    return normalised(algebra, side, nfree, a, b)
 
 
-def _normalised(algebra: Algebra, side: str, nfree: int, a: np.ndarray, b: np.ndarray) -> PpFormula:
+def normalised(algebra: Algebra, side: str, nfree: int, a: np.ndarray, b: np.ndarray) -> PpFormula:
     """The normal form of ``ELEM`` blocks a (nfree, neq, dim) and b (t, neq, dim)
     that already passed a door: ``pp_formula``'s, or a constructor's own."""
     neq = a.shape[1]
@@ -185,7 +185,7 @@ def top(algebra: Algebra, side: str, nfree: int = 1) -> PpFormula:
     require_arity(nfree)
     _require_side(side)
     a = np.zeros((nfree, 0, algebra.dim), dtype=ELEM)
-    return _normalised(algebra, side, nfree, a, a[:0])
+    return normalised(algebra, side, nfree, a, a[:0])
 
 
 def bot(algebra: Algebra, side: str, nfree: int = 1) -> PpFormula:
@@ -193,7 +193,7 @@ def bot(algebra: Algebra, side: str, nfree: int = 1) -> PpFormula:
     require_arity(nfree)
     _require_side(side)
     a = _diagonal(algebra, nfree, algebra.unit)
-    return _normalised(algebra, side, nfree, a, np.zeros((0, nfree, algebra.dim), ELEM))
+    return normalised(algebra, side, nfree, a, np.zeros((0, nfree, algebra.dim), ELEM))
 
 
 def _coefficient(algebra: Algebra, r) -> np.ndarray:
@@ -329,7 +329,7 @@ def conj(phi: PpFormula, psi: PpFormula) -> PpFormula:
         b[: phi.nbound, : phi.neq] = phi.b
     if psi.nbound:
         b[phi.nbound :, phi.neq :] = psi.b
-    return _normalised(alg, phi.side, n, a, b)
+    return normalised(alg, phi.side, n, a, b)
 
 
 def formula_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -354,7 +354,7 @@ def formula_sum(phi: PpFormula, psi: PpFormula) -> PpFormula:
     b[2 * n : y, n:e] = phi.b
     b[n : 2 * n, e:] = psi.a
     b[y:, e:] = psi.b
-    return _normalised(alg, phi.side, n, a, b)
+    return normalised(alg, phi.side, n, a, b)
 
 
 def dual(phi: PpFormula) -> PpFormula:
@@ -372,7 +372,7 @@ def dual(phi: PpFormula) -> PpFormula:
     other = "left" if phi.side == "right" else "right"
     a = _diagonal(alg, n + t, alg.unit)[:n]
     b = np.concatenate([f.neg(phi.a), phi.b]).transpose(1, 0, 2)
-    return _normalised(alg, other, n, a, b)
+    return normalised(alg, other, n, a, b)
 
 
 def substitute(phi: PpFormula, t_matrix) -> PpFormula:
@@ -402,7 +402,7 @@ def substitute(phi: PpFormula, t_matrix) -> PpFormula:
     # original system on (x_old, y)
     b[:n, n:] = phi.a
     b[n:, n:] = phi.b
-    return _normalised(alg, phi.side, nnew, a, b)
+    return normalised(alg, phi.side, nnew, a, b)
 
 
 def prefix_restriction(phi: PpFormula, new_arity: int) -> PpFormula:
@@ -458,7 +458,7 @@ def pp_type_generator(m: ModuleRep, vectors) -> PpFormula:
     rels = presentation(m, gens)
     a = np.transpose(rels[:, :n, :], (1, 0, 2))
     b = np.transpose(rels[:, n:, :], (1, 0, 2))
-    return _normalised(m.algebra, m.side, n, a, b)
+    return normalised(m.algebra, m.side, n, a, b)
 
 
 # -- ordering ---------------------------------------------------------------

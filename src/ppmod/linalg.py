@@ -15,7 +15,8 @@ through the field's list tables; numpy is only the boundary (one
 per-call numpy overhead would dominate.  Over F2 a product's terms are
 0 or 1, so ``matmul`` is the parity of the int16 integer product, which
 a wraparound keeps; over F_{2^d} its terms sum through ``Field.sum``'s
-XOR reduce.
+XOR reduce.  Every search of F_q^n in code order is one :func:`walk`,
+with one cell budget, ``WALK_CELLS``, and one refusal past ``ENUMERATION_CAP``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from bisect import insort
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch
-from .fields import ELEM, Field
+from .fields import ELEM, Field, digits
 
 # The most rows any listing of F_q^n may have (elements, coefficient tuples).
 ENUMERATION_CAP = 2**20
-# The most image entries one ``images`` call of a walk over elements builds.
+# The most cells (rows times the caller's width) one chunk of a ``walk`` makes.
 WALK_CELLS = 2**14
 
 
@@ -123,10 +124,29 @@ def all_vectors(field: Field, n: int) -> np.ndarray:
     ``ENUMERATION_CAP``.
     """
     q = field.q
-    if q**n > ENUMERATION_CAP:
+    _refuse_past_cap(q, n, q**n)
+    coords = np.indices((q,) * n, dtype=ELEM).reshape(n, q**n)
+    return np.ascontiguousarray(coords[::-1].T)
+
+
+def _refuse_past_cap(q: int, n: int, rows: int) -> None:
+    if rows > ENUMERATION_CAP:
         raise CapExceeded(f"listing F_{q}^{n} needs {q**n} rows > cap {ENUMERATION_CAP}")
-    digits = np.indices((q,) * n, dtype=ELEM).reshape(n, q**n)
-    return np.ascontiguousarray(digits[::-1].T)
+
+
+def walk(field: Field, n: int, width: int, stop: int | None = None):
+    """The rows of ``all_vectors(field, n)`` below code ``stop`` (all by default)
+    as ``(start, rows)`` chunks of at most ``WALK_CELLS // width`` rows (one at
+    least), ``width`` the cells a caller builds per row.  A walk past
+    ``ENUMERATION_CAP`` rows raises ``CapExceeded`` at the call, before any chunk."""
+    q = field.q
+    total = q**n if stop is None else min(stop, q**n)
+    _refuse_past_cap(q, n, total)
+    step = max(1, WALK_CELLS // max(1, width))
+    return (
+        (start, digits(np.arange(start, min(start + step, total)), q, n).astype(ELEM))
+        for start in range(0, total, step)
+    )
 
 
 def _array(rows: list[list[int]], ncols: int) -> np.ndarray:

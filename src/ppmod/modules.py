@@ -16,9 +16,9 @@ action matrix and flips the side.
 
 All objects are immutable after construction: a module's ``actions``
 are read-only and its fingerprint is computed once, so every cache key
-naming the module shares one tuple.  Linear combinations of
-action matrices and the code-order listing of elements go through
-:mod:`ppmod.linalg` (``matvec`` and ``all_vectors``).  Each question is
+naming the module shares one tuple.  Linear combinations of action
+matrices and the code-order listing and walk of F_q^n go through
+:mod:`ppmod.linalg` (``matvec``, ``all_vectors``, ``walk``).  Each question is
 one product over whole stacks: orbits and covers are ``linalg.images``
 of the rows under every action, a submodule's actions are the batched
 ``coords_in_rref`` of those images, a quotient is ``quotient_map`` plus
@@ -504,11 +504,11 @@ def are_isomorphic(m: ModuleRep, n: ModuleRep) -> bool:
     if not len(basis):
         return False
     f = m.algebra.field
-    # iterate all nonzero field combinations of the hom basis, in code order
+    # every combination of the hom basis in code order (zero has rank 0 < m.dim)
     stacked = basis.reshape(len(basis), m.dim * n.dim)
-    for coeffs in linalg.all_vectors(f, len(basis))[1:]:
-        mat = linalg.matvec(f, coeffs, stacked).reshape(m.dim, n.dim)
-        if linalg.rank(f, mat) == m.dim:
+    for _, coeffs in linalg.walk(f, len(basis), m.dim * n.dim):
+        mats = linalg.matmul(f, coeffs, stacked).reshape(-1, m.dim, n.dim)
+        if any(linalg.rank(f, mat) == m.dim for mat in mats):
             return True
     return False
 

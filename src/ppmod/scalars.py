@@ -30,7 +30,7 @@ from . import linalg
 from .algebras import Algebra
 from .errors import DimensionMismatch, ValidationFailure
 from .fields import ELEM, Field
-from .formulas import PpFormula, pp_formula, pp_type_generator
+from .formulas import PpFormula, normalised, pp_type_generator
 from .memo import memo
 from .modules import ModuleRep, RIGHT, hom_basis
 from .records import record, replace
@@ -95,22 +95,20 @@ def end_and_biend(m: ModuleRep) -> EndBiend:
 
 def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
     """Module generators over End, greedy by the rows each End-orbit adds
-    to a copy of the echelon span (``linalg.grow_basis``).  The orbits are
-    built a chunk at a time, at most ``linalg.WALK_CELLS`` entries each.
+    to a copy of the echelon span (``linalg.grow_basis``).  Each round
+    walks M in code order (``linalg.walk``), one ``images`` per chunk.
     No orbit adds more than min(d - len(span), dim End) rows, so a round
     ends at the first that does; End holds the identity, so one grows."""
     field = m.algebra.field
     d = m.dim
     span: list = []
     chosen: list[np.ndarray] = []
-    elements = m.enumerate_elements()
-    step = max(1, linalg.WALK_CELLS // max(1, end_mats.shape[0] * d))
     while len(span) < d:
         best = None
         best_gain = 0
         best_span = span
         most = min(d - len(span), end_mats.shape[0])
-        chunks = (elements[start : start + step] for start in range(0, len(elements), step))
+        chunks = (c for _, c in linalg.walk(field, d, end_mats.shape[0] * d))
         # image lists v @ h for every h in end_mats, a chunk at a time
         for v, image in (o for c in chunks for o in zip(c, linalg.images(field, c, end_mats))):
             cand = list(span)
@@ -142,7 +140,6 @@ def synthesize_scalar(m: ModuleRep, g) -> ScalarSynthesis:
     the formula is then [I | g] (see the module docstring).
     """
     field = m.algebra.field
-    alg = m.algebra
     d = m.dim
     g = field.asarray(g)
     if g.size != d * d:
@@ -155,7 +152,13 @@ def synthesize_scalar(m: ModuleRep, g) -> ScalarSynthesis:
     hg = linalg.matmul(field, ends.reshape(len(ends) * d, d), g).reshape(ends.shape)
     if not np.array_equal(gh, hg):
         raise ValidationFailure("matrix is not a biendomorphism")
-    gens = eb.generators
+    return _synthesis(m, eb.generators, g)
+
+
+def _synthesis(m: ModuleRep, gens: np.ndarray, g: np.ndarray) -> ScalarSynthesis:
+    """rho for a (d, d) ``ELEM`` biendomorphism g of M and M's generators over End."""
+    field = m.algebra.field
+    alg = m.algebra
     k = gens.shape[0]
     joined = np.concatenate([gens, linalg.matmul(field, gens, g)], axis=0)
     phi = pp_type_generator(m, joined)
@@ -180,7 +183,7 @@ def synthesize_scalar(m: ModuleRep, g) -> ScalarSynthesis:
             b[s if s in (i, k + i) else next(fresh), col0 : col0 + phi.neq] = phi.a[s]
         for r in range(phi.nbound):
             b[base + 2 * k - 2 + r, col0 : col0 + phi.neq] = phi.b[r]
-    rho = pp_formula(alg, m.side, 2, a, b)
+    rho = normalised(alg, m.side, 2, a, b)
     return ScalarSynthesis(rho, phi, gens, g, True, True)
 
 
@@ -201,8 +204,9 @@ class ScalarRing:
 
 
 def scalar_ring(m: ModuleRep) -> ScalarRing:
-    """Definable scalars of M: one ``synthesize_scalar`` per Biend basis element."""
+    """Definable scalars of M: one synthesis per Biend basis element, which
+    commutes with End(M) by construction, so unchecked."""
     eb = end_and_biend(m)
-    synths = tuple(synthesize_scalar(m, g) for g in eb.biend.basis)
+    synths = tuple(_synthesis(m, eb.generators, g) for g in eb.biend.basis)
     ring = replace(eb.biend, labels=tuple(f"r{i}" for i in range(eb.biend.dim)))
     return ScalarRing(ring, eb.end, eb.biend, eb.generators, synths, True)

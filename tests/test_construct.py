@@ -76,11 +76,10 @@ def test_a_demo_run_builds_formulas_only_for_accepted_candidates(monkeypatch):
     # consequences are decided on solution sets: rejected candidates
     # leave no evaluate entry and build no formula
     built = []
-    for module in (ppmod.construct, ppmod.formulas):
-        original = module.pp_formula
-        monkeypatch.setattr(
-            module, "pp_formula", lambda *a, _f=original: built.append(1) or _f(*a)
-        )
+    # chi is built from blocks of the listing, past the door
+    for module, name in ((ppmod.construct, "normalised"), (ppmod.formulas, "pp_formula")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original: built.append(1) or _f(*a))
     saved = dict(evaluate.cache)
     evaluate.cache.clear()
     try:

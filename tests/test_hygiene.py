@@ -150,6 +150,46 @@ def test_the_check_sees_list_table_reads(tmp_path):
     assert list_table_reads(sample) == ["neg_list"]
 
 
+def walk_internals(path: Path) -> list[str]:
+    """Each read of ``WALK_CELLS`` and each import or use of ``fields.digits``
+    in a module, in the order ``ast.walk`` meets them."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and node.id == "WALK_CELLS" and isinstance(node.ctx, ast.Load):
+            out.append("WALK_CELLS")
+        elif isinstance(node, ast.Attribute) and node.attr == "WALK_CELLS":
+            out.append("WALK_CELLS")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fields":
+            out += ["digits" for alias in node.names if alias.name == "digits"]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "digits"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "fields"
+        ):
+            out.append("digits")
+    return out
+
+
+def test_one_walk_of_the_code_order():
+    # linalg.walk is the one chunked walk of F_q^n: a chunk loop written
+    # anywhere else reads the cell budget or decodes codes by itself
+    readers = {path.name for path in SRC.glob("*.py") if "WALK_CELLS" in walk_internals(path)}
+    decoders = {path.name for path in SRC.glob("*.py") if "digits" in walk_internals(path)}
+    assert readers == {"linalg.py"}
+    assert decoders == {"linalg.py"}
+
+
+def test_the_check_sees_walk_internals(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from . import fields, linalg\nfrom .fields import ELEM, digits\nWALK_CELLS = 4\n\n"
+        "def f(field, n):\n    step = linalg.WALK_CELLS // n\n"
+        "    return fields.digits(range(step), field.q, n), digits, fields.ELEM\n"
+    )
+    assert sorted(walk_internals(sample)) == ["WALK_CELLS", "digits", "digits"]
+
+
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
 

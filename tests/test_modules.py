@@ -1,6 +1,7 @@
 """Module representations, maps, and the hom-space machinery."""
 
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -208,6 +209,24 @@ def test_are_isomorphic_caps_the_hom_combination_search():
     assert len(hom_space(m, n)) == 25
     with pytest.raises(CapExceeded):
         are_isomorphic(m, n)
+
+
+def test_are_isomorphic_refuses_before_walking(monkeypatch):
+    # F2^5 against itself: Hom is every 5x5 matrix, and the walk of its
+    # 2^25 combinations is refused at the call, before one is tried
+    def interrupted(signum, frame):
+        raise TimeoutError("are_isomorphic walked past 2 s")
+
+    m = free_module(k2(), "right", 5)
+    monkeypatch.setattr(linalg, "rank", lambda *a: pytest.fail("a combination was tried"))
+    previous = signal.signal(signal.SIGALRM, interrupted)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(CapExceeded, match=r"^listing F_2\^25 needs 33554432 rows > cap 1048576$"):
+            are_isomorphic(m, m)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_dual_module_is_an_involution():

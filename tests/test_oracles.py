@@ -173,6 +173,7 @@ import functools
 import hashlib
 import json
 import random
+import sys
 from itertools import combinations, product
 from operator import and_
 from pathlib import Path
@@ -185,7 +186,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ppmod import Field, construct, fixtures, formulas, linalg
+from ppmod import Field, construct, fixtures, formulas, linalg, scalars
 from ppmod.acceptance import _random_automorphism, _random_hom
 from ppmod.algebras import Algebra, make_algebra
 from ppmod.construct import (
@@ -199,6 +200,7 @@ from ppmod.construct import (
 )
 from ppmod.defcat import (
     PurityReport,
+    _first_outside,
     make_context,
     pair_closed,
     pullback_pure,
@@ -276,6 +278,7 @@ from ppmod.scalars import (
     _make_ring_table,
     end_and_biend,
     scalar_ring,
+    synthesize_scalar,
 )
 from ppmod.tensor import relative_ml_check, tensor_product
 from ppmod.workspace import load_workspace
@@ -781,12 +784,15 @@ def test_subgroup_elements_match_the_combination_loop(data, field, d, arity, s):
     assert np.array_equal(got, oracle_subgroup_elements(sub))
 
 
+@pytest.mark.parametrize("cells", [1, 40, linalg.WALK_CELLS])
 @given(data=st.data(), field=st.sampled_from(FIELDS[:4]), k=st.integers(1, 2), d=st.integers(0, 2))
-def test_are_isomorphic_matches_the_combination_loop(data, field, k, d):
+def test_are_isomorphic_matches_the_combination_loop(cells, data, field, k, d):
+    # tiny chunks put the first invertible combination past a chunk boundary
     alg = random_algebra(data, field, k)
     m, n = random_module(data, alg, d), random_module(data, alg, d)
-    assert are_isomorphic(m, n) == oracle_are_isomorphic(m, n)
-    assert are_isomorphic(m, m)
+    with mock.patch.object(linalg, "WALK_CELLS", cells):
+        assert are_isomorphic(m, n) == oracle_are_isomorphic(m, n)
+        assert are_isomorphic(m, m)
 
 
 def same_array(got, want):
@@ -1579,13 +1585,13 @@ def normalised_as_at_the_door(build, *args):
     """``build(*args)``, which must normalise once, against ``pp_formula`` on
     the blocks it normalised."""
     seen = []
-    real = formulas._normalised
+    real = formulas.normalised
 
     def spy(*blocks):
         seen.append(blocks)
         return real(*blocks)
 
-    with mock.patch.object(formulas, "_normalised", spy):
+    with mock.patch.object(formulas, "normalised", spy):
         got = build(*args)
     assert len(seen) == 1
     assert got.fingerprint() == pp_formula(*seen[0]).fingerprint()
@@ -1614,6 +1620,60 @@ def test_formula_constructors_normalise_as_pp_formula_does(data, field, k, side)
     vectors = sparse(data, g.algebra.field, (data.draw(st.integers(0, 2)), g.dim))
     # the uncached generator, so every draw builds its formula
     normalised_as_at_the_door(pp_type_generator.__wrapped__, g, vectors)
+
+
+def built_past_the_door(module, run):
+    """``run()`` with ``module.normalised`` and ``Field.asarray`` watched: the
+    blocks each formula was normalised from, the formulas, and the name of
+    each function that called ``asarray``."""
+    blocks, built, callers = [], [], []
+    real, real_asarray = module.normalised, Field.asarray
+
+    def spy(*args):
+        blocks.append(args)
+        built.append(real(*args))
+        return built[-1]
+
+    def asarray(self, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_asarray(self, *args, **kwargs)
+
+    with mock.patch.object(module, "normalised", spy), mock.patch.object(Field, "asarray", asarray):
+        run()
+    return blocks, built, callers
+
+
+def assert_as_at_the_door(blocks, built):
+    assert built
+    for args, got in zip(blocks, built):
+        want = pp_formula(*args)
+        assert (got.nfree, got.nbound, got.neq) == (want.nfree, want.nbound, want.neq)
+        assert same_array(got.a, want.a) and same_array(got.b, want.b)
+
+
+def test_consequences_and_scalars_skip_the_door():
+    # chi and rho are built from blocks ppmod made itself: the same bytes as
+    # through pp_formula, with no range scan of Field.asarray for them
+    for theta, ctx in (
+        (pp_type_generator(fixtures.mod_rr(), [[1, 0]]), make_context([fixtures.mod_s()])),
+        (top(fixtures.r2(), "right", 2), make_context([fixtures.mod_s()])),
+        (fixtures.xt0(), make_context([fixtures.mod_rr()])),
+    ):
+        run = lambda: consequence_enum(theta, ctx, Budget(1, 2, 64, 3))
+        blocks, built, callers = built_past_the_door(construct, run)
+        assert_as_at_the_door(blocks, built)
+        # C_theta's regular module passes make_module's own door, nothing else
+        assert set(callers) <= {"make_module"}
+    for m in (fixtures.mod_rr(), fixtures.right_grid(fixtures.tri2())[-1]):
+        blocks, built, callers = built_past_the_door(scalars, lambda: scalar_ring(m))
+        assert len(built) == end_and_biend(m).biend.dim
+        assert_as_at_the_door(blocks, built)
+        assert callers == []
+        # the public door checks g once, and builds the same rho
+        g = end_and_biend(m).biend.basis[-1]
+        blocks, built, callers = built_past_the_door(scalars, lambda: synthesize_scalar(m, g))
+        assert callers == ["synthesize_scalar"]
+        assert same_array(built[0].b, scalar_ring(m).syntheses[-1].formula.b)
 
 
 def assert_pointed_tuple_matches(m, basis, arity):
@@ -2445,12 +2505,12 @@ def test_consequence_enum_matches_the_formula_loop(alg, first, second):
 
 
 # the default chunk holds every block here; one cell makes one a-code a chunk
-chunk_cells = pytest.mark.parametrize("cells", [construct._PRODUCT_CELLS, 1], ids=["whole", "one-a"])
+chunk_cells = pytest.mark.parametrize("cells", [linalg.WALK_CELLS, 1], ids=["whole", "one-a"])
 
 
 @chunk_cells
 def test_consequence_enum_matches_the_formula_loop_on_the_demo_budget(cells, monkeypatch):
-    monkeypatch.setattr(construct, "_PRODUCT_CELLS", cells)
+    monkeypatch.setattr(linalg, "WALK_CELLS", cells)
     ctx = make_context([fixtures.mod_s()])
     for theta in (pp_type_generator(fixtures.mod_rr(), [[1, 0]]), fixtures.xt0()):
         for candidates in (1, 64):
@@ -2467,7 +2527,7 @@ def test_consequence_enum_matches_the_formula_loop_on_the_demo_budget(cells, mon
 def test_consequence_enum_matches_both_loops_on_the_edge_cases(alg, cells, monkeypatch):
     # no free variables, theta(X) = 0, theta(X) = X^n, and the zero module
     # as a generator (first or second); one and two bound variables
-    monkeypatch.setattr(construct, "_PRODUCT_CELLS", cells)
+    monkeypatch.setattr(linalg, "WALK_CELLS", cells)
     grid = fixtures.right_grid(alg)
     thetas = [top(alg, "right", 0), bot(alg, "right", 1), top(alg, "right", 1)]
     contexts = [make_context([grid[0]]), make_context([grid[0], grid[1]]), make_context([grid[1], grid[0]])]
@@ -2519,7 +2579,7 @@ def signature_groups(theta, ctx, budget):
 
 @chunk_cells
 def test_consequence_enum_solves_once_per_signature_group(cells, monkeypatch):
-    monkeypatch.setattr(construct, "_PRODUCT_CELLS", cells)
+    monkeypatch.setattr(linalg, "WALK_CELLS", cells)
     ctx = make_context([fixtures.mod_s()])
     budget = Budget(2, 2, 64, 3)
     calls = []
@@ -2706,6 +2766,50 @@ def test_purity_witnesses_keep_the_code_order_across_walk_chunks(alg, cells, mon
     for m, n in product(grid, repeat=2):
         for f_map in [make_map(m, n, np.zeros((m.dim, n.dim), dtype=ELEM)), _random_hom(rng, m, n)]:
             assert_purity_matches(f_map)
+
+
+def oracle_first_outside(field, dim, stack):
+    """The chunk loop the walk replaced: codes decoded with ``digits`` in
+    runs of at most ``WALK_CELLS`` image entries, capped by hand."""
+    q, cap = field.q, linalg.ENUMERATION_CAP
+    total = q**dim
+    step = max(1, linalg.WALK_CELLS // max(1, stack.shape[0] * dim))
+    for start in range(0, min(total, cap), step):
+        chunk = digits(np.arange(start, min(start + step, total, cap)), q, dim).astype(ELEM)
+        for e, orbit in zip(chunk, linalg.images(field, chunk, stack)):
+            if linalg.solve(field, orbit.T, e) is None:
+                return e
+    if total > cap:
+        raise CapExceeded(f"no witness among the first {cap} of {q}^{dim} elements (cap)")
+    return None
+
+
+def first_outside_or_refusal(field, dim, stack):
+    try:
+        e = _first_outside(field, dim, stack)
+    except CapExceeded as exc:
+        return str(exc)
+    return None if e is None else e.tobytes()
+
+
+@pytest.mark.parametrize("cells", [1, 40, linalg.WALK_CELLS])
+@settings(max_examples=60)
+@given(data=st.data(), field=st.sampled_from(FIELDS[:4]), dim=st.integers(0, 4), h=st.integers(0, 3))
+def test_first_outside_matches_the_digit_chunk_loop(cells, data, field, dim, h):
+    # a stack holding a scalar matrix has every element inside its span, so
+    # the walk runs to the end, or to a cap of 5 elements
+    stack = elems(data, field, (h, dim, dim))
+    if data.draw(st.booleans()):
+        stack = np.concatenate([stack, np.eye(dim, dtype=ELEM)[None]])
+    cap = data.draw(st.sampled_from([5, linalg.ENUMERATION_CAP]))
+    with mock.patch.object(linalg, "WALK_CELLS", cells), mock.patch.object(linalg, "ENUMERATION_CAP", cap):
+        got = first_outside_or_refusal(field, dim, stack)
+        try:
+            want = oracle_first_outside(field, dim, stack)
+        except CapExceeded as exc:
+            assert got == str(exc)
+        else:
+            assert got == (None if want is None else want.tobytes())
 
 
 def c4_squares():
@@ -3094,6 +3198,42 @@ def test_digits_of_codes_past_int32():
         assert got.dtype == np.int64 and got.shape == (len(codes), width)
         assert got.tolist() == [[(c // base**i) % base for i in range(width)] for c in codes]
     assert digits(np.array([[5, 6]]), 2, 3).tolist() == [[[1, 0, 1], [0, 1, 1]]]
+
+
+# -- the one chunked walk of F_q^n ----------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("field", [Field(2), Field(3), Field(2, 2), Field(5)], ids=repr)
+def test_the_walk_is_all_vectors_in_chunks(field, n):
+    listing = linalg.all_vectors(field, n)
+    total = field.q**n
+    for width, stop in product([0, 1, 40, 10**9], [None, total // 3 + 1]):
+        chunks = list(linalg.walk(field, n, width, stop))
+        rows = listing if stop is None else listing[:stop]
+        most = max(1, linalg.WALK_CELLS // max(1, width))
+        assert [start for start, _ in chunks] == list(range(0, len(rows), most))
+        assert all(0 < len(chunk) <= most for _, chunk in chunks)
+        assert same_array(np.concatenate([chunk for _, chunk in chunks]), rows)
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("field", [Field(2), Field(3), Field(2, 2), Field(5)], ids=repr)
+def test_the_walk_refuses_at_the_call(field, n, monkeypatch):
+    # a walk of more rows than the cap raises before its first chunk is
+    # asked for; a stop at the cap walks
+    cap = 20
+    monkeypatch.setattr(linalg, "ENUMERATION_CAP", cap)
+    total = field.q**n
+    message = f"^listing F_{field.q}\\^{n} needs {total} rows > cap {cap}$"
+    for width, stop in product([0, 1, 40, 10**9], [None, total // 3 + 1]):
+        rows = total if stop is None else stop
+        if rows > cap:
+            with pytest.raises(CapExceeded, match=message):
+                linalg.walk(field, n, width, stop)
+        else:
+            assert sum(len(chunk) for _, chunk in linalg.walk(field, n, width, stop)) == rows
+    assert sum(len(chunk) for _, chunk in linalg.walk(field, n, 1, min(total, cap))) == min(total, cap)
 
 
 # -- the table path of the field arithmetic --------------------------------------

@@ -19,10 +19,10 @@ from ppmod import (
     end_and_biend,
 )
 from ppmod.algebras import make_algebra
-from ppmod.errors import DimensionMismatch, ValidationFailure
+from ppmod.errors import CapExceeded, DimensionMismatch, ValidationFailure
 from ppmod.fields import ELEM
 from ppmod.fixtures import k2, mod_rr, mod_rr_alt, mod_s, r2, tri2
-from ppmod.modules import hom_basis, make_module
+from ppmod.modules import free_module, hom_basis, make_module
 from ppmod.scalars import _greedy_generators
 
 F2 = Field(2)
@@ -182,6 +182,24 @@ def test_scalar_ring_of_the_9_dimensional_brick_finishes_in_time():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert ring.ring.dim == 81 and ring.matches_biend
+
+
+def test_greedy_generators_refuse_before_walking(monkeypatch):
+    # F2^21 over k2, End the identity alone: the walk of its 2^21 elements
+    # is refused at the call, before one orbit is built
+    def interrupted(signum, frame):
+        raise TimeoutError("_greedy_generators walked past 2 s")
+
+    m = free_module(k2(), "right", 21)
+    monkeypatch.setattr(linalg, "images", lambda *a: pytest.fail("an orbit was built"))
+    previous = signal.signal(signal.SIGALRM, interrupted)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(CapExceeded, match=r"^listing F_2\^21 needs 2097152 rows > cap 1048576$"):
+            _greedy_generators(m, np.eye(21, dtype=ELEM)[None])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("bad", [[[1]], [1, 0, 1], [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])

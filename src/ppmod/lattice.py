@@ -16,13 +16,16 @@ join-closure of the orbits, one a per projective point of F_q^n, with
 no subspace enumeration and no element to prove definable; the pointed
 power only gives an element its witness, when it is read.  The closure
 sums each element once with each principal, and x + y is x plus, one
-stored sum at a time, the principals that first reached y; a <= b iff
-a + b = b, and the meet of a and b, their intersection, is their common
-lower bound of largest dimension.  Two refusals bound a lattice: the
-cap bounds the pointed power of the top M^arity, which is the largest
-any element's witness needs, and ``linalg.ENUMERATION_CAP`` bounds the
-k^2 entries of each table of a k-element lattice, checked as the
-closure grows, since k can outgrow the pointed power: for S over
+stored sum at a time, the principals that first reached y.  Until the
+closure ends, each element is a reduced echelon list of Python rows
+(``linalg.grow_basis``) keyed by its rows, so a sum crosses no numpy
+boundary; each element found gets its one ``ELEM`` array at the end.
+a <= b iff a + b = b, and the meet of a and b, their intersection, is
+their common lower bound of largest dimension.  Two refusals bound a
+lattice: the cap bounds the pointed power of the top M^arity, which is
+the largest any element's witness needs, and ``linalg.ENUMERATION_CAP``
+bounds the k^2 entries of each table of a k-element lattice, checked as
+the closure grows, since k can outgrow the pointed power: for S over
 F_2[t]/(t^2), |S|^n = 2^n, and every subspace of F_2^n is an element.
 
 Every filter of the finite lattice is a principal up-set up(g), so a
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, ValidationFailure
-from .fields import is_int
+from .fields import ELEM, is_int
 from .formulas import PpFormula, SubgroupRep, bot, evaluate, pp_type_generator, require_arity
 from .modules import ModuleRep, hom_orbits, power, tuple_rows
 from .records import record
@@ -143,24 +146,38 @@ class PpLattice:
         raise ValidationFailure("subspace is not a lattice element")
 
 
-def principal_closures(m: ModuleRep, arity: int) -> list[np.ndarray]:
-    """The orbit <a> = End(M)·a of each projective point a of F_q^n, in code order."""
+def principal_closures(m: ModuleRep, arity: int) -> list[list]:
+    """The orbit <a> = End(M)·a of each projective point a of F_q^n, in code
+    order, as the reduced echelon (lead, row) list of its RREF basis: one
+    ``tolist`` of the ``hom_orbits`` product, one ``linalg.grow_basis`` per orbit."""
     field, n = m.algebra.field, m.dim * arity
     if n == 0:
         return []
     points = linalg.all_vectors(field, n)
     lead = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
     points = points[lead == 1]  # one a per projective point
-    orbits = hom_orbits(m, m, points.reshape(len(points), arity, m.dim))
-    return [linalg.row_space(field, orbit) for orbit in orbits]
+    out = []
+    for orbit in hom_orbits(m, m, points.reshape(len(points), arity, m.dim)).tolist():
+        leads: list = []
+        linalg.grow_basis(field, leads, orbit)
+        out.append(leads)
+    return out
+
+
+def _key(leads: list) -> tuple:
+    """The rows of an echelon list, as one hashable tuple: equal iff the subspaces are."""
+    return tuple([tuple(row) for _, row in leads])
 
 
 def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattice:
     """The full lattice of pp-definable subgroups of M^arity.
 
     The join-closure of the orbits End(M)·a, one a per projective point
-    of F_q^n, sums each non-zero element with each principal once; column
-    y of ``join`` folds those sums along the principals that first reached
+    of F_q^n, sums each non-zero element with each principal once: a copy
+    of the element's echelon list grown by the principal's rows.  Elements
+    are keyed by their rows until the closure ends, and then each gets one
+    ``ELEM`` array; they are sorted by (dimension, bytes).  Column y of
+    ``join`` folds the stored sums along the principals that first reached
     y, so no join needs a lookup check.  ``leq`` and ``meet`` are read
     off ``join``.  The cap bounds the pointed power of the top M^arity,
     the largest any witness needs; the closure stops with CapExceeded
@@ -171,39 +188,45 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
     field = m.algebra.field
     n = m.dim * arity
     _require_pointed_power(m, n, cap)
-    principal = list({c.tobytes(): c for c in principal_closures(m, arity)}.values())
-    bottom = linalg.zeros(0, n)
-    # path[x]: the principals whose sums first reached x, so x is their
-    # sum; plus[x][j]: the key of x + principal[j]
-    found, path, plus = {bottom.tobytes(): bottom}, {bottom.tobytes(): ()}, {}
+    principal = {_key(c): c for c in principal_closures(m, arity)}
+    rows = [[row for _, row in c] for c in principal.values()]
+    bottom = ()
+    # found[x]: the echelon list of x; path[x]: the principals whose sums
+    # first reached x, so x is their sum; plus[x][j]: the key of x + principal[j]
+    found, path, plus = {bottom: []}, {bottom: ()}, {}
     frontier = [bottom]
     while frontier:
         grown = []
-        for s in frontier:
-            key = s.tobytes()
-            plus[key] = []
-            for j, p in enumerate(principal):
-                t = linalg.subspace_sum(field, s, p) if len(s) else p
-                plus[key].append(t.tobytes())
-                if t.tobytes() not in found:
+        for key in frontier:
+            s = found[key]
+            plus[key] = sums = []
+            for j, (p_key, p) in enumerate(principal.items()):
+                if s:
+                    t = list(s)
+                    t_key = _key(t) if linalg.grow_basis(field, t, rows[j]) else key
+                else:
+                    t, t_key = p, p_key
+                sums.append(t_key)
+                if t_key not in found:
                     size = len(found) + 1
                     if size * size > linalg.ENUMERATION_CAP:
                         raise CapExceeded(
                             f"lattice tables need at least {size}^2 = {size * size} "
                             f"entries > cap {linalg.ENUMERATION_CAP}"
                         )
-                    found[t.tobytes()], path[t.tobytes()] = t, path[key] + (j,)
-                    grown.append(t)
+                    found[t_key], path[t_key] = t, path[key] + (j,)
+                    grown.append(t_key)
         frontier = grown
-    bases = sorted(found.values(), key=lambda b: (b.shape[0], b.tobytes()))
-    k = len(bases)
-    index = {basis.tobytes(): i for i, basis in enumerate(bases)}
-    table = np.array([[index[t] for t in plus[b.tobytes()]] for b in bases], dtype=np.int32)
+    arrays = {key: np.array(key, dtype=ELEM).reshape(len(key), n) for key in found}
+    order = sorted(found, key=lambda key: (len(key), arrays[key].tobytes()))
+    k = len(order)
+    index = {key: i for i, key in enumerate(order)}
+    table = np.array([[index[t] for t in plus[key]] for key in order], dtype=np.int32)
     join = np.zeros((k, k), dtype=np.int32)
-    for y, b in enumerate(bases):
+    for y, key in enumerate(order):
         # x + y = (x + p1) + p2 + ... over y's path, for every x at once
         col = np.arange(k, dtype=np.int32)
-        for j in path[b.tobytes()]:
+        for j in path[key]:
             col = table[col, j]
         join[:, y] = col
     leq = join == np.arange(k)  # a <= b iff a + b = b
@@ -211,7 +234,7 @@ def pp_lattice(m: ModuleRep, arity: int = 1, cap: int = DEFAULT_CAP) -> PpLattic
     for i in range(k):
         # the common lower bound of largest dimension: the last in sort order
         meet[i] = k - 1 - (leq[:, i, None] & leq)[::-1].argmax(axis=0)
-    elements = tuple(SubgroupRep(m, arity, basis) for basis in bases)
+    elements = tuple(SubgroupRep(m, arity, arrays[key]) for key in order)
     return PpLattice(m, arity, elements, leq, meet, join)
 
 

@@ -10,13 +10,16 @@ Sylvester null space :func:`intertwiners`.
 Every elimination is :func:`_insert` of rows into a reduced echelon list
 kept sorted by lead, the (unique) RREF basis, and every membership test
 the one sequential reduction :func:`_residue`, both on Python list rows
-through the field's list tables; numpy is only the boundary (one
-``tolist`` in, one ``ELEM`` array out), since the matrices are small and
-per-call numpy overhead would dominate.  Over F2 a product's terms are
-0 or 1, so ``matmul`` is the parity of the int16 integer product, which
-a wraparound keeps; over F_{2^d} its terms sum through ``Field.sum``'s
-XOR reduce.  Every search of F_q^n in code order is one :func:`walk`,
-with one cell budget, ``WALK_CELLS``, and one refusal past ``ENUMERATION_CAP``.
+through the field's list tables; numpy is only the boundary, crossed
+once per call (one ``tolist`` in, one ``ELEM`` array out), since the
+matrices are small and per-call numpy overhead would dominate.  A
+caller that grows a basis row by row (:func:`grow_basis`) keeps the
+echelon list across its whole loop and crosses the boundary once at
+each end.  Over F2 a product's terms are 0 or 1, so ``matmul`` is the
+parity of the int16 integer product, which a wraparound keeps; over
+F_{2^d} its terms sum through ``Field.sum``'s XOR reduce.  Every search
+of F_q^n in code order is one :func:`walk`, with one cell budget,
+``WALK_CELLS``, and one refusal past ``ENUMERATION_CAP``.
 """
 
 from __future__ import annotations
@@ -274,10 +277,15 @@ def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 # -- subspaces (rows of an RREF basis span the space) -------------------
 
 
-def grow_basis(field: Field, leads: list, rows: np.ndarray) -> int:
-    """``_insert`` of array rows: how many grew the reduced echelon list ``leads``."""
+def grow_basis(field: Field, leads: list, rows: list[list[int]]) -> int:
+    """``_insert`` of list rows: how many grew the reduced echelon list ``leads``.
+
+    ``leads`` is the (lead, row) list of an RREF basis, kept by the caller
+    across its loop, and its rows are lists: a caller converts its arrays
+    once (one ``tolist`` of a whole product) and builds one array at the end.
+    """
     size = len(leads)
-    return len(_insert(field, leads, np.asarray(rows, ELEM).tolist())) - size
+    return len(_insert(field, leads, rows)) - size
 
 
 def reduce_mod(field: Field, basis: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -327,15 +335,6 @@ def quotient_map(field: Field, basis: np.ndarray, n: int) -> tuple[list[int], np
     free[pivots] = False
     free_cols = np.flatnonzero(free)
     return free_cols.tolist(), residue_map(field, basis, pivots)[:, free_cols]
-
-
-def subspace_sum(field: Field, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """RREF basis of the sum: b2 inserted into the RREF basis b1, and b1
-    itself when b2 lies in its span."""
-    leads = _leads(b1)
-    if not grow_basis(field, leads, b2):
-        return b1
-    return _array([row for _, row in leads], b1.shape[1])
 
 
 def subspace_le(field: Field, b1: np.ndarray, b2: np.ndarray) -> bool:

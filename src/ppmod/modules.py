@@ -358,22 +358,26 @@ def is_submodule(m: ModuleRep, basis: np.ndarray) -> bool:
 def extend_to_generators(m: ModuleRep, vectors: np.ndarray) -> np.ndarray:
     """Append standard basis vectors (in order) until the tuple generates.
 
-    The span so far is one growing echelon basis (``linalg.grow_basis``)
-    of the orbits of the tuple and of each kept e_j.
+    The span so far is one reduced echelon list of Python rows
+    (``linalg.grow_basis``), kept across the loop, of the orbits of the
+    tuple and of each kept e_j.  The orbit of e_j is row j of each action,
+    read from one ``tolist`` of the actions.
     """
     f = m.algebra.field
     vectors = tuple_rows(vectors, m.dim)
-    out = [v for v in vectors]
     span: list = []
-    linalg.grow_basis(f, span, np.concatenate([vectors, _orbit(m, vectors)], axis=0))
+    linalg.grow_basis(f, span, np.concatenate([vectors, _orbit(m, vectors)], axis=0).tolist())
+    kept = []
+    actions = m.actions.tolist() if len(span) < m.dim else []
     for j in range(m.dim):
         if len(span) == m.dim:
             break
-        ej = m.basis_vector(j)[None]
-        if linalg.grow_basis(f, span, ej):
-            out.append(ej[0])
-            linalg.grow_basis(f, span, _orbit(m, ej))
-    return np.stack(out) if out else np.zeros((0, m.dim), dtype=ELEM)
+        ej = [0] * m.dim
+        ej[j] = 1
+        if linalg.grow_basis(f, span, [ej]):
+            kept.append(j)
+            linalg.grow_basis(f, span, [action[j] for action in actions])
+    return np.concatenate([vectors, linalg.eye(f, m.dim)[kept]], axis=0)
 
 
 def presentation(m: ModuleRep, generators: np.ndarray) -> np.ndarray:
@@ -384,7 +388,10 @@ def presentation(m: ModuleRep, generators: np.ndarray) -> np.ndarray:
     on the module side).  The rows generate the whole kernel of
     R^s -> m as a module; a greedy pass keeps the list short, keeping a
     kernel row iff it lies outside the submodule the kept rows generate:
-    one growing echelon basis (``linalg.grow_basis``) of their orbits.
+    one reduced echelon list of Python rows (``linalg.grow_basis``),
+    kept across the loop, of their orbits.  The kernel crosses to lists
+    once, with the orbits of all its rows from one ``images`` product,
+    and the kept rows are picked out by index.
 
     Raises:
         NotGenerating: the tuple does not generate (witness attached).
@@ -402,18 +409,20 @@ def presentation(m: ModuleRep, generators: np.ndarray) -> np.ndarray:
         for j in range(m.dim):
             if not linalg.in_span(f, span, m.basis_vector(j)):
                 raise NotGenerating(m.basis_vector(j))
-    regular = alg.right_regular_actions() if m.side == RIGHT else alg.left_regular_actions()
-    chosen: list[np.ndarray] = []
-    closure: list = []
-    for row in kernel:
-        if linalg.grow_basis(f, closure, row[None]):
-            chosen.append(row)
-            # row acted on by e_l is row_i @ regular[l] in each slot i
-            orbit = linalg.images(f, row.reshape(s, alg.dim), regular)
-            linalg.grow_basis(f, closure, orbit.transpose(1, 0, 2).reshape(alg.dim, s * alg.dim))
-    if not chosen:
+    h = kernel.shape[0]
+    if not h:
         return np.zeros((0, s, alg.dim), dtype=ELEM)
-    return np.stack(chosen).reshape(-1, s, alg.dim)
+    regular = alg.right_regular_actions() if m.side == RIGHT else alg.left_regular_actions()
+    # row r acted on by e_l is r_i @ regular[l] in each slot i: orbits[r][l]
+    orbits = linalg.images(f, kernel.reshape(h * s, alg.dim), regular)
+    orbits = orbits.reshape(h, s, alg.dim, alg.dim).swapaxes(1, 2).reshape(h, alg.dim, s * alg.dim)
+    chosen = []
+    closure: list = []
+    for r, (row, orbit) in enumerate(zip(kernel.tolist(), orbits.tolist())):
+        if linalg.grow_basis(f, closure, [row]):
+            chosen.append(r)
+            linalg.grow_basis(f, closure, orbit)
+    return kernel[chosen].reshape(-1, s, alg.dim)
 
 
 # -- sums, submodules, quotients -----------------------------------------

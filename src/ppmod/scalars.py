@@ -96,7 +96,8 @@ def end_and_biend(m: ModuleRep) -> EndBiend:
 def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
     """Module generators over End, greedy by the rows each End-orbit adds
     to a copy of the echelon span (``linalg.grow_basis``).  Each round
-    walks M in code order (``linalg.walk``), one ``images`` per chunk.
+    walks M in code order (``linalg.walk``), one ``images`` and one
+    ``tolist`` per chunk.
     No orbit adds more than min(d - len(span), dim End) rows, so a round
     ends at the first that does; End holds the identity, so one grows."""
     field = m.algebra.field
@@ -110,7 +111,8 @@ def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
         most = min(d - len(span), end_mats.shape[0])
         chunks = (c for _, c in linalg.walk(field, d, end_mats.shape[0] * d))
         # image lists v @ h for every h in end_mats, a chunk at a time
-        for v, image in (o for c in chunks for o in zip(c, linalg.images(field, c, end_mats))):
+        orbits = (o for c in chunks for o in zip(c, linalg.images(field, c, end_mats).tolist()))
+        for v, image in orbits:
             cand = list(span)
             gain = linalg.grow_basis(field, cand, image)
             if gain > best_gain:

@@ -65,8 +65,8 @@ def test_lattice_operations_match_subspace_operations():
             )
             got_meet = lat.elements[lat.meet[i, j]].basis
             assert linalg.subspace_eq(got_meet, want_meet)
-            want_join = linalg.subspace_sum(
-                f, lat.elements[i].basis, lat.elements[j].basis
+            want_join = linalg.row_space(
+                f, np.concatenate([lat.elements[i].basis, lat.elements[j].basis])
             )
             got_join = lat.elements[lat.join[i, j]].basis
             assert linalg.subspace_eq(got_join, want_join)
@@ -148,22 +148,30 @@ def test_pp_lattice_builds_witnesses_only_when_they_are_read(monkeypatch):
 
 
 def test_pp_lattice_sums_each_element_with_each_principal_once(monkeypatch):
-    calls = 0
-    real = linalg.subspace_sum
+    # a sum grows a copy of a non-zero element's basis; a principal grows
+    # an empty one, once per projective point
+    sums = points = 0
+    real = linalg.grow_basis
 
-    def spy(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def spy(field, basis, rows):
+        nonlocal sums, points
+        if basis:
+            sums += 1
+        else:
+            points += 1
+        return real(field, basis, rows)
 
-    monkeypatch.setattr(linalg, "subspace_sum", spy)
     for m, arity in ((mod_rr(), 1), (regular_module(tri2(), "right"), 1), (mod_s(), 2)):
-        principals = {c.tobytes() for c in principal_closures(m, arity)}
-        calls = 0
+        closures = principal_closures(m, arity)
+        principals = {tuple(tuple(row) for _, row in c) for c in closures}
+        monkeypatch.setattr(linalg, "grow_basis", spy)
+        sums = points = 0
         lat = pp_lattice(m, arity)
+        monkeypatch.setattr(linalg, "grow_basis", real)
         # the closure sums every non-zero element with every principal;
         # the join table folds those sums and adds none of its own
-        assert calls == (lat.size - 1) * len(principals)
+        assert sums == (lat.size - 1) * len(principals)
+        assert points == len(closures)
 
 
 def test_arity_two_lattice_contains_diagonal():

@@ -113,7 +113,7 @@ def test_subspace_dimension_formula():
     for _ in range(40):
         u = linalg.row_space(F2, random_matrix(F2, rng, 2, 4))
         w = linalg.row_space(F2, random_matrix(F2, rng, 2, 4))
-        s = linalg.subspace_sum(F2, u, w)
+        s = linalg.row_space(F2, np.concatenate([u, w]))
         i = intersection_by_enumeration(F2, u, w)
         assert s.shape[0] + i.shape[0] == u.shape[0] + w.shape[0]
         assert linalg.subspace_le(F2, u, s)

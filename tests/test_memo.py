@@ -18,18 +18,6 @@ from ppmod.scalars import end_and_biend
 from test_cli import DEMO, GOLDEN_EVAL, GOLDEN_PREENVELOPE
 
 
-@pytest.fixture
-def cold_caches():
-    """Every memo cache empty for the test, and given back its entries after."""
-    saved = [(wrapper, list(wrapper.cache.items())) for wrapper in CACHES]
-    for wrapper in CACHES:
-        wrapper.cache.clear()
-    yield
-    for wrapper, entries in saved:
-        wrapper.cache.clear()
-        wrapper.cache.update(entries)
-
-
 def test_memo_computes_once_per_key_and_keeps_metadata():
     calls = []
 

@@ -230,6 +230,7 @@ from ppmod.formulas import (
     free_realisation,
     leq_absolute,
     leq_relative,
+    normalised,
     pp_formula,
     pp_type_generator,
     prefix_restriction,
@@ -409,6 +410,119 @@ def oracle_extend_to_generators(m, vectors):
     return np.stack(out) if out else np.zeros((0, m.dim), dtype=ELEM)
 
 
+def array_sum(field, b1, b2):
+    """RREF basis of the sum of two subspaces: the row space of the concatenation."""
+    return linalg.row_space(field, np.concatenate([b1, b2], axis=0))
+
+
+def echelon_array(leads, n):
+    """The (lead, row) list of an RREF basis as its (len, n) ``ELEM`` array."""
+    return np.array([row for _, row in leads], dtype=ELEM).reshape(len(leads), n)
+
+
+def per_row_extend_to_generators(m, vectors):
+    """``extend_to_generators`` with one array crossing per tested e_j and per orbit."""
+    f = m.algebra.field
+    vectors = tuple_rows(vectors, m.dim)
+    out = [v for v in vectors]
+    span: list = []
+    orbit = linalg.images(f, vectors, m.actions).reshape(len(vectors) * m.algebra.dim, m.dim)
+    linalg.grow_basis(f, span, np.concatenate([vectors, orbit], axis=0).tolist())
+    for j in range(m.dim):
+        if len(span) == m.dim:
+            break
+        ej = m.basis_vector(j)[None]
+        if linalg.grow_basis(f, span, ej.tolist()):
+            out.append(ej[0])
+            orbit = linalg.images(f, ej, m.actions).reshape(m.algebra.dim, m.dim)
+            linalg.grow_basis(f, span, orbit.tolist())
+    return np.stack(out) if out else np.zeros((0, m.dim), dtype=ELEM)
+
+
+def per_row_presentation(m, generators):
+    """The greedy pass of ``presentation`` with one ``images`` product per kept kernel row."""
+    f = m.algebra.field
+    alg = m.algebra
+    gens = tuple_rows(generators, m.dim)
+    s = gens.shape[0]
+    cover = linalg.images(f, gens, m.actions).reshape(s * alg.dim, m.dim)
+    kernel = linalg.null_space(f, cover.T)
+    regular = alg.right_regular_actions() if m.side == "right" else alg.left_regular_actions()
+    chosen: list[np.ndarray] = []
+    closure: list = []
+    for row in kernel:
+        if linalg.grow_basis(f, closure, row[None].tolist()):
+            chosen.append(row)
+            orbit = linalg.images(f, row.reshape(s, alg.dim), regular)
+            orbit = orbit.transpose(1, 0, 2).reshape(alg.dim, s * alg.dim)
+            linalg.grow_basis(f, closure, orbit.tolist())
+    if not chosen:
+        return np.zeros((0, s, alg.dim), dtype=ELEM)
+    return np.stack(chosen).reshape(-1, s, alg.dim)
+
+
+def per_row_pp_type_generator(m, vectors):
+    """``pp_type_generator`` on the per-row generators and presentation."""
+    vecs = tuple_rows(vectors, m.dim)
+    n = vecs.shape[0]
+    rels = per_row_presentation(m, per_row_extend_to_generators(m, vecs))
+    a = np.transpose(rels[:, :n, :], (1, 0, 2))
+    b = np.transpose(rels[:, n:, :], (1, 0, 2))
+    return normalised(m.algebra, m.side, n, a, b)
+
+
+def array_join_closure_lattice(m, arity, cap=DEFAULT_CAP):
+    """``pp_lattice`` with every element an RREF array: each orbit's row space,
+    and each sum the row space of a concatenation, keyed by bytes."""
+    field = m.algebra.field
+    n = m.dim * arity
+    if n and field.q ** (m.dim * n) > cap:  # the pointed power of the top
+        raise CapExceeded(f"pointed power needs |M|^{n} > cap {cap}")
+    principal = {}
+    if n:
+        points = linalg.all_vectors(field, n)
+        lead = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
+        points = points[lead == 1]
+        for orbit in hom_orbits(m, m, points.reshape(len(points), arity, m.dim)):
+            closure = linalg.row_space(field, orbit)
+            principal.setdefault(closure.tobytes(), closure)
+    principal = list(principal.values())
+    bottom = linalg.zeros(0, n)
+    found, path, plus = {bottom.tobytes(): bottom}, {bottom.tobytes(): ()}, {}
+    frontier = [bottom]
+    while frontier:
+        grown = []
+        for s in frontier:
+            key = s.tobytes()
+            plus[key] = []
+            for j, p in enumerate(principal):
+                t = array_sum(field, s, p) if len(s) else p
+                plus[key].append(t.tobytes())
+                if t.tobytes() not in found:
+                    size = len(found) + 1
+                    if size * size > linalg.ENUMERATION_CAP:
+                        raise CapExceeded(f"lattice tables need at least {size}^2 entries")
+                    found[t.tobytes()], path[t.tobytes()] = t, path[key] + (j,)
+                    grown.append(t)
+        frontier = grown
+    bases = sorted(found.values(), key=lambda b: (b.shape[0], b.tobytes()))
+    k = len(bases)
+    index = {basis.tobytes(): i for i, basis in enumerate(bases)}
+    table = np.array([[index[t] for t in plus[b.tobytes()]] for b in bases], dtype=np.int32)
+    join = np.zeros((k, k), dtype=np.int32)
+    for y, b in enumerate(bases):
+        col = np.arange(k, dtype=np.int32)
+        for j in path[b.tobytes()]:
+            col = table[col, j]
+        join[:, y] = col
+    leq = join == np.arange(k)
+    meet = np.zeros((k, k), dtype=np.int32)
+    for i in range(k):
+        meet[i] = k - 1 - (leq[:, i, None] & leq)[::-1].argmax(axis=0)
+    elements = tuple(SubgroupRep(m, arity, basis) for basis in bases)
+    return PpLattice(m, arity, elements, leq, meet, join)
+
+
 def oracle_end_closed(field, end_basis, arity, basis):
     if basis.shape[0] == 0:
         return True
@@ -476,7 +590,7 @@ def oracle_pp_lattice(m, arity, cap=DEFAULT_CAP):
         for j, b in enumerate(elements):
             leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
             meet[i, j] = index[zassenhaus_intersect(field, a.basis, b.basis).tobytes()]
-            join[i, j] = index[linalg.subspace_sum(field, a.basis, b.basis).tobytes()]
+            join[i, j] = index[array_sum(field, a.basis, b.basis).tobytes()]
     return PpLattice(m, arity, elements, leq, meet, join)
 
 
@@ -529,7 +643,7 @@ def all_at_once_greedy_generators(m, end_mats):
         best_span = span
         for v, image in zip(elements, images):
             cand = list(span)
-            gain = linalg.grow_basis(field, cand, image)
+            gain = linalg.grow_basis(field, cand, image.tolist())
             if gain > best_gain:
                 best, best_gain, best_span = v, gain, cand
         if best is None:
@@ -915,25 +1029,6 @@ def test_one_elimination_null_space_matches_the_two_pass_version(data, field):
     assert same_array(linalg.null_space(field, a), two_pass_null_space(field, a))
 
 
-@given(data=st.data(), field=fields)
-def test_subspace_sum_is_the_row_space_of_the_concatenation(data, field):
-    n = data.draw(st.integers(0, 12))
-    b1, b2 = (linalg.row_space(field, matrices(data, field, cols=st.just(n))) for _ in range(2))
-    # the row space of the concatenation by the column sweep
-    want, pivots = sweep_rref(field, np.concatenate([b1, b2], axis=0))
-    assert same_array(linalg.subspace_sum(field, b1, b2), want[: len(pivots)])
-
-
-@given(data=st.data(), field=fields)
-def test_subspace_sum_returns_the_first_basis_when_the_second_lies_inside(data, field):
-    n = data.draw(st.integers(0, 12))
-    b1 = linalg.row_space(field, matrices(data, field, cols=st.just(n)))
-    # b2: the row space of combinations of b1's rows
-    coeffs = elems(data, field, (data.draw(st.integers(0, 4)), b1.shape[0]))
-    b2 = linalg.row_space(field, linalg.matmul(field, coeffs, b1))
-    assert linalg.subspace_sum(field, b1, b2) is b1
-
-
 GRID_MODULES = [
     m
     for alg in (fixtures.r2(), fixtures.tri2(), fixtures.f3(), fixtures.k2())
@@ -1142,7 +1237,7 @@ def oracle_join_closure_lattice(m, arity):
         grown = []
         for s in frontier:
             for p in principal.values():
-                t = linalg.subspace_sum(field, s, p)
+                t = array_sum(field, s, p)
                 if t.tobytes() not in found:
                     found[t.tobytes()] = t
                     grown.append(t)
@@ -1158,7 +1253,7 @@ def oracle_join_closure_lattice(m, arity):
         for j, b in enumerate(elements):
             leq[i, j] = linalg.subspace_le(field, a.basis, b.basis)
             meet[i, j] = index[zassenhaus_intersect(field, a.basis, b.basis).tobytes()]
-            join[i, j] = index[linalg.subspace_sum(field, a.basis, b.basis).tobytes()]
+            join[i, j] = index[array_sum(field, a.basis, b.basis).tobytes()]
     return PpLattice(m, arity, elements, leq, meet, join)
 
 
@@ -1170,7 +1265,7 @@ def test_principal_closures_match_the_pointed_power_per_point(m):
     for arity in (0, 1, 2):
         got, want = principal_closures(m, arity), oracle_principal_closures(m, arity)
         assert len(got) == len(want)
-        assert all(same_array(g, w) for g, w in zip(got, want))
+        assert all(same_array(echelon_array(g, m.dim * arity), w) for g, w in zip(got, want))
 
 
 LATTICE_DIGESTS = json.loads(
@@ -1220,6 +1315,71 @@ def test_pointed_power_generators_match_the_span_loops(key, m, arity):
         power = direct_sum([m] * k).module
         diag = el.basis.reshape(k, arity, m.dim).transpose(1, 0, 2).reshape(arity, power.dim)
         same_generators_and_presentation(power, diag)
+
+
+PER_ROW_MODULES = [m for base in POWER_MODULES for m in (base, dual_module(base))]
+
+
+def sample_tuples(m, rng):
+    """The empty tuple, one tuple of each length 1 to 3 drawn from ``rng``, and
+    the first basis vector with the zero vector."""
+    yield np.zeros((0, m.dim), dtype=ELEM)
+    for length in (1, 2, 3):
+        yield rng.integers(0, m.algebra.field.q, (length, m.dim)).astype(ELEM)
+    if m.dim:
+        yield np.stack([m.basis_vector(0), m.zero()])
+
+
+@pytest.mark.parametrize("m", PER_ROW_MODULES, ids=repr)
+def test_pp_type_generators_match_the_per_row_loops(m):
+    """The echelon lists kept across each loop give the bytes of the per-row
+    crossings, on M, M^2 and M^3."""
+    rng = np.random.default_rng(27)
+    for k in (1, 2, 3):
+        mk = power(m, k)
+        for vecs in sample_tuples(mk, rng):
+            gens = extend_to_generators(mk, vecs)
+            assert same_array(gens, per_row_extend_to_generators(mk, vecs))
+            assert same_array(presentation(mk, gens), per_row_presentation(mk, gens))
+            got, want = pp_type_generator(mk, vecs), per_row_pp_type_generator(mk, vecs)
+            assert got.a.dtype == want.a.dtype and got.b.dtype == want.b.dtype
+            assert got.fingerprint() == want.fingerprint()
+
+
+@pytest.mark.parametrize("m", PER_ROW_MODULES, ids=repr)
+def test_pp_lattice_matches_the_array_join_closure(m):
+    for arity in (1, 2):
+        try:
+            want = array_join_closure_lattice(m, arity)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                pp_lattice(m, arity)
+            continue
+        assert same_lattice(pp_lattice(m, arity), want)
+
+
+def test_grow_basis_receives_only_lists(monkeypatch, cold_caches):
+    """Every basis a loop grows stays a list of list rows: no array reaches
+    ``grow_basis`` from the lattice, the pp-type generators or the scalar ring."""
+    callers = []
+    grow_basis = linalg.grow_basis
+
+    def spy(field, basis, rows):
+        assert type(basis) is list and type(rows) is list
+        assert all(type(row) is list for row in rows)
+        callers.append(caller)
+        return grow_basis(field, basis, rows)
+
+    monkeypatch.setattr(linalg, "grow_basis", spy)
+    for m in POWER_MODULES:
+        caller = "pp_lattice"
+        if m.dim <= 4:
+            pp_lattice(m, 1)
+        caller = "pp_type_generator"
+        pp_type_generator(m, m.enumerate_elements()[1:3])
+        caller = "scalar_ring"
+        scalar_ring(m)
+    assert set(callers) == {"pp_lattice", "pp_type_generator", "scalar_ring"}
 
 
 @pytest.mark.parametrize(

@@ -18,10 +18,9 @@ one-``matvec`` random hom of the acceptance battery with its
 per-element loop.  Every elimination inserts rows into one reduced
 echelon list; the column sweep it replaced is kept as
 ``oracle_eliminate`` and compared with ``rref``, ``row_space``,
-``null_space`` and ``solve`` on zero, sparse, tall and wide matrices,
-and ``subspace_sum`` with the row space of the concatenation (and with
-the first basis itself when the second lies inside it).  ``null_space``
-eliminates once, on the reversed columns; the two eliminations it
+``null_space`` and ``solve`` on zero, sparse, tall and wide matrices.
+A sum of subspaces is the row space of the concatenation
+(``array_sum``).  ``null_space`` eliminates once, on the reversed columns; the two eliminations it
 replaced are kept as ``two_pass_null_space``, compared on every shape
 including 0 rows and 0 columns.  The Zassenhaus
 intersection the library no longer needs is kept here as
@@ -31,7 +30,18 @@ one reduced echelon span; the loops that re-eliminated the span per kept
 vector are ``oracle_extend_to_generators`` and ``oracle_presentation``,
 compared on the grids, on modules over F5, F4 and F9[t]/(t^2), and on
 the pointed powers with the diagonal tuples ``is_pp_definable`` builds
-for the lattices of the lattice benchmark workload.
+for the lattices of the lattice benchmark workload.  Each keeps its
+echelon list of Python rows across its loop, with one ``tolist`` of a
+whole product; the versions that crossed to numpy once per tested row
+and per orbit are ``per_row_extend_to_generators`` and
+``per_row_presentation``, and ``pp_type_generator`` on them is compared
+byte for byte on the r2, tri2 and f3 grids, their duals and the powers
+M^2 and M^3.  The join-closure of ``pp_lattice`` keeps its elements as
+echelon lists keyed by their rows; the closure over RREF arrays, one
+``row_space`` per orbit and per sum, is ``array_join_closure_lattice``,
+compared at arity 1 and 2 on the same modules.  A spy checks that no
+array reaches ``linalg.grow_basis`` from ``pp_lattice``,
+``pp_type_generator`` or ``scalar_ring``.
 
 ``pp_lattice`` builds the lattice as the join-closure of principal pp
 closures.  The routine it replaced (every subspace of F_q^(dim*arity),
@@ -471,13 +481,13 @@ def per_row_pp_type_generator(m, vectors):
     return normalised(m.algebra, m.side, n, a, b)
 
 
-def array_join_closure_lattice(m, arity, cap=DEFAULT_CAP):
+def array_join_closure_lattice(m, arity):
     """``pp_lattice`` with every element an RREF array: each orbit's row space,
     and each sum the row space of a concatenation, keyed by bytes."""
     field = m.algebra.field
     n = m.dim * arity
-    if n and field.q ** (m.dim * n) > cap:  # the pointed power of the top
-        raise CapExceeded(f"pointed power needs |M|^{n} > cap {cap}")
+    if n and field.q ** (m.dim * n) > DEFAULT_CAP:  # the pointed power of the top
+        raise CapExceeded(f"pointed power needs |M|^{n} > cap {DEFAULT_CAP}")
     principal = {}
     if n:
         points = linalg.all_vectors(field, n)

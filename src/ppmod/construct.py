@@ -15,15 +15,16 @@ list always starts with theta itself, and the schedule reads row i at
 position j mod len(row i), so the schedule never starves.  Candidates
 theta and chi, chi with coefficient blocks (a, b), are decided on
 solution sets, (theta and chi)(X) = theta(X) & chi(X), and two linear
-facts decide every a at once for each b: x lies in chi(X) iff L_a(x)
-lies in W_b(X), with L_a(x) bilinear in (a, x) and W_b(X) independent
-of a, so closure on a generator is a zero row of one product, and the
-signature on C_theta depends on a only through one matrix M_a.  The
-accepted candidates are merged in code order, a_code * E^(t*neq) +
-b_code, and a formula is built only for an accepted one.  A budget can
-truncate a row (more closed strengthenings existed than the candidate
-allowance), reported as ``budget_exhausted`` on the state; a block of
-candidates longer than ``linalg.ENUMERATION_CAP`` raises CapExceeded.
+facts decide a run of a-codes for every b at once: x lies in chi(X)
+iff L_a(x) lies in W_b(X), with L_a(x) bilinear in (a, x) and W_b(X)
+independent of a, so closure on the generators is a zero row of one
+product, and the signature on C_theta depends on a only through one
+matrix M_a, a row of a second product.  The accepted candidates are
+merged in code order, a_code * E^(t*neq) + b_code, and a formula is
+built only for an accepted one.  A budget can truncate a row (more
+closed strengthenings existed than the candidate allowance), reported
+as ``budget_exhausted`` on the state; a block of candidates longer
+than ``linalg.ENUMERATION_CAP`` raises CapExceeded.
 The verifiers work on Hom spaces: a ``hom_basis`` decides factoring,
 and the generator check reads each stage's image type off ``hom_orbits``.
 """
@@ -33,14 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import (
-    AlgebraMismatch,
-    CapExceeded,
-    EmptyContext,
-    NotGenerating,
-    SideMismatch,
-    ValidationFailure,
-)
+from .errors import CapExceeded, EmptyContext, NotGenerating, ValidationFailure
 from .defcat import DefinableContext, member_check
 from .fields import is_int
 from .formulas import (
@@ -62,6 +56,7 @@ from .modules import (
     hom_basis,
     hom_orbits,
     module_span,
+    require_compatible,
     tuple_rows,
 )
 from .records import record
@@ -118,26 +113,28 @@ def consequence_enum(
     Both questions are linear in a for a fixed block b.  x lies in
     chi(X) iff L_a(x) lies in W_b(X), where L_a(x)_e = sum_i x_i rho(a_ie)
     is bilinear in (a, x) and W_b(X), spanned by the b rows, does not
-    depend on a.  So one product of the a listing with a table per (b, X)
-    gives L_a(v) mod W_b(X) for every basis row v of theta(X):
+    depend on a.  So the product of the a listing with the tables of
+    every b side by side gives L_a(v) mod W_b(X) for every basis row v of
+    theta(X), and a chunk of a-codes makes two products per block:
 
-    * a candidate closes on G iff its row on G is zero;
-    * the signature theta(C) & chi(C) is the image in theta(C) of the left
-      kernel of its row M_a on C = C_theta, so equal M_a share one
-      ``null_space``.
+    * one with every generator's tables: (a, b) closes iff its row is zero;
+    * one with C = C_theta's tables, for the a that close for some b: the
+      row M_a of each closing pair.  The signature theta(C) & chi(C) is
+      the image in theta(C) of the left kernel of M_a, so equal M_a share
+      one ``null_space``.
 
-    The distinct M_a of a block are walked by the least code they occur
-    at, in ``product`` order: index a_code * E^(t*neq) + b_code for E
-    algebra elements, since the a slots come first.  So each signature is
-    met where a candidate-by-candidate walk would meet it.  The a-codes
-    are the chunks of one ``linalg.walk``, at most ``linalg.WALK_CELLS``
-    entries of the widest table per chunk, so the products do not grow
-    with the listing and a truncating budget stops at the chunk it fills
-    up in.  Only an accepted candidate becomes a formula, normalised
-    without ``pp_formula``'s door: its blocks come from the listing.  The
-    list is capped at budget.candidates; theta itself is element 0.  A
-    block that would list more than ``linalg.ENUMERATION_CAP`` raises
-    CapExceeded.
+    The closing pairs come out in ``product`` order, index a_code *
+    E^(t*neq) + b_code for E algebra elements (the a slots come first),
+    and one ``np.unique`` of their M_a rows as opaque bytes finds where
+    each distinct M_a first occurs.  So each signature is met where a
+    candidate-by-candidate walk would meet it.  The a-codes are the
+    chunks of one ``linalg.walk``, at most ``linalg.WALK_CELLS`` product
+    entries per chunk, so the products do not grow with the listing and
+    a truncating budget stops at the chunk it fills up in.  Only an
+    accepted candidate becomes a formula, normalised without
+    ``pp_formula``'s door: its blocks come from the listing.  The list is
+    capped at budget.candidates; theta itself is element 0.  A block that
+    would list more than ``linalg.ENUMERATION_CAP`` raises CapExceeded.
     """
     if not ctx.generators:
         raise EmptyContext("consequence enumeration needs context generators")
@@ -164,33 +161,28 @@ def consequence_enum(
             nb = field.q ** (t * neq * k)
             b_list = linalg.all_vectors(field, t * neq * k).reshape(nb, t * neq, k)[:, ::-1]
             b_list = b_list.reshape(nb, t, neq, k)
-            gen_tables = [_residue_tables(g, moves, b_list) for g, moves in gen_moves]
+            gen_tables = np.concatenate(
+                [_residue_tables(g, moves, b_list) for g, moves in gen_moves], axis=2
+            )
             c_tables = _residue_tables(c_theta, c_moves, b_list)
             m_shape = (on_c.shape[0], neq * c_theta.dim)
-            widest = max(tab[0].size for tab in (*gen_tables, c_tables))
-            weights = _key_weights(field, m_shape[0] * m_shape[1])
-            walked = set()  # M_a keys met in earlier chunks of this block
+            walked = set()  # M_a met in earlier chunks of this block
             # a chunk holds every b-code of a run of a-codes, so the chunks
             # meet the candidates in code order
-            for start, chunk in linalg.walk(field, n * neq * k, widest):
+            width = gen_tables.size + nb * c_tables.shape[2]
+            for chunk in linalg.walk(field, n * neq * k, width):
                 chunk = chunk.reshape(len(chunk), n * neq, k)[:, ::-1].reshape(chunk.shape)
-                codes, keys = [], []
-                for b_code in range(nb):
-                    live = np.arange(chunk.shape[0])
-                    for tables in gen_tables:
-                        rows = linalg.matmul(field, chunk[live], tables[b_code])
-                        live = live[~rows.any(axis=1)]
-                    codes.append((start + live) * nb + b_code)
-                    m_rows = linalg.matmul(field, chunk[live], c_tables[b_code])
-                    keys.append(m_rows.astype(np.int64) @ weights)
-                for code, key in _least_codes(np.concatenate(keys), np.concatenate(codes)):
-                    if key.tobytes() in walked:
+                closes = ~linalg.images(field, chunk, gen_tables).any(axis=2)
+                live = closes.any(axis=1)
+                # row-major, so the closing (a, b) pairs come in code order
+                pair_a, pair_b = np.nonzero(closes)
+                m_rows = linalg.images(field, chunk[live], c_tables)[closes[live]]
+                for i in _first_rows(m_rows):
+                    key = m_rows[i].tobytes()
+                    if key in walked:
                         continue
-                    walked.add(key.tobytes())
-                    a_code, b_code = divmod(code, nb)
-                    a = chunk[a_code - start : a_code - start + 1]
-                    m_a = linalg.matmul(field, a, c_tables[b_code])
-                    kernel = linalg.null_space(field, m_a.reshape(m_shape).T)
+                    walked.add(key)
+                    kernel = linalg.null_space(field, m_rows[i].reshape(m_shape).T)
                     # kernel and on_c are in RREF, so kernel @ on_c is too
                     sig = linalg.matmul(field, kernel, on_c).tobytes()
                     if sig in seen:
@@ -198,7 +190,8 @@ def consequence_enum(
                     if len(results) >= budget.candidates:
                         return ConsequenceList(theta, tuple(results), True)
                     seen.add(sig)
-                    chi = normalised(alg, theta.side, n, a.reshape(n, neq, k), b_list[b_code])
+                    a = chunk[pair_a[i]].reshape(n, neq, k)
+                    chi = normalised(alg, theta.side, n, a, b_list[pair_b[i]])
                     results.append(conj(theta, chi))
     return ConsequenceList(theta, tuple(results), False)
 
@@ -232,29 +225,14 @@ def _residue_tables(x: ModuleRep, moves: np.ndarray, b_list: np.ndarray) -> np.n
     return tables.reshape(nb, n * neq * k, h * width)
 
 
-def _key_weights(field, width: int) -> np.ndarray:
-    """Packs rows of ``width`` field codes into int64 keys (rows @ weights),
-    as many entries per key as fit in 62 bits: equal rows iff equal keys.
-    Sorting the short keys is what keeps the grouping cheap: M_a rows run
-    to hundreds of entries of a few bits each."""
-    bits = (field.q - 1).bit_length()
-    per_key = 62 // bits
-    cols = np.arange(width)
-    weights = np.zeros((width, -(-width // per_key)), dtype=np.int64)
-    weights[cols, cols // per_key] = 1 << (bits * (cols % per_key))
-    return weights
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """The index of the first of each distinct row, in increasing order.
 
-
-def _least_codes(keys: np.ndarray, codes: np.ndarray):
-    """(code, key row) at the least code of each distinct key row, in
-    increasing code order."""
-    order = np.lexsort((codes, *keys.T[::-1]))
-    keys, codes = keys[order], codes[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    keys, codes = keys[starts], codes[starts]
-    first = np.argsort(codes)
-    return zip(codes[first].tolist(), keys[first])
+    Rows are compared as opaque bytes; rows of no entries are all equal."""
+    if rows.shape[1] == 0:
+        return np.arange(min(1, len(rows)))
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    return np.sort(np.unique(keys.ravel(), return_index=True)[1])
 
 
 @record
@@ -294,10 +272,7 @@ def run_construction(
     a_mod: ModuleRep, a_tuple, ctx: DefinableContext, budget: Budget
 ) -> ConstructionState:
     """Execute the diagonal schedule for budget.stages stages."""
-    if a_mod.algebra.fingerprint() != ctx.algebra.fingerprint():
-        raise AlgebraMismatch("module and context over different algebras")
-    if a_mod.side != ctx.side:
-        raise SideMismatch("module and context on different sides")
+    require_compatible(a_mod, ctx, "module and context")
     a_vecs = tuple_rows(a_tuple, a_mod.dim)
     if module_span(a_mod, a_vecs).shape[0] != a_mod.dim:
         raise NotGenerating("initial tuple must generate the module")

@@ -27,7 +27,6 @@ from .errors import (
     EmptyContext,
     NoExplicitPairs,
     NotInSolutionSet,
-    SideMismatch,
     ValidationFailure,
 )
 from .formulas import PpFormula, evaluate, leq_absolute, pp_type_generator
@@ -38,6 +37,7 @@ from .modules import (
     direct_sum,
     hom_basis,
     quotient,
+    require_compatible,
     submodule,
 )
 from .records import record
@@ -63,22 +63,11 @@ def make_context(generators=(), pairs=()) -> DefinableContext:
     pairs = tuple((p, q) for p, q in pairs)
     if not generators and not pairs:
         raise EmptyContext("a context needs generators or pairs")
-    if generators:
-        alg = generators[0].algebra
-        side = generators[0].side
-    else:
-        alg = pairs[0][0].algebra
-        side = pairs[0][0].side
-    for g in generators:
-        if g.algebra.fingerprint() != alg.fingerprint():
-            raise AlgebraMismatch("context generators over different algebras")
-        if g.side != side:
-            raise SideMismatch("context generators on different sides")
+    members = (*generators, *(phi for pair in pairs for phi in pair))
+    for x in members:
+        require_compatible(members[0], x, "context generators and pairs")
+    alg, side = members[0].algebra, members[0].side
     for phi, psi in pairs:
-        if phi.algebra.fingerprint() != alg.fingerprint():
-            raise AlgebraMismatch("context pair over a different algebra")
-        if phi.side != side or psi.side != side:
-            raise SideMismatch("context pair on the wrong side")
         if not leq_absolute(psi, phi):
             raise ValidationFailure(
                 f"pair not ordered: {psi.render()} is not below {phi.render()}"
@@ -146,7 +135,7 @@ def _first_outside(field, dim: int, stack: np.ndarray) -> np.ndarray | None:
     past which a search without a witness raises CapExceeded."""
     q, cap = field.q, linalg.ENUMERATION_CAP
     total = q**dim
-    for _, chunk in linalg.walk(field, dim, stack.shape[0] * dim, min(total, cap)):
+    for chunk in linalg.walk(field, dim, stack.shape[0] * dim, min(total, cap)):
         for e, orbit in zip(chunk, linalg.images(field, chunk, stack)):
             if linalg.solve(field, orbit.T, e) is None:
                 return e

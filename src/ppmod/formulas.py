@@ -41,7 +41,6 @@ import numpy as np
 from . import linalg
 from .algebras import Algebra
 from .errors import (
-    AlgebraMismatch,
     ArityMismatch,
     DimensionMismatch,
     EmptyContext,
@@ -58,6 +57,7 @@ from .modules import (
     module_span,
     presentation,
     quotient,
+    require_compatible,
     tuple_rows,
 )
 from .records import record
@@ -259,13 +259,6 @@ class SubgroupRep:
         return f"SubgroupRep(arity={self.arity}, dim={self.dim})"
 
 
-def _check_formula_module(phi: PpFormula, m: ModuleRep) -> None:
-    if phi.algebra.fingerprint() != m.algebra.fingerprint():
-        raise AlgebraMismatch("formula and module algebras differ")
-    if phi.side != m.side:
-        raise SideMismatch(f"{phi.side} formula on a {m.side} module")
-
-
 def solution_basis(a: np.ndarray, b: np.ndarray, m: ModuleRep) -> np.ndarray:
     """Canonical basis of the solutions in m^n of the blocks a (n free) and b.
 
@@ -301,7 +294,7 @@ def system_rows(coeff: np.ndarray, m: ModuleRep) -> np.ndarray:
 @memo(lambda phi, m: (phi.fingerprint(), m.fingerprint()))
 def evaluate(phi: PpFormula, m: ModuleRep) -> SubgroupRep:
     """Solution set phi(m) as a canonical subgroup of m^nfree."""
-    _check_formula_module(phi, m)
+    require_compatible(phi, m, "formula and module")
     return SubgroupRep(m, phi.nfree, solution_basis(phi.a, phi.b, m))
 
 
@@ -309,10 +302,7 @@ def evaluate(phi: PpFormula, m: ModuleRep) -> SubgroupRep:
 
 
 def _require_same_shape(phi: PpFormula, psi: PpFormula) -> None:
-    if phi.algebra.fingerprint() != psi.algebra.fingerprint():
-        raise AlgebraMismatch("formulas over different algebras")
-    if phi.side != psi.side:
-        raise SideMismatch("formulas on different sides")
+    require_compatible(phi, psi, "formulas")
     if phi.nfree != psi.nfree:
         raise ArityMismatch(f"arity {phi.nfree} vs {psi.nfree}")
 

@@ -139,15 +139,15 @@ def _refuse_past_cap(q: int, n: int, rows: int) -> None:
 
 def walk(field: Field, n: int, width: int, stop: int | None = None):
     """The rows of ``all_vectors(field, n)`` below code ``stop`` (all by default)
-    as ``(start, rows)`` chunks of at most ``WALK_CELLS // width`` rows (one at
-    least), ``width`` the cells a caller builds per row.  A walk past
-    ``ENUMERATION_CAP`` rows raises ``CapExceeded`` at the call, before any chunk."""
+    in chunks of at most ``WALK_CELLS // width`` rows (one at least), ``width``
+    the cells a caller builds per row.  A walk past ``ENUMERATION_CAP`` rows
+    raises ``CapExceeded`` at the call, before any chunk."""
     q = field.q
     total = q**n if stop is None else min(stop, q**n)
     _refuse_past_cap(q, n, total)
     step = max(1, WALK_CELLS // max(1, width))
     return (
-        (start, digits(np.arange(start, min(start + step, total)), q, n).astype(ELEM))
+        digits(np.arange(start, min(start + step, total)), q, n).astype(ELEM)
         for start in range(0, total, step)
     )
 

@@ -238,11 +238,13 @@ class ModuleMap:
         return self.source.dim == self.target.dim and self.is_injective()
 
 
-def _require_compatible(m: ModuleRep, n: ModuleRep) -> None:
-    if m.algebra.fingerprint() != n.algebra.fingerprint():
-        raise AlgebraMismatch("modules over different algebras")
-    if m.side != n.side:
-        raise SideMismatch(f"cannot mix a {m.side} module with a {n.side} module")
+def require_compatible(x, y, what: str) -> None:
+    """Refuse a pair (modules, formulas or a context) over different
+    algebras or on different sides; ``what`` names the pair."""
+    if x.algebra.fingerprint() != y.algebra.fingerprint():
+        raise AlgebraMismatch(f"{what} over different algebras")
+    if x.side != y.side:
+        raise SideMismatch(f"{what} on different sides: {x.side} and {y.side}")
 
 
 def make_map(source: ModuleRep, target: ModuleRep, matrix) -> ModuleMap:
@@ -252,7 +254,7 @@ def make_map(source: ModuleRep, target: ModuleRep, matrix) -> ModuleMap:
     transposed matrix is refused rather than read as another map; other
     shapes are read row-major when they hold source.dim·target.dim entries.
     """
-    _require_compatible(source, target)
+    require_compatible(source, target, "modules")
     f = source.algebra.field
     k, s, t = source.algebra.dim, source.dim, target.dim
     matrix = f.asarray(matrix)
@@ -276,7 +278,7 @@ def hom_basis(m: ModuleRep, n: ModuleRep) -> np.ndarray:
 
     Cached, so the stack is shared between callers and read-only.
     """
-    _require_compatible(m, n)
+    require_compatible(m, n, "modules")
     return read_only(linalg.intertwiners(m.algebra.field, m.actions, n.actions))
 
 
@@ -313,7 +315,7 @@ def constrained_hom(
     the target tuple are one ``linalg.solve``, and the map is that
     combination of the basis.
     """
-    _require_compatible(m, n)
+    require_compatible(m, n, "modules")
     f = m.algebra.field
     src = tuple_rows(source_tuple, m.dim)
     tgt = tuple_rows(target_tuple, n.dim)
@@ -440,7 +442,7 @@ def direct_sum(parts: list[ModuleRep]) -> DirectSum:
         raise DimensionMismatch("direct sum of an empty list")
     first = parts[0]
     for p in parts[1:]:
-        _require_compatible(first, p)
+        require_compatible(first, p, "modules")
     alg = first.algebra
     total = sum(p.dim for p in parts)
     actions = np.zeros((alg.dim, total, total), dtype=ELEM)
@@ -515,7 +517,7 @@ def are_isomorphic(m: ModuleRep, n: ModuleRep) -> bool:
     f = m.algebra.field
     # every combination of the hom basis in code order (zero has rank 0 < m.dim)
     stacked = basis.reshape(len(basis), m.dim * n.dim)
-    for _, coeffs in linalg.walk(f, len(basis), m.dim * n.dim):
+    for coeffs in linalg.walk(f, len(basis), m.dim * n.dim):
         mats = linalg.matmul(f, coeffs, stacked).reshape(-1, m.dim, n.dim)
         if any(linalg.rank(f, mat) == m.dim for mat in mats):
             return True

@@ -109,7 +109,7 @@ def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
         best_gain = 0
         best_span = span
         most = min(d - len(span), end_mats.shape[0])
-        chunks = (c for _, c in linalg.walk(field, d, end_mats.shape[0] * d))
+        chunks = linalg.walk(field, d, end_mats.shape[0] * d)
         # image lists v @ h for every h in end_mats, a chunk at a time
         orbits = (o for c in chunks for o in zip(c, linalg.images(field, c, end_mats).tolist()))
         for v, image in orbits:

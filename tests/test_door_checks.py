@@ -11,19 +11,39 @@ import pytest
 from ppmod import (
     Budget,
     annihilator,
+    are_isomorphic,
     bot,
+    conj,
+    consequence_enum,
+    constrained_hom,
     direct_sum,
     divisibility,
+    equivalent,
+    evaluate,
     filter_analysis,
+    formula_sum,
+    hom_space,
     is_pp_definable,
+    leq_absolute,
+    leq_relative,
+    make_context,
     make_map,
     make_module,
+    pair_closed,
     pp_lattice,
+    run_construction,
     top,
 )
-from ppmod.errors import ArityMismatch, CapExceeded, DimensionMismatch, ValidationFailure
+from ppmod.errors import (
+    AlgebraMismatch,
+    ArityMismatch,
+    CapExceeded,
+    DimensionMismatch,
+    SideMismatch,
+    ValidationFailure,
+)
 from ppmod.fields import Field
-from ppmod.fixtures import mod_rr, r2
+from ppmod.fixtures import divt, mod_lr, mod_ls, mod_rr, mod_s, r2, tri2, tri2_s1, xt0
 from ppmod.formulas import prefix_restriction
 from ppmod.modules import free_module
 
@@ -74,6 +94,105 @@ for bad in (-1, 1.5, True, np.int64(1)):
         ArityMismatch,
         ARITY,
     )
+
+
+# Every public entry that pairs modules, formulas or a context refuses a
+# pair over different algebras or on different sides through the one
+# ``modules.require_compatible``: mod_ls is a left R2-module, tri2_s1 a
+# right module over another algebra (both of dim 1), the rest right
+# R2-objects.
+PAIRINGS = {
+    "make-map": lambda other: make_map(mod_rr(), other, np.zeros((2, other.dim), dtype=np.int16)),
+    "hom-space": lambda other: hom_space(mod_rr(), other),
+    "are-isomorphic": lambda other: are_isomorphic(mod_s(), other),
+    "constrained-hom": lambda other: constrained_hom(mod_rr(), other, [[1, 0]], [[0] * other.dim]),
+    "direct-sum": lambda other: direct_sum([mod_rr(), other]),
+}
+FORMULA_PAIRINGS = {
+    "conj": lambda other: conj(xt0(), other),
+    "formula-sum": lambda other: formula_sum(xt0(), other),
+    "leq-absolute": lambda other: leq_absolute(xt0(), other),
+    "leq-relative": lambda other: leq_relative(xt0(), other, make_context([mod_s()])),
+    "equivalent": lambda other: equivalent(xt0(), other),
+}
+ON_MODULE = {
+    "evaluate": lambda other: evaluate(xt0(), other),
+    "pair-closed": lambda other: pair_closed(xt0(), divt(), other),
+}
+for name, call in PAIRINGS.items():
+    CASES[f"{name}-side"] = (
+        lambda call=call: call(mod_ls()),
+        SideMismatch,
+        "^modules on different sides: right and left$",
+    )
+    CASES[f"{name}-algebra"] = (
+        lambda call=call: call(tri2_s1()),
+        AlgebraMismatch,
+        "^modules over different algebras$",
+    )
+for name, call in FORMULA_PAIRINGS.items():
+    CASES[f"{name}-side"] = (
+        lambda call=call: call(xt0("left")),
+        SideMismatch,
+        "^formulas on different sides: right and left$",
+    )
+    CASES[f"{name}-algebra"] = (
+        lambda call=call: call(top(tri2(), "right", 1)),
+        AlgebraMismatch,
+        "^formulas over different algebras$",
+    )
+for name, call in ON_MODULE.items():
+    CASES[f"{name}-side"] = (
+        lambda call=call: call(mod_ls()),
+        SideMismatch,
+        "^formula and module on different sides: right and left$",
+    )
+    CASES[f"{name}-algebra"] = (
+        lambda call=call: call(tri2_s1()),
+        AlgebraMismatch,
+        "^formula and module over different algebras$",
+    )
+CASES.update(
+    {
+        "consequences-side": (
+            lambda: consequence_enum(xt0("left"), make_context([mod_s()]), Budget(1, 1, 1, 1)),
+            SideMismatch,
+            "^formula and module on different sides: left and right$",
+        ),
+        "construction-side": (
+            lambda: run_construction(
+                mod_lr(), np.eye(2, dtype=np.int16), make_context([mod_s()]), Budget(1, 1, 1, 1)
+            ),
+            SideMismatch,
+            "^module and context on different sides: left and right$",
+        ),
+        "construction-algebra": (
+            lambda: run_construction(tri2_s1(), [[1]], make_context([mod_s()]), Budget(1, 1, 1, 1)),
+            AlgebraMismatch,
+            "^module and context over different algebras$",
+        ),
+        "context-generator-side": (
+            lambda: make_context([mod_rr(), mod_lr()]),
+            SideMismatch,
+            "^context generators and pairs on different sides: right and left$",
+        ),
+        "context-generator-algebra": (
+            lambda: make_context([mod_rr(), tri2_s1()]),
+            AlgebraMismatch,
+            "^context generators and pairs over different algebras$",
+        ),
+        "context-pair-side": (
+            lambda: make_context([mod_rr()], [(xt0("left"), xt0("left"))]),
+            SideMismatch,
+            "^context generators and pairs on different sides: right and left$",
+        ),
+        "context-pair-algebra": (
+            lambda: make_context([], [(xt0(), top(tri2(), "right", 1))]),
+            AlgebraMismatch,
+            "^context generators and pairs over different algebras$",
+        ),
+    }
+)
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)

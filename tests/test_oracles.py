@@ -3382,9 +3382,11 @@ def test_the_walk_is_all_vectors_in_chunks(field, n):
         chunks = list(linalg.walk(field, n, width, stop))
         rows = listing if stop is None else listing[:stop]
         most = max(1, linalg.WALK_CELLS // max(1, width))
-        assert [start for start, _ in chunks] == list(range(0, len(rows), most))
-        assert all(0 < len(chunk) <= most for _, chunk in chunks)
-        assert same_array(np.concatenate([chunk for _, chunk in chunks]), rows)
+        # full chunks of ``most`` rows, then the rest
+        assert [len(chunk) for chunk in chunks] == [
+            min(most, len(rows) - start) for start in range(0, len(rows), most)
+        ]
+        assert same_array(np.concatenate(chunks), rows)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -3402,8 +3404,8 @@ def test_the_walk_refuses_at_the_call(field, n, monkeypatch):
             with pytest.raises(CapExceeded, match=message):
                 linalg.walk(field, n, width, stop)
         else:
-            assert sum(len(chunk) for _, chunk in linalg.walk(field, n, width, stop)) == rows
-    assert sum(len(chunk) for _, chunk in linalg.walk(field, n, 1, min(total, cap))) == min(total, cap)
+            assert sum(len(chunk) for chunk in linalg.walk(field, n, width, stop)) == rows
+    assert sum(len(chunk) for chunk in linalg.walk(field, n, 1, min(total, cap))) == min(total, cap)
 
 
 # -- the table path of the field arithmetic --------------------------------------

@@ -168,7 +168,9 @@ def consequence_enum(
             m_shape = (on_c.shape[0], neq * c_theta.dim)
             walked = set()  # M_a met in earlier chunks of this block
             # a chunk holds every b-code of a run of a-codes, so the chunks
-            # meet the candidates in code order
+            # meet the candidates in code order.  Per a-code it counts the
+            # terms of the generator product (the F_{2^d} product gathers
+            # each one) and the entries of C_theta's
             width = gen_tables.size + nb * c_tables.shape[2]
             for chunk in linalg.walk(field, n * neq * k, width):
                 chunk = chunk.reshape(len(chunk), n * neq, k)[:, ::-1].reshape(chunk.shape)

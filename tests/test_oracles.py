@@ -87,16 +87,24 @@ basis) and their solution sets, each [I | g] byte for byte (the check
 the error type and message of ``make_algebra``, ``make_module`` and
 ``make_map``, and ``hasse_edges`` on any boolean relation.
 
-``consequence_enum`` decides every a-block of a candidate theta and
-chi at once for a fixed b-block: membership in chi(X) is L_a(x) in
-W_b(X), with L_a bilinear in (a, x) and W_b(X) independent of a, so
-closure and signature are read off one product per (b, X).  The two
-loops it replaced are kept as oracles: the formula loop (two normalised
-formulas per candidate, ``pair_closed`` and ``evaluate`` signatures) as
+``consequence_enum`` decides a chunk of a-codes against every b-block
+at once: membership in chi(X) is L_a(x) in W_b(X), with L_a bilinear
+in (a, x) and W_b(X) independent of a, so closure and signature are
+read off two products per chunk, one with every generator's residue
+tables and one with C_theta's.  The two loops it replaced are kept as
+oracles: the formula loop (two normalised formulas per candidate,
+``pair_closed`` and ``evaluate`` signatures) as
 ``oracle_consequence_enum``, and the per-candidate solve of the raw
 blocks on solution sets as ``oracle_consequence_enum_on_solution_sets``;
 the formula fingerprints, their order and ``truncated`` must agree with
-both.
+both.  The per-b-code walk (one product per b-code and generator on the
+a still closing, M_a packed into int64 keys and grouped at their least
+code by a lexsort) is kept as ``per_b_consequence_enum`` and compared on
+inputs past the formula loops, the S+S construction in Def(R_R) among
+them, together with the M_a each solves and their order.  A spy on the
+walk checks that each chunk makes two ``images`` products within the
+cell budget and one ``matmul`` per solve besides, and the zero-width
+cases (theta(C) = 0, C_theta = 0, theta(G) = 0) are covered on purpose.
 
 A filter of a finite lattice is its generator, and ``filter_analysis``
 reads the maximal avoiding filters and their Ziegler flags off ``leq``
@@ -2674,8 +2682,11 @@ def test_consequence_enum_matches_the_formula_loop(alg, first, second):
             )
 
 
-# the default chunk holds every block here; one cell makes one a-code a chunk
-chunk_cells = pytest.mark.parametrize("cells", [linalg.WALK_CELLS, 1], ids=["whole", "one-a"])
+# the default width splits the largest demo blocks into a few chunks, 2^20
+# cells hold every block here, and one cell makes one a-code a chunk
+chunk_cells = pytest.mark.parametrize(
+    "cells", [linalg.WALK_CELLS, 2**20, 1], ids=["default", "whole", "one-a"]
+)
 
 
 @chunk_cells
@@ -2785,6 +2796,281 @@ def test_consequence_enum_on_s_plus_s_in_def_rr():
         assert same_consequences(
             row, oracle_consequence_enum_on_solution_sets(stage.theta, ctx, budget)
         )
+
+
+def per_b_consequence_enum(theta, ctx, budget):
+    """The per-b-code walk: for each chunk of a-codes and each b-code, one
+    product per generator on the a still closing (the ``live`` chain) and
+    one with C_theta's table; M_a rows packed into int64 keys and grouped
+    at their least code by a lexsort; M_a recomputed for each group."""
+    if not ctx.generators:
+        raise EmptyContext("consequence enumeration needs context generators")
+    alg = theta.algebra
+    field = alg.field
+    n, k = theta.nfree, alg.dim
+    c_theta = free_realisation(theta).module
+    on_c = evaluate(theta, c_theta).basis
+    gen_moves = [(g, construct._moves(g, evaluate(theta, g).basis, n)) for g in ctx.generators]
+    c_moves = construct._moves(c_theta, on_c, n)
+    results = [theta]
+    seen = {on_c.tobytes()}
+    elems = field.q**k
+    for t in range(budget.bound_vars + 1):
+        for neq in range(1, budget.equations + 1):
+            slots = (n + t) * neq
+            if elems**slots > linalg.ENUMERATION_CAP:
+                raise CapExceeded(
+                    f"listing {elems}^{slots} candidate formulas "
+                    f"exceeds the cap {linalg.ENUMERATION_CAP}"
+                )
+            nb = field.q ** (t * neq * k)
+            b_list = linalg.all_vectors(field, t * neq * k).reshape(nb, t * neq, k)[:, ::-1]
+            b_list = b_list.reshape(nb, t, neq, k)
+            gen_tables = [construct._residue_tables(g, moves, b_list) for g, moves in gen_moves]
+            c_tables = construct._residue_tables(c_theta, c_moves, b_list)
+            m_shape = (on_c.shape[0], neq * c_theta.dim)
+            widest = max(tab[0].size for tab in (*gen_tables, c_tables))
+            weights = packed_key_weights(field, m_shape[0] * m_shape[1])
+            walked = set()
+            start = 0
+            for chunk in linalg.walk(field, n * neq * k, widest):
+                chunk = chunk.reshape(len(chunk), n * neq, k)[:, ::-1].reshape(chunk.shape)
+                codes, keys = [], []
+                for b_code in range(nb):
+                    live = np.arange(chunk.shape[0])
+                    for tables in gen_tables:
+                        rows = linalg.matmul(field, chunk[live], tables[b_code])
+                        live = live[~rows.any(axis=1)]
+                    codes.append((start + live) * nb + b_code)
+                    m_rows = linalg.matmul(field, chunk[live], c_tables[b_code])
+                    keys.append(m_rows.astype(np.int64) @ weights)
+                for code, key in least_codes(np.concatenate(keys), np.concatenate(codes)):
+                    if key.tobytes() in walked:
+                        continue
+                    walked.add(key.tobytes())
+                    a_code, b_code = divmod(code, nb)
+                    a = chunk[a_code - start : a_code - start + 1]
+                    m_a = linalg.matmul(field, a, c_tables[b_code])
+                    kernel = linalg.null_space(field, m_a.reshape(m_shape).T)
+                    sig = linalg.matmul(field, kernel, on_c).tobytes()
+                    if sig in seen:
+                        continue
+                    if len(results) >= budget.candidates:
+                        return ConsequenceList(theta, tuple(results), True)
+                    seen.add(sig)
+                    chi = normalised(alg, theta.side, n, a.reshape(n, neq, k), b_list[b_code])
+                    results.append(conj(theta, chi))
+                start += len(chunk)
+    return ConsequenceList(theta, tuple(results), False)
+
+
+def packed_key_weights(field, width):
+    """Packs rows of ``width`` field codes into int64 keys (rows @ weights),
+    as many entries per key as fit in 62 bits: equal rows iff equal keys."""
+    bits = (field.q - 1).bit_length()
+    per_key = 62 // bits
+    cols = np.arange(width)
+    weights = np.zeros((width, -(-width // per_key)), dtype=np.int64)
+    weights[cols, cols // per_key] = 1 << (bits * (cols % per_key))
+    return weights
+
+
+def least_codes(keys, codes):
+    """(code, key row) at the least code of each distinct key row, in
+    increasing code order."""
+    order = np.lexsort((codes, *keys.T[::-1]))
+    keys, codes = keys[order], codes[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    keys, codes = keys[starts], codes[starts]
+    first = np.argsort(codes)
+    return zip(codes[first].tolist(), keys[first])
+
+
+def construction_calls(module, tuple_, ctx, budget):
+    """(theta, ctx, budget) of every consequence call of a construction."""
+    state = run_construction(module, tuple_, ctx, budget)
+    return [(row.theta, ctx, budget) for row in state.rows]
+
+
+def two_generator_calls(alg):
+    """Arity 1 and 2 pp-type generators over the right modules 2 to 4 of
+    ``genuine_modules(alg)`` (R, S+S and R+S for field[t]/(t^2); S2, P1
+    and S1+S2 for tri2), in a context of modules 1 and 4 in both orders;
+    one bound variable, so a block with t = 1 has nb = |alg| > 1."""
+    grid = genuine_modules(alg)[:5]
+    thetas = []
+    for m in grid[2:]:
+        units = np.eye(m.dim, dtype=ELEM)
+        thetas += [pp_type_generator(m, units[:1]), pp_type_generator(m, units[[0, -1]])]
+    contexts = [make_context([grid[1], grid[4]]), make_context([grid[4], grid[1]])]
+    return [
+        (theta, ctx, Budget(1, 1, candidates, 1))
+        for theta in thetas
+        for ctx in contexts
+        for candidates in (2, 64)
+    ]
+
+
+def s_plus_s_calls():
+    """The four calls of the S+S construction in Def(R_R)."""
+    s_plus_s = fixtures.right_grid(fixtures.r2())[4]
+    ctx = make_context([fixtures.mod_rr()])
+    return construction_calls(s_plus_s, np.eye(2, dtype=ELEM), ctx, Budget(1, 1, 8, 3))
+
+
+def demo_calls():
+    """The calls of the RR and S constructions in envS at the demo budget."""
+    ctx, budget = make_context([fixtures.mod_s()]), Budget(2, 2, 64, 3)
+    rr = construction_calls(fixtures.mod_rr(), [[1, 0]], ctx, budget)
+    return rr + construction_calls(fixtures.mod_s(), [[1]], ctx, budget)
+
+
+PER_B_CALLS = {
+    "s-plus-s": s_plus_s_calls,
+    "demo": demo_calls,
+    "tri2": lambda: two_generator_calls(fixtures.tri2()),
+    "f4-dual-numbers": lambda: two_generator_calls(truncated(Field(2, 2))),
+}
+
+
+@pytest.mark.parametrize(
+    "cells", [1, 40, linalg.WALK_CELLS, 2**20], ids=["one-a", "40", "default", "whole"]
+)
+@pytest.mark.parametrize("calls", PER_B_CALLS, ids=str)
+def test_consequence_enum_matches_the_per_b_code_walk(calls, cells, monkeypatch):
+    # the same formulas, and the same M_a solved in the same order: one
+    # null_space per group of equal M_a, met at its least code
+    monkeypatch.setattr(linalg, "WALK_CELLS", cells)
+    for theta, ctx, budget in PER_B_CALLS[calls]():
+        got, got_solved = solving(monkeypatch, consequence_enum, theta, ctx, budget)
+        want, want_solved = solving(monkeypatch, per_b_consequence_enum, theta, ctx, budget)
+        assert same_consequences(got, want)
+        assert got_solved == want_solved
+
+
+def solving(monkeypatch, enum, theta, ctx, budget):
+    """What ``enum`` returns, and each matrix it solves in a walk chunk, in order."""
+    with monkeypatch.context() as patch:
+        chunks = spy_on_chunks(patch)
+        return enum(theta, ctx, budget), [m for chunk in chunks for m in chunk.solved]
+
+
+def spy_on_chunks(patch):
+    """Per walk chunk of what ``patch`` runs: the walk's width, the output
+    shape of each ``images`` product, the ``matmul`` calls and each matrix
+    handed to ``null_space`` (shape and bytes), made before the next chunk
+    or the walk's end."""
+    chunks, current = [], [None]
+    walk, images, matmul, null_space = linalg.walk, linalg.images, linalg.matmul, linalg.null_space
+
+    def spied_walk(field, n, width, stop=None):
+        rows = walk(field, n, width, stop)
+
+        def chunked():
+            for chunk in rows:
+                current[0] = SimpleNamespace(width=width, products=[], matmuls=0, solved=[])
+                chunks.append(current[0])
+                yield chunk
+            current[0] = None
+
+        return chunked()
+
+    def spied_images(field, rows, mats):
+        out = images(field, rows, mats)
+        if current[0] is not None:
+            current[0].products.append(out.shape)
+        return out
+
+    def spied_matmul(field, a, b):
+        if current[0] is not None:
+            current[0].matmuls += 1
+        return matmul(field, a, b)
+
+    def spied_null_space(field, a, *rest):
+        if current[0] is not None:
+            current[0].solved.append((a.shape, a.tobytes()))
+        return null_space(field, a, *rest)
+
+    patch.setattr(linalg, "walk", spied_walk)
+    patch.setattr(linalg, "images", spied_images)
+    patch.setattr(linalg, "matmul", spied_matmul)
+    patch.setattr(linalg, "null_space", spied_null_space)
+    return chunks
+
+
+def guard_inputs():
+    """The demo-budget thetas in envS and the edge-case inputs."""
+    demo = make_context([fixtures.mod_s()])
+    calls = [
+        (theta, demo, Budget(2, 2, candidates, 3))
+        for theta in (pp_type_generator(fixtures.mod_rr(), [[1, 0]]), fixtures.xt0())
+        for candidates in (1, 64)
+    ]
+    for alg in (fixtures.r2(), fixtures.tri2(), fixtures.f3()):
+        grid = fixtures.right_grid(alg)
+        thetas = [top(alg, "right", 0), bot(alg, "right", 1), top(alg, "right", 1)]
+        contexts = [make_context([grid[0]]), make_context([grid[0], grid[1]]), make_context([grid[1], grid[0]])]
+        calls += [(theta, ctx, Budget(2, 1, 64, 1)) for theta in thetas for ctx in contexts]
+    return calls
+
+
+@pytest.mark.parametrize("cells", [1, 40, linalg.WALK_CELLS], ids=["one-a", "40", "default"])
+def test_each_walk_chunk_makes_two_products_within_the_cell_budget(cells, monkeypatch):
+    # two images products per chunk, none past max(WALK_CELLS, one
+    # a-code's cells) entries; besides them one matmul per null_space
+    # (the signature), so no product per b-code
+    monkeypatch.setattr(linalg, "WALK_CELLS", cells)
+    for theta, ctx, budget in guard_inputs():
+        with monkeypatch.context() as patch:
+            chunks = spy_on_chunks(patch)
+            consequence_enum(theta, ctx, budget)
+        assert chunks
+        for chunk in chunks:
+            assert len(chunk.products) == 2
+            assert max(np.prod(shape) for shape in chunk.products) <= max(cells, chunk.width)
+            assert chunk.matmuls == 2 + len(chunk.solved)
+
+
+ZERO_WIDTH = {
+    # n = 0: theta(C) is the zero subgroup of C^0, and C = 0
+    "theta-c-zero": (top(fixtures.r2(), "right", 0), [fixtures.mod_s()], "c"),
+    # x = 0: C_theta is the zero module
+    "c-theta-zero-dim": (bot(fixtures.r2(), "right", 1), [fixtures.mod_s()], "c"),
+    # divisibility by t is x = 0 on S, and theta(0) = 0 for any theta
+    "theta-g-zero": (fixtures.divt(), [fixtures.mod_s()], "g"),
+    "theta-of-zero-module": (top(fixtures.r2(), "right", 1), [fixtures.right_grid(fixtures.r2())[0]], "g"),
+}
+
+
+def test_zero_width_rows_form_one_group():
+    empty = np.zeros((5, 0), dtype=ELEM)
+    assert construct._first_rows(empty).tolist() == [0]
+    assert construct._first_rows(empty[:0]).tolist() == []
+    rows = np.array([[1, 0], [0, 1], [1, 0], [0, 0], [0, 1]], dtype=ELEM)
+    assert construct._first_rows(rows).tolist() == [0, 1, 3]
+
+
+@chunk_cells
+@pytest.mark.parametrize("case", ZERO_WIDTH, ids=str)
+def test_consequence_enum_on_zero_width_rows(case, cells, monkeypatch):
+    # the product of the zero-width side has no columns.  With no M_a
+    # columns every closing pair of a block (a = 0 always closes) is one
+    # group: one null_space per block
+    theta, generators, zero = ZERO_WIDTH[case]
+    ctx = make_context(generators)
+    monkeypatch.setattr(linalg, "WALK_CELLS", cells)
+    for budget in (Budget(1, 1, 64, 1), Budget(1, 2, 64, 1), Budget(1, 2, 1, 1)):
+        with monkeypatch.context() as patch:
+            chunks = spy_on_chunks(patch)
+            got = consequence_enum(theta, ctx, budget)
+        side = {"g": 0, "c": 1}[zero]
+        assert all(chunk.products[side][2] == 0 for chunk in chunks)
+        if zero == "c":
+            assert sum(len(chunk.solved) for chunk in chunks) == (budget.bound_vars + 1) * budget.equations
+        assert same_consequences(got, per_b_consequence_enum(theta, ctx, budget))
+        assert same_consequences(got, oracle_consequence_enum(theta, ctx, budget))
+        assert same_consequences(got, oracle_consequence_enum_on_solution_sets(theta, ctx, budget))
 
 
 def oracle_verify_factorisation(state, targets):

@@ -20,7 +20,6 @@ nested integer lists in source-row order.
 from __future__ import annotations
 
 import argparse
-import ast
 import sys
 from pathlib import Path
 
@@ -44,18 +43,14 @@ from .lattice import DEFAULT_CAP, filter_analysis, hasse_edges, pp_lattice
 from .modules import make_map, module_span
 from .scalars import scalar_ring
 from .tensor import herzog_zero_test, tensor_product
-from .workspace import load_workspace, parse_element, render_workspace
+from .workspace import load_workspace, parse_element, parse_literal, render_workspace
 
 
 def _vector_row(module, token: str, dim: int) -> np.ndarray:
     token = token.strip()
     field = module.algebra.field
     if token.startswith("["):
-        try:
-            coords = ast.literal_eval(token)
-        except (ValueError, SyntaxError):
-            raise ParseError(None, f"cannot parse coordinates {token!r}") from None
-        vec = field.asarray(coords)
+        vec = field.asarray(parse_literal(token, "coordinates"))
         if vec.shape != (dim,):
             raise ParseError(None, f"coordinate row {token!r} needs length {dim}")
         return vec
@@ -76,15 +71,12 @@ def _parse_tuple_arg(module, text: str) -> np.ndarray:
     return np.stack([_vector_row(module, t, module.dim) for t in tokens])
 
 
-def _parse_matrix_arg(field, text: str, rows: int, cols: int) -> np.ndarray:
-    try:
-        data = ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        raise ParseError(None, f"cannot parse matrix {text!r}") from None
-    mat = field.asarray(data)
-    if mat.size != rows * cols:
-        raise ParseError(None, f"matrix needs shape ({rows}, {cols})")
-    return mat.reshape(rows, cols)
+def _map_arg(source, target, text: str):
+    """The map source -> target whose matrix is the nested-list argument ``text``."""
+    mat = source.algebra.field.asarray(parse_literal(text, "matrix"))
+    if mat.size != source.dim * target.dim:
+        raise ParseError(None, f"matrix needs shape ({source.dim}, {target.dim})")
+    return make_map(source, target, mat.reshape(source.dim, target.dim))
 
 
 def _rows(vectors: np.ndarray) -> list[str]:
@@ -193,8 +185,7 @@ def _cmd_pptype(ws, args):
 def _cmd_purity(ws, args):
     src = ws.module(args.source)
     tgt = ws.module(args.target)
-    f_map = make_map(src, tgt, _parse_matrix_arg(src.algebra.field, args.matrix, src.dim, tgt.dim))
-    rep = purity_check(f_map)
+    rep = purity_check(_map_arg(src, tgt, args.matrix))
     lines = [
         f"map: {args.source} -> {args.target}",
         f"pure monomorphism: {_yes(rep.pure_mono)}",
@@ -219,9 +210,8 @@ def _cmd_pullback(ws, args):
     m = ws.module(args.source)
     d = ws.module(args.cover)
     n = ws.module(args.target)
-    field = m.algebra.field
-    f_map = make_map(m, n, _parse_matrix_arg(field, args.matrix, m.dim, n.dim))
-    p_map = make_map(d, n, _parse_matrix_arg(field, args.cover_matrix, d.dim, n.dim))
+    f_map = _map_arg(m, n, args.matrix)
+    p_map = _map_arg(d, n, args.cover_matrix)
     res = pullback_pure(f_map, p_map)
     lines = [
         f"pullback of {args.source} -> {args.target} along {args.cover} -> {args.target}",
@@ -239,9 +229,8 @@ def _cmd_pushout(ws, args):
     dprime = ws.module(args.corner)
     d = ws.module(args.cover)
     m = ws.module(args.target)
-    field = m.algebra.field
-    i_map = make_map(dprime, d, _parse_matrix_arg(field, args.mono_matrix, dprime.dim, d.dim))
-    f_map = make_map(dprime, m, _parse_matrix_arg(field, args.matrix, dprime.dim, m.dim))
+    i_map = _map_arg(dprime, d, args.mono_matrix)
+    f_map = _map_arg(dprime, m, args.matrix)
     res = pushout_pure(i_map, f_map)
     lines = [
         f"pushout of {args.corner} -> {args.target} along {args.corner} -> {args.cover}",
@@ -492,10 +481,7 @@ def main(argv=None) -> int:
     try:
         ws = load_workspace(args.workspace)
         lines, verdict = args.handler(ws, args)
-    except PpmodError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (PpmodError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # a fault in ppmod, not in the input

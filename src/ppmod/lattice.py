@@ -78,8 +78,11 @@ def _require_pointed_power(m: ModuleRep, k: int, cap) -> None:
     """Refuse a non-int cap, and a pointed power M^k past cap elements (M^0 is never built)."""
     if not is_int(cap):
         raise ValidationFailure(f"cap must be an int, not {cap!r}")
-    size = m.algebra.field.q ** (m.dim * k)
-    if k and size > cap:
+    q, e = m.algebra.field.q, m.dim * k
+    # from cap's bit length on the exponent alone decides: q^e >= 2^e > cap
+    if k and (e >= cap.bit_length() or q**e > cap):
+        # a power past 64 bits is named, not computed
+        size = q**e if e < 64 and q**e < 2**64 else f"{q}^{e}"
         raise CapExceeded(f"pointed power needs |M|^{k} = {size} > cap {cap}")
 
 

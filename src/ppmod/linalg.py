@@ -80,16 +80,6 @@ def pair_products(field: Field, mats: np.ndarray) -> np.ndarray:
     return rows.reshape(k, d, k, d).transpose(0, 2, 1, 3)
 
 
-def kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with field multiplication."""
-    ma, na = a.shape
-    mb, nb = b.shape
-    if min(ma, na, mb, nb) == 0:
-        return zeros(ma * mb, na * nb)
-    out = field.mul(a[:, None, :, None], b[None, :, None, :])
-    return out.reshape(ma * mb, na * nb)
-
-
 def sylvester_rows(field: Field, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Rows of kron(left[i], I) - kron(I, right[i]) for each i, stacked.
 

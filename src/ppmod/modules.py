@@ -507,6 +507,7 @@ def quotient(m: ModuleRep, rows: np.ndarray) -> Quotient:
 
 def are_isomorphic(m: ModuleRep, n: ModuleRep) -> bool:
     """Search Hom(m, n) for an invertible element (exhaustive, small q)."""
+    require_compatible(m, n, "modules")
     if m.dim != n.dim:
         return False
     if m.dim == 0:

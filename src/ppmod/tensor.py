@@ -8,8 +8,8 @@ canonicalize classes by echelon reduction.  The class of each basis
 pair is read off the echelon basis by ``linalg.quotient_map`` (a free
 column is its own class, a pivot column minus its relation row), and
 every class is a product with that table: a tuple's class projects
-vs^T ws, and the Mittag-Leffler matrix is kron(I, proj) times each
-factor's table.  The zero test for a simple tensor of
+vs^T ws, and the Mittag-Leffler matrix reads each factor's table
+through its projection.  The zero test for a simple tensor of
 tuples goes the other way, through the dual of a pp-type generator;
 agreement of the two routes is a strong end-to-end check on the
 formula layer.
@@ -62,8 +62,8 @@ class TensorResult:
         w = field.asarray(w).reshape(-1)
         if v.shape[0] != self.right.dim or w.shape[0] != self.left.dim:
             raise LengthMismatch("tensor factors of the wrong dimension")
-        amb = linalg.kron(field, v.reshape(1, -1), w.reshape(1, -1))[0]
-        return self._project(amb)
+        # entry (i, j) of the outer product is the coefficient of e_i (x) e_j
+        return self._project(field.mul(v[:, None], w[None, :]).reshape(-1))
 
     def tuple_class(self, vs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         """Class of sum_i vs[i] (x) ws[i]."""
@@ -140,14 +140,13 @@ def relative_ml_check(m: ModuleRep, family) -> MittagLefflerReport:
         )
     prod = direct_sum(family)
     t_all = tensor_product(m, prod.module)
-    ident = linalg.eye(field, m.dim)
-    # row (i, u): the class of e_i (x) proj(e_u) in each factor, i.e. the
-    # pair table of the factor applied to kron(I, proj)
+    # row (i, u): the class of e_i (x) proj(e_u) in each factor, that is
+    # row u of proj times the factor's pair-table block of e_i
     blocks = []
     for l_mod, proj in zip(family, prod.projections):
         t_fac = tensor_product(m, l_mod)
-        table = t_fac.pair_table.reshape(m.dim * l_mod.dim, t_fac.dim)
-        blocks.append(linalg.matmul(field, linalg.kron(field, ident, proj.matrix), table))
+        block = linalg.images(field, proj.matrix, t_fac.pair_table)  # (u, i, class)
+        blocks.append(block.transpose(1, 0, 2).reshape(m.dim * prod.module.dim, t_fac.dim))
     matrix = np.concatenate(blocks, axis=1)[list(t_all.free_columns)]
     kernel = linalg.null_space(field, matrix.T)
     if kernel.shape[0] == 0:

@@ -52,6 +52,8 @@ _SECTION_RE = re.compile(r"^\[(\w+)\s+([A-Za-z_]\w*)\]$")
 _VAR_RE = re.compile(r"^(x|y)(\d+)$")
 _PREFIX_RE = re.compile(r"^E\s+((?:y\d+\s+)*y\d+)\s*\.\s*(.*)$")
 
+# each section kind with its keys, in resolve and render order; every key
+# is required but a context's two, which are each optional
 _KIND_KEYS = {
     "algebra": ("field", "labels", "unit", "constants"),
     "module": ("algebra", "side", "dim", "actions"),
@@ -59,7 +61,6 @@ _KIND_KEYS = {
     "context": ("modules", "pairs"),
     "budget": ("bound_vars", "equations", "candidates", "stages"),
 }
-_KIND_ORDER = ("algebra", "module", "formula", "context", "budget")
 
 
 @memo(lambda q: q)
@@ -107,23 +108,19 @@ class Workspace:
         self._check_name(name, self.algebras)
         self.algebras[name] = algebra
 
+    def _check_over(self, kind: str, name: str, algebra_name: str, obj) -> None:
+        if obj.algebra.fingerprint() != self.algebra(algebra_name).fingerprint():
+            raise ValidationFailure(f"{kind} {name!r} is not over algebra {algebra_name!r}")
+
     def add_module(self, name: str, algebra_name: str, module: ModuleRep) -> None:
         self._check_name(name, self.modules)
-        alg = self.algebra(algebra_name)
-        if module.algebra.fingerprint() != alg.fingerprint():
-            raise ValidationFailure(
-                f"module {name!r} is not over algebra {algebra_name!r}"
-            )
+        self._check_over("module", name, algebra_name, module)
         self.modules[name] = module
         self.module_algebra[name] = algebra_name
 
     def add_formula(self, name: str, algebra_name: str, formula: PpFormula) -> None:
         self._check_name(name, self.formulas)
-        alg = self.algebra(algebra_name)
-        if formula.algebra.fingerprint() != alg.fingerprint():
-            raise ValidationFailure(
-                f"formula {name!r} is not over algebra {algebra_name!r}"
-            )
+        self._check_over("formula", name, algebra_name, formula)
         self.formulas[name] = formula
         self.formula_algebra[name] = algebra_name
 
@@ -150,30 +147,26 @@ class Workspace:
 
     # -- lookups ---------------------------------------------------------
 
+    @staticmethod
+    def _lookup(kind: str, table: dict, name: str):
+        if name not in table:
+            raise UnknownReference(f"no {kind} named {name!r}")
+        return table[name]
+
     def algebra(self, name: str) -> Algebra:
-        if name not in self.algebras:
-            raise UnknownReference(f"no algebra named {name!r}")
-        return self.algebras[name]
+        return self._lookup("algebra", self.algebras, name)
 
     def module(self, name: str) -> ModuleRep:
-        if name not in self.modules:
-            raise UnknownReference(f"no module named {name!r}")
-        return self.modules[name]
+        return self._lookup("module", self.modules, name)
 
     def formula(self, name: str) -> PpFormula:
-        if name not in self.formulas:
-            raise UnknownReference(f"no formula named {name!r}")
-        return self.formulas[name]
+        return self._lookup("formula", self.formulas, name)
 
     def context(self, name: str) -> DefinableContext:
-        if name not in self.contexts:
-            raise UnknownReference(f"no context named {name!r}")
-        return self.contexts[name]
+        return self._lookup("context", self.contexts, name)
 
     def budget(self, name: str) -> Budget:
-        if name not in self.budgets:
-            raise UnknownReference(f"no budget named {name!r}")
-        return self.budgets[name]
+        return self._lookup("budget", self.budgets, name)
 
 
 # -- formula text ---------------------------------------------------------
@@ -367,17 +360,11 @@ def parse_workspace(text: str) -> Workspace:
             raise ParseError(num, f"unbalanced brackets in value of {key!r}")
         current[key] = (value, num)
     ws = Workspace()
-    for kind in _KIND_ORDER:
+    for kind in _KIND_KEYS:
         for sec_kind, name, num, keys in sections:
             if sec_kind == kind:
                 _resolve_section(ws, kind, name, num, keys)
     return ws
-
-
-def _require(keys: dict, needed: tuple[str, ...], kind: str, num: int) -> None:
-    for key in needed:
-        if key not in keys:
-            raise ParseError(num, f"[{kind}] section is missing key {key!r}")
 
 
 def _int_value(keys: dict, key: str) -> int:
@@ -394,12 +381,17 @@ def _count_value(keys: dict, key: str) -> int:
     return count
 
 
+def parse_literal(text: str, what: str, line: int | None = None):
+    """A Python literal such as a nested integer list; ``what`` names it in the error."""
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        raise ParseError(line, f"cannot parse {what} {text!r}") from None
+
+
 def _literal_value(keys: dict, key: str):
     value, num = keys[key]
-    try:
-        return ast.literal_eval(value)
-    except (ValueError, SyntaxError):
-        raise ParseError(num, f"cannot parse {key} value {value!r}") from None
+    return parse_literal(value, f"{key} value", num)
 
 
 def _name_list(value: str) -> list[str]:
@@ -414,8 +406,11 @@ def _side_value(keys: dict) -> str:
 
 
 def _resolve_section(ws: Workspace, kind: str, name: str, num: int, keys: dict) -> None:
+    if kind != "context":
+        for key in _KIND_KEYS[kind]:
+            if key not in keys:
+                raise ParseError(num, f"[{kind}] section is missing key {key!r}")
     if kind == "algebra":
-        _require(keys, _KIND_KEYS["algebra"], kind, num)
         field = _wrap(field_from_order, kind, name)(_int_value(keys, "field"))
         labels = _name_list(keys["labels"][0])
         unit = _literal_value(keys, "unit")
@@ -423,7 +418,6 @@ def _resolve_section(ws: Workspace, kind: str, name: str, num: int, keys: dict) 
         alg = _wrap(make_algebra, kind, name)(field, labels, constants, unit)
         ws.add_algebra(name, alg)
     elif kind == "module":
-        _require(keys, _KIND_KEYS["module"], kind, num)
         alg_name = keys["algebra"][0]
         alg = ws.algebra(alg_name)
         side = _side_value(keys)
@@ -434,7 +428,6 @@ def _resolve_section(ws: Workspace, kind: str, name: str, num: int, keys: dict) 
         mod = _wrap(make_module, kind, name)(alg, side, dim, actions)
         ws.add_module(name, alg_name, mod)
     elif kind == "formula":
-        _require(keys, _KIND_KEYS["formula"], kind, num)
         alg_name = keys["algebra"][0]
         alg = ws.algebra(alg_name)
         side = _side_value(keys)
@@ -457,7 +450,6 @@ def _resolve_section(ws: Workspace, kind: str, name: str, num: int, keys: dict) 
                 pair_names.append((halves[0], halves[1]))
         _wrap(ws.add_context, kind, name)(name, module_names, pair_names)
     elif kind == "budget":
-        _require(keys, _KIND_KEYS["budget"], kind, num)
         budget = _wrap(Budget, kind, name)(
             _int_value(keys, "bound_vars"),
             _int_value(keys, "equations"),
@@ -490,56 +482,34 @@ def load_workspace(path) -> Workspace:
 
 def render_workspace(ws: Workspace) -> str:
     """Canonical text for a workspace: fixed order, sorted names."""
+    values = {  # each section's values in the order of its kind's keys
+        "algebra": {
+            name: (alg.field.q, ", ".join(alg.labels), alg.unit.tolist(), alg.constants.tolist())
+            for name, alg in ws.algebras.items()
+        },
+        "module": {
+            name: (ws.module_algebra[name], mod.side, mod.dim, mod.actions.tolist())
+            for name, mod in ws.modules.items()
+        },
+        "formula": {
+            name: (ws.formula_algebra[name], f.side, f.nfree, f.render())
+            for name, f in ws.formulas.items()
+        },
+        "context": {
+            name: (", ".join(modules), ", ".join(f"{a} / {b}" for a, b in pairs))
+            for name, (modules, pairs) in ws.context_refs.items()
+        },
+        "budget": {
+            name: (b.bound_vars, b.equations, b.candidates, b.stages)
+            for name, b in ws.budgets.items()
+        },
+    }
     out: list[str] = ["version = 1"]
-    for name in sorted(ws.algebras):
-        alg = ws.algebras[name]
-        out += [
-            "",
-            f"[algebra {name}]",
-            f"field = {alg.field.q}",
-            f"labels = {', '.join(alg.labels)}",
-            f"unit = {alg.unit.tolist()}",
-            f"constants = {alg.constants.tolist()}",
-        ]
-    for name in sorted(ws.modules):
-        mod = ws.modules[name]
-        out += [
-            "",
-            f"[module {name}]",
-            f"algebra = {ws.module_algebra[name]}",
-            f"side = {mod.side}",
-            f"dim = {mod.dim}",
-            f"actions = {mod.actions.tolist()}",
-        ]
-    for name in sorted(ws.formulas):
-        f = ws.formulas[name]
-        out += [
-            "",
-            f"[formula {name}]",
-            f"algebra = {ws.formula_algebra[name]}",
-            f"side = {f.side}",
-            f"arity = {f.nfree}",
-            f"body = {f.render()}",
-        ]
-    for name in sorted(ws.contexts):
-        module_names, pair_names = ws.context_refs[name]
-        out += ["", f"[context {name}]"]
-        if module_names:
-            out.append(f"modules = {', '.join(module_names)}")
-        if pair_names:
-            out.append(
-                "pairs = " + ", ".join(f"{a} / {b}" for a, b in pair_names)
-            )
-    for name in sorted(ws.budgets):
-        budget = ws.budgets[name]
-        out += [
-            "",
-            f"[budget {name}]",
-            f"bound_vars = {budget.bound_vars}",
-            f"equations = {budget.equations}",
-            f"candidates = {budget.candidates}",
-            f"stages = {budget.stages}",
-        ]
+    for kind, keys in _KIND_KEYS.items():
+        for name, row in sorted(values[kind].items()):
+            out += ["", f"[{kind} {name}]"]
+            # "" is a context without modules or without pairs; 0 is still written
+            out += [f"{key} = {v}" for key, v in zip(keys, row, strict=True) if v != ""]
     return "\n".join(out) + "\n"
 
 

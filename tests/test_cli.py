@@ -208,6 +208,26 @@ def test_a_lattice_past_the_table_bound_exits_2(capsys):
     assert err.startswith("error: lattice tables need at least 1025^2") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["lattice", "filters"])
+@pytest.mark.parametrize("arity", [4000, 10**9])
+def test_a_huge_arity_is_refused_by_its_exponent(command, arity, capsys):
+    # |M|^(dim*arity) past the cap is named as a power of q, never computed
+    def interrupted(signum, frame):
+        raise TimeoutError("the pointed power was computed")
+
+    previous = signal.signal(signal.SIGALRM, interrupted)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code, out, err = run(
+            [command, "--workspace", DEMO, "--module", "RR", "--arity", str(arity)], capsys
+        )
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out == ""
+    assert err == f"error: pointed power needs |M|^{2 * arity} = 2^{4 * arity} > cap 65536\n"
+
+
 def test_scalars_command(capsys):
     code, out, _ = run(["scalars", "--workspace", DEMO, "--module", "RR"], capsys)
     assert code == 0

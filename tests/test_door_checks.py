@@ -5,6 +5,8 @@ names the argument, never with numpy's or Python's own error from deep
 inside and never by accepting it.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,9 +45,9 @@ from ppmod.errors import (
     ValidationFailure,
 )
 from ppmod.fields import Field
-from ppmod.fixtures import divt, mod_lr, mod_ls, mod_rr, mod_s, r2, tri2, tri2_s1, xt0
+from ppmod.fixtures import divt, f3, mod_lr, mod_ls, mod_rr, mod_s, r2, tri2, tri2_s1, xt0
 from ppmod.formulas import prefix_restriction
-from ppmod.modules import free_module
+from ppmod.modules import free_module, regular_module
 
 ARITY = r"^arity must be an int >= 0, not "
 DOT = r"^dot takes two vectors of equal length, not shapes "
@@ -191,6 +193,17 @@ CASES.update(
             AlgebraMismatch,
             "^context generators and pairs over different algebras$",
         ),
+        # the pairing is checked before the dimensions are compared
+        "are-isomorphic-side-unequal-dims": (
+            lambda: are_isomorphic(mod_s(), mod_lr()),
+            SideMismatch,
+            "^modules on different sides: right and left$",
+        ),
+        "are-isomorphic-algebra-unequal-dims": (
+            lambda: are_isomorphic(mod_rr(), tri2_s1()),
+            AlgebraMismatch,
+            "^modules over different algebras$",
+        ),
     }
 )
 
@@ -213,3 +226,18 @@ def test_the_pinned_messages_stay():
         is_pp_definable(mod_rr(), [[0, 1]], 1, cap=3)
     with pytest.raises(DimensionMismatch, match="^direct sum of an empty list$"):
         direct_sum([])
+
+
+@pytest.mark.parametrize(
+    "m, arity, size",
+    [
+        (mod_rr(), 15, "1152921504606846976"),  # q^e = 2^60, written out
+        (mod_rr(), 16, "2^64"),  # from 64 bits on the power is named
+        (regular_module(f3(), "right"), 40, "12157665459056928801"),
+        (regular_module(f3(), "right"), 41, "3^41"),  # past 64 bits at e < 64
+    ],
+)
+def test_a_pointed_power_past_64_bits_is_named(m, arity, size):
+    k = m.dim * arity
+    with pytest.raises(CapExceeded, match=rf"^pointed power needs \|M\|\^{k} = {re.escape(size)} > cap 65536$"):
+        pp_lattice(m, arity)

@@ -284,6 +284,13 @@ def test_one_hom_null_space():
     assert sorted(callers) == ["linalg.intertwiners", "tensor.tensor_product"]
 
 
+def test_one_literal_door():
+    # bracketed values reach the mathematics through one parse with one
+    # ParseError, whether they come from a workspace file or a CLI argument
+    callers = [c for path in sorted(SRC.glob("*.py")) for c in callers_of(path, "literal_eval")]
+    assert callers == ["workspace.parse_literal"]
+
+
 def test_one_module_law_check():
     # make_module checks the law on caller-given actions; the constructions
     # built from checked modules make the record directly, and the workspace

@@ -24,6 +24,7 @@ from ppmod.lattice import pp_lattice
 from ppmod.modules import hom_basis, make_map, make_module
 from ppmod.scalars import end_and_biend
 from ppmod.tensor import tensor_product
+from test_oracles import kron
 
 ALGEBRAS = [fixtures.r2(), fixtures.tri2(), fixtures.f3()]
 GRIDS = {
@@ -70,7 +71,7 @@ def test_the_pp_lattice_and_the_rings_transport(data, alg, side):
         lat, lat_g = pp_lattice(m, arity), pp_lattice(mg, arity)
         assert lat.size == lat_g.size
         # element x of M^arity goes to x (I (x) g) in (M^g)^arity
-        moved = linalg.kron(field, linalg.eye(field, arity), g)
+        moved = kron(field, linalg.eye(field, arity), g)
         perm = np.array([lat_g.index_of(linalg.matmul(field, el.basis, moved)) for el in lat.elements])
         assert sorted(perm.tolist()) == list(range(lat.size))
         assert np.array_equal(lat_g.leq[np.ix_(perm, perm)], lat.leq)

@@ -29,7 +29,7 @@ from ppmod.fixtures import (
     right_grid,
     tri2,
 )
-from ppmod.formulas import bot
+from ppmod.formulas import bot, top
 from ppmod.modules import direct_sum, zero_module
 from ppmod.workspace import Workspace, field_from_order
 
@@ -268,7 +268,8 @@ ALGEBRAS = {"K2": k2, "F3": f3, "R2": r2, "T2": tri2}
 @st.composite
 def workspaces(draw):
     """Fixture algebras; direct sums of grid modules, dim 0 included; random
-    formulas; contexts of generators and/or closed pairs; budgets."""
+    formulas and top or bot of arity 0; contexts of generators and/or closed
+    pairs; budgets."""
     ws = Workspace()
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     counter = iter(range(10**6))
@@ -285,6 +286,9 @@ def workspaces(draw):
             for _ in range(draw(st.integers(0, 2))):
                 formulas.append(f"phi{next(counter)}")
                 ws.add_formula(formulas[-1], alg_name, random_formula(alg, side, rng))
+            if draw(st.booleans()):  # a render must still write "arity = 0"
+                formulas.append(f"phi{next(counter)}")
+                ws.add_formula(formulas[-1], alg_name, draw(st.sampled_from((top, bot)))(alg, side, 0))
             for _ in range(draw(st.integers(0, 2))):
                 gens = draw(st.lists(st.sampled_from(modules), max_size=2)) if modules else []
                 pairs = []
@@ -322,3 +326,30 @@ def test_generated_workspaces_roundtrip(ws):
         n: vars(b) for n, b in ws.budgets.items()
     }
     assert (parsed.module_algebra, parsed.formula_algebra) == (ws.module_algebra, ws.formula_algebra)
+
+
+def _sparse_workspace(case: str) -> Workspace:
+    ws = Workspace()
+    ws.add_algebra("R2", r2())
+    ws.add_module("Z", "R2", zero_module(r2(), "right"))
+    ws.add_formula("phi", "R2", top(r2(), "right", 0))
+    if case == "context-modules-only":
+        ws.add_context("C", ["Z"])
+    elif case == "context-pairs-only":
+        ws.add_context("C", [], [("phi", "phi")])
+    return ws
+
+
+@pytest.mark.parametrize(
+    "case, written, left_out",
+    [
+        ("context-modules-only", "[context C]\nmodules = Z\n", "pairs ="),
+        ("context-pairs-only", "[context C]\npairs = phi / phi\n", "modules ="),
+        ("dim-0-next-to-arity-0", "dim = 0\n", "[context"),
+    ],
+)
+def test_sparse_sections_roundtrip(case, written, left_out):
+    # a context writes only the keys it has; a zero dim or arity is written
+    text = render_workspace(_sparse_workspace(case))
+    assert written in text and "arity = 0\n" in text and left_out not in text
+    assert render_workspace(parse_workspace(text)) == text

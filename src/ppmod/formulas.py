@@ -19,7 +19,8 @@ enumerated here.  Every system and formula is assembled from whole
 coefficient blocks: the block rho(c) of every (variable, equation) slot
 comes from one product of the stacked coefficients with the stacked
 action matrices, and the constructors place coefficient blocks and unit
-diagonals by slicing.
+diagonals by slicing.  ``render`` reads every equation's non-zero cells
+off one scan of the stacked blocks.
 
 Formulas are immutable: ``a`` and ``b`` are read-only (normalisation
 copies them, so no caller's array is shared) and the fingerprint is
@@ -90,33 +91,30 @@ class PpFormula:
         return self._fingerprint
 
     def render(self) -> str:
-        """Workspace text syntax, e.g. ``E y1 . x1*t + y1*1 = 0``."""
+        """Workspace text syntax, e.g. ``E y1 . x1*t + y1*1 = 0``, from one scan
+        of the stacked blocks, each distinct coefficient rendered once."""
         alg = self.algebra
-        parts = []
-        for j in range(self.neq):
-            terms = []
-            for i in range(self.nfree):
-                if np.any(self.a[i, j]):
-                    terms.append(_render_term(alg, self.side, f"x{i + 1}", self.a[i, j]))
-            for k in range(self.nbound):
-                if np.any(self.b[k, j]):
-                    terms.append(_render_term(alg, self.side, f"y{k + 1}", self.b[k, j]))
-            parts.append((" + ".join(terms) if terms else "0") + " = 0")
+        cells = np.concatenate([self.a, self.b]).transpose(1, 0, 2)  # (neq, n + t, dim)
+        names = [f"x{i + 1}" for i in range(self.nfree)]
+        names += [f"y{k + 1}" for k in range(self.nbound)]
+        # the text before and after a variable name, per coefficient's bytes
+        affixes = {alg.unit.tobytes(): ("", "")}
+        terms: list[list[str]] = [[] for _ in range(self.neq)]
+        for j, v in zip(*np.nonzero(cells.any(axis=2))):
+            key = cells[j, v].tobytes()
+            if key not in affixes:
+                txt = alg.render_elem(cells[j, v])
+                affixes[key] = ("", f"*{txt}") if self.side == "right" else (f"{txt}*", "")
+            before, after = affixes[key]
+            terms[j].append(before + names[v] + after)
+        parts = [(" + ".join(row) if row else "0") + " = 0" for row in terms]
         body = " & ".join(parts) if parts else "0 = 0"
         if self.nbound:
-            names = " ".join(f"y{k + 1}" for k in range(self.nbound))
-            return f"E {names} . {body}"
+            return f"E {' '.join(names[self.nfree:])} . {body}"
         return body
 
     def __repr__(self) -> str:
         return f"PpFormula({self.side}, {self.nfree} free: {self.render()})"
-
-
-def _render_term(alg: Algebra, side: str, var: str, coeff: np.ndarray) -> str:
-    if np.array_equal(coeff, alg.unit):
-        return var
-    txt = alg.render_elem(coeff)
-    return f"{var}*{txt}" if side == "right" else f"{txt}*{var}"
 
 
 def pp_formula(algebra: Algebra, side: str, nfree: int, a, b) -> PpFormula:

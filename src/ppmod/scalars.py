@@ -13,6 +13,8 @@ its tuples (Prest, Purity, Spectra and Localisation, 2009, 1.2), so
 phi(M) = End(M)·(m, g m) for the generators m, and the formula defines
 the sum over i of the (i, k+i) projections of that orbit, which is
 {(u, g u)} because g commutes with End(M) and m generates M over it.
+A ``ScalarSynthesis`` keeps phi and g; the formula, rho, is assembled
+from phi's whole blocks each time it is read, so no ring stores one.
 
 End(M) and Biend(M) are ``RingTable``s: algebras (``algebras.Algebra``)
 over a canonical matrix basis.  End(M) is the ``hom_basis`` stack and
@@ -126,12 +128,33 @@ def _greedy_generators(m: ModuleRep, end_mats: np.ndarray) -> np.ndarray:
 
 @record
 class ScalarSynthesis:
-    formula: PpFormula  # rho(u, v)
     type_generator: PpFormula  # phi for the joined tuple
     generators: np.ndarray
     matrix: np.ndarray  # the biendomorphism realised
-    total: bool  # True: the solution set is the graph [I | g], a theorem
-    functional: bool  # True, by the same theorem
+    total = True  # the solution set of rho is the graph [I | g], a theorem
+    functional = True  # by the same theorem
+
+    @property
+    def formula(self) -> PpFormula:
+        """rho(u, v), assembled from phi's blocks each time it is read.  Bound
+        are x_1..x_k, y_1..y_k, then per conjunct i phi's 2k-2 other slots and
+        its bound block; slot i goes to x_i, slot k+i to y_i, by index arrays."""
+        phi = self.type_generator
+        alg = phi.algebra
+        k, t = phi.nfree // 2, phi.nbound
+        per_conj = (2 * k - 2) + t
+        a = np.zeros((2, 2 + k * phi.neq, alg.dim), dtype=ELEM)
+        b = np.zeros((2 * k + k * per_conj, a.shape[1], alg.dim), dtype=ELEM)
+        # u = sum x_i and v = sum y_i
+        a[0, 0] = a[1, 1] = alg.unit
+        b[:k, 0] = b[k : 2 * k, 1] = alg.field.neg(alg.unit)
+        i = np.arange(k)[:, None, None]
+        s = np.arange(2 * k + t)[None, :, None]
+        fresh = 2 * k + i * per_conj + s - (s > i) - (s > k + i)
+        rows = np.where((s == i) | (s == k + i), s, fresh)
+        cols = 2 + i * phi.neq + np.arange(phi.neq)
+        b[rows, cols] = np.concatenate([phi.a, phi.b])
+        return normalised(alg, phi.side, 2, a, b)
 
 
 def synthesize_scalar(m: ModuleRep, g) -> ScalarSynthesis:
@@ -158,35 +181,9 @@ def synthesize_scalar(m: ModuleRep, g) -> ScalarSynthesis:
 
 
 def _synthesis(m: ModuleRep, gens: np.ndarray, g: np.ndarray) -> ScalarSynthesis:
-    """rho for a (d, d) ``ELEM`` biendomorphism g of M and M's generators over End."""
-    field = m.algebra.field
-    alg = m.algebra
-    k = gens.shape[0]
-    joined = np.concatenate([gens, linalg.matmul(field, gens, g)], axis=0)
-    phi = pp_type_generator(m, joined)
-    # rho(u, v): bounds are x_1..x_k, y_1..y_k, then per conjunct i the
-    # 2k-2 unshared slot variables of phi plus phi's own bound block
-    per_conj = (2 * k - 2) + phi.nbound
-    nbound = 2 * k + k * per_conj
-    neq = 2 + k * phi.neq
-    a = np.zeros((2, neq, alg.dim), dtype=ELEM)
-    b = np.zeros((nbound, neq, alg.dim), dtype=ELEM)
-    a[0, 0] = alg.unit
-    a[1, 1] = alg.unit
-    for i in range(k):
-        b[i, 0] = field.neg(alg.unit)
-        b[k + i, 1] = field.neg(alg.unit)
-    for i in range(k):
-        base = 2 * k + i * per_conj
-        # slots i and k + i share x_i and y_i; the others take fresh rows
-        fresh = iter(range(base, base + 2 * k - 2))
-        col0 = 2 + i * phi.neq
-        for s in range(2 * k):
-            b[s if s in (i, k + i) else next(fresh), col0 : col0 + phi.neq] = phi.a[s]
-        for r in range(phi.nbound):
-            b[base + 2 * k - 2 + r, col0 : col0 + phi.neq] = phi.b[r]
-    rho = normalised(alg, m.side, 2, a, b)
-    return ScalarSynthesis(rho, phi, gens, g, True, True)
+    """phi for a (d, d) ``ELEM`` biendomorphism g of M and M's generators over End."""
+    joined = np.concatenate([gens, linalg.matmul(m.algebra.field, gens, g)], axis=0)
+    return ScalarSynthesis(pp_type_generator(m, joined), gens, g)
 
 
 @record
@@ -202,7 +199,7 @@ class ScalarRing:
     biend: RingTable
     generators: np.ndarray
     syntheses: tuple[ScalarSynthesis, ...]
-    matches_biend: bool
+    matches_biend = True
 
 
 def scalar_ring(m: ModuleRep) -> ScalarRing:
@@ -211,4 +208,4 @@ def scalar_ring(m: ModuleRep) -> ScalarRing:
     eb = end_and_biend(m)
     synths = tuple(_synthesis(m, eb.generators, g) for g in eb.biend.basis)
     ring = replace(eb.biend, labels=tuple(f"r{i}" for i in range(eb.biend.dim)))
-    return ScalarRing(ring, eb.end, eb.biend, eb.generators, synths, True)
+    return ScalarRing(ring, eb.end, eb.biend, eb.generators, synths)

@@ -50,6 +50,7 @@ from .modules import LEFT, RIGHT, ModuleRep, make_module
 _NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
 _SECTION_RE = re.compile(r"^\[(\w+)\s+([A-Za-z_]\w*)\]$")
 _VAR_RE = re.compile(r"^(x|y)(\d+)$")
+_DIGITS_RE = re.compile("[0-9]+")
 _PREFIX_RE = re.compile(r"^E\s+((?:y\d+\s+)*y\d+)\s*\.\s*(.*)$")
 
 # each section kind with its keys, in resolve and render order; every key
@@ -221,10 +222,10 @@ def parse_element(algebra: Algebra, text: str, line: int | None = None) -> np.nd
         if "*" in atom:
             code_txt, label = atom.split("*", 1)
             code_txt, label = code_txt.strip(), label.strip()
-            if not code_txt.isdigit():
+            if not _DIGITS_RE.fullmatch(code_txt):
                 raise ParseError(line, f"bad coefficient atom {atom!r}")
             code = int(code_txt)
-        elif atom.isdigit():
+        elif _DIGITS_RE.fullmatch(atom):
             code = int(atom)
             label = None
         else:
@@ -359,6 +360,8 @@ def parse_workspace(text: str) -> Workspace:
         if depth != 0:
             raise ParseError(num, f"unbalanced brackets in value of {key!r}")
         current[key] = (value, num)
+    if not version_seen:
+        raise ParseError(1, "workspace must start with 'version = 1'")
     ws = Workspace()
     for kind in _KIND_KEYS:
         for sec_kind, name, num, keys in sections:

@@ -6,6 +6,7 @@ an unexpected exception (an internal error).
 """
 
 import contextlib
+import hashlib
 import io
 import signal
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ppmod.cli import main
+from ppmod.workspace import Workspace, save_workspace
 
 DEMO = str(Path(__file__).resolve().parent.parent / "workspaces" / "demo.ws")
 
@@ -234,6 +236,27 @@ def test_scalars_command(capsys):
     assert "match biendomorphisms: yes" in out
 
 
+# sha256 of the workspace that holds kronecker_brick(3) as algebra K and module
+# B, and of the report `ppmod scalars --module B` prints on it
+BRICK7_WS_SHA256 = "a238f4d77862aa26868e4976892b66eb6c2a9b70104382f1a2308425e2b41bcc"
+BRICK7_SCALARS_SHA256 = "ae89cc9e071fb911e707963fb99f926439c929b7be7617faca66cc3653fcbacd"
+
+
+def test_scalars_report_on_the_seven_dimensional_brick_is_golden(tmp_path, capsys):
+    from test_scalars import kronecker_brick
+
+    brick = kronecker_brick(3)
+    ws = Workspace()
+    ws.add_algebra("K", brick.algebra)
+    ws.add_module("B", "K", brick)
+    path = tmp_path / "brick7.ws"
+    save_workspace(ws, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BRICK7_WS_SHA256
+    code, out, err = run(["scalars", "--workspace", str(path), "--module", "B"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == BRICK7_SCALARS_SHA256
+
+
 def test_preenvelope_golden_report(capsys):
     args = ["preenvelope", "--workspace", DEMO, "--module", "RR",
             "--tuple", "[1, 0]", "--context", "envS", "--budget", "small"]
@@ -436,10 +459,18 @@ def test_negative_dim_or_arity_in_a_workspace_is_a_data_error(section, tmp_path,
          "coordinate row '[1]' needs length 2"),
         (["eval", "--formula", "xt0", "--module", "RR", "--tuple", "u"],
          "unknown basis label 'u'"),
+        # '²'.isdigit() holds, yet it is no ASCII digit
+        (["eval", "--formula", "xt0", "--module", "RR", "--tuple", "²*t"],
+         "bad coefficient atom '²*t'"),
+        (["eval", "--formula", "xt0", "--module", "RR", "--tuple", "²"],
+         "unknown basis label '²'"),
         (["purity", "--source", "RS", "--target", "S", "--matrix", "[[0], [0]"],
          "cannot parse matrix '[[0], [0]'"),
         (["purity", "--source", "RS", "--target", "S", "--matrix", "[0, 1]"],
          "matrix needs shape (3, 1)"),
+        # the transpose of a Hom(RR, RS) basis map holds as many entries
+        (["purity", "--source", "RR", "--target", "RS", "--matrix", "[[0, 0], [1, 0], [0, 0]]"],
+         "matrix needs shape (2, 3)"),
         # RR's lattice is the three-chain [0] < [1] < [2]
         (["filters", "--module", "RR", "--avoid", "-1"], "avoided element is not in the lattice"),
         (["filters", "--module", "RR", "--avoid", "3"], "avoided element is not in the lattice"),
@@ -463,7 +494,7 @@ def run_quiet(args):
 ENTRIES = st.one_of(
     st.integers(-3, 4).map(str),
     st.sampled_from(["70000", str(2**64), "9" * 40, "1.7", "1e999", "'1'", '"t"', "True"]),
-    st.sampled_from(["t", "1", "(1 + t)", "", "-1", "x"]),
+    st.sampled_from(["t", "1", "(1 + t)", "", "-1", "x", "²"]),
 )
 VALUES = st.recursive(
     ENTRIES, lambda inner: st.lists(inner, max_size=3).map(lambda xs: f"[{', '.join(xs)}]"),

@@ -238,6 +238,7 @@ from ppmod.errors import (
 )
 from ppmod.fields import ELEM, _is_prime, digits
 from ppmod.formulas import (
+    PpFormula,
     SubgroupRep,
     bot,
     conj,
@@ -1849,13 +1850,15 @@ def test_consequences_and_scalars_skip_the_door():
         # C_theta's regular module passes make_module's own door, nothing else
         assert set(callers) <= {"make_module"}
     for m in (fixtures.mod_rr(), fixtures.right_grid(fixtures.tri2())[-1]):
-        blocks, built, callers = built_past_the_door(scalars, lambda: scalar_ring(m))
+        # scalar_ring keeps phi and g; each rho is built when its formula is read
+        run = lambda: [syn.formula for syn in scalar_ring(m).syntheses]
+        blocks, built, callers = built_past_the_door(scalars, run)
         assert len(built) == end_and_biend(m).biend.dim
         assert_as_at_the_door(blocks, built)
         assert callers == []
         # the public door checks g once, and builds the same rho
         g = end_and_biend(m).biend.basis[-1]
-        blocks, built, callers = built_past_the_door(scalars, lambda: synthesize_scalar(m, g))
+        blocks, built, callers = built_past_the_door(scalars, lambda: synthesize_scalar(m, g).formula)
         assert callers == ["synthesize_scalar"]
         assert same_array(built[0].b, scalar_ring(m).syntheses[-1].formula.b)
 
@@ -2353,6 +2356,109 @@ def test_scalar_ring_matches_the_solve_loop(alg):
         for s in sr.syntheses:
             graph = np.concatenate([linalg.eye(m.algebra.field, m.dim), s.matrix], axis=1)
             assert same_array(evaluate(s.formula, m).basis, graph)
+
+
+def oracle_scalar_formula(m, gens, g):
+    """rho as ``scalars._synthesis`` placed it: one conjunct and one slot at a time."""
+    field = m.algebra.field
+    alg = m.algebra
+    k = gens.shape[0]
+    joined = np.concatenate([gens, linalg.matmul(field, gens, g)], axis=0)
+    phi = pp_type_generator(m, joined)
+    per_conj = (2 * k - 2) + phi.nbound
+    nbound = 2 * k + k * per_conj
+    neq = 2 + k * phi.neq
+    a = np.zeros((2, neq, alg.dim), dtype=ELEM)
+    b = np.zeros((nbound, neq, alg.dim), dtype=ELEM)
+    a[0, 0] = alg.unit
+    a[1, 1] = alg.unit
+    for i in range(k):
+        b[i, 0] = field.neg(alg.unit)
+        b[k + i, 1] = field.neg(alg.unit)
+    for i in range(k):
+        base = 2 * k + i * per_conj
+        fresh = iter(range(base, base + 2 * k - 2))
+        col0 = 2 + i * phi.neq
+        for s in range(2 * k):
+            b[s if s in (i, k + i) else next(fresh), col0 : col0 + phi.neq] = phi.a[s]
+        for r in range(phi.nbound):
+            b[base + 2 * k - 2 + r, col0 : col0 + phi.neq] = phi.b[r]
+    return normalised(alg, m.side, 2, a, b)
+
+
+def assert_scalar_formulas_match_the_per_conjunct_placement(m):
+    eb = end_and_biend(m)
+    syntheses = scalar_ring(m).syntheses
+    assert len(syntheses) == eb.biend.dim
+    for syn, g in zip(syntheses, eb.biend.basis):
+        want = oracle_scalar_formula(m, eb.generators, g)
+        assert syn.formula.fingerprint() == want.fingerprint()
+
+
+@pytest.mark.parametrize("alg", GENUINE, ids=algebra_id)
+def test_scalar_formulas_match_the_per_conjunct_placement_on_the_grids(alg):
+    for m in genuine_modules(alg):
+        assert_scalar_formulas_match_the_per_conjunct_placement(m)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scalar_formulas_match_the_per_conjunct_placement_on_the_bricks(k):
+    from test_scalars import kronecker_brick  # test_scalars imports this module
+
+    assert_scalar_formulas_match_the_per_conjunct_placement(kronecker_brick(k))
+
+
+def oracle_render(phi):
+    """``PpFormula.render`` as one ``np.any`` and one rendered term per cell."""
+    alg = phi.algebra
+    parts = []
+    for j in range(phi.neq):
+        terms = []
+        for i in range(phi.nfree):
+            if np.any(phi.a[i, j]):
+                terms.append(oracle_render_term(alg, phi.side, f"x{i + 1}", phi.a[i, j]))
+        for k in range(phi.nbound):
+            if np.any(phi.b[k, j]):
+                terms.append(oracle_render_term(alg, phi.side, f"y{k + 1}", phi.b[k, j]))
+        parts.append((" + ".join(terms) if terms else "0") + " = 0")
+    body = " & ".join(parts) if parts else "0 = 0"
+    if phi.nbound:
+        names = " ".join(f"y{k + 1}" for k in range(phi.nbound))
+        return f"E {names} . {body}"
+    return body
+
+
+def oracle_render_term(alg, side, var, coeff):
+    """The ``_render_term`` of ``oracle_render``."""
+    if np.array_equal(coeff, alg.unit):
+        return var
+    txt = alg.render_elem(coeff)
+    return f"{var}*{txt}" if side == "right" else f"{txt}*{var}"
+
+
+@pytest.mark.parametrize("alg", [fixtures.r2(), fixtures.tri2(), fixtures.f3()], ids=algebra_id)
+def test_render_matches_the_per_cell_loop_on_the_corpus(alg):
+    for side in ("right", "left"):
+        for phi in fixtures.formula_corpus(alg, side):
+            assert phi.render() == oracle_render(phi)
+    # an all-zero equation, which normalisation drops, still renders as 0 = 0
+    for side in ("right", "left"):
+        zero = PpFormula(
+            alg, side, 1, 0, 2, np.zeros((1, 2, alg.dim), ELEM), np.zeros((0, 2, alg.dim), ELEM)
+        )
+        assert zero.render() == oracle_render(zero) == "0 = 0 & 0 = 0"
+
+
+@many
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from([Field(2), Field(3), Field(2, 2), Field(5)]),
+    side=st.sampled_from(["right", "left"]),
+)
+def test_render_matches_the_per_cell_loop_on_random_formulas(seed, field, side):
+    # over field[t]/(t^2), so unit, scaled and summed coefficients all occur
+    phi = fixtures.random_formula(truncated(field), side, random.Random(seed), 3, 3, 3)
+    assert phi.render() == oracle_render(phi)
 
 
 @many

@@ -23,7 +23,7 @@ from ppmod.errors import CapExceeded, DimensionMismatch, ValidationFailure
 from ppmod.fields import ELEM
 from ppmod.fixtures import k2, mod_rr, mod_rr_alt, mod_s, r2, tri2
 from ppmod.modules import free_module, hom_basis, make_module
-from ppmod.scalars import _greedy_generators
+from ppmod.scalars import ScalarRing, ScalarSynthesis, _greedy_generators
 from test_oracles import kron
 
 F2 = Field(2)
@@ -222,6 +222,15 @@ def test_scalar_ring_matches_biend(mod_fn):
     assert ring.matches_biend
     for syn in ring.syntheses:
         assert syn.total and syn.functional
+
+
+def test_syntheses_keep_phi_and_g_and_no_formula():
+    # rho is assembled when read, and the flags state theorems: neither is a field
+    assert ScalarSynthesis.__record_fields__ == ("type_generator", "generators", "matrix")
+    assert ScalarRing.__record_fields__ == ("ring", "end", "biend", "generators", "syntheses")
+    syn = scalar_ring(mod_rr()).syntheses[0]
+    assert syn.formula is not syn.formula
+    assert syn.formula.fingerprint() == syn.formula.fingerprint()
 
 
 def test_scalar_ring_of_sum():

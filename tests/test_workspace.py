@@ -80,10 +80,15 @@ def test_save_and_load(tmp_path):
     assert render_workspace(back) == render_workspace(ws)
 
 
-def test_missing_version_line():
+@pytest.mark.parametrize(
+    "text", ["[algebra A]\nfield = 2\n", "", "# only a comment\n\n"], ids=["section", "empty", "comment"]
+)
+def test_missing_version_line(text):
+    # a text that ends before its version line is refused like any other first line
     with pytest.raises(ParseError) as exc:
-        parse_workspace("[algebra A]\nfield = 2\n")
+        parse_workspace(text)
     assert exc.value.line == 1
+    assert str(exc.value) == "line 1: workspace must start with 'version = 1'"
 
 
 def test_unsupported_version():
@@ -141,6 +146,22 @@ def test_unknown_label_in_formula():
     with pytest.raises(ParseError) as exc:
         parse_workspace(text)
     assert "label" in str(exc.value)
+
+
+def test_a_non_ascii_digit_is_a_parse_error():
+    # '²'.isdigit() holds, but int('²') raises ValueError: only 0-9 make a scalar
+    base = (
+        "version = 1\n\n[algebra R2]\nfield = 2\nlabels = 1, t\n"
+        "constants = [[[1,0],[0,1]],[[0,1],[0,0]]]\nunit = [1, 0]\n\n"
+        "[formula f]\nalgebra = R2\nside = right\narity = 1\n"
+    )
+    for body, message in (
+        ("x1*²*t = 0", "line 13: bad coefficient atom '²*t'"),
+        ("x1*² = 0", "line 13: unknown basis label '²'"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_workspace(base + f"body = {body}\n")
+        assert str(exc.value) == message
 
 
 def test_bound_variables_must_be_canonical():

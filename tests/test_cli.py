@@ -459,21 +459,21 @@ def test_negative_dim_or_arity_in_a_workspace_is_a_data_error(section, tmp_path,
          "coordinate row '[1]' needs length 2"),
         (["eval", "--formula", "xt0", "--module", "RR", "--tuple", "u"],
          "unknown basis label 'u'"),
+        (["purity", "--source", "RS", "--target", "S", "--matrix", "[[0], [0]"],
+         "cannot parse matrix '[[0], [0]'"),
+        (["purity", "--source", "RS", "--target", "S", "--matrix", "[0, 1]"],
+         "matrix needs shape (3, 1)"),
+        # RR's lattice is the three-chain [0] < [1] < [2]
+        (["filters", "--module", "RR", "--avoid", "-1"], "avoided element is not in the lattice"),
+        (["filters", "--module", "RR", "--avoid", "3"], "avoided element is not in the lattice"),
         # '²'.isdigit() holds, yet it is no ASCII digit
         (["eval", "--formula", "xt0", "--module", "RR", "--tuple", "²*t"],
          "bad coefficient atom '²*t'"),
         (["eval", "--formula", "xt0", "--module", "RR", "--tuple", "²"],
          "unknown basis label '²'"),
-        (["purity", "--source", "RS", "--target", "S", "--matrix", "[[0], [0]"],
-         "cannot parse matrix '[[0], [0]'"),
-        (["purity", "--source", "RS", "--target", "S", "--matrix", "[0, 1]"],
-         "matrix needs shape (3, 1)"),
         # the transpose of a Hom(RR, RS) basis map holds as many entries
         (["purity", "--source", "RR", "--target", "RS", "--matrix", "[[0, 0], [1, 0], [0, 0]]"],
          "matrix needs shape (2, 3)"),
-        # RR's lattice is the three-chain [0] < [1] < [2]
-        (["filters", "--module", "RR", "--avoid", "-1"], "avoided element is not in the lattice"),
-        (["filters", "--module", "RR", "--avoid", "3"], "avoided element is not in the lattice"),
     ],
 )
 def test_argument_errors_carry_no_line_number(args, message, capsys):
